@@ -150,10 +150,6 @@ def is_isometry(form: DiagonalForm, mat, tol: float = EPS) -> bool:
     return bool(np.max(np.abs(a.T @ f @ a - f)) <= tol * scale)
 
 
-def exact_matrix_to_float(mat) -> np.ndarray:
-    return np.array([[x.embed(Embedding.IDENTITY) for x in row] for row in mat])
-
-
 def isometry_inverse(form: DiagonalForm, mat: np.ndarray) -> np.ndarray:
     """Inverse of A in O(f): F^{-1} A^t F (numerically cleaner than a solve)."""
     c = float_coefficients(form)
@@ -293,9 +289,6 @@ class Hyperplane:
 
     def same_as(self, other: "Hyperplane", tol: float = 1e-7) -> bool:
         return bool(np.allclose(self.normal, other.normal, atol=tol))
-
-    def contains_point(self, x, tol: float = EPS) -> bool:
-        return abs(bilinear(self.form, x, self.normal)) <= tol
 
     def apply(self, mat: np.ndarray) -> "Hyperplane":
         return Hyperplane(self.form, mat @ self.normal)

@@ -45,8 +45,6 @@ class Embedding(enum.Enum):
 
 _SQRT2_FLOAT = math.sqrt(2.0)
 
-RationalLike = "int | Fraction"
-
 
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):

@@ -2,11 +2,12 @@
 admissible point sets, orthogonal extension, sphere shrinking and a
 Poincare pairing check for plane domains.
 
-Cells are built with floating arithmetic; convexity questions are
-decided by linear programming in the Klein model, where halfspaces are
-affine constraints.  Everything is deterministic: orbit points are
-ordered breadth-first by provenance word, and all LP constraints are
-assembled in that order.
+Cells are built with floating arithmetic in the Klein model, where
+halfspaces are affine constraints a . k >= rhs.  Redundant bisectors are
+pruned with one convex hull of their polar points a / rhs; facet types
+are decided by linear programming.  Everything is deterministic: orbit
+points are ordered breadth-first by provenance word, and facets and LP
+constraints keep that order.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull
 
 from .qforms import DiagonalForm, direct_sum, form_from_json, form_to_json
 from .hyperboloid import (
@@ -120,10 +122,6 @@ def _lift_hyperplanes(marked) -> tuple[Hyperplane, ...]:
     if isinstance(marked, Hyperplane):
         return (marked,)
     raise TypeError(f"unsupported marked lift {type(marked).__name__}")
-
-
-def _surface_id(marked) -> int:
-    return marked.surface_id if isinstance(marked, MarkedGeodesic) else 0
 
 
 # -- group data ------------------------------------------------------------------
@@ -300,21 +298,15 @@ def _centering_isometry(form: DiagonalForm, center: np.ndarray) -> np.ndarray:
     return translation_along(form, b0, u, d)
 
 
-def _klein_row(form: DiagonalForm, hs: HalfSpace, world_to_local: np.ndarray):
-    """Affine Klein constraint a . k >= rhs for a halfspace, in local coordinates."""
-    t, _ = jn_chart(form)
-    n_local = world_to_local @ hs.hyperplane.normal
-    n_chart = t @ n_local
-    return hs.side * n_chart[1:], hs.side * n_chart[0]
+def _klein_rows(form: DiagonalForm, normals, world_to_local: np.ndarray):
+    """Affine Klein rows (a, rhs), one per normal, in local coordinates.
 
-
-def _klein_equality_rows(form, marked, world_to_local):
-    rows = []
+    An inward halfspace normal gives the constraint a . k >= rhs; a
+    hyperplane normal gives the equality a . k = rhs.
+    """
     t, _ = jn_chart(form)
-    for h in _lift_hyperplanes(marked):
-        n_chart = t @ (world_to_local @ h.normal)
-        rows.append((n_chart[1:], n_chart[0]))
-    return rows
+    chart = t @ (world_to_local @ np.reshape(normals, (-1, form.dimension)).T)
+    return chart[1:].T, chart[0]
 
 
 def dirichlet_cell(
@@ -324,9 +316,16 @@ def dirichlet_cell(
 ) -> VoronoiCell:
     """Intersection of bisector halfspaces toward every other orbit point.
 
-    Halfspaces that cannot support a facet inside the ball of radius
-    `prune_radius` (default: the orbit's certification radius) around the
-    center are discarded by LP feasibility in the Klein model.
+    Only bisectors supporting a facet inside the Klein box |k_j| <= tanh(rho)
+    are kept, rho = `prune_radius` (default: the orbit's certification
+    radius); rho <= 0 raises UndecidableError.  A bisector a . k >= rhs
+    (rhs < 0 at the center) supports a facet iff its polar point a / rhs is
+    a vertex of the convex hull of all polar points and the box's
+    +-e_j / tanh(rho).  A vertex is kept iff a / (rhs - 1e-7), relaxed by the
+    feasibility tolerance, lies outside the hull of the polar points other
+    than its duplicates (inward normals equal within 1e-7, as in
+    `Hyperplane.same_as`).  Each facet comes from the earliest orbit point of
+    its duplicate class, in orbit order.
     """
     form = orbit.form
     center = normalize_point(form, center)
@@ -340,51 +339,47 @@ def dirichlet_cell(
     )
     if idx is None:
         raise ValueError("center must be one of the orbit points")
-
-    raw: list[CellFacet] = []
-    seen_normals: list[HalfSpace] = []
-    for i, op in enumerate(orbit.points):
-        if i == idx:
-            continue
-        h = bisector(form, center, op.point)
-        hs = HalfSpace.containing(h, center)
-        duplicate = any(
-            hs.side == prev.side and hs.hyperplane.same_as(prev.hyperplane)
-            for prev in seen_normals
-        )
-        if duplicate:
-            continue
-        seen_normals.append(hs)
-        raw.append(CellFacet(hs, op.word, op.point))
-
     rho = prune_radius if prune_radius is not None else orbit.certification_radius
-    box = math.tanh(min(rho, _BOX_CAP))
+    if not rho > 0:
+        raise UndecidableError(
+            f"pruning radius rho = {rho:.6g} certifies no ball around the center; "
+            "increase the orbit cutoff"
+        )
 
-    if len(raw) <= 1:
-        return VoronoiCell(form, center, tuple(raw), orbit.certification_radius)
+    others = [op for i, op in enumerate(orbit.points) if i != idx]
 
+    def facet(op: OrbitPoint) -> CellFacet:
+        hs = HalfSpace.containing(bisector(form, center, op.point), center)
+        return CellFacet(hs, op.word, op.point)
+
+    if len(others) <= 1:
+        return VoronoiCell(
+            form, center, tuple(map(facet, others)), orbit.certification_radius
+        )
+
+    # the bisector normal x - y, scaled to f = 1, points toward the center x
+    diff = center[None, :] - np.array([op.point for op in others])
+    c = float_coefficients(form)
+    inward = diff / np.sqrt((diff * diff * c[None, :]).sum(axis=1))[:, None]
     world_to_local = isometry_inverse(form, _centering_isometry(form, center))
-    rows = [_klein_row(form, f.halfspace, world_to_local) for f in raw]
-    a_all = np.array([a for a, _ in rows])
-    rhs_all = np.array([r for _, r in rows])
-    dim = a_all.shape[1]
-    bounds = [(-box, box)] * dim
+    a_all, rhs_all = _klein_rows(form, inward, world_to_local)
+    polar = a_all / rhs_all[:, None]
+    dim = form.dimension - 1
+    box = math.tanh(min(rho, _BOX_CAP))
+    box_polar = np.vstack([np.eye(dim), -np.eye(dim)]) / box
+
+    classes: dict[int, np.ndarray] = {}
+    for v in ConvexHull(np.vstack([polar, box_polar])).vertices:
+        if v < len(others):
+            dup = np.all(np.isclose(inward, inward[v], atol=1e-7), axis=1)
+            classes.setdefault(int(np.argmax(dup)), dup)
 
     kept: list[CellFacet] = []
-    for i in range(len(raw)):
-        others = [j for j in range(len(raw)) if j != i]
-        res = linprog(
-            c=a_all[i],
-            A_ub=-a_all[others],
-            b_ub=-rhs_all[others],
-            bounds=bounds,
-            method="highs",
-        )
-        if res.status != 0:
-            kept.append(raw[i])  # conservative on solver trouble
-            continue
-        if res.fun < rhs_all[i] - _FEAS_EPS:
-            kept.append(raw[i])
+    for first in sorted(classes):
+        rest = ConvexHull(np.vstack([polar[~classes[first]], box_polar]))
+        relaxed = a_all[first] / (rhs_all[first] - _FEAS_EPS)
+        if np.max(rest.equations[:, :-1] @ relaxed + rest.equations[:, -1]) > 0:
+            kept.append(facet(others[first]))
     return VoronoiCell(form, center, tuple(kept), orbit.certification_radius)
 
 
@@ -395,37 +390,43 @@ def classify_facets(
 
     The test asks for a Klein point on the facet's supporting hyperplane,
     inside all other halfspaces and on every hyperplane cutting out the
-    marked lift, all within the feasibility tolerance.
+    marked lift, all within the feasibility tolerance.  An infeasible LP
+    means SECOND; any other solver outcome raises RuntimeError.
     """
     form = cell.form
     rho = box_radius if box_radius is not None else cell.certification_radius
     box = math.tanh(min(rho, _BOX_CAP))
     world_to_local = isometry_inverse(form, _centering_isometry(form, cell.center))
-    rows = [_klein_row(form, f.halfspace, world_to_local) for f in cell.facets]
+    a_all, rhs_all = _klein_rows(
+        form, [f.halfspace.inward_normal() for f in cell.facets], world_to_local
+    )
+    eq_rows = [
+        _klein_rows(form, [h.normal for h in _lift_hyperplanes(m)], world_to_local)
+        for m in marked
+    ]
     dim = form.dimension - 1
 
     new_facets = []
     for i, facet in enumerate(cell.facets):
-        a_i, rhs_i = rows[i]
-        a_ub = [-a for j, (a, _) in enumerate(rows) if j != i]
-        b_ub = [-r + _FEAS_EPS for j, (_, r) in enumerate(rows) if j != i]
+        others = np.arange(len(cell.facets)) != i
         ftype = FacetType.SECOND
-        for m in marked:
-            eq_rows = _klein_equality_rows(form, m, world_to_local)
-            a_eq = np.array([a_i] + [a for a, _ in eq_rows])
-            b_eq = np.array([rhs_i] + [r for _, r in eq_rows])
+        for a_eq, b_eq in eq_rows:
             res = linprog(
                 c=np.zeros(dim),
-                A_ub=np.array(a_ub) if a_ub else None,
-                b_ub=np.array(b_ub) if b_ub else None,
-                A_eq=a_eq,
-                b_eq=b_eq,
+                A_ub=-a_all[others],
+                b_ub=-rhs_all[others] + _FEAS_EPS,
+                A_eq=np.vstack([a_all[i], a_eq]),
+                b_eq=np.concatenate([rhs_all[i : i + 1], b_eq]),
                 bounds=[(-box, box)] * dim,
                 method="highs",
             )
             if res.status == 0:
                 ftype = FacetType.FIRST
                 break
+            if res.status != 2:
+                raise RuntimeError(
+                    f"facet {i}: linprog status {res.status} ({res.message})"
+                )
         new_facets.append(replace(facet, facet_type=ftype))
     return replace(cell, facets=tuple(new_facets))
 
@@ -789,9 +790,10 @@ def _facet_segment(cell: VoronoiCell, facet_index: int, box: float = 0.999999):
     either a genuine vertex (finite) or the exit point on the disk.
     """
     form = cell.form
-    ident = np.eye(form.dimension)
-    rows = [_klein_row(form, f.halfspace, ident) for f in cell.facets]
-    a_i, rhs_i = rows[facet_index]
+    a_all, rhs_all = _klein_rows(
+        form, [f.halfspace.inward_normal() for f in cell.facets], np.eye(form.dimension)
+    )
+    a_i, rhs_i = a_all[facet_index], rhs_all[facet_index]
     norm = np.linalg.norm(a_i)
     base = a_i * rhs_i / (norm * norm)
     direction = np.array([-a_i[1], a_i[0]]) / norm
@@ -806,7 +808,7 @@ def _facet_segment(cell: VoronoiCell, facet_index: int, box: float = 0.999999):
     t_lo = (-bb - math.sqrt(disc)) / (2 * aa)
     t_hi = (-bb + math.sqrt(disc)) / (2 * aa)
     lo_finite = hi_finite = False
-    for j, (a_j, rhs_j) in enumerate(rows):
+    for j, (a_j, rhs_j) in enumerate(zip(a_all, rhs_all)):
         if j == facet_index:
             continue
         coeff = float(np.dot(a_j, direction))

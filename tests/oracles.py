@@ -3,15 +3,24 @@
 import math
 
 import numpy as np
+from scipy.optimize import linprog
 
 from hyperglue.hyperboloid import (
+    HalfSpace,
     basepoint,
+    bisector,
     float_coefficients,
+    isometry_inverse,
+    jn_chart,
+    normalize_point,
     rotation_in_plane,
     translation_along,
 )
 from hyperglue.qforms import jn_form
 from hyperglue.voronoi import (
+    _BOX_CAP,
+    _FEAS_EPS,
+    CellFacet,
     GroupData,
     OrbitSet,
     VoronoiCell,
@@ -105,3 +114,59 @@ def nearest_center_agreement(
     by_halfspace = min_margin[usable] >= 0
     mismatches = int(np.sum(by_distance != by_halfspace))
     return int(np.sum(usable)), mismatches
+
+
+def lp_pruned_cell(center, orbit: OrbitSet, prune_radius: float | None = None) -> VoronoiCell:
+    """Reference Dirichlet cell: pairwise duplicate scan, then one LP per bisector.
+
+    Bisector halfspaces whose inward normals match an earlier one (the
+    `Hyperplane.same_as` test) are dropped.  Each remaining halfspace i is
+    kept iff min a_i . k over the other halfspaces and the Klein box
+    |k_j| <= tanh(rho) falls below rhs_i - _FEAS_EPS; a solver failure keeps it.
+    """
+    form = orbit.form
+    center = normalize_point(form, center)
+    idx = next(
+        i for i, op in enumerate(orbit.points) if np.allclose(op.point, center, atol=1e-7)
+    )
+    raw: list[CellFacet] = []
+    for i, op in enumerate(orbit.points):
+        if i == idx:
+            continue
+        hs = HalfSpace.containing(bisector(form, center, op.point), center)
+        if any(
+            hs.side == prev.halfspace.side
+            and hs.hyperplane.same_as(prev.halfspace.hyperplane)
+            for prev in raw
+        ):
+            continue
+        raw.append(CellFacet(hs, op.word, op.point))
+
+    rho = prune_radius if prune_radius is not None else orbit.certification_radius
+    box = math.tanh(min(rho, _BOX_CAP))
+    if len(raw) <= 1:
+        return VoronoiCell(form, center, tuple(raw), orbit.certification_radius)
+
+    t, _ = jn_chart(form)
+    world_to_local = isometry_inverse(form, _centering_isometry(form, center))
+    rows = []
+    for f in raw:
+        n_chart = t @ (world_to_local @ f.halfspace.hyperplane.normal)
+        rows.append(f.halfspace.side * n_chart)
+    a_all = np.array([r[1:] for r in rows])
+    rhs_all = np.array([r[0] for r in rows])
+    bounds = [(-box, box)] * a_all.shape[1]
+
+    kept = []
+    for i in range(len(raw)):
+        others = [j for j in range(len(raw)) if j != i]
+        res = linprog(
+            c=a_all[i],
+            A_ub=-a_all[others],
+            b_ub=-rhs_all[others],
+            bounds=bounds,
+            method="highs",
+        )
+        if res.status != 0 or res.fun < rhs_all[i] - _FEAS_EPS:
+            kept.append(raw[i])
+    return VoronoiCell(form, center, tuple(kept), orbit.certification_radius)

@@ -2,13 +2,18 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import hyperglue
 from hyperglue.cli import main
+
+# the subprocess imports the same package as the tests, installed or not
+PACKAGE_ROOT = str(Path(hyperglue.__file__).resolve().parent.parent)
 
 
 def run_cli(*argv) -> int:
@@ -16,10 +21,12 @@ def run_cli(*argv) -> int:
 
 
 def run_subprocess(*argv):
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "hyperglue.cli", *argv],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 

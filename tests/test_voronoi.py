@@ -1,20 +1,25 @@
 """Voronoi machinery: orbits, cells, facet types, admissible sets, Poincare."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from hyperglue import voronoi
 from hyperglue.hyperboloid import (
     Hyperplane,
     basepoint,
     bilinear,
     distance,
+    float_coefficients,
     hyperplane_distance,
     isometry_inverse,
     rotation_in_plane,
     translation_along,
 )
+from hyperglue.numfield import FieldTag
+from hyperglue.qforms import counting_base_form, jn_form
 from hyperglue.voronoi import (
     AdmissibleSet,
     FacetPairing,
@@ -97,6 +102,18 @@ class TestDirichletCell:
         cell = dirichlet_cell(X0, orbit)
         assert len(cell.facets) == 1
 
+    def test_zero_radius_refused(self):
+        # the second seed lies farther from the first than the generator
+        # moves either seed, so the cutoff-1 orbit certifies rho = 0
+        t = translation_along(J2, X0, E1, 2.0)
+        y = translation_along(J2, X0, E2, 3.0) @ X0
+        orbit = build_orbit([X0, y], GroupData(J2, [t]), 1)
+        assert orbit.certification_radius == 0.0
+        with pytest.raises(UndecidableError, match="rho = 0 "):
+            dirichlet_cell(X0, orbit)
+        with pytest.raises(UndecidableError, match="rho = -1 "):
+            dirichlet_cell(X0, orbit, prune_radius=-1.0)
+
     def test_center_must_be_in_orbit(self):
         _, orbit, _ = plane_config("cyclic", (2.0,))
         with pytest.raises(ValueError):
@@ -174,6 +191,80 @@ class TestFacetTypes:
                 assert gap <= 1e-9
             else:
                 assert gap > 0.1
+
+
+    @pytest.mark.parametrize("status", [1, 4])
+    def test_solver_failure_raises(self, monkeypatch, status):
+        _, _, cell = plane_config("cyclic", (2.0,))
+        axis = MarkedGeodesic(J2, X0, E1, 0, 2.0)
+        failed = SimpleNamespace(status=status, message="stub failure")
+        monkeypatch.setattr(voronoi, "linprog", lambda *args, **kwargs: failed)
+        with pytest.raises(RuntimeError, match=rf"status {status} \(stub failure\)"):
+            classify_facets(cell, [axis])
+
+
+def _facet_signature(cell):
+    return [
+        (f.source_word, tuple(f.halfspace.hyperplane.normal), f.halfspace.side)
+        for f in cell.facets
+    ]
+
+
+def _reference_plane_cases():
+    """(cutoff, angle in degrees, length along e1, length along the rotated axis)."""
+    cases = [
+        (1, 90.0, 1.3, 2.0),  # the nearest wall lies on a face of the Klein box
+        (1, 0.0, 1.0, None),  # the same tie for a cyclic group
+        (4, 169.19, 2.10, 1.71),  # bisectors through a common vertex
+    ]
+    rng = np.random.default_rng(2024)
+    for cutoff, count in ((1, 2), (2, 4), (3, 3), (4, 1)):
+        for _ in range(count):
+            angle, len_h, len_v = rng.uniform((20.0, 0.5, 0.5), (170.0, 4.0, 4.0))
+            cases.append((cutoff, *(round(float(x), 2) for x in (angle, len_h, len_v))))
+    return cases
+
+
+class TestLPReference:
+    """Hull pruning keeps the facets of the duplicate-scan-plus-LP reference."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_lp(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("dirichlet_cell must not solve LPs")
+
+        monkeypatch.setattr(voronoi, "linprog", fail)
+
+    @pytest.mark.parametrize("cutoff,angle,len_h,len_v", _reference_plane_cases())
+    def test_plane(self, cutoff, angle, len_h, len_v):
+        gens = [translation_along(J2, X0, E1, len_h)]
+        if len_v is not None:
+            axis = rotation_in_plane(J2, 1, 2, math.radians(angle)) @ E1
+            gens.append(translation_along(J2, X0, axis, len_v))
+        orbit = build_orbit([X0], GroupData(J2, gens), cutoff)
+        for radius in (None, 3.0, 0.5):
+            hull = dirichlet_cell(X0, orbit, prune_radius=radius)
+            reference = oracles.lp_pruned_cell(X0, orbit, prune_radius=radius)
+            assert _facet_signature(hull) == _facet_signature(reference), radius
+
+    @pytest.mark.parametrize("cutoff", [2, 3])
+    @pytest.mark.parametrize(
+        "form",
+        [jn_form(3), counting_base_form(4, FieldTag.Q_SQRT2)],
+        ids=["J3", "sqrt2"],
+    )
+    def test_h3(self, form, cutoff):
+        rng = np.random.default_rng(cutoff)
+        x0 = basepoint(form)
+        spatial = float_coefficients(form) > 0
+        gens = [
+            translation_along(form, x0, rng.standard_normal(form.dimension) * spatial, length)
+            for length in rng.uniform(2.5, 3.5, 3)
+        ]
+        orbit = build_orbit([x0], GroupData(form, gens), cutoff)
+        hull = dirichlet_cell(x0, orbit)
+        assert hull.facets
+        assert _facet_signature(hull) == _facet_signature(oracles.lp_pruned_cell(x0, orbit))
 
 
 def two_geodesic_setup(delta=0.8, window=4.0):
