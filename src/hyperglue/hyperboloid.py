@@ -114,10 +114,12 @@ def reflection(form: DiagonalForm, v):
             raise ValueError("reflection mirror must be space-like")
         n = form.dimension
         mat = exact_identity(form)
-        two = QuadFieldElement.rational(2, form.field)
+        two_over_fv = 2 / fv
+        cv = [c * x for c, x in zip(form.coefficients, v)]
         for i in range(n):
+            scale = two_over_fv * v[i]
             for j in range(n):
-                mat[i][j] = mat[i][j] - two * v[i] * form.coefficients[j] * v[j] / fv
+                mat[i][j] = mat[i][j] - scale * cv[j]
         return mat
     vf = as_float_vector(form, v)
     fv = float(np.dot(vf * float_coefficients(form), vf))
@@ -131,17 +133,14 @@ def is_isometry(form: DiagonalForm, mat, tol: float = EPS) -> bool:
     """Check A^t F A = F; exact equality for exact matrices, sup-norm <= tol otherwise."""
     if isinstance(mat, (list, tuple)) and _is_exact_vector(mat[0]):
         n = form.dimension
+        zero = QuadFieldElement.zero(form.field)
+        fa = [[c * x for x in row] for c, row in zip(form.coefficients, mat)]
         for i in range(n):
             for j in range(n):
-                acc = QuadFieldElement.zero(form.field)
+                acc = zero
                 for k in range(n):
-                    acc = acc + mat[k][i] * form.coefficients[k] * mat[k][j]
-                expected = (
-                    form.coefficients[i]
-                    if i == j
-                    else QuadFieldElement.zero(form.field)
-                )
-                if acc != expected:
+                    acc = acc + mat[k][i] * fa[k][j]
+                if acc != (form.coefficients[i] if i == j else zero):
                     return False
         return True
     a = np.asarray(mat, dtype=float)

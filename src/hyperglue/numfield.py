@@ -1,10 +1,12 @@
 """Exact arithmetic in Q and Q(sqrt 2).
 
 Every downstream decision that matters (form signatures, orthogonality,
-reflection identities, square classes) is discrete, so elements are pairs
-of `fractions.Fraction` and all predicates are decided algebraically.
-No floating point enters this module except through the explicit
-`embed()` accessor.
+reflection identities, square classes) is discrete, so all predicates are
+decided algebraically.  An element is held as Python ints (p, q, d) meaning
+(p + q*sqrt2)/d, with d > 0 and gcd(p, q, d) = 1: one integer vector over a
+common denominator (Cohen, A Course in Computational Algebraic Number
+Theory, ch. 4), normalised by one gcd per operation.  No floating point
+enters this module except through the explicit `embed()` accessor.
 """
 
 from __future__ import annotations
@@ -46,116 +48,138 @@ class Embedding(enum.Enum):
 _SQRT2_FLOAT = math.sqrt(2.0)
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+def _ratio(value) -> tuple[int, int]:
+    """(numerator, denominator) of an int or a Fraction, in lowest terms."""
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
-def _fraction_sqrt(q: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None if not a square."""
-    if q < 0:
-        return None
-    num, den = q.numerator, q.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
+def _is_square_int(n: int) -> bool:
+    return n >= 0 and math.isqrt(n) ** 2 == n
 
 
 class QuadFieldElement:
-    """An element a + b*sqrt(2) of Q or Q(sqrt 2), held as reduced fractions.
+    """An element (p + q*sqrt2)/d of Q or Q(sqrt 2), held as canonical ints.
 
-    Values are immutable; arithmetic stays inside a single field and is
-    exact.  For FieldTag.Q the sqrt-2 part is forced to zero.
+    d > 0 and gcd(p, q, d) = 1, so equal values have equal (p, q, d) and zero
+    is (0, 0, 1).  The constructor takes a + b*sqrt2 with int or Fraction
+    parts a, b; the properties `a` and `b` return them as Fractions.  Values
+    are immutable; arithmetic stays inside a single field and is exact.  For
+    FieldTag.Q the sqrt-2 part is forced to zero.
     """
 
-    __slots__ = ("a", "b", "field")
+    __slots__ = ("_p", "_q", "_d", "field")
 
     def __init__(self, a, b=0, field: FieldTag | None = None):
-        a = _as_fraction(a)
-        b = _as_fraction(b)
+        an, ad = _ratio(a)
+        bn, bd = _ratio(b)
         if field is None:
-            field = FieldTag.Q_SQRT2 if b != 0 else FieldTag.Q
-        if field is FieldTag.Q and b != 0:
+            field = FieldTag.Q_SQRT2 if bn != 0 else FieldTag.Q
+        if field is FieldTag.Q and bn != 0:
             raise ValueError("rational field element cannot carry a sqrt-2 part")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "field", field)
+        # a and b are in lowest terms, so over d = lcm(ad, bd) the gcd is 1
+        d = math.lcm(ad, bd)
+        _set_p(self, an * (d // ad))
+        _set_q(self, bn * (d // bd))
+        _set_d(self, d)
+        _set_field(self, field)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadFieldElement is immutable")
+
+    def __reduce__(self):
+        return (QuadFieldElement, (self.a, self.b, self.field))
+
+    @property
+    def a(self) -> Fraction:
+        """The rational part p/d."""
+        return Fraction(self._p, self._d)
+
+    @property
+    def b(self) -> Fraction:
+        """The sqrt-2 coefficient q/d."""
+        return Fraction(self._q, self._d)
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
     def rational(cls, value, field: FieldTag = FieldTag.Q) -> "QuadFieldElement":
-        return cls(_as_fraction(value), 0, field)
+        return cls(value, 0, field)
 
     @classmethod
     def zero(cls, field: FieldTag) -> "QuadFieldElement":
-        return cls(0, 0, field)
+        return _make(0, 0, 1, field)
 
     @classmethod
     def one(cls, field: FieldTag) -> "QuadFieldElement":
-        return cls(1, 0, field)
+        return _make(1, 0, 1, field)
 
-    def _coerce(self, other) -> "QuadFieldElement":
+    def _operand(self, other) -> tuple[int, int, int] | None:
+        """(p, q, d) of an element of the same field, an int or a Fraction."""
         if isinstance(other, QuadFieldElement):
             if other.field is not self.field:
                 raise ValueError(
                     f"mixed fields: {self.field.value} vs {other.field.value}"
                 )
-            return other
+            return other._p, other._q, other._d
         if isinstance(other, (int, Fraction)):
-            return QuadFieldElement(other, 0, self.field)
-        return NotImplemented
+            return other.numerator, 0, other.denominator
+        return None
 
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        return QuadFieldElement(self.a + other.a, self.b + other.b, self.field)
+        p, q, d = o
+        sd = self._d
+        if d == sd:
+            return _norm(self._p + p, self._q + q, d, self.field)
+        return _norm(self._p * d + p * sd, self._q * d + q * sd, sd * d, self.field)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        return QuadFieldElement(self.a - other.a, self.b - other.b, self.field)
+        p, q, d = o
+        sd = self._d
+        if d == sd:
+            return _norm(self._p - p, self._q - q, d, self.field)
+        return _norm(self._p * d - p * sd, self._q * d - q * sd, sd * d, self.field)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return QuadFieldElement(-self.a, -self.b, self.field)
+        return _make(-self._p, -self._q, self._d, self.field)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        return QuadFieldElement(
-            self.a * other.a + 2 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-            self.field,
-        )
+        p, q, d = o
+        sp, sq = self._p, self._q
+        return _norm(sp * p + 2 * sq * q, sp * q + sq * p, self._d * d, self.field)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        norm = other.a * other.a - 2 * other.b * other.b
-        if norm == 0:
+        p, q, d = o
+        n = p * p - 2 * q * q
+        if n == 0:
             raise ZeroDivisionError("division by zero field element")
-        inv = QuadFieldElement(other.a / norm, -other.b / norm, self.field)
-        return self * inv
+        # x / y = x * conjugate(y) * d / n with n = p^2 - 2 q^2 of either sign
+        sp, sq = self._p, self._q
+        if n < 0:
+            d, n = -d, -n
+        return _norm((sp * p - 2 * sq * q) * d, (sq * p - sp * q) * d, self._d * n, self.field)
 
     def __rtruediv__(self, other):
         return QuadFieldElement(other, 0, self.field) / self
@@ -176,19 +200,29 @@ class QuadFieldElement:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
         if isinstance(other, QuadFieldElement):
             return (
-                self.field is other.field and self.a == other.a and self.b == other.b
+                self.field is other.field
+                and self._p == other._p
+                and self._q == other._q
+                and self._d == other._d
+            )
+        if isinstance(other, (int, Fraction)):
+            return (
+                self._q == 0
+                and self._p == other.numerator
+                and self._d == other.denominator
             )
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b, self.field))
+        # a rational value hashes like the int or Fraction it equals
+        if self._q == 0:
+            return hash(Fraction(self._p, self._d))
+        return hash((self._p, self._q, self._d, self.field))
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return self._p != 0 or self._q != 0
 
     def __repr__(self):
         return f"QuadFieldElement({self.a!r}, {self.b!r}, {self.field})"
@@ -200,30 +234,27 @@ class QuadFieldElement:
 
     def conjugate(self) -> "QuadFieldElement":
         """Galois conjugate a + b*sqrt2 -> a - b*sqrt2 (identity on Q)."""
-        return QuadFieldElement(self.a, -self.b, self.field)
+        return _make(self._p, -self._q, self._d, self.field)
 
     def norm(self) -> Fraction:
         """Field norm a^2 - 2 b^2 (= x * conjugate(x))."""
-        return self.a * self.a - 2 * self.b * self.b
+        p, q, d = self._p, self._q, self._d
+        return Fraction(p * p - 2 * q * q, d * d)
 
     def sign_at(self, embedding: Embedding) -> int:
-        """Exact sign of the real number a + b*(+-sqrt2), no floating point.
+        """Exact sign of the real number (p + q*(+-sqrt2))/d, no floating point.
 
-        When a and b pull in opposite directions the winner is decided by
-        comparing a^2 with 2 b^2 (equality is impossible for nonzero
-        rationals since sqrt 2 is irrational).
+        d > 0, and when p and q pull in opposite directions the winner is
+        decided by comparing p^2 with 2 q^2 (equality is impossible for
+        nonzero integers since sqrt 2 is irrational).
         """
-        b = self.b if embedding is Embedding.IDENTITY else -self.b
-        a = self.a
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if (a > 0) == (b > 0):
-            return 1 if a > 0 else -1
-        if a * a > 2 * b * b:
-            return 1 if a > 0 else -1
-        return 1 if b > 0 else -1
+        p = self._p
+        q = self._q if embedding is Embedding.IDENTITY else -self._q
+        if q == 0:
+            return (p > 0) - (p < 0)
+        if p == 0 or (p > 0) == (q > 0) or p * p < 2 * q * q:
+            return 1 if q > 0 else -1
+        return 1 if p > 0 else -1
 
     def is_totally_positive(self) -> bool:
         return all(self.sign_at(e) == 1 for e in self.field.embeddings())
@@ -231,39 +262,62 @@ class QuadFieldElement:
     def is_square(self) -> bool:
         """Exact decision whether the element is a square inside its own field.
 
-        Over Q(sqrt2) this solves c^2 + 2 d^2 = a, 2 c d = b over the
-        rationals: the field norm a^2 - 2 b^2 must be a rational square s^2
-        and then (a +- s)/2 must be a rational square c^2.
+        A rational r/s (s > 0) is a square iff the integer r*s is.  Over
+        Q(sqrt2), x = a + b*sqrt2 with b != 0 is (c + e*sqrt2)^2 iff
+        c^2 + 2 e^2 = a and 2 c e = b.  Then the norm a^2 - 2 b^2 is a
+        square t^2, c^2 = (a +- t)/2 is a nonzero rational square, and
+        e = b/(2c) solves both equations.  With a = p/d, b = q/d this means
+        p^2 - 2 q^2 = s^2 and 2 d (p +- s) a nonzero square.
         """
-        if self.field is FieldTag.Q:
-            return self.b == 0 and _fraction_sqrt(self.a) is not None
-        if self.b == 0:
-            if self.a == 0:
-                return True
-            # c^2 = a  (d = 0)  or  2 d^2 = a  (c = 0)
-            return (
-                _fraction_sqrt(self.a) is not None
-                or _fraction_sqrt(self.a / 2) is not None
+        p, q, d = self._p, self._q, self._d
+        if q == 0:
+            # c^2 = a (e = 0), or over Q(sqrt2) also 2 e^2 = a (c = 0)
+            return _is_square_int(p * d) or (
+                self.field is FieldTag.Q_SQRT2 and _is_square_int(2 * p * d)
             )
-        s = _fraction_sqrt(self.norm())
-        if s is None:
+        n = p * p - 2 * q * q
+        if not _is_square_int(n):
             return False
-        for root in ((self.a + s) / 2, (self.a - s) / 2):
-            c = _fraction_sqrt(root)
-            if c is not None and c != 0:
-                d = self.b / (2 * c)
-                if c * c + 2 * d * d == self.a and 2 * c * d == self.b:
-                    return True
-        return False
+        s = math.isqrt(n)
+        return any(t != 0 and _is_square_int(2 * d * t) for t in (p + s, p - s))
 
     def is_integral(self) -> bool:
         """Membership in the ring of integers (Z, or Z[sqrt2])."""
-        return self.a.denominator == 1 and self.b.denominator == 1
+        return self._d == 1
 
     def embed(self, embedding: Embedding = Embedding.IDENTITY) -> float:
-        """Floating image under the chosen real embedding."""
-        b = self.b if embedding is Embedding.IDENTITY else -self.b
-        return float(self.a) + float(b) * _SQRT2_FLOAT
+        """Floating image under the chosen real embedding.
+
+        Int true division is correctly rounded, so p/d and q/d are the
+        floats of the Fractions a and b.
+        """
+        q = self._q if embedding is Embedding.IDENTITY else -self._q
+        return self._p / self._d + (q / self._d) * _SQRT2_FLOAT
+
+
+_new = object.__new__
+_set_p = QuadFieldElement._p.__set__
+_set_q = QuadFieldElement._q.__set__
+_set_d = QuadFieldElement._d.__set__
+_set_field = QuadFieldElement.field.__set__
+
+
+def _make(p: int, q: int, d: int, field: FieldTag) -> QuadFieldElement:
+    """The element with canonical ints (p, q, d), skipping the constructor."""
+    x = _new(QuadFieldElement)
+    _set_p(x, p)
+    _set_q(x, q)
+    _set_d(x, d)
+    _set_field(x, field)
+    return x
+
+
+def _norm(p: int, q: int, d: int, field: FieldTag) -> QuadFieldElement:
+    """The element (p + q*sqrt2)/d for d > 0, reduced by gcd(p, q, d)."""
+    g = math.gcd(p, q, d)
+    if g != 1:
+        p, q, d = p // g, q // g, d // g
+    return _make(p, q, d, field)
 
 
 def sqrt2() -> QuadFieldElement:

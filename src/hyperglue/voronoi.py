@@ -318,7 +318,8 @@ def dirichlet_cell(
 
     Only bisectors supporting a facet inside the Klein box |k_j| <= tanh(rho)
     are kept, rho = `prune_radius` (default: the orbit's certification
-    radius); rho <= 0 raises UndecidableError.  A bisector a . k >= rhs
+    radius); rho <= 0 raises UndecidableError, and so does a radius that
+    keeps no facet while other orbit points exist.  A bisector a . k >= rhs
     (rhs < 0 at the center) supports a facet iff its polar point a / rhs is
     a vertex of the convex hull of all polar points and the box's
     +-e_j / tanh(rho).  A vertex is kept iff a / (rhs - 1e-7), relaxed by the
@@ -380,6 +381,12 @@ def dirichlet_cell(
         relaxed = a_all[first] / (rhs_all[first] - _FEAS_EPS)
         if np.max(rest.equations[:, :-1] @ relaxed + rest.equations[:, -1]) > 0:
             kept.append(facet(others[first]))
+    if not kept:
+        raise UndecidableError(
+            f"pruning radius rho = {rho:.6g} keeps no facet of the "
+            f"{len(others)} bisectors, so the cell would be everything; "
+            "increase the orbit cutoff or the radius"
+        )
     return VoronoiCell(form, center, tuple(kept), orbit.certification_radius)
 
 

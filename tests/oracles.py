@@ -1,6 +1,7 @@
 """Shared brute-force oracles and desk configurations for the test suite."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
@@ -16,6 +17,7 @@ from hyperglue.hyperboloid import (
     rotation_in_plane,
     translation_along,
 )
+from hyperglue.numfield import Embedding, FieldTag
 from hyperglue.qforms import jn_form
 from hyperglue.voronoi import (
     _BOX_CAP,
@@ -170,3 +172,106 @@ def lp_pruned_cell(center, orbit: OrbitSet, prune_radius: float | None = None) -
         if res.status != 0 or res.fun < rhs_all[i] - _FEAS_EPS:
             kept.append(raw[i])
     return VoronoiCell(form, center, tuple(kept), orbit.certification_radius)
+
+
+def _fraction_sqrt(q: Fraction) -> Fraction | None:
+    """Exact square root of a nonnegative rational, or None if not a square."""
+    if q < 0:
+        return None
+    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
+class FractionPair:
+    """Reference element a + b*sqrt2 of Q or Q(sqrt2) held as two Fractions.
+
+    The textbook arithmetic on the pair, kept as the oracle for the
+    integer-backed `numfield.QuadFieldElement`.
+    """
+
+    def __init__(self, a, b=0, field: FieldTag = FieldTag.Q_SQRT2):
+        self.a, self.b, self.field = Fraction(a), Fraction(b), field
+        if field is FieldTag.Q and self.b != 0:
+            raise ValueError("rational field element cannot carry a sqrt-2 part")
+
+    def __eq__(self, other):
+        return (self.a, self.b, self.field) == (other.a, other.b, other.field)
+
+    def __add__(self, other):
+        return FractionPair(self.a + other.a, self.b + other.b, self.field)
+
+    def __sub__(self, other):
+        return FractionPair(self.a - other.a, self.b - other.b, self.field)
+
+    def __mul__(self, other):
+        return FractionPair(
+            self.a * other.a + 2 * self.b * other.b,
+            self.a * other.b + self.b * other.a,
+            self.field,
+        )
+
+    def __truediv__(self, other):
+        norm = other.norm()
+        if norm == 0:
+            raise ZeroDivisionError("division by zero field element")
+        return self * FractionPair(other.a / norm, -other.b / norm, self.field)
+
+    def __pow__(self, exponent: int):
+        if exponent < 0:
+            return (FractionPair(1, 0, self.field) / self) ** (-exponent)
+        result = FractionPair(1, 0, self.field)
+        for _ in range(exponent):
+            result = result * self
+        return result
+
+    def conjugate(self) -> "FractionPair":
+        return FractionPair(self.a, -self.b, self.field)
+
+    def norm(self) -> Fraction:
+        return self.a * self.a - 2 * self.b * self.b
+
+    def sign_at(self, embedding: Embedding) -> int:
+        b = self.b if embedding is Embedding.IDENTITY else -self.b
+        a = self.a
+        if b == 0:
+            return (a > 0) - (a < 0)
+        if a == 0:
+            return 1 if b > 0 else -1
+        if (a > 0) == (b > 0):
+            return 1 if a > 0 else -1
+        if a * a > 2 * b * b:
+            return 1 if a > 0 else -1
+        return 1 if b > 0 else -1
+
+    def is_square(self) -> bool:
+        """Solve c^2 + 2 d^2 = a, 2 c d = b over Q and check the solution."""
+        if self.field is FieldTag.Q:
+            return _fraction_sqrt(self.a) is not None
+        if self.b == 0:
+            return (
+                _fraction_sqrt(self.a) is not None
+                or _fraction_sqrt(self.a / 2) is not None
+            )
+        s = _fraction_sqrt(self.norm())
+        if s is None:
+            return False
+        for root in ((self.a + s) / 2, (self.a - s) / 2):
+            c = _fraction_sqrt(root)
+            if c is not None and c != 0:
+                d = self.b / (2 * c)
+                if c * c + 2 * d * d == self.a and 2 * c * d == self.b:
+                    return True
+        return False
+
+    def embed(self, embedding: Embedding = Embedding.IDENTITY) -> float:
+        b = self.b if embedding is Embedding.IDENTITY else -self.b
+        return float(self.a) + float(b) * math.sqrt(2.0)
+
+    def __str__(self):
+        if self.field is FieldTag.Q:
+            return str(self.a)
+        if self.b >= 0:
+            return f"{self.a} + {self.b}*r2"
+        return f"{self.a} - {-self.b}*r2"

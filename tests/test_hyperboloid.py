@@ -7,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hyperglue.numfield import Embedding, QuadFieldElement
-from hyperglue.qforms import direct_sum, form_from_rationals, jn_form
+from hyperglue.numfield import Embedding, FieldTag, QuadFieldElement, sqrt2
+from hyperglue.qforms import counting_base_form, direct_sum, form_from_rationals, jn_form
 from hyperglue.hyperboloid import (
     HalfSpace,
     Hyperplane,
@@ -125,6 +125,34 @@ class TestReflection:
             )
             assert bilinear(J2, w, v) == QuadFieldElement(0)
             assert exact_mat_vec(mat, w) == w
+
+    def test_matches_entrywise_definition(self):
+        # r_v[i][j] = delta_ij - 2 v_i c_j v_j / f(v), over Q and Q(sqrt2)
+        rng = random.Random(29)
+        form = counting_base_form(4, FieldTag.Q_SQRT2)
+        for _ in range(10):
+            v = tuple(
+                QuadFieldElement(
+                    Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                    Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                    FieldTag.Q_SQRT2,
+                )
+                for _ in range(form.dimension)
+            )
+            fv = quadratic(form, v)
+            if not fv or fv.sign_at(Embedding.IDENTITY) < 0:
+                continue
+            mat = reflection(form, v)
+            c = form.coefficients
+            n = form.dimension
+            assert mat == [
+                [(1 if i == j else 0) - 2 * v[i] * c[j] * v[j] / fv for j in range(n)]
+                for i in range(n)
+            ]
+            assert is_isometry(form, mat)
+            bent = [row[:] for row in mat]
+            bent[0][1] = bent[0][1] + sqrt2()
+            assert not is_isometry(form, bent)
 
     def test_rejects_time_like_mirror(self):
         with pytest.raises(ValueError):

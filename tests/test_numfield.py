@@ -1,6 +1,8 @@
 """Exact field arithmetic: axioms, Galois action, signs, squares, parsing."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,9 @@ from hyperglue.numfield import (
     parse_element,
     sqrt2,
 )
+from hyperglue.qforms import jn_form
+
+from oracles import FractionPair
 
 SQRT2 = math.sqrt(2.0)
 
@@ -170,3 +175,119 @@ class TestIntegrality:
         assert qs2(3, -2).is_integral()
         assert not qs2(Fraction(1, 2), 1).is_integral()
         assert QuadFieldElement(4).is_integral()
+
+
+# operands with numerators and denominators far above 2**64 besides small ones
+big_fractions_st = st.builds(
+    Fraction, st.integers(-(2**100), 2**100), st.integers(1, 2**80)
+)
+parts_st = st.one_of(fractions_st, big_fractions_st)
+pairs_st = st.tuples(parts_st, parts_st)
+
+
+def _both(a, b, field=FieldTag.Q_SQRT2):
+    """The element a + b*sqrt2 and its oracle; over Q the sqrt-2 part is dropped."""
+    if field is FieldTag.Q:
+        b = 0
+    return QuadFieldElement(a, b, field), FractionPair(a, b, field)
+
+
+def _agrees(x: QuadFieldElement, ref: FractionPair) -> bool:
+    """Same value and field as the oracle, held in canonical (p, q, d) form."""
+    canonical = x._d > 0 and math.gcd(x._p, x._q, x._d) == 1
+    return canonical and x.field is ref.field and (x.a, x.b) == (ref.a, ref.b)
+
+
+class TestFractionPairOracle:
+    @given(pairs_st, pairs_st)
+    @settings(max_examples=300)
+    def test_ring_operations(self, u, v):
+        x, rx = _both(*u)
+        y, ry = _both(*v)
+        assert _agrees(x, rx) and _agrees(y, ry)
+        assert _agrees(x + y, rx + ry)
+        assert _agrees(x - y, rx - ry)
+        assert _agrees(x * y, rx * ry)
+        assert _agrees(-x, FractionPair(0) - rx)
+        assert _agrees(x.conjugate(), rx.conjugate())
+        assert x.norm() == rx.norm()
+        if ry.norm() != 0:
+            assert _agrees(x / y, rx / ry)
+
+    @given(pairs_st, st.integers(-4, 4))
+    def test_powers(self, u, k):
+        x, rx = _both(*u)
+        if k >= 0 or rx.norm() != 0:
+            assert _agrees(x**k, rx**k)
+
+    @given(pairs_st)
+    @settings(max_examples=300)
+    def test_signs_and_embeddings(self, u):
+        x, rx = _both(*u)
+        for emb in (Embedding.IDENTITY, Embedding.SIGMA):
+            assert x.sign_at(emb) == rx.sign_at(emb)
+            # bit for bit, so CSV and SVG outputs keep their bytes
+            assert x.embed(emb) == rx.embed(emb)
+
+    @given(pairs_st, st.sampled_from([FieldTag.Q, FieldTag.Q_SQRT2]))
+    def test_text(self, u, field):
+        x, rx = _both(*u, field)
+        assert str(x) == str(rx)
+        assert _agrees(parse_element(str(x), field), rx)
+
+    @given(pairs_st, pairs_st, st.sampled_from([FieldTag.Q, FieldTag.Q_SQRT2]))
+    def test_is_square(self, u, v, field):
+        x, rx = _both(*u, field)
+        y, ry = _both(*v, field)
+        assert x.is_square() == rx.is_square()
+        assert (x * x).is_square() and (rx * rx).is_square()
+        assert (x * x * y).is_square() == (rx * rx * ry).is_square()
+
+    def test_squares_on_a_grid(self):
+        for field in (FieldTag.Q, FieldTag.Q_SQRT2):
+            for a in range(-12, 13):
+                for b in range(-6, 7):
+                    for den in (1, 2, 3, 8):
+                        x, rx = _both(Fraction(a, den), Fraction(b, den), field)
+                        assert x.is_square() == rx.is_square(), str(x)
+
+    def test_division_by_negative_norm(self):
+        y, ry = _both(1, 2)  # norm 1 - 8 = -7
+        for u in [(1, 0), (3, -5), (Fraction(2**70 + 1, 3), Fraction(-(2**65), 7))]:
+            x, rx = _both(*u)
+            assert _agrees(x / y, rx / ry)
+            assert _agrees(y / x, ry / rx)
+
+    def test_canonical_zero(self):
+        x = qs2(Fraction(5, 6), Fraction(-1, 4))
+        zero = x - x
+        assert (zero._p, zero._q, zero._d) == (0, 0, 1)
+        assert ((x * 0)._p, (x * 0)._q, (x * 0)._d) == (0, 0, 1)
+
+
+class TestHashing:
+    def test_rational_values_hash_like_numbers(self):
+        assert {QuadFieldElement(3): 1}.get(3) == 1
+        assert {qs2(3): 1}.get(3) == 1
+        assert {qs2(Fraction(-7, 4)): 1}.get(Fraction(-7, 4)) == 1
+        assert hash(qs2(Fraction(1, 2))) == hash(Fraction(1, 2))
+
+    @given(elements_st, elements_st)
+    def test_equal_elements_hash_equal(self, x, y):
+        z = x + y - y
+        assert z == x and hash(z) == hash(x)
+
+
+class TestCopying:
+    @pytest.mark.parametrize(
+        "x",
+        [qs2(Fraction(2**70 + 1, 9), -3), QuadFieldElement(Fraction(-5, 2)), qs2(0)],
+    )
+    def test_round_trips(self, x):
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert y == x and y.field is x.field
+
+    def test_form_round_trips(self):
+        form = jn_form(3)
+        assert copy.deepcopy(form) == form
+        assert pickle.loads(pickle.dumps(form)) == form

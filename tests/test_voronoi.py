@@ -114,6 +114,22 @@ class TestDirichletCell:
         with pytest.raises(UndecidableError, match="rho = -1 "):
             dirichlet_cell(X0, orbit, prune_radius=-1.0)
 
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            [(E1, 1.3), (E2, 2.0)],
+            [(E1, 1.0)],
+        ],
+    )
+    def test_radius_keeping_no_facet_refused(self, gens):
+        # at cutoff 1, rho = delta_min / 2 puts the nearest bisector on a face
+        # of the Klein box, so pruning would leave a cell with no walls
+        group = GroupData(J2, [translation_along(J2, X0, e, t) for e, t in gens])
+        orbit = build_orbit([X0], group, 1)
+        rho = orbit.certification_radius
+        with pytest.raises(UndecidableError, match=f"rho = {rho:.6g} keeps no facet"):
+            dirichlet_cell(X0, orbit)
+
     def test_center_must_be_in_orbit(self):
         _, orbit, _ = plane_config("cyclic", (2.0,))
         with pytest.raises(ValueError):
@@ -243,8 +259,14 @@ class TestLPReference:
             gens.append(translation_along(J2, X0, axis, len_v))
         orbit = build_orbit([X0], GroupData(J2, gens), cutoff)
         for radius in (None, 3.0, 0.5):
-            hull = dirichlet_cell(X0, orbit, prune_radius=radius)
             reference = oracles.lp_pruned_cell(X0, orbit, prune_radius=radius)
+            if not reference.facets:
+                # a radius that keeps no wall is refused, not answered by a
+                # cell that contains everything
+                with pytest.raises(UndecidableError, match="keeps no facet"):
+                    dirichlet_cell(X0, orbit, prune_radius=radius)
+                continue
+            hull = dirichlet_cell(X0, orbit, prune_radius=radius)
             assert _facet_signature(hull) == _facet_signature(reference), radius
 
     @pytest.mark.parametrize("cutoff", [2, 3])
