@@ -1,9 +1,17 @@
 """Piece glueing prescribed by rooted 4-regular edge-labelled graphs.
 
-Enumerates labelled simple 4-regular graphs (backtracking over the
-upper-triangular adjacency bitmask in ascending order), decorates them
-with roots and edge labels, assembles the corresponding closed piece
-complexes, and measures the super-exponential growth of the counts.
+Counts labelled simple 4-regular graphs and their rooted, edge-labelled
+decorations by formula, enumerates them (backtracking over the
+upper-triangular adjacency bitmask in ascending order) for the streams and
+the assembly checks, assembles the corresponding closed piece complexes,
+and measures the super-exponential growth of the counts.
+
+The base count is the classical degree-histogram recursion for locally
+restricted graphs (R. C. Read, J. London Math. Soc. 34, 1959; OEIS
+A005815): 1, 15, 465, 19355, 1024380, ... for m = 5, 6, 7, ...  A proper
+labelling is a proper 4-edge-colouring, so the proper decorations of all
+base graphs together are the ordered 4-tuples of edge-disjoint perfect
+matchings of the complete graph K_m.
 
 Pieces are combinatorial: a template with a boundary-slot count, an
 orientability bit and a configured volume weight.  Pairing isometries
@@ -12,6 +20,7 @@ are abstracted to an orientation flag per pairing.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -134,7 +143,8 @@ def enumerate_base_graphs(m: int, degree: int = VERTEX_DEGREE) -> Iterator[tuple
     Backtracks over the upper-triangular adjacency bits in pair order
     (0,1), (0,2), ..., branching 0 before 1, which yields the graphs in
     ascending bitmask order.  Residual-degree pruning keeps this
-    exhaustive search feasible through m = 9.
+    exhaustive search feasible through m = 9; `count_graphs` counts
+    without it.
     """
     if m <= degree:
         return
@@ -205,10 +215,6 @@ def proper_labelings(edges: Sequence[tuple[int, int]], m: int) -> Iterator[tuple
     yield from rec(0)
 
 
-def count_proper_labelings(edges: Sequence[tuple[int, int]], m: int) -> int:
-    return sum(1 for _ in proper_labelings(edges, m))
-
-
 def enumerate_graphs(m: int, mode: str = "free") -> Iterator[GlueingGraph]:
     """Stream of decorated graphs: every base graph, root choice and labeling.
 
@@ -237,24 +243,105 @@ class CountRow:
     rooted_labelled: int
 
 
+def _regular_graph_counter():
+    """Memoised count of labelled simple graphs with prescribed residual degrees.
+
+    The state `hist` holds, at index k - 1, the number of unprocessed
+    vertices that still need k edges among themselves.  One vertex of the
+    highest non-empty class picks its neighbours, c_k of them from class k,
+    in prod C(n_k, c_k) ways; each picked vertex drops one class, the
+    picking vertex leaves, and vertices that reach residual 0 are dropped.
+    All vertices of a class are interchangeable, so the count depends on
+    the histogram alone.  The memo lives as long as the returned function.
+    """
+
+    @functools.cache
+    def count(hist: tuple[int, ...]) -> int:
+        top = next((k for k in range(VERTEX_DEGREE, 0, -1) if hist[k - 1]), 0)
+        if not top:
+            return 1
+        others = list(hist)
+        others[top - 1] -= 1
+        total = 0
+        for picks in itertools.product(*(range(min(top, n) + 1) for n in others)):
+            if sum(picks) == top:
+                new = [n - c for n, c in zip(others, picks)]
+                for k, c in enumerate(picks[1:]):
+                    new[k] += c
+                total += math.prod(map(math.comb, others, picks)) * count(tuple(new))
+        return total
+
+    return count
+
+
+def _perfect_matchings(adj: list[int], free: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Perfect matchings of the vertex bitmask `free` in the graph with adjacency bitmasks `adj`."""
+    if not free:
+        yield ()
+        return
+    low = free & -free
+    v = low.bit_length() - 1
+    rest = free ^ low
+    nbrs = adj[v] & rest
+    while nbrs:
+        bit = nbrs & -nbrs
+        nbrs ^= bit
+        for tail in _perfect_matchings(adj, rest ^ bit):
+            yield ((v, bit.bit_length() - 1),) + tail
+
+
+def _disjoint_matchings(adj: list[int], k: int) -> int:
+    """Ordered k-tuples of pairwise edge-disjoint perfect matchings of `adj`."""
+    if k == 0:
+        return 1
+    total = 0
+    for matching in _perfect_matchings(adj, (1 << len(adj)) - 1):
+        rest = list(adj)
+        for u, w in matching:
+            rest[u] ^= 1 << w
+            rest[w] ^= 1 << u
+        total += _disjoint_matchings(rest, k - 1)
+    return total
+
+
 def count_graphs(m_max: int, mode: str = "free", m_min: int = 5) -> list[CountRow]:
     """Exact counts per vertex number, with root and label multipliers.
 
-    Free mode multiplies each base graph by m * 4^(2m); proper mode sums
-    the per-graph proper 4-edge-coloring counts times m.
+    base_count, the number of labelled simple 4-regular graphs on m
+    vertices, comes from the degree-histogram recursion of
+    `_regular_graph_counter` (Read 1959; OEIS A005815), whose memo is
+    shared by every m of one call.  Free mode multiplies it by m roots and
+    4^(2m) labellings of the 2m edges.
+
+    Proper mode counts proper 4-edge-colourings of all base graphs at once:
+    the colour classes of one are an ordered 4-tuple (M1, M2, M3, M4) of
+    pairwise edge-disjoint perfect matchings of K_m, and every such tuple
+    is one.  An odd m has no perfect matching, so it gives 0.  For even m,
+    M1 is one of (m-1)!! matchings, all alike under relabelling, so the
+    total is m * (m-1)!! * T(m), where T(m) counts ordered triples of
+    perfect matchings disjoint from each other and from one fixed M1.
+    T(m) is found by backtracking over matchings; it is the only part that
+    grows fast (about 0.07 s at m = 8, about 1.5 minutes at m = 10).
+
+    No graph is enumerated; `enumerate_base_graphs` and `proper_labelings`
+    serve as the reference in the tests.
     """
     if mode not in ("free", "proper"):
         raise ValueError("mode must be 'free' or 'proper'")
+    count_regular = _regular_graph_counter()
     rows = []
     for m in range(m_min, m_max + 1):
-        base = 0
-        total = 0
-        for edges in enumerate_base_graphs(m):
-            base += 1
-            if mode == "free":
-                total += m * 4 ** len(edges)
-            else:
-                total += m * count_proper_labelings(edges, m)
+        base = count_regular((0,) * (VERTEX_DEGREE - 1) + (m,)) if m > VERTEX_DEGREE else 0
+        if mode == "free":
+            total = base * m * 4 ** (2 * m)
+        elif m % 2 or not base:
+            total = 0
+        else:
+            full = (1 << m) - 1
+            # K_m minus the fixed matching M1 = {(0, 1), (2, 3), ...}
+            adj = [full ^ (1 << v) ^ (1 << (v ^ 1)) for v in range(m)]
+            first_choices = math.prod(range(m - 1, 0, -2))
+            total = m * first_choices * _disjoint_matchings(adj, len(EDGE_LABELS) - 1)
         rows.append(CountRow(m, base, total))
     return rows
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linprog
 
+from hyperglue.glueing import CountRow, enumerate_base_graphs, proper_labelings
 from hyperglue.hyperboloid import (
     HalfSpace,
     basepoint,
@@ -275,3 +276,28 @@ class FractionPair:
         if self.b >= 0:
             return f"{self.a} + {self.b}*r2"
         return f"{self.a} - {-self.b}*r2"
+
+
+def count_proper_labelings(edges, m: int) -> int:
+    """Proper 4-edge-colourings of one graph, by enumerating them."""
+    return sum(1 for _ in proper_labelings(edges, m))
+
+
+def enumerated_counts(m_max: int, mode: str = "free", m_min: int = 5) -> list[CountRow]:
+    """The rows of `count_graphs`, found by enumerating every base graph.
+
+    Free mode multiplies each graph by m roots and 4^(2m) labellings;
+    proper mode adds m times the graph's proper 4-edge-colourings.
+    """
+    rows = []
+    for m in range(m_min, m_max + 1):
+        base = 0
+        total = 0
+        for edges in enumerate_base_graphs(m):
+            base += 1
+            if mode == "free":
+                total += m * 4 ** len(edges)
+            else:
+                total += m * count_proper_labelings(edges, m)
+        rows.append(CountRow(m, base, total))
+    return rows

@@ -154,6 +154,33 @@ class TestCount:
         out = tmp_path / "big"
         assert run_cli("count", "--m-max", "12", "--out", str(out)) == 2
 
+    def test_checks_below_five_check_nothing(self, tmp_path, capsys):
+        out = tmp_path / "c4"
+        assert run_cli("count", "--m-max", "4", "--check-assemblies", "--out", str(out)) == 0
+        text = capsys.readouterr().out
+        assert "assembly checks: nothing checked" in text
+        assert "all passed" not in text
+
+    def test_checks_above_seven_name_unchecked_m(self, tmp_path, capsys):
+        out = tmp_path / "c9"
+        assert run_cli("count", "--m-max", "9", "--check-assemblies", "--out", str(out)) == 0
+        text = capsys.readouterr().out
+        assert "assembly checks: all passed (481 graphs, m = 5..7; m = 8..9 not checked)" in text
+        rows = read_csv(out / "counts.csv")
+        assert [r[1] for r in rows[1:]] == ["1", "15", "465", "19355", "1024380"]
+
+    def test_proper_up_to_the_cap(self, tmp_path, capsys):
+        out = tmp_path / "p9"
+        assert run_cli("count", "--m-max", "9", "--mode", "proper", "--out", str(out)) == 0
+        totals = {int(r[0]): int(r[2]) for r in read_csv(out / "counts.csv")[1:]}
+        assert totals == {5: 0, 6: 4320, 7: 0, 8: 23063040, 9: 0}
+
+    def test_too_large_message(self, tmp_path, capsys):
+        assert run_cli("count", "--m-max", "10", "--mode", "proper", "--out", str(tmp_path / "p")) == 2
+        err = capsys.readouterr().err
+        assert "capped at 9" in err and "proper-mode" in err
+        assert "exhaustive enumeration" not in err
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from hyperglue import glueing
 from hyperglue.glueing import (
     EDGE_LABELS,
     AssembledManifold,
@@ -23,6 +24,7 @@ from hyperglue.glueing import (
     standard_templates,
     volume,
 )
+from oracles import enumerated_counts
 
 
 def bitmask_oracle(m: int, degree: int = 4) -> list[tuple[tuple[int, int], ...]]:
@@ -152,6 +154,37 @@ class TestCounts:
         proper = {r.m: r.rooted_labelled for r in count_graphs(7, "proper")}
         for m in free:
             assert proper[m] <= free[m]
+
+    @pytest.mark.parametrize("mode,m_max", [("free", 8), ("proper", 7)])
+    def test_matches_enumeration(self, mode, m_max):
+        assert count_graphs(m_max, mode) == enumerated_counts(m_max, mode)
+
+    def test_proper_m8_value(self):
+        # enumerated_counts(8, "proper", m_min=8) gives the same row in about 50 s
+        (row,) = count_graphs(8, "proper", m_min=8)
+        assert (row.base_count, row.rooted_labelled) == (19355, 23063040)
+
+    def test_free_base_counts_oeis(self):
+        rows = count_graphs(11, "free", m_min=9)
+        # OEIS A005815
+        assert [r.base_count for r in rows] == [1024380, 66462606, 5188453830]
+        for row in rows:
+            assert row.rooted_labelled == row.base_count * row.m * 4 ** (2 * row.m)
+
+    def test_small_m_give_zero_rows(self):
+        for mode in ("free", "proper"):
+            rows = count_graphs(4, mode, m_min=0)
+            assert rows == [glueing.CountRow(m, 0, 0) for m in range(5)]
+
+    @pytest.mark.parametrize("mode", ["free", "proper"])
+    def test_counts_without_enumeration(self, monkeypatch, mode):
+        def fail(*args, **kwargs):
+            raise AssertionError("count_graphs must not enumerate graphs")
+
+        monkeypatch.setattr(glueing, "enumerate_base_graphs", fail)
+        monkeypatch.setattr(glueing, "proper_labelings", fail)
+        rows = count_graphs(9, mode)
+        assert [r.base_count for r in rows] == [1, 15, 465, 19355, 1024380]
 
 
 class TestGraphValidation:
