@@ -38,7 +38,8 @@ def _is_exact_vector(v) -> bool:
 
 
 def float_coefficients(form: DiagonalForm) -> np.ndarray:
-    return np.array([c.embed(Embedding.IDENTITY) for c in form.coefficients])
+    """The form's read-only float coefficients, built once per form."""
+    return form.float_coefficients
 
 
 def form_matrix(form: DiagonalForm) -> np.ndarray:
@@ -165,22 +166,8 @@ def translation_length(mat: np.ndarray) -> float:
 
 
 def jn_chart(form: DiagonalForm) -> tuple[np.ndarray, np.ndarray]:
-    """Matrices (T, T^-1) with b_f(x, y) = b_J(Tx, Ty), J = diag(-1, 1, ..., 1).
-
-    The unique identity-negative coefficient is routed to slot 0.
-    """
-    c = float_coefficients(form)
-    neg = np.where(c < 0)[0]
-    if len(neg) != 1:
-        raise ValueError("form must have hyperbolic signature (n, 1)")
-    order = [int(neg[0])] + [i for i in range(len(c)) if i != neg[0]]
-    t = np.zeros((len(c), len(c)))
-    for slot, src in enumerate(order):
-        t[slot, src] = math.sqrt(abs(c[src]))
-    tinv = np.zeros_like(t)
-    for slot, src in enumerate(order):
-        tinv[src, slot] = 1.0 / math.sqrt(abs(c[src]))
-    return t, tinv
+    """Read-only (T, T^-1) with b_f(x, y) = b_J(Tx, Ty), built once per form."""
+    return form.jn_chart
 
 
 def time_coordinate(form: DiagonalForm, x) -> float:

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .numfield import (
     Embedding,
@@ -50,6 +53,39 @@ class DiagonalForm:
     @property
     def dimension(self) -> int:
         return len(self.coefficients)
+
+    @cached_property
+    def float_coefficients(self) -> np.ndarray:
+        """The coefficients at the identity embedding; built once, read-only."""
+        c = np.array([x.embed(Embedding.IDENTITY) for x in self.coefficients])
+        c.setflags(write=False)
+        return c
+
+    @cached_property
+    def jn_chart(self) -> tuple[np.ndarray, np.ndarray]:
+        """Matrices (T, T^-1) with b_f(x, y) = b_J(Tx, Ty), J = diag(-1, 1, ..., 1).
+
+        The unique identity-negative coefficient is routed to slot 0.  Built
+        once, read-only; a form without hyperbolic signature raises ValueError.
+        """
+        c = self.float_coefficients
+        neg = np.where(c < 0)[0]
+        if len(neg) != 1:
+            raise ValueError("form must have hyperbolic signature (n, 1)")
+        order = [int(neg[0])] + [i for i in range(len(c)) if i != neg[0]]
+        t = np.zeros((len(c), len(c)))
+        tinv = np.zeros_like(t)
+        for slot, src in enumerate(order):
+            t[slot, src] = math.sqrt(abs(c[src]))
+            tinv[src, slot] = 1.0 / math.sqrt(abs(c[src]))
+        t.setflags(write=False)
+        tinv.setflags(write=False)
+        return t, tinv
+
+    def __getstate__(self):
+        # copies and pickles carry the fields only; a copy rebuilds its own
+        # read-only float views (deepcopy and unpickling would make them writeable)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def __str__(self):
         inner = ", ".join(format_element(c) for c in self.coefficients)

@@ -4,10 +4,12 @@ Poincare pairing check for plane domains.
 
 Cells are built with floating arithmetic in the Klein model, where
 halfspaces are affine constraints a . k >= rhs.  Redundant bisectors are
-pruned with one convex hull of their polar points a / rhs; facet types
-are decided by linear programming.  Everything is deterministic: orbit
-points are ordered breadth-first by provenance word, and facets and LP
-constraints keep that order.
+pruned with one convex hull of their polar points a / rhs.  Facet types
+are decided in closed form along the Klein line of each marked geodesic:
+a facet is first type iff the root of its own row lies in the interval
+where all rows and the box faces hold, both relaxed by the feasibility
+tolerance.  Everything is deterministic: orbit points are ordered
+breadth-first by provenance word, and facets keep that order.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog  # unused; the no-LP tests and the benchmark tracer patch it
 from scipy.spatial import ConvexHull
 
 from .qforms import DiagonalForm, direct_sum, form_from_json, form_to_json
@@ -114,14 +116,6 @@ class MarkedGeodesic:
             self.surface_id,
             self.fundamental_length,
         )
-
-
-def _lift_hyperplanes(marked) -> tuple[Hyperplane, ...]:
-    if isinstance(marked, MarkedGeodesic):
-        return marked.hyperplanes()
-    if isinstance(marked, Hyperplane):
-        return (marked,)
-    raise TypeError(f"unsupported marked lift {type(marked).__name__}")
 
 
 # -- group data ------------------------------------------------------------------
@@ -353,10 +347,8 @@ def dirichlet_cell(
         hs = HalfSpace.containing(bisector(form, center, op.point), center)
         return CellFacet(hs, op.word, op.point)
 
-    if len(others) <= 1:
-        return VoronoiCell(
-            form, center, tuple(map(facet, others)), orbit.certification_radius
-        )
+    if not others:
+        return VoronoiCell(form, center, (), orbit.certification_radius)
 
     # the bisector normal x - y, scaled to f = 1, points toward the center x
     diff = center[None, :] - np.array([op.point for op in others])
@@ -393,12 +385,18 @@ def dirichlet_cell(
 def classify_facets(
     cell: VoronoiCell, marked: Sequence, box_radius: float | None = None
 ) -> VoronoiCell:
-    """Tag each facet FIRST iff it meets some marked lift, by LP feasibility.
+    """Tag each facet FIRST iff it meets some marked geodesic, in closed form.
 
-    The test asks for a Klein point on the facet's supporting hyperplane,
-    inside all other halfspaces and on every hyperplane cutting out the
-    marked lift, all within the feasibility tolerance.  An infeasible LP
-    means SECOND; any other solver outcome raises RuntimeError.
+    In the cell's local Klein chart a marked geodesic lies on the line
+    k(l) = k_p + l d through the image k_p of its point, and every
+    constraint is affine in l: the facet rows a_j . k(l) >= rhs_j and the
+    box faces |k_j(l)| <= tanh(rho) alike.  Facet i is FIRST iff the root
+    l_i of its own row lies in the interval where every row holds within
+    the feasibility tolerance: facet rows and box faces are both relaxed by
+    _FEAS_EPS, as a solver's primal tolerance would, so a wall touching a
+    box face stays FIRST.  A facet parallel to the line is FIRST iff its row
+    is 0 within _FEAS_EPS and the interval is not empty.  Each lift must be
+    a `MarkedGeodesic`; anything else raises TypeError.
     """
     form = cell.form
     rho = box_radius if box_radius is not None else cell.certification_radius
@@ -407,35 +405,39 @@ def classify_facets(
     a_all, rhs_all = _klein_rows(
         form, [f.halfspace.inward_normal() for f in cell.facets], world_to_local
     )
-    eq_rows = [
-        _klein_rows(form, [h.normal for h in _lift_hyperplanes(m)], world_to_local)
-        for m in marked
-    ]
-    dim = form.dimension - 1
+    n, dim = a_all.shape
+    # facet rows, then the box faces -k_j >= -box and k_j >= -box
+    rows = np.vstack([a_all, -np.eye(dim), np.eye(dim)])
+    rhs = np.concatenate([rhs_all, np.full(2 * dim, -box)])
+    facet_norms = np.linalg.norm(a_all, axis=1)
 
-    new_facets = []
-    for i, facet in enumerate(cell.facets):
-        others = np.arange(len(cell.facets)) != i
-        ftype = FacetType.SECOND
-        for a_eq, b_eq in eq_rows:
-            res = linprog(
-                c=np.zeros(dim),
-                A_ub=-a_all[others],
-                b_ub=-rhs_all[others] + _FEAS_EPS,
-                A_eq=np.vstack([a_all[i], a_eq]),
-                b_eq=np.concatenate([rhs_all[i : i + 1], b_eq]),
-                bounds=[(-box, box)] * dim,
-                method="highs",
-            )
-            if res.status == 0:
-                ftype = FacetType.FIRST
-                break
-            if res.status != 2:
-                raise RuntimeError(
-                    f"facet {i}: linprog status {res.status} ({res.message})"
-                )
-        new_facets.append(replace(facet, facet_type=ftype))
-    return replace(cell, facets=tuple(new_facets))
+    first = np.zeros(n, dtype=bool)
+    for m in marked:
+        if not isinstance(m, MarkedGeodesic):
+            raise TypeError(f"unsupported marked lift {type(m).__name__}")
+        (p_sp, u_sp), (p_0, u_0) = _klein_rows(
+            form, [m.point, m.tangent], world_to_local
+        )
+        d = (u_sp * p_0 - p_sp * u_0) / (p_0 * p_0)
+        base = rows @ (p_sp / p_0) - rhs
+        slope = rows @ d
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = (-_FEAS_EPS - base) / slope
+        lo = bound[slope > 0].max(initial=-np.inf)
+        hi = bound[slope < 0].min(initial=np.inf)
+        if lo > hi or np.any(base[slope == 0] < -_FEAS_EPS):
+            continue
+        parallel = np.abs(slope[:n]) <= 1e-12 * facet_norms * np.linalg.norm(d)
+        root = -base[:n] / np.where(parallel, 1.0, slope[:n])
+        first |= np.where(
+            parallel, np.abs(base[:n]) <= _FEAS_EPS, (lo <= root) & (root <= hi)
+        )
+
+    new_facets = tuple(
+        replace(f, facet_type=FacetType.FIRST if is_first else FacetType.SECOND)
+        for f, is_first in zip(cell.facets, first)
+    )
+    return replace(cell, facets=new_facets)
 
 
 # -- admissible sets --------------------------------------------------------------

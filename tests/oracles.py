@@ -1,6 +1,7 @@
 """Shared brute-force oracles and desk configurations for the test suite."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -24,11 +25,13 @@ from hyperglue.voronoi import (
     _BOX_CAP,
     _FEAS_EPS,
     CellFacet,
+    FacetType,
     GroupData,
     OrbitSet,
     VoronoiCell,
     _centering_isometry,
     _klein_lift,
+    _klein_rows,
     build_orbit,
     dirichlet_cell,
 )
@@ -173,6 +176,51 @@ def lp_pruned_cell(center, orbit: OrbitSet, prune_radius: float | None = None) -
         if res.status != 0 or res.fun < rhs_all[i] - _FEAS_EPS:
             kept.append(raw[i])
     return VoronoiCell(form, center, tuple(kept), orbit.certification_radius)
+
+
+def lp_classified_facets(cell: VoronoiCell, marked, box_radius: float | None = None) -> VoronoiCell:
+    """Reference facet types: one HiGHS feasibility LP per facet per marked geodesic.
+
+    The LP asks for a Klein point on the facet's supporting hyperplane,
+    inside all other halfspaces relaxed by _FEAS_EPS, on every hyperplane
+    cutting out the marked geodesic and inside the box |k_j| <= tanh(rho).
+    A feasible LP means FIRST, an infeasible one SECOND; any other solver
+    status raises RuntimeError.
+    """
+    form = cell.form
+    rho = box_radius if box_radius is not None else cell.certification_radius
+    box = math.tanh(min(rho, _BOX_CAP))
+    world_to_local = isometry_inverse(form, _centering_isometry(form, cell.center))
+    a_all, rhs_all = _klein_rows(
+        form, [f.halfspace.inward_normal() for f in cell.facets], world_to_local
+    )
+    eq_rows = [
+        _klein_rows(form, [h.normal for h in m.hyperplanes()], world_to_local)
+        for m in marked
+    ]
+    dim = form.dimension - 1
+
+    new_facets = []
+    for i, facet in enumerate(cell.facets):
+        others = np.arange(len(cell.facets)) != i
+        ftype = FacetType.SECOND
+        for a_eq, b_eq in eq_rows:
+            res = linprog(
+                c=np.zeros(dim),
+                A_ub=-a_all[others],
+                b_ub=-rhs_all[others] + _FEAS_EPS,
+                A_eq=np.vstack([a_all[i], a_eq]),
+                b_eq=np.concatenate([rhs_all[i : i + 1], b_eq]),
+                bounds=[(-box, box)] * dim,
+                method="highs",
+            )
+            if res.status == 0:
+                ftype = FacetType.FIRST
+                break
+            if res.status != 2:
+                raise RuntimeError(f"facet {i}: linprog status {res.status} ({res.message})")
+        new_facets.append(replace(facet, facet_type=ftype))
+    return replace(cell, facets=tuple(new_facets))
 
 
 def _fraction_sqrt(q: Fraction) -> Fraction | None:

@@ -1,9 +1,12 @@
 """Forms: signatures, admissibility, restriction, certificates, counting family."""
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hyperglue.numfield import Embedding, FieldTag, QuadFieldElement, sqrt2
@@ -270,3 +273,37 @@ class TestJson:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             form_from_rationals([-1, 0, 1])
+
+
+class TestFloatView:
+    FORMS = [jn_form(3), counting_base_form(4, FieldTag.Q_SQRT2)]
+
+    @pytest.mark.parametrize("form", FORMS, ids=["J3", "sqrt2"])
+    def test_built_once_and_read_only(self, form):
+        c = form.float_coefficients
+        t, tinv = form.jn_chart
+        assert form.float_coefficients is c and form.jn_chart[0] is t
+        assert list(c) == [x.embed(Embedding.IDENTITY) for x in form.coefficients]
+        assert np.allclose(t @ tinv, np.eye(form.dimension))
+        for array in (c, t, tinv):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    @pytest.mark.parametrize("form", FORMS, ids=["J3", "sqrt2"])
+    def test_copies_after_the_view_is_built(self, form):
+        key = hash(form)
+        fresh = DiagonalForm(form.coefficients, form.field)
+        t, _ = form.jn_chart
+        assert hash(form) == key and form == fresh and hash(fresh) == key
+        copies = (copy.copy(form), copy.deepcopy(form), pickle.loads(pickle.dumps(form)))
+        for y in copies:
+            assert y == form and hash(y) == key
+            assert np.array_equal(y.jn_chart[0], t)
+            assert not y.float_coefficients.flags.writeable
+            assert not y.jn_chart[1].flags.writeable
+
+    def test_non_hyperbolic_chart_refused(self):
+        form = form_from_rationals([1, 1, 1])
+        assert list(form.float_coefficients) == [1.0, 1.0, 1.0]
+        with pytest.raises(ValueError, match="hyperbolic signature"):
+            form.jn_chart

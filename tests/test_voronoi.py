@@ -1,7 +1,6 @@
 """Voronoi machinery: orbits, cells, facet types, admissible sets, Poincare."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,6 +41,14 @@ import oracles
 from oracles import J2, E1, E2, nearest_center_agreement, plane_config
 
 X0 = basepoint(J2)
+
+
+@pytest.fixture
+def forbid_lp(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("voronoi must not solve LPs")
+
+    monkeypatch.setattr(voronoi, "linprog", fail)
 
 
 class TestOrbit:
@@ -101,6 +108,15 @@ class TestDirichletCell:
         orbit = build_orbit([X0, y], GroupData(J2, []), 1)
         cell = dirichlet_cell(X0, orbit)
         assert len(cell.facets) == 1
+
+    def test_lone_bisector_follows_the_radius(self):
+        # seeds 4 apart: the only wall lies 2 from the center, outside a box of radius 1.5
+        y = translation_along(J2, X0, E1, 4.0) @ X0
+        orbit = build_orbit([X0, y], GroupData(J2, []), 1)
+        assert len(dirichlet_cell(X0, orbit).facets) == 1
+        assert len(dirichlet_cell(X0, orbit, prune_radius=3.0).facets) == 1
+        with pytest.raises(UndecidableError, match="keeps no facet of the 1 bisectors"):
+            dirichlet_cell(X0, orbit, prune_radius=1.5)
 
     def test_zero_radius_refused(self):
         # the second seed lies farther from the first than the generator
@@ -209,14 +225,16 @@ class TestFacetTypes:
                 assert gap > 0.1
 
 
-    @pytest.mark.parametrize("status", [1, 4])
-    def test_solver_failure_raises(self, monkeypatch, status):
+    def test_makes_no_lp_call(self, forbid_lp):
         _, _, cell = plane_config("cyclic", (2.0,))
-        axis = MarkedGeodesic(J2, X0, E1, 0, 2.0)
-        failed = SimpleNamespace(status=status, message="stub failure")
-        monkeypatch.setattr(voronoi, "linprog", lambda *args, **kwargs: failed)
-        with pytest.raises(RuntimeError, match=rf"status {status} \(stub failure\)"):
-            classify_facets(cell, [axis])
+        tagged = classify_facets(cell, [MarkedGeodesic(J2, X0, E1, 0, 2.0)])
+        assert all(f.facet_type is FacetType.FIRST for f in tagged.facets)
+
+    def test_lift_must_be_a_geodesic(self):
+        _, _, cell = plane_config("cyclic", (2.0,))
+        axis_plane = MarkedGeodesic(J2, X0, E1, 0, 2.0).hyperplanes()[0]
+        with pytest.raises(TypeError, match="Hyperplane"):
+            classify_facets(cell, [axis_plane])
 
 
 def _facet_signature(cell):
@@ -224,6 +242,10 @@ def _facet_signature(cell):
         (f.source_word, tuple(f.halfspace.hyperplane.normal), f.halfspace.side)
         for f in cell.facets
     ]
+
+
+def _facet_types(cell):
+    return [f.facet_type for f in cell.facets]
 
 
 def _reference_plane_cases():
@@ -241,23 +263,50 @@ def _reference_plane_cases():
     return cases
 
 
+def _reference_plane_orbit(cutoff, angle, len_h, len_v):
+    gens = [translation_along(J2, X0, E1, len_h)]
+    if len_v is not None:
+        axis = rotation_in_plane(J2, 1, 2, math.radians(angle)) @ E1
+        gens.append(translation_along(J2, X0, axis, len_v))
+    return build_orbit([X0], GroupData(J2, gens), cutoff)
+
+
+H3_FORMS = pytest.mark.parametrize(
+    "form", [jn_form(3), counting_base_form(4, FieldTag.Q_SQRT2)], ids=["J3", "sqrt2"]
+)
+
+
+def _reference_h3_orbit(form, cutoff):
+    rng = np.random.default_rng(cutoff)
+    x0 = basepoint(form)
+    spatial = float_coefficients(form) > 0
+    gens = [
+        translation_along(form, x0, rng.standard_normal(form.dimension) * spatial, length)
+        for length in rng.uniform(2.5, 3.5, 3)
+    ]
+    return build_orbit([x0], GroupData(form, gens), cutoff)
+
+
+def _marked_geodesics(form):
+    """Geodesics through the basepoint, offset from it, and along a second axis."""
+    x0 = basepoint(form)
+    spatial = np.flatnonzero(float_coefficients(form) > 0)
+    first, second = np.eye(form.dimension)[spatial[:2]]
+    offset = translation_along(form, x0, second, 0.6) @ x0
+    return [
+        MarkedGeodesic(form, x0, first, 0),
+        MarkedGeodesic(form, offset, first, 1),
+        MarkedGeodesic(form, x0, second, 2),
+    ]
+
+
+@pytest.mark.usefixtures("forbid_lp")
 class TestLPReference:
     """Hull pruning keeps the facets of the duplicate-scan-plus-LP reference."""
 
-    @pytest.fixture(autouse=True)
-    def forbid_lp(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("dirichlet_cell must not solve LPs")
-
-        monkeypatch.setattr(voronoi, "linprog", fail)
-
     @pytest.mark.parametrize("cutoff,angle,len_h,len_v", _reference_plane_cases())
     def test_plane(self, cutoff, angle, len_h, len_v):
-        gens = [translation_along(J2, X0, E1, len_h)]
-        if len_v is not None:
-            axis = rotation_in_plane(J2, 1, 2, math.radians(angle)) @ E1
-            gens.append(translation_along(J2, X0, axis, len_v))
-        orbit = build_orbit([X0], GroupData(J2, gens), cutoff)
+        orbit = _reference_plane_orbit(cutoff, angle, len_h, len_v)
         for radius in (None, 3.0, 0.5):
             reference = oracles.lp_pruned_cell(X0, orbit, prune_radius=radius)
             if not reference.facets:
@@ -270,23 +319,72 @@ class TestLPReference:
             assert _facet_signature(hull) == _facet_signature(reference), radius
 
     @pytest.mark.parametrize("cutoff", [2, 3])
-    @pytest.mark.parametrize(
-        "form",
-        [jn_form(3), counting_base_form(4, FieldTag.Q_SQRT2)],
-        ids=["J3", "sqrt2"],
-    )
+    @H3_FORMS
     def test_h3(self, form, cutoff):
-        rng = np.random.default_rng(cutoff)
+        orbit = _reference_h3_orbit(form, cutoff)
         x0 = basepoint(form)
-        spatial = float_coefficients(form) > 0
-        gens = [
-            translation_along(form, x0, rng.standard_normal(form.dimension) * spatial, length)
-            for length in rng.uniform(2.5, 3.5, 3)
-        ]
-        orbit = build_orbit([x0], GroupData(form, gens), cutoff)
         hull = dirichlet_cell(x0, orbit)
         assert hull.facets
         assert _facet_signature(hull) == _facet_signature(oracles.lp_pruned_cell(x0, orbit))
+
+
+@pytest.mark.usefixtures("forbid_lp")
+class TestFacetTypeLPReference:
+    """Closed-form facet types equal the one-LP-per-facet reference."""
+
+    BOX_RADII = (None, 4.0, 1.0)
+
+    def assert_types_match(self, cell, marked_list):
+        for box in self.BOX_RADII:
+            for marked in [[m] for m in marked_list] + [marked_list]:
+                expected = _facet_types(oracles.lp_classified_facets(cell, marked, box))
+                assert _facet_types(classify_facets(cell, marked, box)) == expected, (
+                    [m.surface_id for m in marked],
+                    box,
+                )
+
+    @pytest.mark.parametrize("cutoff,angle,len_h,len_v", _reference_plane_cases())
+    def test_plane(self, cutoff, angle, len_h, len_v):
+        orbit = _reference_plane_orbit(cutoff, angle, len_h, len_v)
+        compared = 0
+        for radius in (None, 3.0, 0.5):
+            try:
+                cell = dirichlet_cell(X0, orbit, prune_radius=radius)
+            except UndecidableError:
+                continue
+            self.assert_types_match(cell, _marked_geodesics(J2))
+            compared += 1
+        assert compared
+
+    @pytest.mark.parametrize("cutoff", [2, 3])
+    @H3_FORMS
+    def test_h3(self, form, cutoff):
+        orbit = _reference_h3_orbit(form, cutoff)
+        cell = dirichlet_cell(basepoint(form), orbit)
+        self.assert_types_match(cell, _marked_geodesics(form))
+
+    def test_marked_geodesic_along_a_wall(self):
+        # the wall between X0 and its translate by 2 along e2 is the geodesic
+        # through the midpoint with tangent e1: parallel to the line, margin 0
+        orbit = build_orbit([X0], GroupData(J2, [translation_along(J2, X0, E2, 2.0)]), 2)
+        cell = dirichlet_cell(X0, orbit)
+        wall = MarkedGeodesic(J2, translation_along(J2, X0, E2, 1.0) @ X0, E1, 0)
+        tagged = classify_facets(cell, [wall])
+        types = {f.source_word: f.facet_type for f in tagged.facets}
+        assert types == {(0,): FacetType.FIRST, (1,): FacetType.SECOND}
+        assert _facet_types(tagged) == _facet_types(oracles.lp_classified_facets(cell, [wall]))
+
+    @pytest.mark.parametrize("len_v", [None, 2.0])
+    def test_box_face_tie(self, len_v):
+        # typed in the cutoff-1 box, rho = 0.35: the walls of the length-0.7
+        # translation touch its faces, and rounding puts them ~1e-16 outside;
+        # the LP accepts the touch within its tolerance, and so must the closed form
+        orbit = _reference_plane_orbit(1, 90.0, 0.7, len_v)
+        cell = dirichlet_cell(X0, orbit, prune_radius=3.0)
+        axis = _marked_geodesics(J2)[0]
+        types = _facet_types(classify_facets(cell, [axis]))
+        assert types[:2] == [FacetType.FIRST] * 2
+        assert types == _facet_types(oracles.lp_classified_facets(cell, [axis]))
 
 
 def two_geodesic_setup(delta=0.8, window=4.0):
