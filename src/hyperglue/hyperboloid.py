@@ -220,6 +220,24 @@ def normalize_point(form: DiagonalForm, x) -> np.ndarray:
     return xf
 
 
+def normalize_points(form: DiagonalForm, xs) -> list[np.ndarray]:
+    """`normalize_point` of each vector, with one array test for the common case.
+
+    Vectors already on the upper sheet up to relative roundoff come back
+    unchanged, as from `normalize_point`; only the others are passed to it.
+    """
+    rows = [as_float_vector(form, x) for x in xs]
+    if not rows or any(x.shape != (form.dimension,) for x in rows):
+        return [normalize_point(form, x) for x in rows]
+    xf = np.array(rows)
+    c = float_coefficients(form)
+    q = (xf * xf * c).sum(axis=1)
+    scale = np.maximum(1.0, (xf * xf * np.abs(c)).sum(axis=1))
+    upper = xf[:, int(np.where(c < 0)[0][0])] > 0
+    on_sheet = (np.abs(q + 1.0) <= 1e-7 * scale) & upper
+    return [x if ok else normalize_point(form, x) for x, ok in zip(xf, on_sheet)]
+
+
 def basepoint(form: DiagonalForm) -> np.ndarray:
     """The sheet point mapping to (1, 0, ..., 0) in the J chart."""
     _, tinv = jn_chart(form)

@@ -35,7 +35,6 @@ from .hyperboloid import (
     as_float_vector,
     basepoint,
     bilinear,
-    bisector,
     boundary_sphere,
     distance,
     float_coefficients,
@@ -43,6 +42,7 @@ from .hyperboloid import (
     isometry_inverse,
     jn_chart,
     normalize_point,
+    normalize_points,
     quadratic,
     translation_along,
     translation_length,
@@ -203,7 +203,7 @@ def build_orbit(
     if word_cutoff < 1:
         raise ValueError("word cutoff must be at least 1")
     form = group.form
-    seeds = [normalize_point(form, s) for s in seeds]
+    seeds = normalize_points(form, seeds)
     if tags is not None and len(tags) != len(seeds):
         raise ValueError("one tag per seed required")
     gens = group.gens_with_inverses
@@ -215,9 +215,9 @@ def build_orbit(
         return tuple(np.round(p, 7))
 
     frontier: list[OrbitPoint] = []
-    for i, s in enumerate(seeds):
+    for i, (s, key) in enumerate(zip(seeds, np.round(seeds, 7))):
         op = OrbitPoint(s, (), i, tags[i] if tags is not None else None)
-        seen[key_of(s)] = len(points)
+        seen[tuple(key)] = len(points)
         points.append(op)
         frontier.append(op)
 
@@ -319,8 +319,10 @@ def dirichlet_cell(
     +-e_j / tanh(rho).  A vertex is kept iff a / (rhs - 1e-7), relaxed by the
     feasibility tolerance, lies outside the hull of the polar points other
     than its duplicates (inward normals equal within 1e-7, as in
-    `Hyperplane.same_as`).  Each facet comes from the earliest orbit point of
-    its duplicate class, in orbit order.
+    `Hyperplane.same_as`).  That hull is built only for a vertex that the
+    summed normals of its hull facets do not clearly separate from the other
+    points.  Each facet comes from the earliest orbit point of its duplicate
+    class, in orbit order.
     """
     form = orbit.form
     center = normalize_point(form, center)
@@ -342,16 +344,14 @@ def dirichlet_cell(
         )
 
     others = [op for i, op in enumerate(orbit.points) if i != idx]
-
-    def facet(op: OrbitPoint) -> CellFacet:
-        hs = HalfSpace.containing(bisector(form, center, op.point), center)
-        return CellFacet(hs, op.word, op.point)
-
     if not others:
         return VoronoiCell(form, center, (), orbit.certification_radius)
 
     # the bisector normal x - y, scaled to f = 1, points toward the center x
-    diff = center[None, :] - np.array([op.point for op in others])
+    points = np.array([op.point for op in others])
+    diff = center[None, :] - points
+    if np.any(np.all(np.abs(diff) <= EPS + 1e-5 * np.abs(points), axis=1)):
+        raise ValueError("bisector requires two distinct points")
     c = float_coefficients(form)
     inward = diff / np.sqrt((diff * diff * c[None, :]).sum(axis=1))[:, None]
     world_to_local = isometry_inverse(form, _centering_isometry(form, center))
@@ -361,18 +361,41 @@ def dirichlet_cell(
     box = math.tanh(min(rho, _BOX_CAP))
     box_polar = np.vstack([np.eye(dim), -np.eye(dim)]) / box
 
-    classes: dict[int, np.ndarray] = {}
-    for v in ConvexHull(np.vstack([polar, box_polar])).vertices:
-        if v < len(others):
-            dup = np.all(np.isclose(inward, inward[v], atol=1e-7), axis=1)
-            classes.setdefault(int(np.argmax(dup)), dup)
+    hull = ConvexHull(np.vstack([polar, box_polar]))
+    vertices = hull.vertices[hull.vertices < len(others)]
+    # np.isclose(inward, inward[v], atol=1e-7) for every hull vertex v at once
+    near = inward[vertices][:, None, :]
+    dups = np.all(np.abs(inward[None, :, :] - near) <= 1e-7 + 1e-5 * np.abs(near), axis=2)
+    classes: dict[int, int] = {}  # earliest orbit index -> row of `dups`
+    for row, first in enumerate(np.argmax(dups, axis=1)):
+        classes.setdefault(int(first), row)
+    firsts = sorted(classes)
+    rows = [classes[f] for f in firsts]
+
+    # The summed unit normals of the hull facets around a vertex give a
+    # direction in which it beats every point not on all of those facets.
+    # A relaxed polar point that beats the rest of the hull's points in
+    # that direction by a clear margin lies outside their hull; only the
+    # others need that hull built.
+    around = np.zeros_like(hull.points)
+    np.add.at(around, hull.simplices, hull.equations[:, None, :-1])
+    w = around[vertices[rows]]
+    relaxed = a_all[firsts] / (rhs_all[firsts] - _FEAS_EPS)[:, None]
+    reach = hull.points @ w.T
+    reach[: len(others)][dups[rows].T] = -np.inf
+    gap = np.einsum("ij,ij->i", relaxed, w) - reach.max(axis=0)
+    clear = gap > 1e-9 * np.linalg.norm(w, axis=1) * max(1.0, np.abs(hull.points).max())
 
     kept: list[CellFacet] = []
-    for first in sorted(classes):
-        rest = ConvexHull(np.vstack([polar[~classes[first]], box_polar]))
-        relaxed = a_all[first] / (rhs_all[first] - _FEAS_EPS)
-        if np.max(rest.equations[:, :-1] @ relaxed + rest.equations[:, -1]) > 0:
-            kept.append(facet(others[first]))
+    for first, row, r, sure in zip(firsts, rows, relaxed, clear):
+        if not sure:
+            eq = ConvexHull(np.vstack([polar[~dups[row]], box_polar])).equations
+            if not np.max(eq[:, :-1] @ r + eq[:, -1]) > 0:
+                continue
+        # b_f(center, diff) = cosh d - 1 > 0, so the inward side is where diff points
+        h = Hyperplane(form, diff[first])
+        hs = HalfSpace(h, 1 if np.dot(h.normal, diff[first]) > 0 else -1)
+        kept.append(CellFacet(hs, others[first].word, others[first].point))
     if not kept:
         raise UndecidableError(
             f"pruning radius rho = {rho:.6g} keeps no facet of the "
@@ -581,11 +604,14 @@ def check_admissible(
         raise ValueError("group data carries no marked geodesics to check")
     form = group.form
     seeds, tags = x_set.seeds_and_tags()
+    lifts: dict[int, tuple[Hyperplane, ...]] = {}  # surface id -> its hyperplanes
     for p, t in x_set.points:
-        geo = next((s for s in surfaces if s.surface_id == t), None)
-        if geo is None:
-            raise ValueError(f"point tagged with unknown surface {t}")
-        if any(abs(bilinear(form, p, h.normal)) > 1e-6 for h in geo.hyperplanes()):
+        if t not in lifts:
+            geo = next((s for s in surfaces if s.surface_id == t), None)
+            if geo is None:
+                raise ValueError(f"point tagged with unknown surface {t}")
+            lifts[t] = geo.hyperplanes()
+        if any(abs(bilinear(form, p, h.normal)) > 1e-6 for h in lifts[t]):
             raise ValueError("admissible-set point does not lie on its surface lift")
 
     orbit = build_orbit(seeds, group, orbit_cutoff, tags=tags)

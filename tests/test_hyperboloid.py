@@ -27,6 +27,7 @@ from hyperglue.hyperboloid import (
     is_isometry,
     isometry_inverse,
     normalize_point,
+    normalize_points,
     quadratic,
     reflection,
     rotation_in_plane,
@@ -197,6 +198,33 @@ class TestDistance:
     def test_off_sheet_rejected(self):
         with pytest.raises(ValueError):
             distance(J2, np.array([2.0, 0.0, 0.0]), basepoint(J2))
+
+
+class TestNormalizePoints:
+    def test_matches_normalize_point(self):
+        rng = np.random.default_rng(5)
+        form = counting_base_form(4, FieldTag.Q_SQRT2)
+        xs = [random_sheet_point(rng, form, spread=6.0) for _ in range(20)]
+        xs += [2.5 * basepoint(form), exact_vec(1, 0, 0, 0)]
+        out = normalize_points(form, xs)
+        assert len(out) == len(xs)
+        for x, y in zip(xs, out):
+            assert np.array_equal(y, normalize_point(form, x))
+
+    @pytest.mark.parametrize(
+        "xs",
+        [
+            [np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0])],  # lower sheet
+            [np.array([0.0, 1.0, 0.0])],  # space-like
+            [np.array([1.0, 0.0, 0.0, 0.0])],  # wrong dimension
+        ],
+    )
+    def test_rejects_what_normalize_point_rejects(self, xs):
+        with pytest.raises(ValueError):
+            normalize_points(J2, xs)
+
+    def test_empty(self):
+        assert normalize_points(J2, []) == []
 
 
 class TestBisector:
