@@ -604,21 +604,23 @@ def check_admissible(
         raise ValueError("group data carries no marked geodesics to check")
     form = group.form
     seeds, tags = x_set.seeds_and_tags()
-    lifts: dict[int, tuple[Hyperplane, ...]] = {}  # surface id -> its hyperplanes
-    for p, t in x_set.points:
-        if t not in lifts:
+    normals: dict[int, np.ndarray] = {}  # surface id -> normals of its hyperplanes
+    for t in tags:
+        if t not in normals:
             geo = next((s for s in surfaces if s.surface_id == t), None)
             if geo is None:
                 raise ValueError(f"point tagged with unknown surface {t}")
-            lifts[t] = geo.hyperplanes()
-        if any(abs(bilinear(form, p, h.normal)) > 1e-6 for h in lifts[t]):
+            normals[t] = np.array([h.normal for h in geo.hyperplanes()])
+    c = float_coefficients(form)
+    for t, n in normals.items():
+        on = np.array([as_float_vector(form, p) for p, tag in x_set.points if tag == t])
+        if np.any(np.abs((on * c) @ n.T) > 1e-6):
             raise ValueError("admissible-set point does not lie on its surface lift")
 
     orbit = build_orbit(seeds, group, orbit_cutoff, tags=tags)
     coords = orbit.coordinates()
     orbit_tags = np.array([op.tag for op in orbit.points])
     seed_coords = np.array(seeds)
-    c = float_coefficients(form)
 
     if grid_spacing is None:
         if len({s.surface_id for s in surfaces}) > 1:
