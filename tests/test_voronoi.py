@@ -428,12 +428,17 @@ class TestAdmissibility:
         with pytest.raises(ValueError, match="touches"):
             build_admissible_set([s1, crossing], group)
 
-    @pytest.mark.parametrize("with_good_points", [False, True])
-    def test_point_off_surface_rejected(self, with_good_points):
+    def test_point_off_surface_rejected(self):
         group, s1, s2 = two_geodesic_setup()
         off = translation_along(J2, X0, E2, 0.2) @ X0
-        good = ((s2.point_at(1.0), 2), (s1.point_at(0.5), 1)) if with_good_points else ()
-        bad = AdmissibleSet(good + ((off, 1),))
+        bad = AdmissibleSet(((off, 1),))
+        with pytest.raises(ValueError, match="does not lie"):
+            check_admissible(bad, group, orbit_cutoff=1)
+
+    def test_point_off_surface_rejected_among_valid_points(self):
+        group, s1, s2 = two_geodesic_setup()
+        off = translation_along(J2, X0, E2, 0.2) @ X0
+        bad = AdmissibleSet(((s2.point_at(1.0), 2), (s1.point_at(0.5), 1), (off, 1)))
         with pytest.raises(ValueError, match="does not lie"):
             check_admissible(bad, group, orbit_cutoff=1)
 
