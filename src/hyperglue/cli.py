@@ -477,7 +477,7 @@ def cmd_count(args) -> int:
 # -- argument plumbing ------------------------------------------------------------
 
 
-def _apply_config(args, parser):
+def _apply_config(args):
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
@@ -576,7 +576,7 @@ def _preprocess(argv):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_preprocess(argv))
-    args = _apply_config(args, parser)
+    args = _apply_config(args)
     try:
         return args.func(args)
     except (ValueError, voronoi.UndecidableError) as exc:

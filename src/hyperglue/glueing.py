@@ -137,8 +137,8 @@ def _pair_index(m: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(m) for j in range(i + 1, m)]
 
 
-def enumerate_base_graphs(m: int, degree: int = VERTEX_DEGREE) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All labelled simple `degree`-regular graphs on m vertices.
+def enumerate_base_graphs(m: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """All labelled simple 4-regular graphs on m vertices.
 
     Backtracks over the upper-triangular adjacency bits in pair order
     (0,1), (0,2), ..., branching 0 before 1, which yields the graphs in
@@ -146,11 +146,11 @@ def enumerate_base_graphs(m: int, degree: int = VERTEX_DEGREE) -> Iterator[tuple
     exhaustive search feasible through m = 9; `count_graphs` counts
     without it.
     """
-    if m <= degree:
+    if m <= VERTEX_DEGREE:
         return
     pairs = _pair_index(m)
     total = len(pairs)
-    residual = [degree] * m
+    residual = [VERTEX_DEGREE] * m
     # remaining[k][v] = number of pairs at position >= k that touch v
     remaining = [[0] * m for _ in range(total + 1)]
     for k in range(total - 1, -1, -1):
@@ -404,39 +404,57 @@ class AssembledManifold:
         return len(used) == self.slot_count()
 
     def is_connected(self) -> bool:
+        return self._walk()[0] <= 1
+
+    def _walk(self) -> tuple[int, bool]:
+        """Components of the piece graph, and whether it has a consistent signing.
+
+        The edges are the pairings, carrying their flags, and the internal
+        joins, carrying +1.  A signing gives every piece +-1 so that each
+        edge's flag is the product of its endpoint signs; it exists iff
+        every cycle has flag product +1.
+        """
         n = len(self.pieces)
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            parent[find(x)] = find(y)
-
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for p in self.pairings:
-            union(p.a[0], p.b[0])
+            adj[p.a[0]].append((p.b[0], p.flag))
+            adj[p.b[0]].append((p.a[0], p.flag))
         for i, j in self.internal_joins:
-            union(i, j)
-        return len({find(i) for i in range(n)}) <= 1
+            adj[i].append((j, 1))
+            adj[j].append((i, 1))
+        sign = [0] * n
+        components = 0
+        consistent = True
+        for start in range(n):
+            if sign[start]:
+                continue
+            components += 1
+            sign[start] = 1
+            stack = [start]
+            while stack:
+                x = stack.pop()
+                for y, flag in adj[x]:
+                    want = sign[x] * flag
+                    if sign[y] == 0:
+                        sign[y] = want
+                        stack.append(y)
+                    elif sign[y] != want:
+                        consistent = False
+        return components, consistent
 
 
 def assemble(
     graph: GlueingGraph,
     templates: Mapping[str, PieceTemplate] | None = None,
-    flags: Mapping[int, int] | None = None,
 ) -> AssembledManifold:
     """Realize a glueing graph as a closed piece complex.
 
     The root vertex gets the non-orientable block v, every other vertex a
     u block, and every edge its labelled two-boundary block; each edge
     block is paired into one free slot of each endpoint block, giving 4m
-    pairings in total.
+    orientation-compatible pairings in total.
     """
     templates = templates or standard_templates()
-    flags = flags or {}
     m = graph.vertex_count
     pieces: list[PieceInstance] = []
     for vtx in range(m):
@@ -451,9 +469,7 @@ def assemble(
             if not free_slots[vtx]:
                 raise RuntimeError("slot exhaustion: graph is not 4-regular")
             target = free_slots[vtx].pop(0)
-            pairings.append(
-                Pairing((piece_idx, slot), (vtx, target), flags.get(len(pairings), 1))
-            )
+            pairings.append(Pairing((piece_idx, slot), (vtx, target)))
     return AssembledManifold(tuple(pieces), tuple(pairings))
 
 
@@ -472,30 +488,7 @@ def is_orientable(manifold: AssembledManifold) -> bool:
         raise ValueError("orientability needs a closed complex")
     if any(not p.template.orientable for p in manifold.pieces):
         return False
-    n = len(manifold.pieces)
-    sign = [0] * n
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for p in manifold.pairings:
-        adj[p.a[0]].append((p.b[0], p.flag))
-        adj[p.b[0]].append((p.a[0], p.flag))
-    for i, j in manifold.internal_joins:
-        adj[i].append((j, 1))
-        adj[j].append((i, 1))
-    for start in range(n):
-        if sign[start]:
-            continue
-        sign[start] = 1
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y, flag in adj[x]:
-                want = sign[x] * flag
-                if sign[y] == 0:
-                    sign[y] = want
-                    stack.append(y)
-                elif sign[y] != want:
-                    return False
-    return True
+    return manifold._walk()[1]
 
 
 def orientation_double_cover(manifold: AssembledManifold) -> AssembledManifold:

@@ -189,11 +189,12 @@ def _quad_scale(form: DiagonalForm, xf: np.ndarray) -> float:
     return max(1.0, float(np.dot(c * xf, xf)))
 
 
-def is_point(form: DiagonalForm, x, tol: float = EPS) -> bool:
+def is_point(form: DiagonalForm, x) -> bool:
+    """Upper-sheet membership, f(x) = -1 within 1e-7 relative to the coordinates' size."""
     xf = as_float_vector(form, x)
     scale = _quad_scale(form, xf)
     return (
-        abs(quadratic(form, xf) + 1.0) <= tol * scale
+        abs(quadratic(form, xf) + 1.0) <= 1e-7 * scale
         and time_coordinate(form, xf) > 0
     )
 
@@ -251,7 +252,7 @@ def distance(form: DiagonalForm, x, y) -> float:
     xf = as_float_vector(form, x)
     yf = as_float_vector(form, y)
     for p in (xf, yf):
-        if not is_point(form, p, tol=1e-7):
+        if not is_point(form, p):
             raise ValueError("distance requires points on the upper sheet")
     return math.acosh(max(1.0, -bilinear(form, xf, yf)))
 
@@ -270,9 +271,8 @@ class Hyperplane:
 
     __slots__ = ("form", "normal", "exact_normal")
 
-    def __init__(self, form: DiagonalForm, normal, exact_normal=None):
-        if _is_exact_vector(normal) and exact_normal is None:
-            exact_normal = tuple(normal)
+    def __init__(self, form: DiagonalForm, normal):
+        exact_normal = tuple(normal) if _is_exact_vector(normal) else None
         vf = as_float_vector(form, normal)
         q = float(np.dot(vf * float_coefficients(form), vf))
         if q <= EPS:
@@ -282,10 +282,6 @@ class Hyperplane:
         if vf[lead] < 0:
             vf = -vf
             if exact_normal is not None:
-                exact_normal = tuple(-x for x in exact_normal)
-        if exact_normal is not None:
-            lead_sign = exact_normal[lead].sign_at(Embedding.IDENTITY)
-            if lead_sign < 0:
                 exact_normal = tuple(-x for x in exact_normal)
         self.form = form
         self.normal = vf
@@ -323,8 +319,8 @@ class HalfSpace:
         """Signed membership margin; >= 0 inside."""
         return self.side * bilinear(self.hyperplane.form, x, self.hyperplane.normal)
 
-    def contains(self, x, tol: float = EPS) -> bool:
-        return self.margin(x) >= -tol
+    def contains(self, x) -> bool:
+        return self.margin(x) >= -EPS
 
     def inward_normal(self) -> np.ndarray:
         return self.side * self.hyperplane.normal
@@ -337,7 +333,7 @@ def bisector(form: DiagonalForm, x, y) -> Hyperplane:
     if np.allclose(xf, yf, atol=EPS):
         raise ValueError("bisector requires two distinct points")
     for p in (xf, yf):
-        if not is_point(form, p, tol=1e-7):
+        if not is_point(form, p):
             raise ValueError("bisector requires points on the upper sheet")
     return Hyperplane(form, xf - yf)
 
@@ -432,10 +428,17 @@ def translation_along(form: DiagonalForm, point, tangent, length: float) -> np.n
 
     The axis passes through `point` with direction `tangent` (projected
     into the tangent space and normalized); positive length translates in
-    the tangent direction.
+    the tangent direction.  Lengths whose cosh overflows binary64 (about
+    710.5 and up) are refused.
     """
-    if length <= 0:
+    if not length > 0:
         raise ValueError("translation length must be positive")
+    try:
+        ch, sh = math.cosh(length), math.sinh(length)
+    except OverflowError:
+        ch = sh = math.inf
+    if not math.isfinite(ch):
+        raise ValueError(f"translation length {length:g} is too large: cosh overflows binary64")
     p = normalize_point(form, point)
     u = as_float_vector(form, tangent)
     u = u + bilinear(form, u, p) * p  # project onto tangent space (f(p) = -1)
@@ -446,7 +449,6 @@ def translation_along(form: DiagonalForm, point, tangent, length: float) -> np.n
     c = float_coefficients(form)
     fp = p * c
     fu = u * c
-    ch, sh = math.cosh(length), math.sinh(length)
     n = form.dimension
     return (
         np.eye(n)
@@ -479,9 +481,7 @@ class NestingVerdict(enum.Enum):
     EQUAL = "equal"
 
 
-def are_nested(
-    form: DiagonalForm, hs1: HalfSpace, hs2: HalfSpace, x, tol: float = EPS
-) -> NestingVerdict:
+def are_nested(form: DiagonalForm, hs1: HalfSpace, hs2: HalfSpace, x) -> NestingVerdict:
     """Classify two halfspaces that both contain the basepoint x.
 
     With both normals scaled to f = 1 and oriented toward x, the product
@@ -491,14 +491,14 @@ def are_nested(
     other.  Tangency at infinity (|s| = 1) is classified with its closure.
     """
     xf = as_float_vector(form, x)
-    if hs1.margin(xf) <= tol or hs2.margin(xf) <= tol:
+    if hs1.margin(xf) <= EPS or hs2.margin(xf) <= EPS:
         raise ValueError("basepoint must be interior to both halfspaces")
     if hs1.hyperplane.same_as(hs2.hyperplane):
         return NestingVerdict.EQUAL
     u1 = hs1.inward_normal()
     u2 = hs2.inward_normal()
     s = bilinear(form, u1, u2)
-    if abs(s) < 1.0 - tol:
+    if abs(s) < 1.0 - EPS:
         return NestingVerdict.CROSSING
     if s > 0:
         return NestingVerdict.NESTED

@@ -8,9 +8,10 @@ fixed precision so identical scenes produce byte-identical files.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
+
+_STROKE_WIDTH = "0.008000"
 
 
 def _fmt(x: float) -> str:
@@ -21,40 +22,31 @@ def _fmt(x: float) -> str:
 class BallCanvas:
     """Collects SVG elements over the unit disk (y axis flipped for screen)."""
 
-    def __init__(self, width: int = 600):
-        self.width = width
+    def __init__(self):
         self.elements: list[str] = []
 
     def _pt(self, p) -> tuple[str, str]:
         return _fmt(float(p[0])), _fmt(-float(p[1]))
 
-    def disk_boundary(self, stroke: str = "#222222", width: float = 0.012):
+    def disk_boundary(self):
         self.elements.append(
-            f'<circle cx="0" cy="0" r="1" fill="none" stroke="{stroke}" '
-            f'stroke-width="{_fmt(width)}"/>'
+            '<circle cx="0" cy="0" r="1" fill="none" stroke="#222222" '
+            'stroke-width="0.012000"/>'
         )
 
-    def circle(
-        self,
-        center,
-        radius: float,
-        stroke: str = "#444444",
-        width: float = 0.008,
-        dashed: bool = False,
-    ):
+    def circle(self, center, radius: float, stroke: str = "#444444"):
         cx, cy = self._pt(center)
-        dash = ' stroke-dasharray="0.03,0.02"' if dashed else ""
         self.elements.append(
             f'<circle cx="{cx}" cy="{cy}" r="{_fmt(radius)}" fill="none" '
-            f'stroke="{stroke}" stroke-width="{_fmt(width)}"{dash}/>'
+            f'stroke="{stroke}" stroke-width="{_STROKE_WIDTH}"/>'
         )
 
-    def line(self, p, q, stroke: str = "#444444", width: float = 0.008):
+    def line(self, p, q, stroke: str = "#444444"):
         x1, y1 = self._pt(p)
         x2, y2 = self._pt(q)
         self.elements.append(
             f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
-            f'stroke="{stroke}" stroke-width="{_fmt(width)}"/>'
+            f'stroke="{stroke}" stroke-width="{_STROKE_WIDTH}"/>'
         )
 
     def dot(self, p, radius: float = 0.015, fill: str = "#000000"):
@@ -63,7 +55,7 @@ class BallCanvas:
             f'<circle cx="{cx}" cy="{cy}" r="{_fmt(radius)}" fill="{fill}"/>'
         )
 
-    def geodesic(self, sphere, stroke: str = "#444444", width: float = 0.008):
+    def geodesic(self, sphere, stroke: str = "#444444"):
         """Draw a plane geodesic from its boundary-sphere data.
 
         `sphere` is a BoundarySphere in the plane: a diameter when it is
@@ -73,7 +65,7 @@ class BallCanvas:
         if sphere.is_plane:
             n = np.asarray(sphere.center, dtype=float)
             d = np.array([-n[1], n[0]])
-            self.line(d, -d, stroke=stroke, width=width)
+            self.line(d, -d, stroke=stroke)
             return
         c = np.asarray(sphere.center, dtype=float)
         r = float(sphere.radius)
@@ -103,21 +95,14 @@ class BallCanvas:
         x2, y2 = self._pt(e2)
         self.elements.append(
             f'<path d="M {x1} {y1} A {_fmt(r)} {_fmt(r)} 0 {large} 0 {x2} {y2}" '
-            f'fill="none" stroke="{stroke}" stroke-width="{_fmt(width)}"/>'
-        )
-
-    def polyline(self, points: Sequence, stroke: str = "#444444", width: float = 0.008):
-        coords = " ".join(",".join(self._pt(p)) for p in points)
-        self.elements.append(
-            f'<polyline points="{coords}" fill="none" stroke="{stroke}" '
-            f'stroke-width="{_fmt(width)}"/>'
+            f'fill="none" stroke="{stroke}" stroke-width="{_STROKE_WIDTH}"/>'
         )
 
     def render(self) -> str:
         head = (
             '<?xml version="1.0" encoding="UTF-8"?>\n'
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.width}" viewBox="-1.1 -1.1 2.2 2.2">\n'
+            '<svg xmlns="http://www.w3.org/2000/svg" width="600" '
+            'height="600" viewBox="-1.1 -1.1 2.2 2.2">\n'
             '<rect x="-1.1" y="-1.1" width="2.2" height="2.2" fill="#ffffff"/>\n'
         )
         return head + "\n".join(self.elements) + "\n</svg>\n"

@@ -15,6 +15,7 @@ breadth-first by provenance word, and facets keep that order.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import json
 import math
@@ -89,7 +90,11 @@ class MarkedGeodesic:
         return math.cosh(t) * self.point + math.sinh(t) * self.tangent
 
     def hyperplanes(self) -> tuple[Hyperplane, ...]:
-        """Hyperplanes whose intersection is this geodesic."""
+        """Hyperplanes whose intersection is this geodesic, built on the first call."""
+        return self._hyperplanes
+
+    @functools.cached_property
+    def _hyperplanes(self) -> tuple[Hyperplane, ...]:
         form = self.form
         collected: list[np.ndarray] = []
         planes: list[Hyperplane] = []
@@ -275,8 +280,8 @@ class VoronoiCell:
     facets: tuple[CellFacet, ...]
     certification_radius: float
 
-    def contains(self, x, tol: float = EPS) -> bool:
-        return all(f.halfspace.contains(x, tol) for f in self.facets)
+    def contains(self, x) -> bool:
+        return all(f.halfspace.contains(x) for f in self.facets)
 
     def margins(self, x) -> np.ndarray:
         return np.array([f.halfspace.margin(x) for f in self.facets])
@@ -527,44 +532,38 @@ def surface_separations(
 
     Lifts are expanded through group words up to `lift_cutoff`; geodesics
     here are plane geodesics, so distances are arccosh of the normal
-    pairing.  Surfaces meeting another family give delta = 0.
+    pairing, taken for all pairs of one surface id at once.  Surfaces
+    meeting another family give delta = 0; a lone surface id gives inf.
     """
     form = group.form
     if form.dimension != 3:
         raise ValueError("surface separations are implemented for plane geodesics")
     lifts = _marked_orbit(group, surfaces, lift_cutoff)
-    ids = sorted({s.surface_id for s in surfaces})
+    ids = np.array([geo.surface_id for geo in lifts])
+    normals = np.array([geo.hyperplanes()[0].normal for geo in lifts])
+    c = float_coefficients(form)
     out: dict[int, float] = {}
-    for i in ids:
-        best = math.inf
-        for a in lifts:
-            if a.surface_id != i:
-                continue
-            ha = a.hyperplanes()[0]
-            for b in lifts:
-                if b.surface_id == i:
-                    continue
-                hb = b.hyperplanes()[0]
-                s = abs(bilinear(form, ha.normal, hb.normal))
-                d = math.acosh(s) if s > 1.0 else 0.0
-                best = min(best, d)
-        out[i] = best
+    for i in sorted({s.surface_id for s in surfaces}):
+        own, other = normals[ids == i], normals[ids != i]
+        if not len(other):
+            out[i] = math.inf
+            continue
+        s = float(np.abs((own * c) @ other.T).min())
+        out[i] = math.acosh(s) if s > 1.0 else 0.0
     return out
 
 
 def build_admissible_set(
-    surfaces: Sequence[MarkedGeodesic],
-    group: GroupData,
-    lift_cutoff: int = 2,
+    surfaces: Sequence[MarkedGeodesic], group: GroupData
 ) -> AdmissibleSet:
     """Points along each fundamental segment at spacing <= delta_i / 2.
 
     Mirrors the covering construction: delta_i is the separation of
-    surface i from the others, and the spacing guarantees every point of
-    the surface is much closer to its own centers than to any other
-    surface.
+    surface i from the others (lifts through words of length <= 2), and
+    the spacing guarantees every point of the surface is much closer to
+    its own centers than to any other surface.
     """
-    deltas = surface_separations(group, surfaces, lift_cutoff)
+    deltas = surface_separations(group, surfaces)
     for i, d in deltas.items():
         if d <= EPS and len({s.surface_id for s in surfaces}) > 1:
             raise ValueError(
@@ -589,14 +588,15 @@ def check_admissible(
     x_set: AdmissibleSet,
     group: GroupData,
     orbit_cutoff: int = 2,
-    grid_spacing: float | None = None,
-    tie_eps: float = 1e-12,
 ) -> AdmissibilityVerdict:
     """Decide the covering property by dense sampling of the marked lifts.
 
     Each surface is sampled along its fundamental segment at spacing
-    min(delta)/10; the nearest truncated-orbit point must carry the same
-    surface tag.  Samples outside the orbit's certification radius raise
+    min(delta)/10 (deltas over lifts through words of length <=
+    `orbit_cutoff`), or at the least fundamental length / 20 when there is
+    one surface id or min(delta) is not finite and positive; the nearest
+    truncated-orbit point must carry the same surface tag, up to ties
+    within 1e-12.  Samples outside the orbit's certification radius raise
     UndecidableError.
     """
     surfaces = [m for m in group.marked if isinstance(m, MarkedGeodesic)]
@@ -622,18 +622,15 @@ def check_admissible(
     orbit_tags = np.array([op.tag for op in orbit.points])
     seed_coords = np.array(seeds)
 
-    if grid_spacing is None:
-        if len({s.surface_id for s in surfaces}) > 1:
-            deltas = surface_separations(group, surfaces, lift_cutoff=orbit_cutoff)
-            grid_spacing = min(deltas.values()) / 10.0
-        else:
-            grid_spacing = min(s.fundamental_length for s in surfaces) / 20.0
-    if not math.isfinite(grid_spacing) or grid_spacing <= 0:
-        grid_spacing = min(s.fundamental_length for s in surfaces) / 20.0
+    spacing = 0.0
+    if len({s.surface_id for s in surfaces}) > 1:
+        spacing = min(surface_separations(group, surfaces, orbit_cutoff).values()) / 10.0
+    if not 0.0 < spacing < math.inf:
+        spacing = min(s.fundamental_length for s in surfaces) / 20.0
 
     for s in surfaces:
         length = s.fundamental_length
-        count = max(2, math.ceil(length / grid_spacing) + 1)
+        count = max(2, math.ceil(length / spacing) + 1)
         ts = np.linspace(0.0, length, count)
         samples = (
             np.cosh(ts)[:, None] * s.point[None, :]
@@ -649,7 +646,7 @@ def check_admissible(
         dists = np.arccosh(np.maximum(1.0, cosh_orbit))
         own = np.where(orbit_tags == s.surface_id, dists, np.inf).min(axis=1)
         other = np.where(orbit_tags != s.surface_id, dists, np.inf).min(axis=1)
-        bad = other < own - tie_eps
+        bad = other < own - 1e-12
         if np.any(bad):
             k = int(np.argmax(bad))
             return AdmissibilityVerdict(
@@ -820,12 +817,14 @@ class PoincareReport:
         return "\n".join(lines)
 
 
-def _facet_segment(cell: VoronoiCell, facet_index: int, box: float = 0.999999):
+def _facet_segment(cell: VoronoiCell, facet_index: int):
     """Endpoints of a 2D facet in Klein coordinates (world chart).
 
     Returns ((k_lo, finite_lo), (k_hi, finite_hi)): each endpoint is
-    either a genuine vertex (finite) or the exit point on the disk.
+    either a genuine vertex (finite) or the exit point on the disk of
+    radius 0.999999.
     """
+    box = 0.999999
     form = cell.form
     a_all, rhs_all = _klein_rows(
         form, [f.halfspace.inward_normal() for f in cell.facets], np.eye(form.dimension)
@@ -894,15 +893,14 @@ def _interior_angle(form, cell, i, j) -> float:
 def check_poincare_2d(
     cells: Sequence[VoronoiCell],
     pairings: Sequence[FacetPairing],
-    basepoint_hint=None,
-    angle_tol: float = 1e-6,
 ) -> PoincareReport:
     """Poincare-style verification for a plane domain given as paired cells.
 
     Checks: (i) every facet paired exactly once, (ii) each pairing
     isometry carries its facet onto the partner facet, (iii) vertex
-    cycles close up with angle sum 2 pi / m for integer m >= 1, and
-    (iv) no two bounding hyperplanes from distinct cells are nested.
+    cycles close up with angle sum 2 pi / m for integer m >= 1, within
+    1e-6 relative in m, and (iv) no two bounding hyperplanes from distinct
+    cells are nested; (iv) needs the two cells to share their center.
     """
     form = cells[0].form
     if form.dimension != 3:
@@ -1048,7 +1046,7 @@ def check_poincare_2d(
                 continue
             m_hat = 2.0 * math.pi / angle if angle > 0 else math.inf
             m = round(m_hat)
-            ok = m >= 1 and abs(m_hat - m) <= angle_tol * max(1.0, m_hat)
+            ok = m >= 1 and abs(m_hat - m) <= 1e-6 * max(1.0, m_hat)
             cycles.append(VertexCycle((ci, k0), angle, m if ok else None, ok))
             cycle_ok = cycle_ok and ok
 
@@ -1056,12 +1054,8 @@ def check_poincare_2d(
     nested: list[tuple[FacetRef, FacetRef]] = []
     skipped = 0
     for (ci, cell_a), (cj, cell_b) in itertools.combinations(enumerate(cells), 2):
-        if basepoint_hint is not None:
-            base = np.asarray(basepoint_hint, dtype=float)
-        elif np.allclose(cell_a.center, cell_b.center, atol=1e-7):
-            base = cell_a.center
-        else:
-            base = None
+        same_center = np.allclose(cell_a.center, cell_b.center, atol=1e-7)
+        base = cell_a.center if same_center else None
         for fi, fa in enumerate(cell_a.facets):
             for fj, fb in enumerate(cell_b.facets):
                 if base is None or fa.halfspace.margin(base) <= EPS or fb.halfspace.margin(

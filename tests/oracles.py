@@ -223,6 +223,35 @@ def lp_classified_facets(cell: VoronoiCell, marked, box_radius: float | None = N
     return replace(cell, facets=tuple(new_facets))
 
 
+def word_separations(group: GroupData, surfaces, cutoff: int) -> dict[int, float]:
+    """Reference surface separations of plane geodesics, by brute force over words.
+
+    Each geodesic's unit normal is the cross product of its point and
+    tangent weighted by the form's coefficients, which is b_f-orthogonal to
+    both.  Every word w of length <= cutoff in the generators
+    and their inverses, reduced or not, gives the lift normals w . n; delta_i
+    is the least arccosh |b_f| between a lift of surface i and a lift of
+    another surface, 0 when they meet, inf when there is no other surface.
+    """
+    c = float_coefficients(group.form)
+    gens = list(group.generators) + [np.linalg.inv(g) for g in group.generators]
+    words = frontier = [np.eye(3)]
+    for _ in range(cutoff):
+        frontier = [g @ w for w in frontier for g in gens]
+        words = words + frontier
+    lifts = {}
+    for s in surfaces:
+        n = np.cross(c * s.point, c * s.tangent)
+        n = n / math.sqrt(float(np.dot(c * n, n)))
+        lifts.setdefault(s.surface_id, []).extend(w @ n for w in words)
+    out = {}
+    for i, own in lifts.items():
+        others = [v for j, vs in lifts.items() if j != i for v in vs]
+        pairings = [abs(float(np.dot(c * a, b))) for a in own for b in others]
+        out[i] = math.acosh(max(1.0, min(pairings))) if pairings else math.inf
+    return out
+
+
 def _fraction_sqrt(q: Fraction) -> Fraction | None:
     """Exact square root of a nonnegative rational, or None if not a square."""
     if q < 0:

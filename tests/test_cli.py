@@ -109,6 +109,21 @@ class TestGeomCommands:
         assert run_cli("geom", "extension", "--out", str(out)) == 0
         assert "two conformal copies" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "job, length",
+        [
+            (("geom", "shrink", "--R", "2,4,800"), "800"),
+            (("geom", "nesting", "--angle", "90", "--lenH", "1", "--lenV", "800"), "800"),
+            (("geom", "extension", "--length", "900"), "900"),
+        ],
+    )
+    def test_overflowing_length_is_an_error(self, tmp_path, job, length):
+        result = run_subprocess(*job, "--out", str(tmp_path / "o"))
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: ") and length in result.stderr
+        assert len(result.stderr.splitlines()) == 1
+        assert "Traceback" not in result.stderr
+
     def test_unknown_demo_exits_2(self):
         result = run_subprocess("geom", "spin")
         assert result.returncode == 2

@@ -420,6 +420,19 @@ class TestAdmissibility:
         seps = surface_separations(group, [s1, s2])
         assert abs(seps[1] - 0.8) < 1e-9 and abs(seps[2] - 0.8) < 1e-9
 
+    @pytest.mark.parametrize("cutoff", [1, 2])
+    @pytest.mark.parametrize("angle", [60.0, 90.0, 120.0])
+    def test_separations_with_a_generator_match_words(self, angle, cutoff):
+        _, s1, s2 = two_geodesic_setup(delta=0.8)
+        axis = rotation_in_plane(J2, 1, 2, math.radians(angle)) @ E1
+        group = GroupData(J2, [translation_along(J2, X0, axis, 1.5)], marked=[s1, s2])
+        seps = surface_separations(group, [s1, s2], cutoff)
+        want = oracles.word_separations(group, [s1, s2], cutoff)
+        assert seps.keys() == want.keys()
+        for i, d in want.items():
+            assert 0.0 < d < 0.8  # a translated lift is nearer than the other surface
+            assert abs(seps[i] - d) <= 1e-9
+
     def test_asymptotic_surfaces_rejected(self):
         # two geodesics through the same ideal point: distance zero
         s1 = MarkedGeodesic(J2, X0, E1, surface_id=1, fundamental_length=2.0)
