@@ -50,7 +50,6 @@ def run_all(tree: Path, run_dir: Path, commands: list[list[str]]) -> None:
             cwd=run_dir, env=env, capture_output=True, text=True, timeout=600, check=False,
         )
         stem = f"{k:02d}"
-        (logs / f"{stem}.argv").write_text(shlex.join(argv) + "\n")
         (logs / f"{stem}.exit").write_text(f"{proc.returncode}\n")
         (logs / f"{stem}.stdout").write_text(proc.stdout)
         (logs / f"{stem}.stderr").write_text(proc.stderr.replace(str(tree), "<tree>"))
@@ -83,11 +82,13 @@ def main(argv=None) -> int:
         differing = 0
         for name in names:
             base, change = runs["base"] / name, runs["change"] / name
+            label = name
+            if name.parts[0] == "logs":
+                label = f"{name} (hyperglue {shlex.join(commands[int(name.stem)])})"
             if not base.is_file() or not change.is_file():
-                missing = "base" if not base.is_file() else "change"
-                print(f"{name}: missing in {missing}")
+                print(f"{label}: missing in {'base' if not base.is_file() else 'change'}")
             elif not filecmp.cmp(base, change, shallow=False):
-                print(f"{name}: differs")
+                print(f"{label}: differs")
             else:
                 continue
             differing += 1

@@ -592,12 +592,11 @@ def check_admissible(
     """Decide the covering property by dense sampling of the marked lifts.
 
     Each surface is sampled along its fundamental segment at spacing
-    min(delta)/10 (deltas over lifts through words of length <=
-    `orbit_cutoff`), or at the least fundamental length / 20 when there is
-    one surface id or min(delta) is not finite and positive; the nearest
-    truncated-orbit point must carry the same surface tag, up to ties
-    within 1e-12.  Samples outside the orbit's certification radius raise
-    UndecidableError.
+    min(delta)/10, lifts taken through words of length <= `orbit_cutoff`,
+    or at the least fundamental length / 20 when there is one surface id
+    or min(delta) is not finite and positive.  The nearest truncated-orbit
+    point must carry the same surface tag (ties within 1e-12 pass).
+    Samples outside the orbit's certification radius raise UndecidableError.
     """
     surfaces = [m for m in group.marked if isinstance(m, MarkedGeodesic)]
     if not surfaces:
@@ -1054,8 +1053,7 @@ def check_poincare_2d(
     nested: list[tuple[FacetRef, FacetRef]] = []
     skipped = 0
     for (ci, cell_a), (cj, cell_b) in itertools.combinations(enumerate(cells), 2):
-        same_center = np.allclose(cell_a.center, cell_b.center, atol=1e-7)
-        base = cell_a.center if same_center else None
+        base = cell_a.center if np.allclose(cell_a.center, cell_b.center, atol=1e-7) else None
         for fi, fa in enumerate(cell_a.facets):
             for fj, fb in enumerate(cell_b.facets):
                 if base is None or fa.halfspace.margin(base) <= EPS or fb.halfspace.margin(
