@@ -428,8 +428,9 @@ def translation_along(form: DiagonalForm, point, tangent, length: float) -> np.n
 
     The axis passes through `point` with direction `tangent` (projected
     into the tangent space and normalized); positive length translates in
-    the tangent direction.  Lengths whose cosh overflows binary64 (about
-    710.5 and up) are refused.
+    the tangent direction.  Lengths whose cosh squared overflows binary64
+    (about 355.6 and up) are refused: the entries have size cosh(length),
+    and `is_isometry` squares them.
     """
     if not length > 0:
         raise ValueError("translation length must be positive")
@@ -437,8 +438,8 @@ def translation_along(form: DiagonalForm, point, tangent, length: float) -> np.n
         ch, sh = math.cosh(length), math.sinh(length)
     except OverflowError:
         ch = sh = math.inf
-    if not math.isfinite(ch):
-        raise ValueError(f"translation length {length:g} is too large: cosh overflows binary64")
+    if not math.isfinite(ch * ch):
+        raise ValueError(f"translation length {length:g} is too large: cosh^2 overflows binary64")
     p = normalize_point(form, point)
     u = as_float_vector(form, tangent)
     u = u + bilinear(form, u, p) * p  # project onto tangent space (f(p) = -1)
