@@ -142,8 +142,7 @@ def _geodesic_sphere(form, geo: MarkedGeodesic):
 
 
 def cmd_geom_admissible(args) -> int:
-    seed = _resolve(args, "seed", 0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     delta = 0.4 + 0.8 * float(rng.random())
     window = 3.0 + 2.0 * float(rng.random())
     offset = 4.0 + 2.0 * float(rng.random())
@@ -192,7 +191,7 @@ def cmd_geom_admissible(args) -> int:
     _write_manifest(
         out,
         "geom admissible",
-        {"seed": seed, "delta": _f(delta), "window": _f(window), "offset": _f(offset)},
+        {"seed": args.seed, "delta": _f(delta), "window": _f(window), "offset": _f(offset)},
         ["admissible.csv", "admissible.svg"],
     )
     print(
@@ -277,8 +276,7 @@ def cmd_geom_nesting(args) -> int:
 
 def cmd_geom_shrink(args) -> int:
     r_list = [float(x) for x in args.R.split(",") if x.strip()]
-    spacing = _resolve(args, "spacing", 2.0)
-    report = sphere_shrink_report(r_list, spacing=spacing)
+    report = sphere_shrink_report(r_list, spacing=args.spacing)
     out = _ensure_out(args)
     rows = []
     for idx, row in enumerate(report.rows):
@@ -313,7 +311,7 @@ def cmd_geom_shrink(args) -> int:
     _write_manifest(
         out,
         "geom shrink",
-        {"R": r_list, "spacing": spacing},
+        {"R": r_list, "spacing": args.spacing},
         ["shrink.csv", "shrink.svg"],
     )
     print(f"second-type radii: {[_f(r.second_radius) for r in report.rows]}")
@@ -323,10 +321,7 @@ def cmd_geom_shrink(args) -> int:
 
 
 def cmd_geom_extension(args) -> int:
-    length = _resolve(args, "length", 2.0)
-    q = _resolve(args, "q", 1.0)
-    seed = _resolve(args, "seed", 0)
-    n_samples = _resolve(args, "samples", 40)
+    length = args.length
     form = jn_form(2)
     x0 = basepoint(form)
     e1 = np.array([0.0, 1.0, 0.0])
@@ -334,13 +329,13 @@ def cmd_geom_extension(args) -> int:
     group = GroupData(form, [t], marked=[MarkedGeodesic(form, x0, e1, 0, length)])
     cell = dirichlet_cell(x0, build_orbit([x0], group, 3))
     cell = classify_facets(cell, group.marked)
-    ext = voronoi.orthogonal_extension(cell, q)
+    ext = voronoi.orthogonal_extension(cell, args.q)
 
     # sample the two ideal caps over the base strip and project them back
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     samples = []
     half = math.tanh(length / 4.0)  # klein half-width of the strip
-    for _ in range(n_samples):
+    for _ in range(args.samples):
         k1 = (2.0 * float(rng.random()) - 1.0) * half
         k2 = (2.0 * float(rng.random()) - 1.0) * 0.9
         if k1 * k1 + k2 * k2 >= 1.0 - 1e-9:
@@ -382,7 +377,7 @@ def cmd_geom_extension(args) -> int:
     _write_manifest(
         out,
         "geom extension",
-        {"length": length, "q": q, "seed": seed, "samples": n_samples},
+        {"length": length, "q": args.q, "seed": args.seed, "samples": args.samples},
         ["extension.csv", "extension.svg"],
     )
     types = [f.facet_type for f in ext.facets]
@@ -477,22 +472,6 @@ def cmd_count(args) -> int:
 # -- argument plumbing ------------------------------------------------------------
 
 
-def _apply_config(args):
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-        for key, value in config.items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr) and getattr(args, attr) is None:
-                setattr(args, attr, value)
-    return args
-
-
-def _resolve(args, name, fallback):
-    value = getattr(args, name, None)
-    return fallback if value is None else value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperglue",
@@ -516,9 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
     geom_sub = geom.add_subparsers(dest="subcommand", required=True)
 
     adm = geom_sub.add_parser("admissible", help="admissible vs sparse point sets")
-    adm.add_argument("--seed", type=int, default=None)
+    adm.add_argument("--seed", type=int, default=0)
     adm.add_argument("--out", default="out")
-    adm.add_argument("--config", default=None)
     adm.set_defaults(func=cmd_geom_admissible)
 
     nst = geom_sub.add_parser("nesting", help="nested vs crossing bounding walls")
@@ -526,23 +504,20 @@ def build_parser() -> argparse.ArgumentParser:
     nst.add_argument("--lenH", type=float, required=True)
     nst.add_argument("--lenV", type=float, required=True)
     nst.add_argument("--out", default="out")
-    nst.add_argument("--config", default=None)
     nst.set_defaults(func=cmd_geom_nesting)
 
     shr = geom_sub.add_parser("shrink", help="boundary spheres as R grows")
     shr.add_argument("--R", required=True, help="comma-separated increasing R values")
-    shr.add_argument("--spacing", type=float, default=None)
+    shr.add_argument("--spacing", type=float, default=2.0)
     shr.add_argument("--out", default="out")
-    shr.add_argument("--config", default=None)
     shr.set_defaults(func=cmd_geom_shrink)
 
     ext = geom_sub.add_parser("extension", help="orthogonal extension of a strip")
-    ext.add_argument("--length", type=float, default=None)
-    ext.add_argument("--q", type=float, default=None)
-    ext.add_argument("--seed", type=int, default=None)
-    ext.add_argument("--samples", type=int, default=None)
+    ext.add_argument("--length", type=float, default=2.0)
+    ext.add_argument("--q", type=float, default=1.0)
+    ext.add_argument("--seed", type=int, default=0)
+    ext.add_argument("--samples", type=int, default=40)
     ext.add_argument("--out", default="out")
-    ext.add_argument("--config", default=None)
     ext.set_defaults(func=cmd_geom_extension)
 
     cnt = sub.add_parser("count", help="graph counting and assembly checks")
@@ -576,7 +551,6 @@ def _preprocess(argv):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_preprocess(argv))
-    args = _apply_config(args)
     try:
         return args.func(args)
     except (ValueError, voronoi.UndecidableError) as exc:

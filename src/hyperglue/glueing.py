@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -107,30 +106,6 @@ class GlueingGraph:
                 ]
                 if sorted(labs) != sorted(EDGE_LABELS):
                     raise ValueError("proper mode needs all four labels at each vertex")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.vertex_count,
-            "edges": [list(e) for e in self.edges],
-            "labels": list(self.labels),
-            "root": self.root,
-            "mode": "proper" if self.proper else "free",
-        }
-
-
-def graph_to_json(graph: GlueingGraph) -> str:
-    return json.dumps(graph.to_json_dict(), sort_keys=True)
-
-
-def graph_from_json(text: str) -> GlueingGraph:
-    payload = json.loads(text)
-    return GlueingGraph(
-        payload["m"],
-        tuple(tuple(e) for e in payload["edges"]),
-        tuple(payload["labels"]),
-        payload["root"],
-        proper=payload.get("mode", "free") == "proper",
-    )
 
 
 def _pair_index(m: int) -> list[tuple[int, int]]:

@@ -8,7 +8,6 @@ and the six-prime counting family of labelled forms.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -22,7 +21,6 @@ from .numfield import (
     FieldTag,
     QuadFieldElement,
     format_element,
-    parse_element,
     sqrt2,
 )
 
@@ -422,20 +420,3 @@ def build_counting_family(n: int, field: FieldTag) -> CountingFamily:
     primes = {label: prime for label, prime, _ in chosen}
     return CountingFamily(base, forms, primes, certificates)
 
-
-# -- JSON descriptors --------------------------------------------------------
-
-
-def form_to_json(form: DiagonalForm) -> str:
-    payload = {
-        "field": form.field.value,
-        "coefficients": [format_element(c) for c in form.coefficients],
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def form_from_json(text: str) -> DiagonalForm:
-    payload = json.loads(text)
-    field = FieldTag.parse(payload["field"])
-    coeffs = tuple(parse_element(s, field) for s in payload["coefficients"])
-    return DiagonalForm(coeffs, field)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -26,7 +25,7 @@ import numpy as np
 from scipy.optimize import linprog  # unused; the no-LP tests and the benchmark tracer patch it
 from scipy.spatial import ConvexHull
 
-from .qforms import DiagonalForm, direct_sum, form_from_json, form_to_json
+from .qforms import DiagonalForm, direct_sum
 from .hyperboloid import (
     EPS,
     HalfSpace,
@@ -133,16 +132,20 @@ class GroupData:
     Every generator must verify the isometry identity.  When a horizontal
     hyperplane is declared, generators not stabilizing it must move by at
     least `r_floor` (the user-supplied surrogate for a deep finite-index
-    subgroup).
+    subgroup).  Every marked lift must be a `MarkedGeodesic`; anything
+    else raises TypeError.
     """
 
     form: DiagonalForm
     generators: list[np.ndarray]
-    marked: list = field(default_factory=list)
+    marked: list[MarkedGeodesic] = field(default_factory=list)
     r_floor: float = 0.0
     horizontal: Hyperplane | None = None
 
     def __post_init__(self):
+        for m in self.marked:
+            if not isinstance(m, MarkedGeodesic):
+                raise TypeError(f"unsupported marked lift {type(m).__name__}")
         self.generators = [np.asarray(g, dtype=float) for g in self.generators]
         for g in self.generators:
             if not is_isometry(self.form, g, tol=1e-7):
@@ -190,6 +193,7 @@ class OrbitSet:
         return np.array([op.point for op in self.points])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def build_orbit(
     seeds: Sequence,
     group: GroupData,
@@ -203,7 +207,8 @@ def build_orbit(
     (delta_min * cutoff - D) / 2 where delta_min is the least generator
     displacement over the seeds and D the seed-set diameter: any omitted
     orbit point provably lies at distance > 2 rho from every seed for
-    groups whose displacement grows linearly in word length.
+    groups whose displacement grows linearly in word length.  Images too
+    large for binary64 raise ValueError.
     """
     if word_cutoff < 1:
         raise ValueError("word cutoff must be at least 1")
@@ -226,7 +231,7 @@ def build_orbit(
         points.append(op)
         frontier.append(op)
 
-    for _ in range(word_cutoff):
+    for length in range(1, word_cutoff + 1):
         next_frontier: list[OrbitPoint] = []
         for op in frontier:
             for gi, g in enumerate(gens):
@@ -240,6 +245,11 @@ def build_orbit(
                 seen[k] = len(points)
                 points.append(new)
                 next_frontier.append(new)
+        if next_frontier and not np.isfinite([op.point for op in next_frontier]).all():
+            raise ValueError(
+                f"orbit points of word length {length} overflow binary64; "
+                "shorten the translations or lower the word cutoff"
+            )
         frontier = next_frontier
 
     if not group.generators:
@@ -358,7 +368,18 @@ def dirichlet_cell(
     if np.any(np.all(np.abs(diff) <= EPS + 1e-5 * np.abs(points), axis=1)):
         raise ValueError("bisector requires two distinct points")
     c = float_coefficients(form)
-    inward = diff / np.sqrt((diff * diff * c[None, :]).sum(axis=1))[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_norm = (diff * diff * c[None, :]).sum(axis=1)
+    lost = ~(np.isfinite(f_norm) & (f_norm > 0))
+    if lost.any():
+        k = int(np.argmax(lost))
+        raise UndecidableError(
+            f"the bisector toward orbit word {others[k].word} has f(x - y) = "
+            f"{f_norm[k]:.6g}, not finite and positive: coordinates of size "
+            f"{np.abs(points[k]).max():.6g} exceed binary64 precision; "
+            "shorten the translations or lower the orbit cutoff"
+        )
+    inward = diff / np.sqrt(f_norm)[:, None]
     world_to_local = isometry_inverse(form, _centering_isometry(form, center))
     a_all, rhs_all = _klein_rows(form, inward, world_to_local)
     polar = a_all / rhs_all[:, None]
@@ -596,11 +617,14 @@ def check_admissible(
     or at the least fundamental length / 20 when there is one surface id
     or min(delta) is not finite and positive.  The nearest truncated-orbit
     point must carry the same surface tag (ties within 1e-12 pass).
-    Samples outside the orbit's certification radius raise UndecidableError.
+    Samples outside the orbit's certification radius raise UndecidableError;
+    a surface without a positive fundamental length raises ValueError.
     """
-    surfaces = [m for m in group.marked if isinstance(m, MarkedGeodesic)]
+    surfaces = group.marked
     if not surfaces:
         raise ValueError("group data carries no marked geodesics to check")
+    if any(not s.fundamental_length > 0 for s in surfaces):
+        raise ValueError("surfaces need a positive fundamental segment")
     form = group.form
     seeds, tags = x_set.seeds_and_tags()
     normals: dict[int, np.ndarray] = {}  # surface id -> normals of its hyperplanes
@@ -1078,64 +1102,7 @@ def check_poincare_2d(
     )
 
 
-# -- scene serialization and cell dumps -----------------------------------------
-
-
-def scene_to_json(group: GroupData, seeds: Sequence, word_cutoff: int) -> str:
-    """JSON scene descriptor: form, seeds, generator matrices, marked lifts, R, cutoff."""
-    form = group.form
-    marked = []
-    for m in group.marked:
-        if isinstance(m, MarkedGeodesic):
-            marked.append(
-                {
-                    "kind": "geodesic",
-                    "point": list(m.point),
-                    "tangent": list(m.tangent),
-                    "surface_id": m.surface_id,
-                    "fundamental_length": m.fundamental_length,
-                }
-            )
-        elif isinstance(m, Hyperplane):
-            marked.append({"kind": "hyperplane", "normal": list(m.normal)})
-        else:
-            raise TypeError(f"cannot serialize marked lift {type(m).__name__}")
-    payload = {
-        "form": json.loads(form_to_json(form)),
-        "seeds": [list(np.asarray(s, dtype=float)) for s in seeds],
-        "generators": [g.tolist() for g in group.generators],
-        "marked": marked,
-        "r_floor": group.r_floor,
-        "cutoff": word_cutoff,
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def scene_from_json(text: str) -> tuple[GroupData, list[np.ndarray], int]:
-    payload = json.loads(text)
-    form = form_from_json(json.dumps(payload["form"]))
-    marked = []
-    for m in payload.get("marked", []):
-        if m.get("kind") == "hyperplane":
-            marked.append(Hyperplane(form, np.asarray(m["normal"], dtype=float)))
-        else:
-            marked.append(
-                MarkedGeodesic(
-                    form,
-                    np.asarray(m["point"], dtype=float),
-                    np.asarray(m["tangent"], dtype=float),
-                    m["surface_id"],
-                    m.get("fundamental_length", 0.0),
-                )
-            )
-    group = GroupData(
-        form,
-        [np.asarray(g, dtype=float) for g in payload["generators"]],
-        marked=marked,
-        r_floor=payload.get("r_floor", 0.0),
-    )
-    seeds = [np.asarray(s, dtype=float) for s in payload["seeds"]]
-    return group, seeds, int(payload["cutoff"])
+# -- cell dumps ------------------------------------------------------------------
 
 
 def cell_facet_rows(cell: VoronoiCell) -> list[list[str]]:

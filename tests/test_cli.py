@@ -110,23 +110,35 @@ class TestGeomCommands:
         assert "two conformal copies" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "job, length",
+        "job, cause",
         [
             (("geom", "shrink", "--R", "2,4,800"), "800"),
             (("geom", "nesting", "--angle", "90", "--lenH", "1", "--lenV", "800"), "800"),
             (("geom", "extension", "--length", "900"), "900"),
+            # far orbit points that binary64 cannot resolve, or cannot hold
+            (("geom", "extension", "--length", "15"), "not finite and positive"),
+            (("geom", "shrink", "--R", "2,4,19"), "not finite and positive"),
+            (("geom", "extension", "--length", "300"), "word length 3 overflow"),
         ],
     )
-    def test_overflowing_length_is_an_error(self, tmp_path, job, length):
+    def test_overflowing_length_is_an_error(self, tmp_path, job, cause):
         result = run_subprocess(*job, "--out", str(tmp_path / "o"))
         assert result.returncode == 1
-        assert result.stderr.startswith("error: ") and length in result.stderr
-        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("error: ") and cause in result.stderr
+        assert len(result.stderr.splitlines()) == 1  # no RuntimeWarning first
         assert "Traceback" not in result.stderr
 
     def test_unknown_demo_exits_2(self):
         result = run_subprocess("geom", "spin")
         assert result.returncode == 2
+
+    def test_config_file_is_not_an_input(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"seed": 9}))
+        result = run_subprocess("geom", "admissible", "--config", str(cfg))
+        assert result.returncode == 2
+        assert "unrecognized arguments: --config" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_every_svg_has_sibling_csv(self, tmp_path):
         jobs = [
@@ -219,14 +231,3 @@ class TestDeterminism:
         assert files1 == files2
         for name in files1:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
-
-
-class TestConfigFile:
-    def test_config_supplies_defaults(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 9}))
-        out1 = tmp_path / "o1"
-        out2 = tmp_path / "o2"
-        assert run_cli("geom", "admissible", "--config", str(cfg), "--out", str(out1)) == 0
-        assert run_cli("geom", "admissible", "--seed", "9", "--out", str(out2)) == 0
-        assert (out1 / "admissible.csv").read_bytes() == (out2 / "admissible.csv").read_bytes()

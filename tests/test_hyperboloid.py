@@ -281,6 +281,17 @@ class TestOrthogonality:
     def test_coordinate_hyperplanes(self):
         assert are_orthogonal(J2, Hyperplane(J2, E1), Hyperplane(J2, E2))
 
+    def test_exact_normals_decide_exactly(self):
+        # b_f = 1e-12 is within the float tolerance but not zero
+        zero, one = QuadFieldElement(0), QuadFieldElement(1)
+        u = (zero, one, zero)
+        v = (zero, QuadFieldElement(Fraction(1, 10**12)), one)
+        assert not are_orthogonal(J2, Hyperplane(J2, u), Hyperplane(J2, v))
+        assert are_orthogonal(J2, Hyperplane(J2, u), Hyperplane(J2, (zero, zero, one)))
+        u_float = np.array([0.0, 1.0, 0.0])
+        v_float = np.array([0.0, 1e-12, 1.0])
+        assert are_orthogonal(J2, Hyperplane(J2, u_float), Hyperplane(J2, v_float))
+
     def test_same_hyperplane_not_orthogonal(self):
         h = Hyperplane(J2, E1)
         assert not are_orthogonal(J2, h, h)

@@ -90,6 +90,18 @@ class TestOrbit:
         axis_plane = Hyperplane(J2, E2)
         GroupData(J2, [t], r_floor=5.0, horizontal=axis_plane)
 
+    def test_marked_lift_must_be_a_geodesic(self):
+        with pytest.raises(TypeError, match="Hyperplane"):
+            GroupData(J2, [], marked=[Hyperplane(J2, E2)])
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_orbit_refused(self):
+        # cosh(900) is beyond binary64; words of length 2 still fit
+        t = translation_along(J2, X0, E1, 300.0)
+        assert len(build_orbit([X0], GroupData(J2, [t]), 2).points) == 5
+        with pytest.raises(ValueError, match="word length 3 overflow"):
+            build_orbit([X0], GroupData(J2, [t]), 3)
+
 
 class TestDirichletCell:
     def test_strip(self):
@@ -144,6 +156,15 @@ class TestDirichletCell:
         orbit = build_orbit([X0], group, 1)
         rho = orbit.certification_radius
         with pytest.raises(UndecidableError, match=f"rho = {rho:.6g} keeps no facet"):
+            dirichlet_cell(X0, orbit)
+
+    @pytest.mark.filterwarnings("error")
+    def test_bisector_beyond_binary64_refused(self):
+        # the word-3 point has coordinates near cosh(45) ~ 1.7e19, where
+        # f(x - y) = 2 (cosh d - 1) cancels to nothing
+        t = translation_along(J2, X0, E1, 15.0)
+        orbit = build_orbit([X0], GroupData(J2, [t]), 3)
+        with pytest.raises(UndecidableError, match=r"word \(0, 0, 0\) .* not finite and positive"):
             dirichlet_cell(X0, orbit)
 
     def test_center_must_be_in_orbit(self):
@@ -415,6 +436,13 @@ class TestAdmissibility:
         one = AdmissibleSet(((s1.point_at(1.2), 1),))
         assert check_admissible(one, group, orbit_cutoff=1).admissible
 
+    def test_zero_fundamental_length_refused(self):
+        s1 = MarkedGeodesic(J2, X0, E1, surface_id=1)  # fundamental_length 0
+        group = GroupData(J2, [], marked=[s1])
+        one = AdmissibleSet(((X0, 1),))
+        with pytest.raises(ValueError, match="positive fundamental segment"):
+            check_admissible(one, group, orbit_cutoff=1)
+
     def test_separations_value(self):
         group, s1, s2 = two_geodesic_setup(delta=0.8)
         seps = surface_separations(group, [s1, s2])
@@ -663,33 +691,6 @@ class TestPoincare:
 
 
 class TestSceneSerialization:
-    def test_round_trip(self):
-        t1 = translation_along(J2, X0, E1, 2.0)
-        t2 = translation_along(J2, X0, E2, 3.0)
-        marked = [
-            MarkedGeodesic(J2, X0, E1, surface_id=1, fundamental_length=2.0),
-            Hyperplane(J2, E2),
-        ]
-        group = GroupData(J2, [t1, t2], marked=marked, r_floor=1.5)
-        from hyperglue.voronoi import scene_from_json, scene_to_json
-
-        text = scene_to_json(group, [X0], word_cutoff=2)
-        group2, seeds2, cutoff2 = scene_from_json(text)
-        assert cutoff2 == 2
-        assert len(seeds2) == 1 and np.allclose(seeds2[0], X0)
-        assert group2.r_floor == 1.5
-        assert len(group2.generators) == 2
-        for g1, g2 in zip(group.generators, group2.generators):
-            assert np.allclose(g1, g2)
-        # the rebuilt scene produces the same cell
-        orbit1 = build_orbit([X0], group, 2)
-        orbit2 = build_orbit(seeds2, group2, cutoff2)
-        c1 = dirichlet_cell(X0, orbit1)
-        c2 = dirichlet_cell(seeds2[0], orbit2)
-        n1 = sorted(tuple(np.round(f.halfspace.hyperplane.normal, 9)) for f in c1.facets)
-        n2 = sorted(tuple(np.round(f.halfspace.hyperplane.normal, 9)) for f in c2.facets)
-        assert n1 == n2
-
     def test_facet_rows(self):
         from hyperglue.voronoi import cell_facet_rows
 
