@@ -31,6 +31,8 @@ EXTRA = (
     "geom nesting --angle 37 --lenH 2.2 --lenV 3.1 --out out/nesting37",
     'forms family --n 3 --field "Q(sqrt2)" --out out/forms-sqrt2',
     "count --m-max 8 --mode proper --out out/counts-proper",
+    # the assembly checks with m past the checked range
+    "count --m-max 9 --mode free --check-assemblies --out out/counts-checked9",
     # the geom defaults, left out here and set in README's commands or the reverse
     "geom admissible --out out/admissible-default",
     "geom shrink --R 1,3 --spacing 3 --out out/shrink-spacing3",

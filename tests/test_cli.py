@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import hyperglue
+from hyperglue import glueing
 from hyperglue.cli import main
 
 # the subprocess imports the same package as the tests, installed or not
@@ -195,6 +196,15 @@ class TestCount:
         assert "assembly checks: all passed (481 graphs, m = 5..7; m = 8..9 not checked)" in text
         rows = read_csv(out / "counts.csv")
         assert [r[1] for r in rows[1:]] == ["1", "15", "465", "19355", "1024380"]
+
+    def test_failed_assembly_check_is_reported(self, tmp_path, capsys, monkeypatch):
+        # the complex itself is no orientable cover of it, nor of twice its volume
+        monkeypatch.setattr(glueing, "orientation_double_cover", lambda manifold: manifold)
+        code = run_cli("count", "--m-max", "5", "--check-assemblies", "--out", str(tmp_path / "c"))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "FAIL m=5: double cover not orientable" in captured.err.splitlines()
+        assert "assembly checks: 2 failures (1 graph, m = 5)" in captured.out.splitlines()
 
     def test_proper_up_to_the_cap(self, tmp_path, capsys):
         out = tmp_path / "p9"

@@ -1,6 +1,9 @@
 """Graph enumeration against a bitmask oracle, assembly and cover invariants."""
 
+import copy
 import itertools
+import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -111,6 +114,19 @@ class TestEnumeration:
             elif sorted(sizes) == [3, 4]:
                 split34 += 1
         assert cycle7 == 360 and split34 == 105
+
+    def test_m8_count_order_and_degrees(self):
+        # checked without the search's own bookkeeping: the count is OEIS
+        # A005815, the order is that of the bitmask with pair (0, 1) as its
+        # most significant bit, and the degrees come from the edge lists
+        pairs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
+        weight = {pair: 1 << (len(pairs) - 1 - k) for k, pair in enumerate(pairs)}
+        graphs = list(enumerate_base_graphs(8))
+        assert len(graphs) == 19355
+        masks = [sum(weight[e] for e in edges) for edges in graphs]
+        assert all(x < y for x, y in zip(masks, masks[1:]))
+        for edges in graphs:
+            assert Counter(v for e in edges for v in e) == dict.fromkeys(range(8), 4)
 
     def test_stream_decorations(self):
         stream = enumerate_graphs(5, "free")
@@ -286,6 +302,62 @@ class TestAssembly:
                 labels = tuple(EDGE_LABELS[k % 4] for k in range(len(edges)))
                 assembled = assemble(GlueingGraph(m, edges, labels, root=0))
                 assert volume(assembled) <= 3.0 * m
+
+
+def two_piece_complex(*pairings):
+    u = PieceTemplate("u", 2, True)
+    pieces = (PieceInstance(u, ("a",)), PieceInstance(u, ("b",)))
+    return AssembledManifold(pieces, tuple(Pairing(a, b) for a, b in pairings))
+
+
+class TestClosedness:
+    def test_every_slot_once_is_closed(self):
+        assert two_piece_complex(((0, 0), (1, 0)), ((0, 1), (1, 1))).is_closed()
+
+    @pytest.mark.parametrize(
+        "pairings",
+        [
+            (((0, 0), (1, 0)), ((0, 0), (1, 1))),
+            (((0, 0), (1, 0)), ((0, 2), (1, 1))),
+            (((0, 0), (1, 0)), ((0, 1), (2, 1))),
+            (((0, 0), (1, 0)), ((0, 1), (-1, 1))),
+            (((0, 0), (1, 0)),),
+        ],
+        ids=["slot-used-twice", "slot-past-boundary-count", "piece-out-of-range",
+             "negative-piece", "unused-slot"],
+    )
+    def test_not_closed(self, pairings):
+        assert not two_piece_complex(*pairings).is_closed()
+
+    def test_pairing_refuses_other_flags(self):
+        with pytest.raises(ValueError, match="flag"):
+            Pairing((0, 0), (1, 0), flag=0)
+        with pytest.raises(ValueError, match="flag"):
+            Pairing((0, 0), (1, 0))._replace(flag=2)
+
+    def test_records_are_immutable(self):
+        assembled = k5_assembly()
+        with pytest.raises(AttributeError):
+            assembled.pieces[0].template = assembled.pieces[1].template
+        with pytest.raises(AttributeError):
+            assembled.pairings[0].flag = -1
+        with pytest.raises(AttributeError):
+            assembled.pairings = ()
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_after_the_cached_check(self, clone):
+        closed, open_ = k5_assembly(), two_piece_complex(((0, 0), (1, 0)))
+        assert closed.is_closed() and not open_.is_closed()
+        for original in (closed, open_, orientation_double_cover(closed)):
+            twin = clone(original)
+            assert twin == original
+            assert twin.is_closed() == original.is_closed()
+            if original.is_closed():
+                assert is_orientable(twin) == is_orientable(original)
 
 
 class TestOrientability:
