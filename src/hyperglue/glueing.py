@@ -397,6 +397,8 @@ class AssembledManifold:
         )
 
     def is_connected(self) -> bool:
+        if not self.is_closed():
+            raise ValueError("connectivity needs a closed complex")
         return self._walk()[0] <= 1
 
     def _walk(self) -> tuple[int, bool]:

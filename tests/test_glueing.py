@@ -327,7 +327,10 @@ class TestClosedness:
              "negative-piece", "unused-slot"],
     )
     def test_not_closed(self, pairings):
-        assert not two_piece_complex(*pairings).is_closed()
+        assembled = two_piece_complex(*pairings)
+        assert not assembled.is_closed()
+        with pytest.raises(ValueError, match="closed"):
+            assembled.is_connected()
 
     def test_pairing_refuses_other_flags(self):
         with pytest.raises(ValueError, match="flag"):
