@@ -29,6 +29,9 @@ from write_bench import ROOT, SIDES, git
 
 EXTRA = (
     "geom nesting --angle 37 --lenH 2.2 --lenV 3.1 --out out/nesting37",
+    # the `equal` and `crossing` nesting verdicts
+    "geom nesting --angle 0 --lenH 1 --lenV 1 --out out/nesting-equal",
+    "geom nesting --angle 90 --lenH 0.5 --lenV 0.5 --out out/nesting-crossing",
     'forms family --n 3 --field "Q(sqrt2)" --out out/forms-sqrt2',
     "count --m-max 8 --mode proper --out out/counts-proper",
     # the assembly checks with m past the checked range

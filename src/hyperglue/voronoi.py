@@ -840,54 +840,50 @@ class PoincareReport:
         return "\n".join(lines)
 
 
-def _facet_segment(cell: VoronoiCell, facet_index: int):
-    """Endpoints of a 2D facet in Klein coordinates (world chart).
+def _facet_ends(cell: VoronoiCell):
+    """Both ends of every facet of a plane cell, in world Klein coordinates.
 
-    Returns ((k_lo, finite_lo), (k_hi, finite_hi)): each endpoint is
-    either a genuine vertex (finite) or the exit point on the disk of
-    radius 0.999999.
+    Facet i lies on the line base_i + t * direction_i.  Each wall j with
+    |a_j . direction_i| > 1e-12 bounds t on one side; the wall that raises
+    a bound by more than 1e-12 over the exit from the disk of radius
+    0.999999 cuts the facet there.  An end is (k, j): the Klein point and
+    the cutting facet j, or None where the facet runs out to the disk or
+    is cut no more than 1e-7 inside it.  Ends come in the order lo, hi.
     """
+    if not cell.facets:
+        return []
     box = 0.999999
     form = cell.form
-    a_all, rhs_all = _klein_rows(
+    a, rhs = _klein_rows(
         form, [f.halfspace.inward_normal() for f in cell.facets], np.eye(form.dimension)
     )
-    a_i, rhs_i = a_all[facet_index], rhs_all[facet_index]
-    norm = np.linalg.norm(a_i)
-    base = a_i * rhs_i / (norm * norm)
-    direction = np.array([-a_i[1], a_i[0]]) / norm
-
-    # clip the line base + t*direction against the disk |k| <= box
-    aa = float(np.dot(direction, direction))
-    bb = 2.0 * float(np.dot(base, direction))
-    cc = float(np.dot(base, base)) - box * box
-    disc = bb * bb - 4 * aa * cc
-    if disc <= 0:
+    norm = np.linalg.norm(a, axis=1)
+    base = a * rhs[:, None] / (norm * norm)[:, None]
+    direction = np.stack([-a[:, 1], a[:, 0]], axis=1) / norm[:, None]
+    # base is the foot of the perpendicular from the origin, so the line
+    # leaves the disk at t = -+ half
+    half_sq = box * box - np.einsum("ij,ij->i", base, base)
+    if np.any(half_sq <= 0):
         raise ValueError("facet line misses the Klein disk")
-    t_lo = (-bb - math.sqrt(disc)) / (2 * aa)
-    t_hi = (-bb + math.sqrt(disc)) / (2 * aa)
-    lo_finite = hi_finite = False
-    for j, (a_j, rhs_j) in enumerate(zip(a_all, rhs_all)):
-        if j == facet_index:
-            continue
-        coeff = float(np.dot(a_j, direction))
-        off = float(np.dot(a_j, base)) - rhs_j
-        if abs(coeff) <= 1e-12:
-            continue
-        t_star = -off / coeff
-        if coeff > 0:
-            if t_star > t_lo + 1e-12:
-                t_lo, lo_finite = t_star, True
-        else:
-            if t_star < t_hi - 1e-12:
-                t_hi, hi_finite = t_star, True
-    if t_lo >= t_hi - 1e-12:
+    half = np.sqrt(half_sq)
+    cols = np.arange(len(cell.facets))
+    ends, reach = [], []
+    for d in (direction, -direction):  # the lo end, then the hi end
+        coeff = a @ d.T  # [j, i] = a_j . d_i
+        np.fill_diagonal(coeff, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lo = np.where(coeff > 1e-12, (rhs[:, None] - a @ base.T) / coeff, -np.inf)
+        cut = lo.argmax(axis=0)
+        t = lo[cut, cols]
+        cut = np.where(t > -half + 1e-12, cut, -1)
+        t = np.maximum(t, -half)
+        k = base + t[:, None] * d
+        finite = (cut >= 0) & (np.linalg.norm(k, axis=1) < box - 1e-7)
+        ends.append([(k[i], int(cut[i])) if finite[i] else None for i in cols])
+        reach.append(t)
+    if np.any(reach[0] + reach[1] >= -1e-12):
         raise ValueError("facet is empty")
-    k_lo = base + t_lo * direction
-    k_hi = base + t_hi * direction
-    lo_finite = lo_finite and np.linalg.norm(k_lo) < box - 1e-7
-    hi_finite = hi_finite and np.linalg.norm(k_hi) < box - 1e-7
-    return (k_lo, lo_finite), (k_hi, hi_finite)
+    return list(zip(*ends))
 
 
 def _klein_project(form: DiagonalForm, x: np.ndarray) -> np.ndarray:
@@ -898,12 +894,7 @@ def _klein_project(form: DiagonalForm, x: np.ndarray) -> np.ndarray:
 
 def _klein_lift(form: DiagonalForm, k: np.ndarray) -> np.ndarray:
     _, tinv = jn_chart(form)
-    s = 1.0 - float(np.dot(k, k))
-    if s <= 0:
-        y = np.concatenate(([1.0], k))  # ideal point: light-cone representative
-    else:
-        y = np.concatenate(([1.0], k)) / math.sqrt(s)
-    return tinv @ y
+    return tinv @ np.concatenate(([1.0], k)) / math.sqrt(1.0 - float(np.dot(k, k)))
 
 
 def _interior_angle(form, cell, i, j) -> float:
@@ -920,158 +911,116 @@ def check_poincare_2d(
     """Poincare-style verification for a plane domain given as paired cells.
 
     Checks: (i) every facet paired exactly once, (ii) each pairing
-    isometry carries its facet onto the partner facet, (iii) vertex
+    isometry carries its facet onto the partner facet, end to end, and
+    the source cell's center to beyond the partner facet, (iii) vertex
     cycles close up with angle sum 2 pi / m for integer m >= 1, within
     1e-6 relative in m, and (iv) no two bounding hyperplanes from distinct
     cells are nested; (iv) needs the two cells to share their center.
+
+    A facet end (cell, facet, 0 or 1) cut by facet j is a vertex; the
+    same vertex is the end of j cut by the facet, its twin.  Check (ii)
+    maps each pairing's ends onto its partner's once, and check (iii)
+    walks each vertex cycle through that end map: leave through the
+    cutting facet from the twin end, cross its pairing, and go on from
+    the end it arrives at.  A walk that cannot cross, arrives at an end
+    that is no vertex, or meets an end seen before other than its start
+    is a BAD cycle.
     """
+    if not cells:
+        raise ValueError("the Poincare check needs at least one cell")
     form = cells[0].form
     if form.dimension != 3:
         raise ValueError("the Poincare check runs in the hyperbolic plane")
 
     # (i) coverage
-    counts: dict[FacetRef, int] = {}
-    for ci, cell in enumerate(cells):
-        for fi in range(len(cell.facets)):
-            counts[(ci, fi)] = 0
-    pair_map: dict[FacetRef, tuple[FacetRef, np.ndarray]] = {}
+    counts: dict[FacetRef, int] = {
+        (ci, fi): 0 for ci, cell in enumerate(cells) for fi in range(len(cell.facets))
+    }
     errors: list[str] = []
     for p in pairings:
         for ref in (p.source, p.target):
-            if ref not in counts:
+            if ref in counts:
+                counts[ref] += 1
+            else:
                 errors.append(f"pairing references unknown facet {ref}")
-        if p.source in counts:
-            counts[p.source] += 1
-        if p.target in counts:
-            counts[p.target] += 1
-        inv = isometry_inverse(form, p.isometry)
-        pair_map[p.source] = (p.target, p.isometry)
-        pair_map[p.target] = (p.source, inv)
     unpaired = tuple(ref for ref, c in counts.items() if c != 1)
 
     # (ii) geometric pairing
-    segments = {}
-    for ci, cell in enumerate(cells):
-        for fi in range(len(cell.facets)):
-            segments[(ci, fi)] = _facet_segment(cell, fi)
+    ends = {
+        (ci, fi): pair
+        for ci, cell in enumerate(cells)
+        for fi, pair in enumerate(_facet_ends(cell))
+    }
+    end_map: dict[tuple[int, int, int], tuple[int, int, int]] = {}
     for p in pairings:
         if p.source not in counts or p.target not in counts:
             continue
+        name = f"pairing {p.source}->{p.target}"
         if not is_isometry(form, p.isometry, tol=1e-7):
-            errors.append(f"pairing {p.source}->{p.target}: matrix is not an isometry")
+            errors.append(f"{name}: matrix is not an isometry")
             continue
         src_cell = cells[p.source[0]]
-        dst_cell = cells[p.target[0]]
+        dst_hs = cells[p.target[0]].facets[p.target[1]].halfspace
         src_h = src_cell.facets[p.source[1]].halfspace.hyperplane
-        dst_h = dst_cell.facets[p.target[1]].halfspace.hyperplane
-        if not src_h.apply(p.isometry).same_as(dst_h, tol=1e-6):
-            errors.append(
-                f"pairing {p.source}->{p.target}: image hyperplane does not match"
-            )
+        if not src_h.apply(p.isometry).same_as(dst_hs.hyperplane, tol=1e-6):
+            errors.append(f"{name}: image hyperplane does not match")
             continue
-        (k_lo, lo_fin), (k_hi, hi_fin) = segments[p.source]
-        (m_lo, mlo_fin), (m_hi, mhi_fin) = segments[p.target]
-        mapped = []
-        for k, fin in ((k_lo, lo_fin), (k_hi, hi_fin)):
-            x = _klein_lift(form, k)
-            mapped.append((_klein_project(form, p.isometry @ x), fin))
-        want = [(m_lo, mlo_fin), (m_hi, mhi_fin)]
-        matched = (
-            np.allclose(mapped[0][0], want[0][0], atol=1e-6)
-            and np.allclose(mapped[1][0], want[1][0], atol=1e-6)
-            and mapped[0][1] == want[0][1]
-            and mapped[1][1] == want[1][1]
-        ) or (
-            np.allclose(mapped[0][0], want[1][0], atol=1e-6)
-            and np.allclose(mapped[1][0], want[0][0], atol=1e-6)
-            and mapped[0][1] == want[1][1]
-            and mapped[1][1] == want[0][1]
-        )
-        if not matched:
-            errors.append(
-                f"pairing {p.source}->{p.target}: facet endpoints do not map onto partner"
-            )
+        if dst_hs.contains(p.isometry @ src_cell.center):
+            errors.append(f"{name}: image of the cell does not lie across the partner facet")
+            continue
+        mapped = [
+            None if end is None else _klein_project(form, p.isometry @ _klein_lift(form, end[0]))
+            for end in ends[p.source]
+        ]
+        want = [None if end is None else end[0] for end in ends[p.target]]
+        for order in ((0, 1), (1, 0)):
+            if all(
+                (m is None) == (want[o] is None)
+                and (m is None or np.allclose(m, want[o], atol=1e-6))
+                for m, o in zip(mapped, order)
+            ):
+                break
+        else:
+            errors.append(f"{name}: facet endpoints do not map onto partner")
+            continue
+        for e, o in enumerate(order):
+            end_map[(*p.source, e)] = (*p.target, o)
+            end_map[(*p.target, o)] = (*p.source, e)
 
     # (iii) vertex cycles
-    vertices: dict[int, list[tuple[np.ndarray, int, int]]] = {}
-    for ci, cell in enumerate(cells):
-        coords: list[np.ndarray] = []
-        incident: list[list[int]] = []
-        for fi in range(len(cell.facets)):
-            (k_lo, lo_fin), (k_hi, hi_fin) = segments[(ci, fi)]
-            for k, fin in ((k_lo, lo_fin), (k_hi, hi_fin)):
-                if not fin:
-                    continue
-                slot = next(
-                    (
-                        s
-                        for s, kk in enumerate(coords)
-                        if np.linalg.norm(kk - k) <= 1e-6
-                    ),
-                    None,
-                )
-                if slot is None:
-                    coords.append(k)
-                    incident.append([fi])
-                elif fi not in incident[slot]:
-                    incident[slot].append(fi)
-        vertices[ci] = [
-            (coords[s], inc[0], inc[1])
-            for s, inc in enumerate(incident)
-            if len(inc) == 2
-        ]
-
-    def find_vertex(ci: int, k: np.ndarray) -> int | None:
-        for s, (kk, _, _) in enumerate(vertices[ci]):
-            if np.linalg.norm(kk - k) <= 1e-6:
-                return s
-        return None
-
+    twin = {
+        (ci, fi, e): (ci, end[1], e2)
+        for (ci, fi), pair in ends.items()
+        for e, end in enumerate(pair)
+        if end is not None
+        for e2, back in enumerate(ends[(ci, end[1])])
+        if back is not None and back[1] == fi
+    }
     cycles: list[VertexCycle] = []
-    visited: set[tuple[int, int]] = set()
-    cycle_ok = True
-    for ci in range(len(cells)):
-        for vi in range(len(vertices[ci])):
-            if (ci, vi) in visited:
-                continue
-            k0, fa0, fb0 = vertices[ci][vi]
-            angle = 0.0
-            state = (ci, vi, fb0)
-            start = state
-            steps = 0
-            broken = False
-            while True:
-                c_now, v_now, f_exit = state
-                visited.add((c_now, v_now))
-                k_now, fa, fb = vertices[c_now][v_now]
-                angle += _interior_angle(form, cells[c_now], fa, fb)
-                if (c_now, f_exit) not in pair_map:
-                    broken = True
-                    break
-                (c_next, f_in), g = pair_map[(c_now, f_exit)]
-                k_next = _klein_project(form, g @ _klein_lift(form, k_now))
-                v_next = find_vertex(c_next, k_next)
-                if v_next is None:
-                    broken = True
-                    break
-                _, fa2, fb2 = vertices[c_next][v_next]
-                if f_in not in (fa2, fb2):
-                    broken = True
-                    break
-                f_out = fb2 if fa2 == f_in else fa2
-                state = (c_next, v_next, f_out)
-                steps += 1
-                if state == start or steps > 1000:
-                    break
-            if broken or steps > 1000:
-                cycles.append(VertexCycle((ci, k0), angle, None, False))
-                cycle_ok = False
-                continue
-            m_hat = 2.0 * math.pi / angle if angle > 0 else math.inf
-            m = round(m_hat)
-            ok = m >= 1 and abs(m_hat - m) <= 1e-6 * max(1.0, m_hat)
-            cycles.append(VertexCycle((ci, k0), angle, m if ok else None, ok))
-            cycle_ok = cycle_ok and ok
+    covered: set[tuple[int, int, int]] = set()  # vertex ends of earlier walks
+    for start in twin:
+        if start in covered:
+            continue
+        angle, state, path = 0.0, start, []
+        # each step enters a vertex end not met before, so no walk outlasts them
+        for _ in range(len(twin)):
+            path.append(state)
+            out = twin[state]
+            angle += _interior_angle(form, cells[state[0]], state[1], out[1])
+            state = end_map.get(out)
+            if state not in twin or state in path or state in covered:
+                break
+        covered.update(path)
+        covered.update(twin[s] for s in path)
+        ci, fi, e = start
+        k0 = ends[(ci, fi)][e][0]
+        if state != start:
+            cycles.append(VertexCycle((ci, k0), angle, None, False))
+            continue
+        m_hat = 2.0 * math.pi / angle if angle > 0 else math.inf
+        m = round(m_hat)
+        ok = m >= 1 and abs(m_hat - m) <= 1e-6 * max(1.0, m_hat)
+        cycles.append(VertexCycle((ci, k0), angle, m if ok else None, ok))
 
     # (iv) nesting across distinct cells
     nested: list[tuple[FacetRef, FacetRef]] = []
@@ -1090,7 +1039,7 @@ def check_poincare_2d(
                     nested.append(((ci, fi), (cj, fj)))
 
     passed = (
-        not unpaired and not errors and cycle_ok and not nested
+        not unpaired and not errors and all(c.ok for c in cycles) and not nested
     )
     return PoincareReport(
         passed=passed,

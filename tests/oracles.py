@@ -11,6 +11,7 @@ from hyperglue.glueing import CountRow, enumerate_base_graphs, proper_labelings
 from hyperglue.hyperboloid import (
     HalfSpace,
     basepoint,
+    bilinear,
     bisector,
     float_coefficients,
     isometry_inverse,
@@ -249,6 +250,43 @@ def word_separations(group: GroupData, surfaces, cutoff: int) -> dict[int, float
         others = [v for j, vs in lifts.items() if j != i for v in vs]
         pairings = [abs(float(np.dot(c * a, b))) for a in own for b in others]
         out[i] = math.acosh(max(1.0, min(pairings))) if pairings else math.inf
+    return out
+
+
+def plane_cell_vertices(cell: VoronoiCell) -> list[tuple[np.ndarray, int, int, float]]:
+    """Finite vertices of a plane cell, by brute force over facet pairs.
+
+    For facets i < j the point w = (n_i x n_j) / c is b_f-orthogonal to
+    both inward normals.  It is kept when it is time-like and, taken on
+    the center's sheet, inside every other halfspace; a vertex at Klein
+    radius >= 0.999999 - 1e-7 counts as ideal and is left out, as the
+    Poincare check does.  Each vertex (w, i, j, angle) carries its
+    interior angle acos(-b(u_i, u_j)).
+    """
+    form = cell.form
+    c = float_coefficients(form)
+    t, _ = jn_chart(form)
+    normals = [f.halfspace.inward_normal() for f in cell.facets]
+    out = []
+    for i in range(len(normals)):
+        for j in range(i + 1, len(normals)):
+            w = np.cross(normals[i], normals[j]) / c
+            if not bilinear(form, w, w) < 0:
+                continue
+            w = w / math.sqrt(-bilinear(form, w, w))
+            if bilinear(form, w, cell.center) > 0:
+                w = -w
+            if any(
+                cell.facets[k].halfspace.margin(w) < -1e-9 * np.abs(w).max()
+                for k in range(len(normals))
+                if k not in (i, j)
+            ):
+                continue
+            y = t @ w
+            if np.linalg.norm(y[1:] / y[0]) >= 0.999999 - 1e-7:
+                continue
+            cos = -bilinear(form, normals[i], normals[j])
+            out.append((w, i, j, math.acos(max(-1.0, min(1.0, cos)))))
     return out
 
 

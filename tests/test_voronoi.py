@@ -14,6 +14,7 @@ from hyperglue.hyperboloid import (
     float_coefficients,
     hyperplane_distance,
     isometry_inverse,
+    reflection,
     rotation_in_plane,
     translation_along,
 )
@@ -633,6 +634,46 @@ def two_cell_domain(angle_deg, len_h, len_v):
     return [cell_h, cell_v], pairings
 
 
+# side length of the square cell whose corner angles add up to pi
+SQUARE_ORBIFOLD = 2.0 * math.asinh(2.0 ** -0.25)
+
+
+def square_domain(length, pair_t2=True):
+    """Square cell of translations t1, t2 along e1, e2; (1,) -> (0,) by t1, (3,) -> (2,) by t2."""
+    t1 = translation_along(J2, X0, E1, length)
+    t2 = translation_along(J2, X0, E2, length)
+    cell = dirichlet_cell(X0, build_orbit([X0], GroupData(J2, [t1, t2]), 1), prune_radius=3.0)
+    words = {f.source_word: i for i, f in enumerate(cell.facets)}
+    pairings = [FacetPairing((0, words[(1,)]), (0, words[(0,)]), t1)]
+    if pair_t2:
+        pairings.append(FacetPairing((0, words[(3,)]), (0, words[(2,)]), t2))
+    return cell, pairings
+
+
+def seeded_translation_domain(seed):
+    """One or two translations at the basepoint, cutoff 1-3, prune radius 3 or 5;
+    generator g pairs facet (2g+1,) with facet (2g,)."""
+    rng = np.random.default_rng(seed)
+    gens = [
+        translation_along(
+            J2,
+            X0,
+            rotation_in_plane(J2, 1, 2, rng.uniform(0.0, 2.0 * math.pi)) @ E1,
+            rng.uniform(0.4, 4.0),
+        )
+        for _ in range(rng.integers(1, 3))
+    ]
+    orbit = build_orbit([X0], GroupData(J2, gens), int(rng.integers(1, 4)))
+    cell = dirichlet_cell(X0, orbit, prune_radius=float(rng.choice([3.0, 5.0])))
+    words = {f.source_word: i for i, f in enumerate(cell.facets)}
+    pairings = [
+        FacetPairing((0, words[(2 * g + 1,)]), (0, words[(2 * g,)]), t)
+        for g, t in enumerate(gens)
+        if (2 * g + 1,) in words and (2 * g,) in words
+    ]
+    return cell, pairings
+
+
 class TestPoincare:
     def test_strip_passes(self):
         cell, pairings = strip_domain()
@@ -688,6 +729,80 @@ class TestPoincare:
         assert any(c.order == 2 for c in report.cycles)
         total = sum(c.angle_sum for c in report.cycles)
         assert abs(total - math.pi) <= 1e-6
+
+    def test_reflection_is_not_a_side_pairing(self):
+        # the mirror x1 = 0 maps facet (1,) onto facet (0,) end to end, but
+        # leaves the cell on the inner side of (0,)
+        cell, pairings = strip_domain(2.0)
+        p = pairings[0]
+        report = check_poincare_2d([cell], [FacetPairing(p.source, p.target, reflection(J2, E1))])
+        assert not report.passed
+        assert report.pairing_errors == (
+            f"pairing {p.source}->{p.target}: image of the cell does not lie across "
+            "the partner facet",
+        )
+
+    def test_no_cells_refused(self):
+        with pytest.raises(ValueError):
+            check_poincare_2d([], [])
+        lone = dirichlet_cell(X0, build_orbit([X0], GroupData(J2, []), 1))
+        assert not lone.facets
+        assert check_poincare_2d([lone], []).passed
+
+    def test_unpaired_square_sides_give_bad_cycles(self):
+        cell, pairings = square_domain(SQUARE_ORBIFOLD, pair_t2=False)
+        report = check_poincare_2d([cell], pairings)
+        assert not report.passed
+        assert report.unpaired == ((0, 2), (0, 3))
+        assert len(report.cycles) == 4
+        for cyc in report.cycles:
+            assert abs(cyc.angle_sum - math.pi / 4) <= 1e-9
+            assert cyc.order is None and not cyc.ok
+
+    @pytest.mark.parametrize("length", [1.0, 1.5])
+    def test_square_angle_sum_not_2pi_over_m_is_bad(self, length):
+        cell, pairings = square_domain(length)
+        report = check_poincare_2d([cell], pairings)
+        assert not report.passed
+        assert not report.unpaired and not report.pairing_errors
+        (cyc,) = report.cycles
+        corner = math.acos(math.sinh(length / 2.0) ** 2)
+        assert abs(cyc.angle_sum - 4.0 * corner) <= 1e-9
+        assert cyc.order is None and not cyc.ok
+        assert report.summary().endswith("BAD")
+
+    def test_walk_ends_at_a_revisited_vertex(self):
+        # (1,) -> (2,) by a quarter turn then t2 is a side pairing too; as the
+        # later pairing it takes over the ends of (1,), so the end map is no
+        # longer one to one and the first walk runs into a loop without its start
+        cell, pairings = square_domain(SQUARE_ORBIFOLD)
+        quarter = rotation_in_plane(J2, 1, 2, math.pi / 2.0)
+        pairings.append(
+            FacetPairing(pairings[0].source, pairings[1].target, pairings[1].isometry @ quarter)
+        )
+        report = check_poincare_2d([cell], pairings)
+        assert not report.pairing_errors
+        assert [c.ok for c in report.cycles] == [False, False]
+        assert abs(sum(c.angle_sum for c in report.cycles) - math.pi) <= 1e-9
+
+    def test_cycle_angles_add_up_to_vertex_oracle(self):
+        domains = [square_domain(SQUARE_ORBIFOLD)]
+        domains += [seeded_translation_domain(seed) for seed in range(40)]
+        compared = 0
+        for cell, pairings in domains:
+            try:
+                report = check_poincare_2d([cell], pairings)
+            except ValueError as exc:
+                # dirichlet_cell prunes in the Klein box, whose corners lie
+                # outside the disk, so it can keep a bisector that meets the
+                # cell only there; the check refuses that cell
+                assert str(exc) == "facet is empty"
+                continue
+            vertices = oracles.plane_cell_vertices(cell)
+            total = sum(c.angle_sum for c in report.cycles)
+            assert abs(total - sum(v[3] for v in vertices)) <= 1e-9, report.summary()
+            compared += bool(vertices)
+        assert compared >= 15
 
 
 class TestSceneSerialization:
