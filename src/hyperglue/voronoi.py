@@ -843,12 +843,10 @@ class PoincareReport:
 def _facet_ends(cell: VoronoiCell):
     """Both ends of every facet of a plane cell, in world Klein coordinates.
 
-    Facet i lies on the line base_i + t * direction_i.  Each wall j with
-    |a_j . direction_i| > 1e-12 bounds t on one side; the wall that raises
-    a bound by more than 1e-12 over the exit from the disk of radius
-    0.999999 cuts the facet there.  An end is (k, j): the Klein point and
-    the cutting facet j, or None where the facet runs out to the disk or
-    is cut no more than 1e-7 inside it.  Ends come in the order lo, hi.
+    Each end is (k, j): the Klein point and the facet j whose wall cuts
+    the facet there, with j = None where the facet runs out to the disk
+    of radius 0.999999 (k is then the exit point) or is cut no more than
+    1e-7 inside it.  Ends come in the order lo, hi along the facet line.
     """
     if not cell.facets:
         return []
@@ -866,24 +864,27 @@ def _facet_ends(cell: VoronoiCell):
     if np.any(half_sq <= 0):
         raise ValueError("facet line misses the Klein disk")
     half = np.sqrt(half_sq)
-    cols = np.arange(len(cell.facets))
-    ends, reach = [], []
-    for d in (direction, -direction):  # the lo end, then the hi end
-        coeff = a @ d.T  # [j, i] = a_j . d_i
-        np.fill_diagonal(coeff, 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lo = np.where(coeff > 1e-12, (rhs[:, None] - a @ base.T) / coeff, -np.inf)
-        cut = lo.argmax(axis=0)
-        t = lo[cut, cols]
-        cut = np.where(t > -half + 1e-12, cut, -1)
-        t = np.maximum(t, -half)
-        k = base + t[:, None] * d
-        finite = (cut >= 0) & (np.linalg.norm(k, axis=1) < box - 1e-7)
-        ends.append([(k[i], int(cut[i])) if finite[i] else None for i in cols])
-        reach.append(t)
-    if np.any(reach[0] + reach[1] >= -1e-12):
-        raise ValueError("facet is empty")
-    return list(zip(*ends))
+    out = []
+    for i in range(len(cell.facets)):
+        t_lo, t_hi, j_lo, j_hi = -half[i], half[i], None, None
+        for j, (a_j, rhs_j) in enumerate(zip(a, rhs)):
+            coeff = float(np.dot(a_j, direction[i]))
+            if j == i or abs(coeff) <= 1e-12:
+                continue
+            t_star = (rhs_j - float(np.dot(a_j, base[i]))) / coeff
+            if coeff > 0:
+                if t_star > t_lo + 1e-12:
+                    t_lo, j_lo = t_star, j
+            elif t_star < t_hi - 1e-12:
+                t_hi, j_hi = t_star, j
+        if t_lo >= t_hi - 1e-12:
+            raise ValueError("facet is empty")
+        ends = []
+        for t, j in ((t_lo, j_lo), (t_hi, j_hi)):
+            k = base[i] + t * direction[i]
+            ends.append((k, j if np.linalg.norm(k) < box - 1e-7 else None))
+        out.append(tuple(ends))
+    return out
 
 
 def _klein_project(form: DiagonalForm, x: np.ndarray) -> np.ndarray:
@@ -968,16 +969,13 @@ def check_poincare_2d(
         if dst_hs.contains(p.isometry @ src_cell.center):
             errors.append(f"{name}: image of the cell does not lie across the partner facet")
             continue
-        mapped = [
-            None if end is None else _klein_project(form, p.isometry @ _klein_lift(form, end[0]))
-            for end in ends[p.source]
-        ]
-        want = [None if end is None else end[0] for end in ends[p.target]]
+        have, want = ends[p.source], ends[p.target]
+        mapped = [_klein_project(form, p.isometry @ _klein_lift(form, k)) for k, _ in have]
         for order in ((0, 1), (1, 0)):
             if all(
-                (m is None) == (want[o] is None)
-                and (m is None or np.allclose(m, want[o], atol=1e-6))
-                for m, o in zip(mapped, order)
+                (have[e][1] is None) == (want[o][1] is None)
+                and np.allclose(mapped[e], want[o][0], atol=1e-6)
+                for e, o in enumerate(order)
             ):
                 break
         else:
@@ -989,12 +987,12 @@ def check_poincare_2d(
 
     # (iii) vertex cycles
     twin = {
-        (ci, fi, e): (ci, end[1], e2)
+        (ci, fi, e): (ci, j, e2)
         for (ci, fi), pair in ends.items()
-        for e, end in enumerate(pair)
-        if end is not None
-        for e2, back in enumerate(ends[(ci, end[1])])
-        if back is not None and back[1] == fi
+        for e, (_, j) in enumerate(pair)
+        if j is not None
+        for e2, (_, back) in enumerate(ends[(ci, j)])
+        if back == fi
     }
     cycles: list[VertexCycle] = []
     covered: set[tuple[int, int, int]] = set()  # vertex ends of earlier walks

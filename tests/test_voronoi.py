@@ -742,6 +742,25 @@ class TestPoincare:
             "the partner facet",
         )
 
+    def test_ideal_end_must_map_onto_partner_ideal_end(self):
+        # t2 runs along the line through e2 at distance 1 that is parallel to
+        # e1, so its bisectors cut the t1 facets at their upper ends only;
+        # rho, the mirror through the vertex of (0,) perpendicular to it,
+        # keeps that vertex and both sides of (0,) but swaps its two rays
+        t1 = translation_along(J2, X0, E1, 1.0)
+        t2 = translation_along(J2, translation_along(J2, X0, E2, 1.0) @ X0, E1, 2.0)
+        cell = dirichlet_cell(X0, build_orbit([X0], GroupData(J2, [t1, t2]), 1), prune_radius=3.0)
+        words = {f.source_word: i for i, f in enumerate(cell.facets)}
+        source, target = (0, words[(1,)]), (0, words[(0,)])
+        (vertex,) = [w for w, i, j, _ in oracles.plane_cell_vertices(cell) if target[1] in (i, j)]
+        normal = cell.facets[target[1]].halfspace.inward_normal()
+        rho = reflection(J2, np.cross(vertex, normal) / float_coefficients(J2))
+        assert not check_poincare_2d([cell], [FacetPairing(source, target, t1)]).pairing_errors
+        report = check_poincare_2d([cell], [FacetPairing(source, target, rho @ t1)])
+        assert report.pairing_errors == (
+            f"pairing {source}->{target}: facet endpoints do not map onto partner",
+        )
+
     def test_no_cells_refused(self):
         with pytest.raises(ValueError):
             check_poincare_2d([], [])
