@@ -4,7 +4,10 @@ Two scalar regimes, matching how the objects are used:
 
 * exact: vectors/matrices with QuadFieldElement entries, for everything
   that is k-rational (reflections, orthogonality of k-hyperplanes,
-  isometry verification).  These computations never round.
+  isometry verification).  These computations never round.  Reflections,
+  products and isometry checks run on integer matrices over one common
+  denominator (`numfield.int_matrix`): one gcd per result entry, and none
+  in `is_isometry`, which cross-multiplies instead.
 * floating: numpy binary64 with tolerance EPS = 1e-9 for the metric side
   (distances, bisectors, ball-model output, nesting of halfspaces).
 
@@ -17,10 +20,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
-from .numfield import Embedding, QuadFieldElement
+from .numfield import Embedding, QuadFieldElement, canonical, int_matrix
 from .qforms import DiagonalForm
 
 EPS = 1e-9
@@ -82,46 +86,74 @@ def exact_identity(form: DiagonalForm) -> list[list[QuadFieldElement]]:
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def exact_mat_mul(a, b):
-    n = len(a)
-    zero = a[0][0] - a[0][0]
-    out = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            aik = a[i][k]
-            if not aik:
-                continue
-            for j in range(n):
-                out[i][j] = out[i][j] + aik * b[k][j]
-    return out
-
-
-def exact_mat_vec(a, v):
-    n = len(a)
-    zero = v[0] - v[0]
-    return tuple(
-        sum((a[i][j] * v[j] for j in range(n)), zero) for i in range(n)
+def _entrywise(ap, aq, bp, bq) -> tuple[list[int], list[int]]:
+    """The (p, q) parts of a_k * b_k for vectors a = ap + aq sqrt2 and b = bp + bq sqrt2."""
+    return (
+        [x * y + 2 * s * t for x, s, y, t in zip(ap, aq, bp, bq)],
+        [x * t + s * y for x, s, y, t in zip(ap, aq, bp, bq)],
     )
+
+
+def _times_columns(yp, yq) -> tuple[list[int], list[int]]:
+    """Rows that take x = xp + xq to the (p, q) parts of x * y by two dot products.
+
+    (xp + xq sqrt2)(yp + yq sqrt2) = (xp yp + 2 xq yq) + (xp yq + xq yp) sqrt2.
+    """
+    return [*yp, *(2 * y for y in yq)], [*yq, *yp]
+
+
+def exact_mat_mul(a, b):
+    """The exact product a @ b: one integer product, one gcd per entry."""
+    if any(len(row) != len(b) for row in a) or any(len(row) != len(b[0]) for row in b):
+        raise ValueError("matrix shapes do not match")
+    ap, aq, ad, field = int_matrix(a)
+    bp, bq, bd, _ = int_matrix(b, field)
+    d = ad * bd
+    cols = [_times_columns(yp, yq) for yp, yq in zip(zip(*bp), zip(*bq))]
+    return [
+        [canonical(sum(map(mul, x, tp)), sum(map(mul, x, tq)), d, field) for tp, tq in cols]
+        for x in map(list.__add__, ap, aq)
+    ]
 
 
 def reflection(form: DiagonalForm, v):
     """Matrix of r_v(w) = w - 2 b(w,v)/f(v) * v; exact for exact v.
 
-    Requires f(v) > 0 at the identity embedding (space-like mirror).
+    Requires f(v) > 0 at the identity embedding (space-like mirror).  The
+    exact matrix does not change when v is scaled, so with u = d*v and
+    C = fd*c integral (d and fd the common denominators), entry (i, j) is
+    delta_ij - 2 u_i C_j u_j conj(N)/nn for N = sum_k C_k u_k^2 and the
+    integer nn = N conj(N).
     """
     if _is_exact_vector(v):
-        fv = quadratic(form, v)
-        if fv.sign_at(Embedding.IDENTITY) <= 0:
-            raise ValueError("reflection mirror must be space-like")
         n = form.dimension
-        mat = exact_identity(form)
-        two_over_fv = 2 / fv
-        cv = [c * x for c, x in zip(form.coefficients, v)]
-        for i in range(n):
-            scale = two_over_fv * v[i]
-            for j in range(n):
-                mat[i][j] = mat[i][j] - scale * cv[j]
-        return mat
+        if len(v) != n:
+            raise ValueError("vector dimension does not match form")
+        (up,), (uq,), _, field = int_matrix([v], form.field)
+        (cp,), (cq,), _, _ = int_matrix([form.coefficients])
+        wp, wq = _entrywise(cp, cq, up, uq)
+        np_ = sum(map(mul, wp, up)) + 2 * sum(map(mul, wq, uq))
+        nq = sum(map(mul, wp, uq)) + sum(map(mul, wq, up))
+        if canonical(np_, nq, 1, field).sign_at(Embedding.IDENTITY) <= 0:
+            raise ValueError("reflection mirror must be space-like")
+        nn = np_ * np_ - 2 * nq * nq
+        s = 2 if nn > 0 else -2
+        nn = abs(nn)
+        # t_j = 2 sign(nn) C_j u_j conj(N), so that entry (i, j) is delta_ij - u_i t_j / |nn|
+        tp = [s * (x * np_ - 2 * y * nq) for x, y in zip(wp, wq)]
+        tq = [s * (y * np_ - x * nq) for x, y in zip(wp, wq)]
+        return [
+            [
+                canonical(
+                    (nn if i == j else 0) - x * tp[j] - 2 * y * tq[j],
+                    -x * tq[j] - y * tp[j],
+                    nn,
+                    field,
+                )
+                for j in range(n)
+            ]
+            for i, (x, y) in enumerate(zip(up, uq))
+        ]
     vf = as_float_vector(form, v)
     fv = float(np.dot(vf * float_coefficients(form), vf))
     if fv <= 0:
@@ -133,15 +165,25 @@ def reflection(form: DiagonalForm, v):
 def is_isometry(form: DiagonalForm, mat, tol: float = EPS) -> bool:
     """Check A^t F A = F; exact equality for exact matrices, sup-norm <= tol otherwise."""
     if isinstance(mat, (list, tuple)) and _is_exact_vector(mat[0]):
+        # with A = (P + Q sqrt2)/D and c = C/fd: sum_k A_ki C_k A_kj == C_i delta_ij D^2,
+        # for j >= i only since A^t F A is symmetric
         n = form.dimension
-        zero = QuadFieldElement.zero(form.field)
-        fa = [[c * x for x in row] for c, row in zip(form.coefficients, mat)]
-        for i in range(n):
-            for j in range(n):
-                acc = zero
-                for k in range(n):
-                    acc = acc + mat[k][i] * fa[k][j]
-                if acc != (form.coefficients[i] if i == j else zero):
+        if len(mat) != n or any(len(row) != n for row in mat):
+            raise ValueError("matrix dimension does not match form")
+        ap, aq, d, _ = int_matrix(mat, form.field)
+        (cp,), (cq,), _, _ = int_matrix([form.coefficients])
+        cols = list(zip(zip(*ap), zip(*aq)))
+        fcols = [_times_columns(*_entrywise(cp, cq, xp, xq)) for xp, xq in cols]
+        dd = d * d
+        for i, (xp, xq) in enumerate(cols):
+            x = xp + xq
+            for j in range(i, n):
+                tp, tq = fcols[j]
+                p = sum(map(mul, x, tp))
+                q = sum(map(mul, x, tq))
+                if i == j:
+                    p, q = p - cp[i] * dd, q - cq[i] * dd
+                if p or q:
                     return False
         return True
     a = np.asarray(mat, dtype=float)

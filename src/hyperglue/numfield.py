@@ -5,8 +5,12 @@ reflection identities, square classes) is discrete, so all predicates are
 decided algebraically.  An element is held as Python ints (p, q, d) meaning
 (p + q*sqrt2)/d, with d > 0 and gcd(p, q, d) = 1: one integer vector over a
 common denominator (Cohen, A Course in Computational Algebraic Number
-Theory, ch. 4), normalised by one gcd per operation.  No floating point
-enters this module except through the explicit `embed()` accessor.
+Theory, ch. 4), normalised by one gcd per operation.  Exact matrices take
+the same layout: integer matrices (P, Q) over one common denominator D
+(`int_matrix`), on which `hyperboloid` computes reflections and products
+with one gcd per result entry (`canonical`) and checks isometries with
+none.  No floating point enters this module except through the explicit
+`embed()` accessor.
 """
 
 from __future__ import annotations
@@ -281,10 +285,6 @@ class QuadFieldElement:
         s = math.isqrt(n)
         return any(t != 0 and _is_square_int(2 * d * t) for t in (p + s, p - s))
 
-    def is_integral(self) -> bool:
-        """Membership in the ring of integers (Z, or Z[sqrt2])."""
-        return self._d == 1
-
     def embed(self, embedding: Embedding = Embedding.IDENTITY) -> float:
         """Floating image under the chosen real embedding.
 
@@ -318,6 +318,33 @@ def _norm(p: int, q: int, d: int, field: FieldTag) -> QuadFieldElement:
     if g != 1:
         p, q, d = p // g, q // g, d // g
     return _make(p, q, d, field)
+
+
+def canonical(p: int, q: int, d: int, field: FieldTag) -> QuadFieldElement:
+    """The element (p + q*sqrt2)/d of `field` for ints p, q and d > 0.
+
+    The public face of `_norm`; the arithmetic calls `_norm` itself so that
+    a tracer wrapping public names does not wrap every element operation.
+    """
+    return _norm(p, q, d, field)
+
+
+def int_matrix(rows, field: FieldTag | None = None):
+    """(P, Q, D, field) with rows[i][j] = (P[i][j] + Q[i][j]*sqrt2)/D.
+
+    D > 0 is the lcm of the entries' denominators.  All entries must lie in
+    one field, `field` when given; otherwise ValueError("mixed fields ...").
+    """
+    if field is None:
+        field = rows[0][0].field
+    for row in rows:
+        for x in row:
+            if x.field is not field:
+                raise ValueError(f"mixed fields: {field.value} vs {x.field.value}")
+    d = math.lcm(*[x._d for row in rows for x in row])
+    p = [[x._p * (d // x._d) for x in row] for row in rows]
+    q = [[x._q * (d // x._d) for x in row] for row in rows]
+    return p, q, d, field
 
 
 def sqrt2() -> QuadFieldElement:

@@ -31,7 +31,6 @@ from hyperglue.voronoi import (
     OrbitSet,
     VoronoiCell,
     _centering_isometry,
-    _klein_lift,
     _klein_rows,
     build_orbit,
     dirichlet_cell,
@@ -80,8 +79,11 @@ def sample_in_cert_ball(cell: VoronoiCell, n: int, rng) -> np.ndarray:
     directions /= np.linalg.norm(directions, axis=1)[:, None]
     radii = r_klein * rng.random(n) ** (1.0 / dim)
     ks = directions * radii[:, None]
+    # the Klein lift x = T^-1 (1, k) / sqrt(1 - |k|^2) of every sample at once
+    _, tinv = jn_chart(form)
+    homogeneous = np.hstack([np.ones((n, 1)), ks]) / np.sqrt(1.0 - (ks * ks).sum(axis=1))[:, None]
     move = _centering_isometry(form, cell.center)
-    return np.array([move @ _klein_lift(form, k) for k in ks])
+    return homogeneous @ (move @ tinv).T
 
 
 def nearest_center_agreement(
@@ -288,6 +290,13 @@ def plane_cell_vertices(cell: VoronoiCell) -> list[tuple[np.ndarray, int, int, f
             cos = -bilinear(form, normals[i], normals[j])
             out.append((w, i, j, math.acos(max(-1.0, min(1.0, cos)))))
     return out
+
+
+def exact_mat_vec(a, v):
+    """The exact product a @ v, one element operation at a time."""
+    n = len(a)
+    zero = v[0] - v[0]
+    return tuple(sum((a[i][j] * v[j] for j in range(n)), zero) for i in range(n))
 
 
 def _fraction_sqrt(q: Fraction) -> Fraction | None:

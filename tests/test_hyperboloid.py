@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from hyperglue.numfield import Embedding, FieldTag, QuadFieldElement, sqrt2
-from hyperglue.qforms import counting_base_form, direct_sum, form_from_rationals, jn_form
+from hyperglue.qforms import (
+    DiagonalForm,
+    counting_base_form,
+    direct_sum,
+    form_from_rationals,
+    jn_form,
+)
 from hyperglue.hyperboloid import (
     HalfSpace,
     Hyperplane,
@@ -23,7 +29,6 @@ from hyperglue.hyperboloid import (
     distance,
     exact_identity,
     exact_mat_mul,
-    exact_mat_vec,
     is_isometry,
     isometry_inverse,
     normalize_point,
@@ -34,6 +39,8 @@ from hyperglue.hyperboloid import (
     translation_along,
     translation_length,
 )
+
+from oracles import FractionPair, exact_mat_vec
 
 J2 = jn_form(2)
 J3 = jn_form(3)
@@ -177,6 +184,160 @@ class TestIsometry:
     def test_inverse_helper(self):
         t = translation_along(J2, basepoint(J2), E1, 0.7)
         assert np.allclose(isometry_inverse(J2, t) @ t, np.eye(3), atol=1e-12)
+
+
+QS2 = FieldTag.Q_SQRT2
+# jn_form(2..4), counting_base_form(2..5) over both fields, and two forms whose
+# coefficients are not integral, so that both common denominators exceed 1
+ORACLE_FORMS = (
+    [jn_form(n) for n in (2, 3, 4)]
+    + [counting_base_form(n, field) for n in (2, 3, 4, 5) for field in (FieldTag.Q, QS2)]
+    + [
+        form_from_rationals([Fraction(-1, 2), 3, Fraction(5, 4)]),
+        DiagonalForm(
+            (
+                QuadFieldElement(-1, 0, QS2),
+                QuadFieldElement(2, 1, QS2),
+                QuadFieldElement(Fraction(3, 2), Fraction(-1, 3), QS2),
+            ),
+            QS2,
+        ),
+    ]
+)
+
+
+def random_vector(rng, form, bound=4):
+    """Seeded entries with denominators up to 3 in both parts, f(v) of either sign."""
+    return tuple(
+        QuadFieldElement(
+            Fraction(rng.randint(-bound, bound), rng.randint(1, 3)),
+            Fraction(rng.randint(-bound, bound), rng.randint(1, 3)) if form.field is QS2 else 0,
+            form.field,
+        )
+        for _ in range(form.dimension)
+    )
+
+
+def pairs(mat):
+    return [[FractionPair(x.a, x.b, x.field) for x in row] for row in mat]
+
+
+def pair_quadratic(form, v):
+    acc = FractionPair(0, 0, form.field)
+    for c, x in zip(form.coefficients, v):
+        acc = acc + FractionPair(c.a, c.b, form.field) * FractionPair(x.a, x.b, form.field) ** 2
+    return acc
+
+
+def pair_reflection(form, v):
+    """delta_ij - 2 v_i c_j v_j / f(v), on FractionPairs."""
+    c = [FractionPair(x.a, x.b, form.field) for x in form.coefficients]
+    u = [FractionPair(x.a, x.b, form.field) for x in v]
+    two_over_fv = FractionPair(2, 0, form.field) / pair_quadratic(form, v)
+    n = form.dimension
+    return [
+        [FractionPair(int(i == j), 0, form.field) - two_over_fv * u[i] * c[j] * u[j] for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def pair_product(a, b):
+    zero = a[0][0] - a[0][0]
+    out = []
+    for row in a:
+        out.append([])
+        for j in range(len(b[0])):
+            acc = zero
+            for x, brow in zip(row, b):
+                acc = acc + x * brow[j]
+            out[-1].append(acc)
+    return out
+
+
+def pair_is_isometry(form, a):
+    """sum_k a_ki c_k a_kj == c_i delta_ij for all i, j, on FractionPairs."""
+    c = [FractionPair(x.a, x.b, form.field) for x in form.coefficients]
+    n = form.dimension
+    zero = FractionPair(0, 0, form.field)
+    for i in range(n):
+        for j in range(n):
+            acc = zero
+            for k in range(n):
+                acc = acc + a[k][i] * c[k] * a[k][j]
+            if not acc == (c[i] if i == j else zero):
+                return False
+    return True
+
+
+class TestExactKernelsAgainstFractionPairs:
+    @pytest.mark.parametrize("form", ORACLE_FORMS, ids=str)
+    def test_reflection_product_and_isometry(self, form):
+        rng = random.Random(str(form))
+        mirrors, refused = [], 0
+        while len(mirrors) < 8 or not refused:
+            v = random_vector(rng, form)
+            if pair_quadratic(form, v).sign_at(Embedding.IDENTITY) <= 0:
+                refused += 1
+                with pytest.raises(ValueError, match="reflection mirror must be space-like"):
+                    reflection(form, v)
+                continue
+            mat = reflection(form, v)
+            assert pairs(mat) == pair_reflection(form, v)
+            mirrors.append(mat)
+        for r, w in zip(mirrors, mirrors[1:] + mirrors[:1]):
+            product = exact_mat_mul(r, w)
+            assert pairs(product) == pair_product(pairs(r), pairs(w))
+            assert is_isometry(form, product) is pair_is_isometry(form, pairs(product)) is True
+            bent = [row[:] for row in product]
+            i, j = rng.randrange(form.dimension), rng.randrange(form.dimension)
+            bent[i][j] = bent[i][j] + random_vector(rng, form)[0]
+            assert is_isometry(form, bent) is pair_is_isometry(form, pairs(bent))
+
+
+    def test_mirror_of_negative_norm(self):
+        # f(v) = 1 + sqrt2 is positive but its conjugate is not, so the kernel
+        # folds the sign of the norm N conj(N) = -1 into its numerators
+        form = ORACLE_FORMS[-1]
+        for scale in (1, Fraction(3, 2)):
+            v = tuple(QuadFieldElement(x * scale, 0, QS2) for x in (1, 1, 0))
+            assert pair_quadratic(form, v).norm() < 0
+            mat = reflection(form, v)
+            assert pairs(mat) == pair_reflection(form, v)
+            assert is_isometry(form, mat)
+
+
+class TestExactShapes:
+    def test_product_of_unmatched_shapes(self):
+        a = exact_identity(J2)
+        with pytest.raises(ValueError, match="matrix shapes do not match"):
+            exact_mat_mul(a, exact_identity(J3))
+        with pytest.raises(ValueError, match="matrix shapes do not match"):
+            exact_mat_mul([row[:2] for row in a], a)
+        with pytest.raises(ValueError, match="matrix shapes do not match"):
+            exact_mat_mul(a, [a[0], a[1][:2], a[2]])
+
+    def test_isometry_check_of_smaller_matrix(self):
+        # the upper-left 2 x 2 block of the identity satisfies A^t F A = F on its own block
+        with pytest.raises(ValueError, match="matrix dimension does not match form"):
+            is_isometry(J2, [row[:2] for row in exact_identity(J2)[:2]])
+
+
+class TestMixedFields:
+    def test_product_of_rational_and_sqrt2_matrices(self):
+        a = exact_identity(J2)
+        b = [[QuadFieldElement(x, 0, QS2) for x in row] for row in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]
+        with pytest.raises(ValueError, match="mixed fields"):
+            exact_mat_mul(a, b)
+        with pytest.raises(ValueError, match="mixed fields"):
+            exact_mat_mul(b, a)
+
+    def test_isometry_check_of_rational_matrix_on_sqrt2_form(self):
+        with pytest.raises(ValueError, match="mixed fields"):
+            is_isometry(counting_base_form(3, QS2), exact_identity(J2))
+
+    def test_reflection_in_rational_vector_on_sqrt2_form(self):
+        with pytest.raises(ValueError, match="mixed fields"):
+            reflection(counting_base_form(3, QS2), exact_vec(0, 0, 1))
 
 
 class TestDistance:

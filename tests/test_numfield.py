@@ -170,13 +170,6 @@ class TestSerialization:
             parse_element("1 + 1*r2", FieldTag.Q)
 
 
-class TestIntegrality:
-    def test_ring_membership(self):
-        assert qs2(3, -2).is_integral()
-        assert not qs2(Fraction(1, 2), 1).is_integral()
-        assert QuadFieldElement(4).is_integral()
-
-
 # operands with numerators and denominators far above 2**64 besides small ones
 big_fractions_st = st.builds(
     Fraction, st.integers(-(2**100), 2**100), st.integers(1, 2**80)

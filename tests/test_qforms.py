@@ -231,7 +231,7 @@ class TestRingPrimes:
         norms = [abs(p.norm()) for p in primes]
         assert norms == sorted(norms)
         assert all(p.is_totally_positive() for p in primes)
-        assert all(p.is_integral() for p in primes)
+        assert all(p.a.denominator == 1 and p.b.denominator == 1 for p in primes)
         assert norms[:4] == [2, 7, 7, 9]
 
 
