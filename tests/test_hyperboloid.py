@@ -293,7 +293,6 @@ class TestExactKernelsAgainstFractionPairs:
             bent[i][j] = bent[i][j] + random_vector(rng, form)[0]
             assert is_isometry(form, bent) is pair_is_isometry(form, pairs(bent))
 
-
     def test_mirror_of_negative_norm(self):
         # f(v) = 1 + sqrt2 is positive but its conjugate is not, so the kernel
         # folds the sign of the norm N conj(N) = -1 into its numerators
