@@ -40,6 +40,10 @@ EXTRA = (
     "geom admissible --out out/admissible-default",
     "geom shrink --R 1,3 --spacing 3 --out out/shrink-spacing3",
     "geom extension --length 3 --q 2 --seed 5 --samples 12 --out out/extension-set",
+    # outcomes that rest on the last bits of far orbit points: the first is
+    # refused by the f(x - y) check, the second answers
+    "geom shrink --R 2,4,19 --out out/shrink-refused",
+    "geom shrink --R 2,4,18 --out out/shrink-far",
 )
 
 

@@ -19,7 +19,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import linprog  # unused; the no-LP tests and the benchmark tracer patch it
@@ -175,8 +175,7 @@ def _stabilizes(mat: np.ndarray, h: Hyperplane) -> bool:
 # -- orbits ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitPoint:
+class OrbitPoint(NamedTuple):
     point: np.ndarray
     word: tuple[int, ...]
     seed_index: int
@@ -188,9 +187,16 @@ class OrbitSet:
     form: DiagonalForm
     points: tuple[OrbitPoint, ...]
     certification_radius: float
+    _coordinates: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        coords = np.array([op.point for op in self.points]).reshape(-1, self.form.dimension)
+        coords.flags.writeable = False
+        object.__setattr__(self, "_coordinates", coords)
 
     def coordinates(self) -> np.ndarray:
-        return np.array([op.point for op in self.points])
+        """The (N, d) array of the points, in orbit order; built once, read-only."""
+        return self._coordinates
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -209,6 +215,14 @@ def build_orbit(
     orbit point provably lies at distance > 2 rho from every seed for
     groups whose displacement grows linearly in word length.  Images too
     large for binary64 raise ValueError.
+
+    Each word shell is rounded, keyed and checked for overflow as one
+    array, but every image is still one product `g @ x` of a generator and
+    a point.  A product over the whole shell (a matrix product or `einsum`)
+    changes the last bits of far points: the inverse generators are
+    F-ordered, so BLAS sums them in another order than the point-wise
+    product does.  Those bits decide the sign of a cancelled f(x - y) in
+    `dirichlet_cell`, and with it whether a long translation is refused.
     """
     if word_cutoff < 1:
         raise ValueError("word cutoff must be at least 1")
@@ -218,39 +232,38 @@ def build_orbit(
         raise ValueError("one tag per seed required")
     gens = group.gens_with_inverses
 
-    seen: dict[tuple, int] = {}
-    points: list[OrbitPoint] = []
-
-    def key_of(p: np.ndarray) -> tuple:
-        return tuple(np.round(p, 7))
-
-    frontier: list[OrbitPoint] = []
-    for i, (s, key) in enumerate(zip(seeds, np.round(seeds, 7))):
-        op = OrbitPoint(s, (), i, tags[i] if tags is not None else None)
-        seen[tuple(key)] = len(points)
-        points.append(op)
-        frontier.append(op)
+    frontier = [
+        OrbitPoint(s, (), i, tags[i] if tags is not None else None)
+        for i, s in enumerate(seeds)
+    ]
+    points = list(frontier)
+    # rounded coordinates as tuples of floats, hashing like tuples of np.float64
+    seen = set(map(tuple, np.round(seeds, 7).tolist()))
 
     for length in range(1, word_cutoff + 1):
-        next_frontier: list[OrbitPoint] = []
-        for op in frontier:
-            for gi, g in enumerate(gens):
-                if op.word and (op.word[-1] ^ 1) == gi:
-                    continue  # reduced words only
-                y = g @ op.point
-                k = key_of(y)
-                if k in seen:
-                    continue
-                new = OrbitPoint(y, op.word + (gi,), op.seed_index, op.tag)
-                seen[k] = len(points)
-                points.append(new)
-                next_frontier.append(new)
-        if next_frontier and not np.isfinite([op.point for op in next_frontier]).all():
+        parents = [
+            (op, gi)
+            for op in frontier
+            for gi in range(len(gens))
+            if not op.word or (op.word[-1] ^ 1) != gi  # reduced words only
+        ]
+        images = np.array([gens[gi] @ op.point for op, gi in parents])
+        fresh = []
+        for c, key in enumerate(map(tuple, np.round(images, 7).tolist())):
+            if key not in seen:
+                seen.add(key)
+                fresh.append(c)
+        shell = images[fresh]
+        if not np.isfinite(shell).all():
             raise ValueError(
                 f"orbit points of word length {length} overflow binary64; "
                 "shorten the translations or lower the word cutoff"
             )
-        frontier = next_frontier
+        frontier = []
+        for y, c in zip(shell, fresh):
+            op, gi = parents[c]
+            frontier.append(OrbitPoint(y, op.word + (gi,), op.seed_index, op.tag))
+        points += frontier
 
     if not group.generators:
         radius = math.inf
@@ -292,9 +305,6 @@ class VoronoiCell:
 
     def contains(self, x) -> bool:
         return all(f.halfspace.contains(x) for f in self.facets)
-
-    def margins(self, x) -> np.ndarray:
-        return np.array([f.halfspace.margin(x) for f in self.facets])
 
 
 def _centering_isometry(form: DiagonalForm, center: np.ndarray) -> np.ndarray:
@@ -341,16 +351,12 @@ def dirichlet_cell(
     """
     form = orbit.form
     center = normalize_point(form, center)
-    idx = next(
-        (
-            i
-            for i, op in enumerate(orbit.points)
-            if np.allclose(op.point, center, atol=1e-7)
-        ),
-        None,
-    )
-    if idx is None:
+    coords = orbit.coordinates()
+    # np.allclose(op.point, center, atol=1e-7) for every orbit point at once
+    matches = np.flatnonzero(np.isclose(coords, center, atol=1e-7).all(axis=1))
+    if not len(matches):
         raise ValueError("center must be one of the orbit points")
+    idx = int(matches[0])
     rho = prune_radius if prune_radius is not None else orbit.certification_radius
     if not rho > 0:
         raise UndecidableError(
@@ -358,12 +364,12 @@ def dirichlet_cell(
             "increase the orbit cutoff"
         )
 
-    others = [op for i, op in enumerate(orbit.points) if i != idx]
+    others = orbit.points[:idx] + orbit.points[idx + 1 :]
     if not others:
         return VoronoiCell(form, center, (), orbit.certification_radius)
 
     # the bisector normal x - y, scaled to f = 1, points toward the center x
-    points = np.array([op.point for op in others])
+    points = np.delete(coords, idx, axis=0)
     diff = center[None, :] - points
     if np.any(np.all(np.abs(diff) <= EPS + 1e-5 * np.abs(points), axis=1)):
         raise ValueError("bisector requires two distinct points")

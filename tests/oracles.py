@@ -1,8 +1,10 @@
 """Shared brute-force oracles and desk configurations for the test suite."""
 
+import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -13,10 +15,12 @@ from hyperglue.hyperboloid import (
     basepoint,
     bilinear,
     bisector,
+    distance,
     float_coefficients,
     isometry_inverse,
     jn_chart,
     normalize_point,
+    normalize_points,
     rotation_in_plane,
     translation_along,
 )
@@ -28,6 +32,7 @@ from hyperglue.voronoi import (
     CellFacet,
     FacetType,
     GroupData,
+    OrbitPoint,
     OrbitSet,
     VoronoiCell,
     _centering_isometry,
@@ -67,6 +72,74 @@ def plane_config(kind: str, params) -> tuple[GroupData, OrbitSet, VoronoiCell]:
     orbit = build_orbit([x0], group, cutoff)
     cell = dirichlet_cell(x0, orbit)
     return group, orbit, cell
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def scalar_orbit(
+    seeds: Sequence,
+    group: GroupData,
+    word_cutoff: int,
+    tags: Sequence[int] | None = None,
+) -> OrbitSet:
+    """`build_orbit` as it was before it handled a word shell as one array.
+
+    Every candidate image is rounded, keyed and stored on its own; the
+    array version must give the same points bit for bit, the same words,
+    seed indices, tags and radius, and the same overflow error.
+    """
+    if word_cutoff < 1:
+        raise ValueError("word cutoff must be at least 1")
+    form = group.form
+    seeds = normalize_points(form, seeds)
+    if tags is not None and len(tags) != len(seeds):
+        raise ValueError("one tag per seed required")
+    gens = group.gens_with_inverses
+
+    seen: dict[tuple, int] = {}
+    points: list[OrbitPoint] = []
+
+    def key_of(p: np.ndarray) -> tuple:
+        return tuple(np.round(p, 7))
+
+    frontier: list[OrbitPoint] = []
+    for i, (s, key) in enumerate(zip(seeds, np.round(seeds, 7))):
+        op = OrbitPoint(s, (), i, tags[i] if tags is not None else None)
+        seen[tuple(key)] = len(points)
+        points.append(op)
+        frontier.append(op)
+
+    for length in range(1, word_cutoff + 1):
+        next_frontier: list[OrbitPoint] = []
+        for op in frontier:
+            for gi, g in enumerate(gens):
+                if op.word and (op.word[-1] ^ 1) == gi:
+                    continue  # reduced words only
+                y = g @ op.point
+                k = key_of(y)
+                if k in seen:
+                    continue
+                new = OrbitPoint(y, op.word + (gi,), op.seed_index, op.tag)
+                seen[k] = len(points)
+                points.append(new)
+                next_frontier.append(new)
+        if next_frontier and not np.isfinite([op.point for op in next_frontier]).all():
+            raise ValueError(
+                f"orbit points of word length {length} overflow binary64; "
+                "shorten the translations or lower the word cutoff"
+            )
+        frontier = next_frontier
+
+    if not group.generators:
+        radius = math.inf
+    else:
+        delta_min = min(
+            min(distance(form, s, g @ s) for s in seeds) for g in group.generators
+        )
+        diameter = 0.0
+        for a, b in itertools.combinations(seeds, 2):
+            diameter = max(diameter, distance(form, a, b))
+        radius = max(0.0, (delta_min * word_cutoff - diameter) / 2.0)
+    return OrbitSet(form, tuple(points), radius)
 
 
 def sample_in_cert_ball(cell: VoronoiCell, n: int, rng) -> np.ndarray:

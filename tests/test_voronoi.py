@@ -103,6 +103,71 @@ class TestOrbit:
         with pytest.raises(ValueError, match="word length 3 overflow"):
             build_orbit([X0], GroupData(J2, [t]), 3)
 
+    def test_coordinates_are_built_once_and_read_only(self):
+        t1 = translation_along(J2, X0, E1, 2.0)
+        t2 = translation_along(J2, X0, E2, 2.0)
+        orbit = build_orbit([X0], GroupData(J2, [t1, t2]), 2)
+        coords = orbit.coordinates()
+        assert orbit.coordinates() is coords
+        assert coords.tobytes() == np.array([op.point for op in orbit.points]).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            coords[0, 0] = 1.0
+        off_orbit = translation_along(J2, X0, E1, 0.3) @ X0
+        with pytest.raises(ValueError, match="center must be one of the orbit points"):
+            dirichlet_cell(off_orbit, orbit)
+        empty = build_orbit([], GroupData(J2, []), 1)
+        assert empty.coordinates().shape == (0, 3)
+        with pytest.raises(ValueError, match="center must be one of the orbit points"):
+            dirichlet_cell(X0, empty)
+
+
+ORACLE_FORMS = pytest.mark.parametrize(
+    "form",
+    [jn_form(2), jn_form(3), counting_base_form(4, FieldTag.Q_SQRT2)],
+    ids=["J2", "J3", "sqrt2"],
+)
+
+
+def _random_translation(form, rng, length):
+    x0 = basepoint(form)
+    spatial = float_coefficients(form) > 0
+    return translation_along(form, x0, rng.standard_normal(form.dimension) * spatial, length)
+
+
+@ORACLE_FORMS
+@pytest.mark.parametrize("n_gens", [0, 1, 2, 3])
+def test_orbit_matches_scalar_oracle_bit_for_bit(form, n_gens):
+    rng = np.random.default_rng(10 + n_gens)
+    x0 = basepoint(form)
+    group = GroupData(form, [_random_translation(form, rng, L) for L in rng.uniform(1.0, 3.5, n_gens)])
+    near = _random_translation(form, rng, 0.7) @ x0
+    # the third seed repeats the first; the fourth lies on the first seed's orbit
+    seeds = [x0, near, x0.copy()] + [g @ x0 for g in group.generators[:1]]
+    tags = list(range(5, 5 + len(seeds)))
+    for cutoff in (1, 2, 3, 4):
+        got = build_orbit(seeds, group, cutoff, tags=tags)
+        want = oracles.scalar_orbit(seeds, group, cutoff, tags=tags)
+        assert [(op.word, op.seed_index, op.tag) for op in got.points] == [
+            (op.word, op.seed_index, op.tag) for op in want.points
+        ]
+        assert [op.point.tobytes() for op in got.points] == [
+            op.point.tobytes() for op in want.points
+        ]
+        assert got.certification_radius == want.certification_radius
+
+
+@ORACLE_FORMS
+def test_orbit_overflow_matches_scalar_oracle(form):
+    # cosh(900) is beyond binary64: both refuse at word length 3, with one message
+    group = GroupData(form, [_random_translation(form, np.random.default_rng(0), 300.0)])
+    x0 = basepoint(form)
+    assert len(build_orbit([x0], group, 2).points) == len(oracles.scalar_orbit([x0], group, 2).points)
+    with pytest.raises(ValueError, match="word length 3 overflow") as got:
+        build_orbit([x0], group, 3)
+    with pytest.raises(ValueError) as want:
+        oracles.scalar_orbit([x0], group, 3)
+    assert str(got.value) == str(want.value)
+
 
 class TestDirichletCell:
     def test_strip(self):
