@@ -7,16 +7,24 @@ commands, each with its own source tree on PYTHONPATH and a fresh working
 directory: every `hyperglue ...` line of the change's README.md, plus a few
 more with non-round arguments (EXTRA).  For every command the exit code,
 stdout and stderr are kept as files next to the files it writes under
-`--out`; stderr has the worktree path replaced by `<tree>`.  Every file of
-the two working directories is then compared byte for byte.  One line is
-printed per differing or missing file; the exit code is 1 on any difference
-and 0 otherwise.
+`--out`; stderr has the worktree path replaced by `<tree>`.
+
+Two passes are compared byte for byte, every file of one working directory
+against the same file of the other:
+- base against change, each command in a process of its own;
+- the change's per-process run against the change's in-process run, which
+  calls `hyperglue.cli.main` for the whole command list in one interpreter,
+  so that any state one call leaves for the next shows up.
+
+One line is printed per differing or missing file; the exit code is 1 on
+any difference and 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import filecmp
+import json
 import os
 import shlex
 import shutil
@@ -53,23 +61,75 @@ def readme_commands(readme: Path) -> list[list[str]]:
     return [shlex.split(line)[1:] for line in lines if line.startswith("hyperglue ")]
 
 
-def run_all(tree: Path, run_dir: Path, commands: list[list[str]]) -> None:
+# Runs every command through `main` in one interpreter and writes
+# [exit code, stdout, stderr] per command as JSON to the file in argv[2].
+IN_PROCESS = """
+import contextlib, io, json, sys
+from hyperglue.cli import main
+
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+with open(sys.argv[2], "w", encoding="utf-8") as fh:
+    json.dump(results, fh)
+"""
+
+
+def run_all(tree: Path, run_dir: Path, commands: list[list[str]], in_process: bool = False) -> None:
     logs = run_dir / "logs"
     logs.mkdir(parents=True)
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    for k, argv in enumerate(commands):
+    if in_process:
+        result_file = run_dir.parent / f"{run_dir.name}.json"
         proc = subprocess.run(
-            [sys.executable, "-m", "hyperglue.cli", *argv],
-            cwd=run_dir, env=env, capture_output=True, text=True, timeout=600, check=False,
+            [sys.executable, "-c", IN_PROCESS, json.dumps(commands), str(result_file)],
+            cwd=run_dir, env=env, capture_output=True, text=True, timeout=1800, check=False,
         )
+        if proc.returncode != 0:
+            raise RuntimeError(f"in-process run failed:\n{proc.stderr}")
+        results = json.loads(result_file.read_text(encoding="utf-8"))
+    else:
+        results = []
+        for argv in commands:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hyperglue.cli", *argv],
+                cwd=run_dir, env=env, capture_output=True, text=True, timeout=600, check=False,
+            )
+            results.append([proc.returncode, proc.stdout, proc.stderr])
+    for k, (code, stdout, stderr) in enumerate(results):
         stem = f"{k:02d}"
-        (logs / f"{stem}.exit").write_text(f"{proc.returncode}\n")
-        (logs / f"{stem}.stdout").write_text(proc.stdout)
-        (logs / f"{stem}.stderr").write_text(proc.stderr.replace(str(tree), "<tree>"))
+        (logs / f"{stem}.exit").write_text(f"{code}\n")
+        (logs / f"{stem}.stdout").write_text(stdout)
+        (logs / f"{stem}.stderr").write_text(stderr.replace(str(tree), "<tree>"))
 
 
 def files_under(root: Path) -> set[Path]:
     return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+
+
+def compare_runs(title: str, left: Path, right: Path, commands: list[list[str]]) -> tuple[int, int]:
+    """Print one line per file that differs or is missing; return (files, differing)."""
+    names = sorted(files_under(left) | files_under(right))
+    differing = 0
+    for name in names:
+        a, b = left / name, right / name
+        label = name
+        if name.parts[0] == "logs":
+            label = f"{name} (hyperglue {shlex.join(commands[int(name.stem)])})"
+        if not a.is_file() or not b.is_file():
+            print(f"{title}: {label}: missing in {left.name if not a.is_file() else right.name}")
+        elif not filecmp.cmp(a, b, shallow=False):
+            print(f"{title}: {label}: differs")
+        else:
+            continue
+        differing += 1
+    return len(names), differing
 
 
 def main(argv=None) -> int:
@@ -90,30 +150,24 @@ def main(argv=None) -> int:
         runs = {side: workdir / f"{side}-run" for side in SIDES}
         for side in SIDES:
             run_all(trees[side], runs[side], commands)
+        in_process = workdir / "change-in-process-run"
+        run_all(trees["change"], in_process, commands, in_process=True)
 
-        names = sorted(files_under(runs["base"]) | files_under(runs["change"]))
-        differing = 0
-        for name in names:
-            base, change = runs["base"] / name, runs["change"] / name
-            label = name
-            if name.parts[0] == "logs":
-                label = f"{name} (hyperglue {shlex.join(commands[int(name.stem)])})"
-            if not base.is_file() or not change.is_file():
-                print(f"{label}: missing in {'base' if not base.is_file() else 'change'}")
-            elif not filecmp.cmp(base, change, shallow=False):
-                print(f"{label}: differs")
-            else:
-                continue
-            differing += 1
+        passes = (
+            ("base vs change", runs["base"], runs["change"]),
+            ("change per process vs in process", runs["change"], in_process),
+        )
+        counts = [(title, *compare_runs(title, left, right, commands)) for title, left, right in passes]
     finally:
         for tree in trees.values():
             subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT, check=False)
         shutil.rmtree(workdir, ignore_errors=True)
         subprocess.run(["git", "worktree", "prune"], cwd=ROOT, check=False)
 
-    print(f"{len(commands)} commands, {len(names)} files: "
-          f"{len(names) - differing} identical, {differing} differing")
-    return 1 if differing else 0
+    for title, files, differing in counts:
+        print(f"{title}: {len(commands)} commands, {files} files: "
+              f"{files - differing} identical, {differing} differing")
+    return 1 if any(differing for _, _, differing in counts) else 0
 
 
 if __name__ == "__main__":

@@ -3,12 +3,18 @@
 Every run is deterministic given (flags, seed): outputs are CSV/SVG
 pairs plus a manifest listing the exact parameters.  Exit codes: 0
 success, 1 verification failure, 2 usage error.
+
+`main` can be called repeatedly in one process, and each call gives the
+same exit code, output and files as a fresh process would.  The argument
+parser is built once, on the first call, and reused; the command handler
+is looked up by name on every call.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -417,11 +423,10 @@ def cmd_count(args) -> int:
         checked_max = min(args.m_max, MAX_ASSEMBLY_CHECK_M)
         checked = 0
         for m in range(5, checked_max + 1):
+            # a 4-regular graph on m vertices has 2m edges
+            labels = tuple(glueing.EDGE_LABELS[k % 4] for k in range(2 * m))
             for edges in glueing.enumerate_base_graphs(m):
                 checked += 1
-                labels = tuple(
-                    glueing.EDGE_LABELS[k % 4] for k in range(len(edges))
-                )
                 graph = glueing.GlueingGraph(m, edges, labels, root=0)
                 assembled = glueing.assemble(graph)
                 if not assembled.is_closed():
@@ -485,11 +490,11 @@ def build_parser() -> argparse.ArgumentParser:
     fam.add_argument("--n", type=int, required=True, help="dimension of the extended forms")
     fam.add_argument("--field", default="Q", help="Q or Q(sqrt2)")
     fam.add_argument("--out", default="out", help="output directory")
-    fam.set_defaults(func=cmd_forms_family)
+    fam.set_defaults(handler="cmd_forms_family")
     chk = forms_sub.add_parser("check", help="check admissibility of a diagonal form")
     chk.add_argument("--coeffs", required=True, help="comma-separated coefficients")
     chk.add_argument("--field", default="Q")
-    chk.set_defaults(func=cmd_forms_check)
+    chk.set_defaults(handler="cmd_forms_check")
 
     geom = sub.add_parser("geom", help="plane geometry demos")
     geom_sub = geom.add_subparsers(dest="subcommand", required=True)
@@ -497,20 +502,20 @@ def build_parser() -> argparse.ArgumentParser:
     adm = geom_sub.add_parser("admissible", help="admissible vs sparse point sets")
     adm.add_argument("--seed", type=int, default=0)
     adm.add_argument("--out", default="out")
-    adm.set_defaults(func=cmd_geom_admissible)
+    adm.set_defaults(handler="cmd_geom_admissible")
 
     nst = geom_sub.add_parser("nesting", help="nested vs crossing bounding walls")
     nst.add_argument("--angle", type=float, required=True, help="angle between axes, degrees")
     nst.add_argument("--lenH", type=float, required=True)
     nst.add_argument("--lenV", type=float, required=True)
     nst.add_argument("--out", default="out")
-    nst.set_defaults(func=cmd_geom_nesting)
+    nst.set_defaults(handler="cmd_geom_nesting")
 
     shr = geom_sub.add_parser("shrink", help="boundary spheres as R grows")
     shr.add_argument("--R", required=True, help="comma-separated increasing R values")
     shr.add_argument("--spacing", type=float, default=2.0)
     shr.add_argument("--out", default="out")
-    shr.set_defaults(func=cmd_geom_shrink)
+    shr.set_defaults(handler="cmd_geom_shrink")
 
     ext = geom_sub.add_parser("extension", help="orthogonal extension of a strip")
     ext.add_argument("--length", type=float, default=2.0)
@@ -518,14 +523,14 @@ def build_parser() -> argparse.ArgumentParser:
     ext.add_argument("--seed", type=int, default=0)
     ext.add_argument("--samples", type=int, default=40)
     ext.add_argument("--out", default="out")
-    ext.set_defaults(func=cmd_geom_extension)
+    ext.set_defaults(handler="cmd_geom_extension")
 
     cnt = sub.add_parser("count", help="graph counting and assembly checks")
     cnt.add_argument("--m-max", type=int, required=True, dest="m_max")
     cnt.add_argument("--mode", choices=["free", "proper"], default="free")
     cnt.add_argument("--check-assemblies", action="store_true")
     cnt.add_argument("--out", default="out")
-    cnt.set_defaults(func=cmd_count)
+    cnt.set_defaults(handler="cmd_count")
 
     return parser
 
@@ -548,11 +553,19 @@ def _preprocess(argv):
     return out
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # parsing leaves no state in the parser, so one per process serves every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_preprocess(argv))
+    args = _shared_parser().parse_args(_preprocess(argv))
+    # look the handler up now, not when the parser was built, so that a
+    # rebound `cmd_*` (a test's monkeypatch, a tracer) is the one that runs
+    handler = globals()[args.handler]
     try:
-        return args.func(args)
+        return handler(args)
     except (ValueError, voronoi.UndecidableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,10 +1,10 @@
 """Piece glueing prescribed by rooted 4-regular edge-labelled graphs.
 
 Counts labelled simple 4-regular graphs and their rooted, edge-labelled
-decorations by formula, enumerates them (backtracking over the
-upper-triangular adjacency bitmask in ascending order) for the streams and
-the assembly checks, assembles the corresponding closed piece complexes,
-and measures the super-exponential growth of the counts.
+decorations by formula, enumerates the base graphs (backtracking over the
+upper-triangular adjacency bitmask in ascending order) for the assembly
+checks, assembles the corresponding closed piece complexes, and measures
+the super-exponential growth of the counts.
 
 The base count is the classical degree-histogram recursion for locally
 restricted graphs (R. C. Read, J. London Math. Soc. 34, 1959; OEIS
@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -198,27 +197,6 @@ def proper_labelings(edges: Sequence[tuple[int, int]], m: int) -> Iterator[tuple
     yield from rec(0)
 
 
-def enumerate_graphs(m: int, mode: str = "free") -> Iterator[GlueingGraph]:
-    """Stream of decorated graphs: every base graph, root choice and labeling.
-
-    Free mode runs over all 4^(2m) label tuples, so consume lazily.
-    Returns an empty stream (no error) below m = 5, where no simple
-    4-regular graph exists.
-    """
-    if mode not in ("free", "proper"):
-        raise ValueError("mode must be 'free' or 'proper'")
-    if m < 5:
-        warnings.warn("no simple 4-regular graph exists below 5 vertices")
-    for edges in enumerate_base_graphs(m):
-        if mode == "free":
-            labelings: Iterator = itertools.product(EDGE_LABELS, repeat=len(edges))
-        else:
-            labelings = proper_labelings(edges, m)
-        for labels in labelings:
-            for root in range(m):
-                yield GlueingGraph(m, edges, tuple(labels), root, proper=mode == "proper")
-
-
 @dataclass(frozen=True)
 class CountRow:
     m: int
@@ -365,6 +343,12 @@ class Pairing(_PairingFields):
         return cls(*iterable)
 
 
+# Builds a `Pairing` or `PieceInstance` from a tuple of its fields without
+# calling the class: only for records this module makes itself, whose
+# fields are valid by construction (every flag it writes is +1).
+_trusted = tuple.__new__
+
+
 @dataclass(frozen=True)
 class AssembledManifold:
     """A closed complex of piece instances with slot pairings.
@@ -459,20 +443,20 @@ def assemble(
     templates = templates or _STANDARD_TEMPLATES
     m = graph.vertex_count
     pieces = [
-        PieceInstance(templates["v" if vtx == graph.root else "u"], ("vertex", vtx))
+        _trusted(PieceInstance, (templates["v" if vtx == graph.root else "u"], ("vertex", vtx)))
         for vtx in range(m)
     ]
     next_free = [0] * m  # each vertex block fills its slots in order
     pairings: list[Pairing] = []
     for k, ((i, j), lab) in enumerate(zip(graph.edges, graph.labels)):
         piece_idx = len(pieces)
-        pieces.append(PieceInstance(templates[lab], ("edge", k)))
+        pieces.append(_trusted(PieceInstance, (templates[lab], ("edge", k))))
         for slot, vtx in ((0, i), (1, j)):
             target = next_free[vtx]
             if target == pieces[vtx].template.boundary_count:
                 raise RuntimeError("slot exhaustion: graph is not 4-regular")
             next_free[vtx] = target + 1
-            pairings.append(Pairing((piece_idx, slot), (vtx, target)))
+            pairings.append(_trusted(Pairing, ((piece_idx, slot), (vtx, target), 1)))
     return AssembledManifold(tuple(pieces), tuple(pairings))
 
 
@@ -511,7 +495,7 @@ def orientation_double_cover(manifold: AssembledManifold) -> AssembledManifold:
         for p in manifold.pieces
     ]
     pieces = [
-        PieceInstance(template, ("cover", *p.provenance, sheet))
+        _trusted(PieceInstance, (template, ("cover", *p.provenance, sheet)))
         for sheet in (0, 1)
         for p, template in zip(manifold.pieces, templates)
     ]
@@ -521,8 +505,8 @@ def orientation_double_cover(manifold: AssembledManifold) -> AssembledManifold:
         b0, b1 = (j, slot), (j + n, slot)
         if flag < 0:
             b0, b1 = b1, b0
-        pairings.append(Pairing(a, b0))
-        pairings.append(Pairing((a[0] + n, a[1]), b1))
+        pairings.append(_trusted(Pairing, (a, b0, 1)))
+        pairings.append(_trusted(Pairing, ((a[0] + n, a[1]), b1, 1)))
     joins = [
         (i, i + n)
         for i, p in enumerate(manifold.pieces)

@@ -3,7 +3,7 @@
 Two scalar regimes, matching how the objects are used:
 
 * exact: vectors/matrices with QuadFieldElement entries, for everything
-  that is k-rational (reflections, orthogonality of k-hyperplanes,
+  that is k-rational (reflections, bilinear values of k-vectors,
   isometry verification).  These computations never round.  Reflections,
   products and isometry checks run on integer matrices over one common
   denominator (`numfield.int_matrix`): one gcd per result entry, and none
@@ -378,27 +378,6 @@ def bisector(form: DiagonalForm, x, y) -> Hyperplane:
         if not is_point(form, p):
             raise ValueError("bisector requires points on the upper sheet")
     return Hyperplane(form, xf - yf)
-
-
-def are_orthogonal(form: DiagonalForm, h1: Hyperplane, h2: Hyperplane) -> bool:
-    """True iff b_f(u, v) = 0 and the hyperplanes meet in H^n.
-
-    The span form Gram([u,v]) must be positive definite for the
-    hyperplanes to intersect; with b = 0 that reduces to both normals
-    being space-like, which they are by construction.
-    """
-    if h1.exact_normal is not None and h2.exact_normal is not None:
-        b = bilinear(form, h1.exact_normal, h2.exact_normal)
-        if b:
-            return False
-        fu = quadratic(form, h1.exact_normal)
-        fv = quadratic(form, h2.exact_normal)
-        return (fu * fv).sign_at(Embedding.IDENTITY) > 0
-    b = bilinear(form, h1.normal, h2.normal)
-    if abs(b) > EPS:
-        return False
-    det = 1.0 - b * b  # normals are scaled to f = 1
-    return det > EPS
 
 
 def hyperplane_distance(form: DiagonalForm, h1: Hyperplane, h2: Hyperplane) -> float:

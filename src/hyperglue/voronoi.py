@@ -214,7 +214,8 @@ def build_orbit(
     displacement over the seeds and D the seed-set diameter: any omitted
     orbit point provably lies at distance > 2 rho from every seed for
     groups whose displacement grows linearly in word length.  Images too
-    large for binary64 raise ValueError.
+    large for binary64 raise ValueError, and so does an empty seed list
+    under generators, which has no displacement to certify with.
 
     Each word shell is rounded, keyed and checked for overflow as one
     array, but every image is still one product `g @ x` of a generator and
@@ -230,6 +231,8 @@ def build_orbit(
     seeds = normalize_points(form, seeds)
     if tags is not None and len(tags) != len(seeds):
         raise ValueError("one tag per seed required")
+    if group.generators and not seeds:
+        raise ValueError("an orbit under generators needs at least one seed point")
     gens = group.gens_with_inverses
 
     frontier = [

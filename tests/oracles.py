@@ -2,16 +2,25 @@
 
 import itertools
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
 
-from hyperglue.glueing import CountRow, enumerate_base_graphs, proper_labelings
+from hyperglue.glueing import (
+    EDGE_LABELS,
+    CountRow,
+    GlueingGraph,
+    enumerate_base_graphs,
+    proper_labelings,
+)
 from hyperglue.hyperboloid import (
+    EPS,
     HalfSpace,
+    Hyperplane,
     basepoint,
     bilinear,
     bisector,
@@ -21,11 +30,12 @@ from hyperglue.hyperboloid import (
     jn_chart,
     normalize_point,
     normalize_points,
+    quadratic,
     rotation_in_plane,
     translation_along,
 )
 from hyperglue.numfield import Embedding, FieldTag
-from hyperglue.qforms import jn_form
+from hyperglue.qforms import DiagonalForm, jn_form
 from hyperglue.voronoi import (
     _BOX_CAP,
     _FEAS_EPS,
@@ -365,6 +375,27 @@ def plane_cell_vertices(cell: VoronoiCell) -> list[tuple[np.ndarray, int, int, f
     return out
 
 
+def are_orthogonal(form: DiagonalForm, h1: Hyperplane, h2: Hyperplane) -> bool:
+    """True iff b_f(u, v) = 0 and the hyperplanes meet in H^n.
+
+    The span form Gram([u,v]) must be positive definite for the
+    hyperplanes to intersect; with b = 0 that reduces to both normals
+    being space-like, which they are by construction.
+    """
+    if h1.exact_normal is not None and h2.exact_normal is not None:
+        b = bilinear(form, h1.exact_normal, h2.exact_normal)
+        if b:
+            return False
+        fu = quadratic(form, h1.exact_normal)
+        fv = quadratic(form, h2.exact_normal)
+        return (fu * fv).sign_at(Embedding.IDENTITY) > 0
+    b = bilinear(form, h1.normal, h2.normal)
+    if abs(b) > EPS:
+        return False
+    det = 1.0 - b * b  # normals are scaled to f = 1
+    return det > EPS
+
+
 def exact_mat_vec(a, v):
     """The exact product a @ v, one element operation at a time."""
     n = len(a)
@@ -498,3 +529,24 @@ def enumerated_counts(m_max: int, mode: str = "free", m_min: int = 5) -> list[Co
                 total += m * count_proper_labelings(edges, m)
         rows.append(CountRow(m, base, total))
     return rows
+
+
+def enumerate_graphs(m: int, mode: str = "free") -> Iterator[GlueingGraph]:
+    """Stream of decorated graphs: every base graph, root choice and labeling.
+
+    Free mode runs over all 4^(2m) label tuples, so consume lazily.
+    Returns an empty stream (no error) below m = 5, where no simple
+    4-regular graph exists.
+    """
+    if mode not in ("free", "proper"):
+        raise ValueError("mode must be 'free' or 'proper'")
+    if m < 5:
+        warnings.warn("no simple 4-regular graph exists below 5 vertices")
+    for edges in enumerate_base_graphs(m):
+        if mode == "free":
+            labelings: Iterator = itertools.product(EDGE_LABELS, repeat=len(edges))
+        else:
+            labelings = proper_labelings(edges, m)
+        for labels in labelings:
+            for root in range(m):
+                yield GlueingGraph(m, edges, tuple(labels), root, proper=mode == "proper")

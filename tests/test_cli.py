@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,11 +12,12 @@ from pathlib import Path
 import pytest
 
 import hyperglue
-from hyperglue import glueing
+from hyperglue import cli, glueing
 from hyperglue.cli import main
 
 # the subprocess imports the same package as the tests, installed or not
 PACKAGE_ROOT = str(Path(hyperglue.__file__).resolve().parent.parent)
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(*argv) -> int:
@@ -241,3 +244,67 @@ class TestDeterminism:
         assert files1 == files2
         for name in files1:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def readme_commands() -> list[list[str]]:
+    """Arguments of every `hyperglue ...` line in README.md."""
+    lines = [line.strip() for line in README.read_text(encoding="utf-8").splitlines()]
+    return [shlex.split(line)[1:] for line in lines if line.startswith("hyperglue ")]
+
+
+def files_under(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestRepeatedCalls:
+    """`main` keeps no state from one call to the next."""
+
+    def test_readme_commands_repeat_after_errors(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        commands = readme_commands()
+        assert len(commands) == 8
+
+        def run_all(between=()):
+            results = []
+            for k, argv in enumerate(commands):
+                code = main(argv)
+                captured = capsys.readouterr()
+                results.append((code, captured.out, captured.err))
+                if k < len(between):
+                    between[k]()
+            return results
+
+        def usage_error():
+            with pytest.raises(SystemExit) as exc:
+                main(["geom", "spin", "--out", "out/spin"])
+            assert exc.value.code == 2
+            assert "invalid choice: 'spin'" in capsys.readouterr().err
+
+        def refused_input():
+            assert main(["geom", "extension", "--length", "13", "--out", "out/refused"]) == 1
+            assert capsys.readouterr().err.startswith("error: the bisector")
+            shutil.rmtree("out/refused", ignore_errors=True)
+
+        first = run_all(between=(usage_error, refused_input))
+        first_files = files_under(tmp_path / "out")
+        assert [code for code, _, _ in first] == [0] * len(commands)
+        shutil.rmtree(tmp_path / "out")
+        assert run_all() == first
+        assert files_under(tmp_path / "out") == first_files
+
+    def test_handler_rebound_after_first_call_runs(self, monkeypatch, capsys):
+        assert run_cli("forms", "check", "--coeffs", "-1,1,1", "--field", "Q") == 0
+        seen = []
+
+        def fake(args):
+            seen.append(args.coeffs)
+            return 7
+
+        monkeypatch.setattr(cli, "cmd_forms_check", fake)
+        assert run_cli("forms", "check", "--coeffs", "-1,1,1", "--field", "Q") == 7
+        assert seen == ["-1,1,1"]
+        monkeypatch.undo()
+        assert run_cli("forms", "check", "--coeffs", "-1,1,1", "--field", "Q") == 0
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()

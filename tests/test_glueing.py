@@ -19,7 +19,6 @@ from hyperglue.glueing import (
     assemble,
     count_graphs,
     enumerate_base_graphs,
-    enumerate_graphs,
     growth_fit,
     is_orientable,
     orientation_double_cover,
@@ -27,7 +26,7 @@ from hyperglue.glueing import (
     standard_templates,
     volume,
 )
-from oracles import enumerated_counts
+from oracles import enumerate_graphs, enumerated_counts
 
 
 def bitmask_oracle(m: int, degree: int = 4) -> list[tuple[tuple[int, int], ...]]:
@@ -302,6 +301,33 @@ class TestAssembly:
                 labels = tuple(EDGE_LABELS[k % 4] for k in range(len(edges)))
                 assembled = assemble(GlueingGraph(m, edges, labels, root=0))
                 assert volume(assembled) <= 3.0 * m
+
+
+class TestTrustedRecords:
+    """`assemble` and the cover build their records without calling the class."""
+
+    def test_records_equal_the_validated_ones(self):
+        u = PieceTemplate("u", 2, True)
+        reversing = AssembledManifold(
+            (PieceInstance(u, ("a",)), PieceInstance(u, ("b",))),
+            (Pairing((0, 0), (1, 0), 1), Pairing((0, 1), (1, 1), -1)),
+        )
+        complexes = [reversing, orientation_double_cover(reversing)]
+        checked = 0
+        for m in (5, 6, 7):
+            labels = tuple(EDGE_LABELS[k % 4] for k in range(2 * m))
+            for edges in enumerate_base_graphs(m):
+                assembled = assemble(GlueingGraph(m, edges, labels, root=0))
+                complexes += [assembled, orientation_double_cover(assembled)]
+                checked += 1
+        assert checked == 481
+        for built in complexes:
+            for p in built.pairings:
+                assert type(p) is Pairing and Pairing(*p) == p
+            for x in built.pieces:
+                assert type(x) is PieceInstance and PieceInstance(*x) == x
+        with pytest.raises(ValueError, match="flag"):
+            Pairing((0, 0), (1, 0), 0)
 
 
 def two_piece_complex(*pairings):

@@ -20,7 +20,6 @@ from hyperglue.hyperboloid import (
     Hyperplane,
     NestingVerdict,
     are_nested,
-    are_orthogonal,
     ball_coordinates,
     basepoint,
     bilinear,
@@ -40,7 +39,7 @@ from hyperglue.hyperboloid import (
     translation_length,
 )
 
-from oracles import FractionPair, exact_mat_vec
+from oracles import FractionPair, are_orthogonal, exact_mat_vec
 
 J2 = jn_form(2)
 J3 = jn_form(3)

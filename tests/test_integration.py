@@ -16,7 +16,6 @@ from hyperglue.hyperboloid import (
     Hyperplane,
     NestingVerdict,
     are_nested,
-    are_orthogonal,
     basepoint,
     bisector,
     translation_along,
@@ -31,6 +30,8 @@ from hyperglue.voronoi import (
     dirichlet_cell,
     orthogonal_extension,
 )
+
+from oracles import are_orthogonal
 
 J2 = jn_form(2)
 J3 = jn_form(3)

@@ -103,6 +103,13 @@ class TestOrbit:
         with pytest.raises(ValueError, match="word length 3 overflow"):
             build_orbit([X0], GroupData(J2, [t]), 3)
 
+    def test_empty_seed_list_refused_under_generators(self):
+        t = translation_along(J2, X0, E1, 2.0)
+        with pytest.raises(ValueError, match="at least one seed point"):
+            build_orbit([], GroupData(J2, [t]), 1)
+        # with no generator there is nothing to certify: the orbit is empty
+        assert build_orbit([], GroupData(J2, []), 1).points == ()
+
     def test_coordinates_are_built_once_and_read_only(self):
         t1 = translation_along(J2, X0, E1, 2.0)
         t2 = translation_along(J2, X0, E2, 2.0)
