@@ -52,6 +52,8 @@ EXTRA = (
     # refused by the f(x - y) check, the second answers
     "geom shrink --R 2,4,19 --out out/shrink-refused",
     "geom shrink --R 2,4,18 --out out/shrink-far",
+    # a usage error: in process, argparse's exit must leave the parser as it was
+    "geom spin --out out/spin",
 )
 
 
