@@ -262,7 +262,7 @@ class TestRepeatedCalls:
     def test_readme_commands_repeat_after_errors(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         commands = readme_commands()
-        assert len(commands) == 8
+        assert len(commands) >= 8
 
         def run_all(between=()):
             results = []
