@@ -2,12 +2,12 @@
 
     python3 bench/compare_outputs.py --base HEAD~1 --change HEAD
 
-Each revision is checked out with `git worktree`.  Both run the same
+Each revision is exported with `git archive`.  Both run the same
 commands, each with its own source tree on PYTHONPATH and a fresh working
 directory: every `hyperglue ...` line of the change's README.md, plus a few
 more with non-round arguments (EXTRA).  For every command the exit code,
 stdout and stderr are kept as files next to the files it writes under
-`--out`; stderr has the worktree path replaced by `<tree>`.
+`--out`; stderr has the exported tree's path replaced by `<tree>`.
 
 Two passes are compared byte for byte, every file of one working directory
 against the same file of the other:
@@ -33,7 +33,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from write_bench import ROOT, SIDES, git
+from write_bench import SIDES, export, git
 
 EXTRA = (
     "geom nesting --angle 37 --lenH 2.2 --lenV 3.1 --out out/nesting37",
@@ -146,7 +146,7 @@ def main(argv=None) -> int:
         for side, rev in zip(SIDES, (args.base, args.change)):
             commit = git("rev-parse", "--verify", f"{rev}^{{commit}}")
             trees[side] = workdir / side
-            git("worktree", "add", "--detach", str(trees[side]), commit)
+            export(commit, trees[side])
         commands = readme_commands(trees["change"] / "README.md")
         commands += [shlex.split(line) for line in EXTRA]
         runs = {side: workdir / f"{side}-run" for side in SIDES}
@@ -161,10 +161,7 @@ def main(argv=None) -> int:
         )
         counts = [(title, *compare_runs(title, left, right, commands)) for title, left, right in passes]
     finally:
-        for tree in trees.values():
-            subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT, check=False)
         shutil.rmtree(workdir, ignore_errors=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, check=False)
 
     for title, files, differing in counts:
         print(f"{title}: {len(commands)} commands, {files} files: "

@@ -3,8 +3,8 @@
     python3 bench/write_bench.py --pr 6 --base HEAD~1 --change HEAD \
         --pairs cells=10 exact=4 cli=4 [--seed-start 1] [--trace] [--workdir DIR]
 
-Each revision is checked out with `git worktree` and benchmarked with its own
-copy of the benchmark command from BENCHMARK.json (`perfbench/run.py`), for
+Each revision is exported with `git archive` into a temporary directory and
+benchmarked with its own copy of the benchmark command from BENCHMARK.json (`perfbench/run.py`), for
 the run length BENCHMARK.json sets; both revisions must declare the same
 command, run length and metrics.  Pair k of a workload runs both revisions
 on seed `seed-start + k`, one run at a time, the base first in even pairs
@@ -17,8 +17,10 @@ the metric's bound, and whether a gain claim would hold: at least ten
 pairs, wins in nine tenths of them and a median gap wider than the base's
 quartile spread.  It also records the failed tasks per side, the seeds,
 both revisions (commit and `src` tree), nproc and the Python, numpy and
-scipy versions.  `--trace` adds one traced run per side and workload, on
-the first seed, with the per-layer metrics.
+scipy versions.  `--trace` adds one traced run per side on each of the first
+three seeds of every workload (fewer if it has fewer pairs), in the same
+alternating order, and stores each per-layer metric per side as values,
+median and quartiles.
 """
 
 from __future__ import annotations
@@ -44,6 +46,13 @@ def git(*args: str, cwd: Path = ROOT) -> str:
     ).stdout.strip()
 
 
+def export(commit: str, dest: Path) -> None:
+    """Write the committed files of `commit` into the new directory `dest`."""
+    dest.mkdir()
+    archive = subprocess.run(["git", "archive", commit], cwd=ROOT, capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
 def run_benchmark(tree: Path, spec: dict, workload: str, seed: int, trace: bool) -> dict:
     cmd = list(spec["command"]) + [
         "--workload", workload, "--seed", str(seed),
@@ -56,6 +65,13 @@ def run_benchmark(tree: Path, spec: dict, workload: str, seed: int, trace: bool)
     lines = proc.stdout.strip().splitlines()
     env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
     return {**json.loads(lines[-1]), "env": env}
+
+
+def pair_order(seeds: list[int]):
+    """(seed, side) in run order: the base first in even pairs, the change in odd ones."""
+    for k, seed in enumerate(seeds):
+        for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+            yield seed, side
 
 
 def summary(values: list[float]) -> dict:
@@ -99,7 +115,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", nargs="+", required=True, help="workload=count ...")
     parser.add_argument("--seed-start", type=int, default=1)
     parser.add_argument("--trace", action="store_true")
-    parser.add_argument("--workdir", type=Path, default=None, help="parent of the worktrees")
+    parser.add_argument("--workdir", type=Path, default=None, help="parent of the exported trees")
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args(argv)
     pairs = parse_pairs(args.pairs)
@@ -111,7 +127,7 @@ def main(argv=None) -> int:
         for side, rev in zip(SIDES, (args.base, args.change)):
             commit = git("rev-parse", "--verify", f"{rev}^{{commit}}")
             trees[side] = workdir / side
-            git("worktree", "add", "--detach", str(trees[side]), commit)
+            export(commit, trees[side])
             revisions[side] = {"rev": rev, "commit": commit, "src_tree": git("rev-parse", f"{commit}:src")}
         specs = {side: json.loads((trees[side] / "BENCHMARK.json").read_text()) for side in SIDES}
         keys = ("command", "run_seconds", "end_to_end")
@@ -127,10 +143,9 @@ def main(argv=None) -> int:
         for workload, count in pairs.items():
             seeds = [args.seed_start + k for k in range(count)]
             runs: dict[str, list[dict]] = {side: [] for side in SIDES}
-            for k, seed in enumerate(seeds):
-                for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-                    runs[side].append(run_benchmark(trees[side], spec, workload, seed, False))
-                print(f"{workload} pair {k + 1}/{count} (seed {seed}) done", flush=True)
+            for seed, side in pair_order(seeds):
+                runs[side].append(run_benchmark(trees[side], spec, workload, seed, False))
+                print(f"{workload} seed {seed} {side} done", flush=True)
             entry = {
                 "seeds": seeds,
                 "first_in_pair": ["base" if k % 2 == 0 else "change" for k in range(count)],
@@ -147,18 +162,20 @@ def main(argv=None) -> int:
                            for side in SIDES},
             }
             if args.trace:
-                entry["trace"] = {"seed": seeds[0]}
-                for side in SIDES:
-                    traced = run_benchmark(trees[side], spec, workload, seeds[0], True)
-                    entry["trace"][side] = {k: v["value"] for k, v in traced["metrics"].items()}
+                traced: dict[str, list[dict]] = {side: [] for side in SIDES}
+                for seed, side in pair_order(seeds[:3]):
+                    traced[side].append(run_benchmark(trees[side], spec, workload, seed, True)["metrics"])
+                    print(f"{workload} seed {seed} {side} traced", flush=True)
+                entry["trace"] = {"seeds": seeds[:3]}
+                for side, metrics in traced.items():
+                    entry["trace"][side] = {
+                        name: summary([m[name]["value"] for m in metrics]) for name in metrics[0]
+                    }
             report["workloads"][workload] = entry
             env = runs["base"][0]["env"]
             report.setdefault("environment", {k: env[k] for k in ENV_KEYS})
     finally:
-        for tree in trees.values():
-            subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT, check=False)
         shutil.rmtree(workdir, ignore_errors=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, check=False)
 
     out_path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     for workload, entry in report["workloads"].items():

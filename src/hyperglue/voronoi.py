@@ -10,6 +10,11 @@ a facet is first type iff the root of its own row lies in the interval
 where all rows and the box faces hold, both relaxed by the feasibility
 tolerance.  Everything is deterministic: orbit points are ordered
 breadth-first by provenance word, and facets keep that order.
+
+scipy is imported at the first Dirichlet cell (the `geom` commands), so
+the exact side (`forms`, `count`) loads numpy only.  The name `linprog`
+resolves lazily to `scipy.optimize.linprog`; no code here calls it, but
+the benchmark tracer and the no-LP tests patch it.
 """
 
 from __future__ import annotations
@@ -22,8 +27,6 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import linprog  # unused; the no-LP tests and the benchmark tracer patch it
-from scipy.spatial import ConvexHull
 
 from .qforms import DiagonalForm, direct_sum
 from .hyperboloid import (
@@ -50,6 +53,14 @@ from .hyperboloid import (
 
 _FEAS_EPS = 1e-7
 _BOX_CAP = 19.0  # tanh saturates at ~19 in binary64
+
+
+def __getattr__(name: str):
+    if name == "linprog":
+        from scipy.optimize import linprog
+
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class UndecidableError(RuntimeError):
@@ -352,6 +363,8 @@ def dirichlet_cell(
     points.  Each facet comes from the earliest orbit point of its duplicate
     class, in orbit order.
     """
+    from scipy.spatial import ConvexHull
+
     form = orbit.form
     center = normalize_point(form, center)
     coords = orbit.coordinates()

@@ -1,15 +1,21 @@
-"""Shared brute-force oracles and desk configurations for the test suite."""
+"""Shared brute-force oracles, desk configurations and a fresh-interpreter
+runner for the test suite."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
 
+import hyperglue
 from hyperglue.glueing import (
     EDGE_LABELS,
     CountRow,
@@ -54,6 +60,21 @@ from hyperglue.voronoi import (
 J2 = jn_form(2)
 E1 = np.array([0.0, 1.0, 0.0])
 E2 = np.array([0.0, 0.0, 1.0])
+
+# a fresh interpreter imports the same package as the tests, installed or not
+PACKAGE_ROOT = str(Path(hyperglue.__file__).resolve().parent.parent)
+
+
+def run_python(*args, cwd=None) -> subprocess.CompletedProcess:
+    """Run `python *args` in a fresh interpreter with the package on its path."""
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def plane_config(kind: str, params) -> tuple[GroupData, OrbitSet, VoronoiCell]:

@@ -2,21 +2,16 @@
 
 import csv
 import json
-import os
 import shlex
 import shutil
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import hyperglue
 from hyperglue import cli, glueing
 from hyperglue.cli import main
+from oracles import run_python
 
-# the subprocess imports the same package as the tests, installed or not
-PACKAGE_ROOT = str(Path(hyperglue.__file__).resolve().parent.parent)
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -25,13 +20,7 @@ def run_cli(*argv) -> int:
 
 
 def run_subprocess(*argv):
-    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "hyperglue.cli", *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    return run_python("-m", "hyperglue.cli", *argv)
 
 
 def read_csv(path: Path):
@@ -308,3 +297,59 @@ class TestRepeatedCalls:
 
     def test_build_parser_returns_a_fresh_parser(self):
         assert cli.build_parser() is not cli.build_parser()
+
+
+# the last line a fresh interpreter prints: which scipy modules it loaded
+REPORT_SCIPY = (
+    "\nimport json, sys\n"
+    "print(json.dumps([m for m in ('scipy', 'scipy.spatial', 'scipy.optimize') if m in sys.modules]))"
+)
+
+
+def scipy_loaded_after(code, cwd):
+    result = run_python("-c", code + REPORT_SCIPY, cwd=cwd)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+class TestStartup:
+    """scipy loads at the first Dirichlet cell; `forms` and `count` need numpy only."""
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        assert scipy_loaded_after("import hyperglue.cli", tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["forms", "check", "--coeffs", "-1,1,1", "--field", "Q"],
+            ["forms", "family", "--n", "3", "--out", "out"],
+            ["count", "--m-max", "7", "--mode", "free", "--check-assemblies", "--out", "out"],
+        ],
+        ids=["forms-check", "forms-family", "count"],
+    )
+    def test_exact_commands_load_no_scipy(self, tmp_path, argv):
+        code = f"from hyperglue.cli import main\nassert main({argv!r}) == 0"
+        assert scipy_loaded_after(code, tmp_path) == []
+
+    def test_cells_load_the_hull_but_not_the_lp_solver(self, tmp_path):
+        argv = ["geom", "shrink", "--R", "2,4,8,16", "--out", "out"]
+        code = f"from hyperglue.cli import main\nassert main({argv!r}) == 0"
+        assert scipy_loaded_after(code, tmp_path) == ["scipy", "scipy.spatial"]
+
+    def test_linprog_resolves_on_first_access(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from hyperglue import voronoi\n"
+            "assert 'scipy.optimize' not in sys.modules\n"
+            "lp = voronoi.linprog\n"
+            "assert 'scipy.optimize' in sys.modules\n"
+            "import scipy.optimize\n"
+            "assert lp is scipy.optimize.linprog\n"
+            "try:\n"
+            "    voronoi.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    assert 'no_such_name' in str(exc)\n"
+            "else:\n"
+            "    raise AssertionError('voronoi.no_such_name resolved')"
+        )
+        assert "scipy.optimize" in scipy_loaded_after(code, tmp_path)

@@ -2,8 +2,10 @@
 
 import copy
 import itertools
+import math
 import pickle
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -185,6 +187,23 @@ class TestCounts:
         assert [r.base_count for r in rows] == [1024380, 66462606, 5188453830]
         for row in rows:
             assert row.rooted_labelled == row.base_count * row.m * 4 ** (2 * row.m)
+
+    def test_free_base_counts_approach_bender_canfield(self):
+        # Bender-Canfield: labelled 4-regular graphs on m vertices number
+        # BC(m) = (4m)! / ((2m)! 2^(2m) 24^m) e^(-15/4) (1 + O(1/m)); the
+        # quotient is exact and only e^(15/4) is a float
+        ratios = {}
+        for row in count_graphs(40, "free"):
+            m = row.m
+            quotient = Fraction(
+                row.base_count * math.factorial(2 * m) * 2 ** (2 * m) * 24**m,
+                math.factorial(4 * m),
+            )
+            ratios[m] = float(quotient) * math.exp(15 / 4)
+        assert 0.51 < ratios[5] < 0.52 and 0.38 < ratios[6] < 0.39
+        assert all(ratios[m] < ratios[m + 1] for m in range(6, 40))
+        assert 0.88 < ratios[40] < 0.89
+        assert all(4.66 <= (1 - ratios[m]) * m <= 4.78 for m in range(20, 41))
 
     def test_small_m_give_zero_rows(self):
         for mode in ("free", "proper"):

@@ -50,6 +50,38 @@ def forbid_lp(monkeypatch):
         raise AssertionError("voronoi must not solve LPs")
 
     monkeypatch.setattr(voronoi, "linprog", fail)
+    monkeypatch.setattr("scipy.optimize.linprog", fail)
+
+
+# H3 and plane cutoff-3 cells and the plane cell's facet types, in a fresh
+# interpreter: the cell code must not even import the LP solver
+NO_LP_SCRIPT = """
+import math, sys
+import numpy as np
+from hyperglue.hyperboloid import basepoint, rotation_in_plane, translation_along
+from hyperglue.qforms import jn_form
+from hyperglue.voronoi import GroupData, MarkedGeodesic, build_orbit, classify_facets, dirichlet_cell
+
+j3 = jn_form(3)
+x3 = basepoint(j3)
+gens = [translation_along(j3, x3, axis, 3.0) for axis in np.eye(4)[1:]]
+assert dirichlet_cell(x3, build_orbit([x3], GroupData(j3, gens), 3)).facets
+
+j2 = jn_form(2)
+x2 = basepoint(j2)
+e1 = np.array([0.0, 1.0, 0.0])
+axis = rotation_in_plane(j2, 1, 2, math.radians(75.0)) @ e1
+gens = [translation_along(j2, x2, e1, 2.0), translation_along(j2, x2, axis, 2.5)]
+cell = dirichlet_cell(x2, build_orbit([x2], GroupData(j2, gens), 3))
+assert classify_facets(cell, [MarkedGeodesic(j2, x2, e1, 0, 2.0)]).facets
+assert "scipy.spatial" in sys.modules
+assert "scipy.optimize" not in sys.modules
+"""
+
+
+def test_cells_never_import_the_lp_solver(tmp_path):
+    result = oracles.run_python("-c", NO_LP_SCRIPT, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
 
 
 class TestOrbit:
