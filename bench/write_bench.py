@@ -4,11 +4,11 @@
         --pairs cells=10 exact=4 cli=4 [--seed-start 1] [--trace] [--workdir DIR]
 
 Each revision is exported with `git archive` into a temporary directory and
-benchmarked with its own copy of the benchmark command from BENCHMARK.json (`perfbench/run.py`), for
-the run length BENCHMARK.json sets; both revisions must declare the same
-command, run length and metrics.  Pair k of a workload runs both revisions
-on seed `seed-start + k`, one run at a time, the base first in even pairs
-and the change first in odd ones.
+benchmarked with its own copy of the benchmark command from BENCHMARK.json
+(`perfbench/run.py`), for the run length BENCHMARK.json sets; both revisions
+must declare the same command, run length and metrics.  Pair k of a
+workload runs both revisions on seed `seed-start + k`, one run at a time,
+the base first in even pairs and the change first in odd ones.
 
 For every end-to-end metric the file holds both sides' values, medians and
 quartiles (`statistics.quantiles(n=4)`), the pairs the change won, lost and
