@@ -20,7 +20,9 @@ both revisions (commit and `src` tree), nproc and the Python, numpy and
 scipy versions.  `--trace` adds one traced run per side on each of the first
 three seeds of every workload (fewer if it has fewer pairs), in the same
 alternating order, and stores each per-layer metric per side as values,
-median and quartiles.
+median and quartiles, with the traced runs' own failed and attempted task
+counts per side under `trace.failed`; a traced run that fails any task is
+also printed.
 """
 
 from __future__ import annotations
@@ -97,6 +99,12 @@ def compare(metric: dict, base: list[float], change: list[float]) -> dict:
     return out
 
 
+def failed_counts(runs: dict[str, list[dict]]) -> dict:
+    return {side: {"failed": sum(r["failed"] for r in runs[side]),
+                   "attempted": sum(r["attempted"] for r in runs[side])}
+            for side in SIDES}
+
+
 def parse_pairs(items: list[str]) -> dict[str, int]:
     pairs = {}
     for item in items:
@@ -157,19 +165,20 @@ def main(argv=None) -> int:
                     )
                     for m in spec["end_to_end"]
                 },
-                "failed": {side: {"failed": sum(r["failed"] for r in runs[side]),
-                                  "attempted": sum(r["attempted"] for r in runs[side])}
-                           for side in SIDES},
+                "failed": failed_counts(runs),
             }
             if args.trace:
                 traced: dict[str, list[dict]] = {side: [] for side in SIDES}
                 for seed, side in pair_order(seeds[:3]):
-                    traced[side].append(run_benchmark(trees[side], spec, workload, seed, True)["metrics"])
-                    print(f"{workload} seed {seed} {side} traced", flush=True)
-                entry["trace"] = {"seeds": seeds[:3]}
-                for side, metrics in traced.items():
+                    run = run_benchmark(trees[side], spec, workload, seed, True)
+                    traced[side].append(run)
+                    failed = f", {run['failed']} of {run['attempted']} tasks failed" if run["failed"] else ""
+                    print(f"{workload} seed {seed} {side} traced{failed}", flush=True)
+                entry["trace"] = {"seeds": seeds[:3], "failed": failed_counts(traced)}
+                for side, side_runs in traced.items():
                     entry["trace"][side] = {
-                        name: summary([m[name]["value"] for m in metrics]) for name in metrics[0]
+                        name: summary([r["metrics"][name]["value"] for r in side_runs])
+                        for name in side_runs[0]["metrics"]
                     }
             report["workloads"][workload] = entry
             env = runs["base"][0]["env"]

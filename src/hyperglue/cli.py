@@ -78,6 +78,21 @@ def _write_manifest(out: Path, command: str, params: dict, outputs: list[str]):
         fh.write("\n")
 
 
+def _cell_facet_rows(cell) -> list[list[str]]:
+    """CSV rows describing a cell: the center, then one row per facet."""
+    rows = [["center", " ".join(_f(v) for v in cell.center), "", ""]]
+    for i, f in enumerate(cell.facets):
+        rows.append(
+            [
+                f"facet{i}",
+                " ".join(_f(v) for v in f.halfspace.hyperplane.normal),
+                "".join(str(w) for w in f.source_word) or "seed",
+                f.facet_type.value if f.facet_type else "",
+            ]
+        )
+    return rows
+
+
 def _ensure_out(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -91,15 +106,15 @@ def cmd_forms_family(args) -> int:
     field = FieldTag.parse(args.field)
     family = build_counting_family(args.n, field)
     out = _ensure_out(args)
+    admissible = {label: is_admissible(form) for label, form in family.forms.items()}
     rows = []
     for label in qforms.LABELS:
-        form = family.forms[label]
         rows.append(
             [
                 label,
                 format_element(family.primes[label]),
-                " ".join(format_element(c) for c in form.coefficients),
-                str(is_admissible(form)).lower(),
+                " ".join(format_element(c) for c in family.forms[label].coefficients),
+                str(admissible[label]).lower(),
             ]
         )
     _write_csv(out / "family.csv", ["label", "prime", "coefficients", "admissible"], rows)
@@ -121,7 +136,7 @@ def cmd_forms_family(args) -> int:
     print(f"base form: {family.base}")
     for label in qforms.LABELS:
         print(f"  {label}: prime {format_element(family.primes[label])} -> {family.forms[label]}")
-    all_ok = all(is_admissible(f) for f in family.forms.values()) and all(
+    all_ok = all(admissible.values()) and all(
         c.non_equivalent for c in family.certificates.values()
     )
     print(f"six forms admissible and pairwise non-equivalent: {all_ok}")
@@ -141,10 +156,6 @@ def cmd_forms_check(args) -> int:
 
 
 # -- geometry demos -------------------------------------------------------------
-
-
-def _geodesic_sphere(form, geo: MarkedGeodesic):
-    return boundary_sphere(form, geo.hyperplanes()[0])
 
 
 def cmd_geom_admissible(args) -> int:
@@ -182,9 +193,8 @@ def cmd_geom_admissible(args) -> int:
     _write_csv(out / "admissible.csv", ["key", "value"], rows)
 
     canvas = BallCanvas()
-    canvas.disk_boundary()
-    canvas.geodesic(_geodesic_sphere(form, s1), stroke="#1f77b4")
-    canvas.geodesic(_geodesic_sphere(form, s2), stroke="#1f77b4")
+    for geo in (s1, s2):
+        canvas.geodesic(boundary_sphere(form, geo.hyperplanes()[0]), stroke="#1f77b4")
     for p, tag in dense.points:
         canvas.dot(ball_coordinates(form, p), radius=0.012, fill="#2ca02c")
     for p, tag in sparse.points:
@@ -252,12 +262,11 @@ def cmd_geom_nesting(args) -> int:
     _write_csv(out / "nesting.csv", ["wall_a", "wall_b", "verdict"], rows)
     cell_rows = []
     for name, cell in (("H", cell_h), ("V", cell_v)):
-        for row in voronoi.cell_facet_rows(cell):
+        for row in _cell_facet_rows(cell):
             cell_rows.append([name] + row)
     _write_csv(out / "cells.csv", ["cell", "item", "data", "word", "type"], cell_rows)
 
     canvas = BallCanvas()
-    canvas.disk_boundary()
     for f in cell_h.facets:
         canvas.geodesic(boundary_sphere(form, f.halfspace.hyperplane), stroke="#d62728")
     for f in cell_v.facets:
@@ -298,7 +307,6 @@ def cmd_geom_shrink(args) -> int:
     )
 
     canvas = BallCanvas()
-    canvas.disk_boundary()
     # the vertical plane's ideal circle is the drawing plane's unit circle;
     # first-type circles sit on the marked-geodesic axis, second-type on the
     # orthogonal axis and shrink with R
@@ -370,7 +378,6 @@ def cmd_geom_extension(args) -> int:
     _write_csv(out / "extension.csv", ["kind", "data", "note"], rows)
 
     canvas = BallCanvas()
-    canvas.disk_boundary()
     canvas.line((-1.0, 0.0), (1.0, 0.0), stroke="#1f77b4")  # the base hyperplane, side view
     wall = 1.0 / math.tanh(length / 2.0)
     radius = 1.0 / math.sinh(length / 2.0)
@@ -566,7 +573,7 @@ def main(argv=None) -> int:
     handler = globals()[args.handler]
     try:
         return handler(args)
-    except (ValueError, voronoi.UndecidableError) as exc:
+    except (ValueError, OSError, voronoi.UndecidableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -46,10 +46,6 @@ def float_coefficients(form: DiagonalForm) -> np.ndarray:
     return form.float_coefficients
 
 
-def form_matrix(form: DiagonalForm) -> np.ndarray:
-    return np.diag(float_coefficients(form))
-
-
 def as_float_vector(form: DiagonalForm, v) -> np.ndarray:
     if _is_exact_vector(v):
         return np.array([x.embed(Embedding.IDENTITY) for x in v])
@@ -59,12 +55,7 @@ def as_float_vector(form: DiagonalForm, v) -> np.ndarray:
 def bilinear(form: DiagonalForm, u, w):
     """b_f(u, w) = sum_i c_i u_i w_i; exact when both vectors are exact."""
     if _is_exact_vector(u) and _is_exact_vector(w):
-        if len(u) != form.dimension or len(w) != form.dimension:
-            raise ValueError("vector dimension does not match form")
-        acc = QuadFieldElement.zero(form.field)
-        for c, x, y in zip(form.coefficients, u, w):
-            acc = acc + c * x * y
-        return acc
+        return form.bilinear(u, w)
     uf = as_float_vector(form, u)
     wf = as_float_vector(form, w)
     if uf.shape[-1] != form.dimension or wf.shape[-1] != form.dimension:
@@ -187,7 +178,7 @@ def is_isometry(form: DiagonalForm, mat, tol: float = EPS) -> bool:
                     return False
         return True
     a = np.asarray(mat, dtype=float)
-    f = form_matrix(form)
+    f = np.diag(float_coefficients(form))
     scale = max(1.0, float(np.max(np.abs(a))) ** 2)
     return bool(np.max(np.abs(a.T @ f @ a - f)) <= tol * scale)
 
@@ -366,18 +357,6 @@ class HalfSpace:
 
     def inward_normal(self) -> np.ndarray:
         return self.side * self.hyperplane.normal
-
-
-def bisector(form: DiagonalForm, x, y) -> Hyperplane:
-    """Hyperplane of points equidistant from sheet points x and y (normal x - y)."""
-    xf = as_float_vector(form, x)
-    yf = as_float_vector(form, y)
-    if np.allclose(xf, yf, atol=EPS):
-        raise ValueError("bisector requires two distinct points")
-    for p in (xf, yf):
-        if not is_point(form, p):
-            raise ValueError("bisector requires points on the upper sheet")
-    return Hyperplane(form, xf - yf)
 
 
 def hyperplane_distance(form: DiagonalForm, h1: Hyperplane, h2: Hyperplane) -> float:

@@ -108,10 +108,6 @@ class QuadFieldElement:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def rational(cls, value, field: FieldTag = FieldTag.Q) -> "QuadFieldElement":
-        return cls(value, 0, field)
-
-    @classmethod
     def zero(cls, field: FieldTag) -> "QuadFieldElement":
         return _make(0, 0, 1, field)
 
@@ -371,22 +367,29 @@ def format_element(x: QuadFieldElement) -> str:
     return f"{x.a} - {-x.b}*r2"
 
 
+def _fraction(part: str, text: str) -> Fraction:
+    try:
+        return Fraction(part)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
+
+
 def parse_element(text: str, field: FieldTag | None = None) -> QuadFieldElement:
     """Parse "a/b + c/d*r2" (or a bare rational); exact round-trip with format_element."""
     m = _PURE_SQRT_RE.match(text)
     if m:
-        b = Fraction(m.group("b"))
+        b = _fraction(m.group("b"), text)
         if field is FieldTag.Q:
             raise ValueError(f"{text!r} does not lie in Q")
         return QuadFieldElement(0, b, FieldTag.Q_SQRT2)
     m = _ELEMENT_RE.match(text)
     if not m:
         raise ValueError(f"cannot parse field element {text!r}")
-    a = Fraction(m.group("a"))
+    a = _fraction(m.group("a"), text)
     if m.group("b") is None:
         tag = field if field is not None else FieldTag.Q
         return QuadFieldElement(a, 0, tag)
-    b = Fraction(m.group("b"))
+    b = _fraction(m.group("b"), text)
     if m.group("sign") == "-":
         b = -b
     if field is FieldTag.Q and b != 0:

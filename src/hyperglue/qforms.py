@@ -80,6 +80,15 @@ class DiagonalForm:
         tinv.setflags(write=False)
         return t, tinv
 
+    def bilinear(self, u, w) -> QuadFieldElement:
+        """b_f(u, w) = sum_i c_i u_i w_i, exact over the form's field."""
+        if len(u) != self.dimension or len(w) != self.dimension:
+            raise ValueError("vector dimension does not match form")
+        acc = QuadFieldElement.zero(self.field)
+        for c, x, y in zip(self.coefficients, u, w):
+            acc = acc + c * x * y
+        return acc
+
     def __getstate__(self):
         # copies and pickles carry the fields only; a copy rebuilds its own
         # read-only float views (deepcopy and unpickling would make them writeable)
@@ -124,6 +133,8 @@ def direct_sum(form: DiagonalForm, q) -> DiagonalForm:
         if q.b != 0:
             raise ValueError("direct summand must be rational")
         q = q.a
+    elif isinstance(q, float) and not math.isfinite(q):
+        raise ValueError(f"direct summand {q} is not finite")
     q = Fraction(q)
     if q <= 0:
         raise ValueError("direct summand must be positive")
@@ -145,12 +156,7 @@ class IsotropicVectorError(ValueError):
 
 
 def evaluate(form: DiagonalForm, v: Sequence[QuadFieldElement]) -> QuadFieldElement:
-    if len(v) != form.dimension:
-        raise ValueError("vector dimension does not match form")
-    total = QuadFieldElement.zero(form.field)
-    for c, x in zip(form.coefficients, v):
-        total = total + c * x * x
-    return total
+    return form.bilinear(v, v)
 
 
 def gram_matrix(
@@ -162,11 +168,7 @@ def gram_matrix(
     g = [[zero for _ in range(m)] for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
-            acc = zero
-            for c, x, y in zip(form.coefficients, basis[i], basis[j]):
-                acc = acc + c * x * y
-            g[i][j] = acc
-            g[j][i] = acc
+            g[i][j] = g[j][i] = form.bilinear(basis[i], basis[j])
     return g
 
 

@@ -23,16 +23,14 @@ class BallCanvas:
     """Collects SVG elements over the unit disk (y axis flipped for screen)."""
 
     def __init__(self):
-        self.elements: list[str] = []
+        # every figure starts with the disk boundary
+        self.elements: list[str] = [
+            '<circle cx="0" cy="0" r="1" fill="none" stroke="#222222" '
+            'stroke-width="0.012000"/>'
+        ]
 
     def _pt(self, p) -> tuple[str, str]:
         return _fmt(float(p[0])), _fmt(-float(p[1]))
-
-    def disk_boundary(self):
-        self.elements.append(
-            '<circle cx="0" cy="0" r="1" fill="none" stroke="#222222" '
-            'stroke-width="0.012000"/>'
-        )
 
     def circle(self, center, radius: float, stroke: str = "#444444"):
         cx, cy = self._pt(center)
@@ -79,22 +77,13 @@ class BallCanvas:
         perp = np.array([-chat[1], chat[0]])
         e1 = a * chat + h * perp
         e2 = a * chat - h * perp
-        # pick the branch of the circle lying inside the disk
-        th1 = math.atan2(e1[1] - c[1], e1[0] - c[0])
-        th2 = math.atan2(e2[1] - c[1], e2[0] - c[0])
-        span = (th2 - th1) % (2.0 * math.pi)
-        mid = c + r * np.array(
-            [math.cos(th1 + span / 2.0), math.sin(th1 + span / 2.0)]
-        )
-        if np.linalg.norm(mid) > 1.0:
-            th1, th2 = th2, th1
-            span = (th2 - th1) % (2.0 * math.pi)
-        large = 1 if span > math.pi else 0
-        # svg y axis points down, so the positive-angle sweep renders as flag 0
+        # the circle is orthogonal to the unit circle, so the positive-angle
+        # sweep from e1 to e2 is the minor arc inside the disk; svg's y axis
+        # points down, so that sweep renders with both flags 0
         x1, y1 = self._pt(e1)
         x2, y2 = self._pt(e2)
         self.elements.append(
-            f'<path d="M {x1} {y1} A {_fmt(r)} {_fmt(r)} 0 {large} 0 {x2} {y2}" '
+            f'<path d="M {x1} {y1} A {_fmt(r)} {_fmt(r)} 0 0 0 {x2} {y2}" '
             f'fill="none" stroke="{stroke}" stroke-width="{_STROKE_WIDTH}"/>'
         )
 

@@ -304,7 +304,6 @@ class FacetType(enum.Enum):
 class CellFacet:
     halfspace: HalfSpace
     source_word: tuple[int, ...]
-    source_point: np.ndarray
     facet_type: FacetType | None = None
 
 
@@ -443,7 +442,7 @@ def dirichlet_cell(
         # b_f(center, diff) = cosh d - 1 > 0, so the inward side is where diff points
         h = Hyperplane(form, diff[first])
         hs = HalfSpace(h, 1 if np.dot(h.normal, diff[first]) > 0 else -1)
-        kept.append(CellFacet(hs, others[first].word, others[first].point))
+        kept.append(CellFacet(hs, others[first].word))
     if not kept:
         raise UndecidableError(
             f"pruning radius rho = {rho:.6g} keeps no facet of the "
@@ -665,7 +664,6 @@ def check_admissible(
     orbit = build_orbit(seeds, group, orbit_cutoff, tags=tags)
     coords = orbit.coordinates()
     orbit_tags = np.array([op.tag for op in orbit.points])
-    seed_coords = np.array(seeds)
 
     spacing = 0.0
     if len({s.surface_id for s in surfaces}) > 1:
@@ -682,7 +680,7 @@ def check_admissible(
             + np.sinh(ts)[:, None] * s.tangent[None, :]
         )
         cosh_orbit = -(samples * c[None, :]) @ coords.T
-        cosh_seeds = -(samples * c[None, :]) @ seed_coords.T
+        cosh_seeds = cosh_orbit[:, : len(seeds)]  # the orbit lists the seeds first
         nearest_seed = np.arccosh(np.maximum(1.0, cosh_seeds.min(axis=1)))
         if np.any(nearest_seed > orbit.certification_radius + EPS):
             raise UndecidableError(
@@ -724,9 +722,7 @@ def orthogonal_extension(cell: VoronoiCell, q) -> VoronoiCell:
         n = np.append(f.halfspace.hyperplane.normal, 0.0)
         hp = Hyperplane(new_form, n)
         hs = HalfSpace(hp, f.halfspace.side)
-        new_facets.append(
-            CellFacet(hs, f.source_word, np.append(f.source_point, 0.0), f.facet_type)
-        )
+        new_facets.append(CellFacet(hs, f.source_word, f.facet_type))
     return VoronoiCell(
         new_form, new_center, tuple(new_facets), cell.certification_radius
     )
@@ -1069,24 +1065,3 @@ def check_poincare_2d(
         nested_pairs=tuple(nested),
         skipped_nesting=skipped,
     )
-
-
-# -- cell dumps ------------------------------------------------------------------
-
-
-def cell_facet_rows(cell: VoronoiCell) -> list[list[str]]:
-    """CSV-ready rows describing a cell: one row per facet plus the center."""
-    def fmt(x: float) -> str:
-        return f"{float(x):.12g}"
-
-    rows = [["center", " ".join(fmt(v) for v in cell.center), "", ""]]
-    for i, f in enumerate(cell.facets):
-        rows.append(
-            [
-                f"facet{i}",
-                " ".join(fmt(v) for v in f.halfspace.hyperplane.normal),
-                "".join(str(w) for w in f.source_word) or "seed",
-                f.facet_type.value if f.facet_type else "",
-            ]
-        )
-    return rows

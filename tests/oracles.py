@@ -21,17 +21,17 @@ from hyperglue.glueing import (
     CountRow,
     GlueingGraph,
     enumerate_base_graphs,
-    proper_labelings,
 )
 from hyperglue.hyperboloid import (
     EPS,
     HalfSpace,
     Hyperplane,
+    as_float_vector,
     basepoint,
     bilinear,
-    bisector,
     distance,
     float_coefficients,
+    is_point,
     isometry_inverse,
     jn_chart,
     normalize_point,
@@ -229,6 +229,18 @@ def nearest_center_agreement(
     return int(np.sum(usable)), mismatches
 
 
+def bisector(form: DiagonalForm, x, y) -> Hyperplane:
+    """Hyperplane of points equidistant from sheet points x and y (normal x - y)."""
+    xf = as_float_vector(form, x)
+    yf = as_float_vector(form, y)
+    if np.allclose(xf, yf, atol=EPS):
+        raise ValueError("bisector requires two distinct points")
+    for p in (xf, yf):
+        if not is_point(form, p):
+            raise ValueError("bisector requires points on the upper sheet")
+    return Hyperplane(form, xf - yf)
+
+
 def lp_pruned_cell(center, orbit: OrbitSet, prune_radius: float | None = None) -> VoronoiCell:
     """Reference Dirichlet cell: pairwise duplicate scan, then one LP per bisector.
 
@@ -253,7 +265,7 @@ def lp_pruned_cell(center, orbit: OrbitSet, prune_radius: float | None = None) -
             for prev in raw
         ):
             continue
-        raw.append(CellFacet(hs, op.word, op.point))
+        raw.append(CellFacet(hs, op.word))
 
     rho = prune_radius if prune_radius is not None else orbit.certification_radius
     box = math.tanh(min(rho, _BOX_CAP))
@@ -525,6 +537,34 @@ class FractionPair:
         if self.b >= 0:
             return f"{self.a} + {self.b}*r2"
         return f"{self.a} - {-self.b}*r2"
+
+
+def proper_labelings(edges: Sequence[tuple[int, int]], m: int) -> Iterator[tuple[str, ...]]:
+    """All edge labelings giving every vertex the four distinct labels.
+
+    This is proper 4-edge-coloring of a 4-regular graph; backtracking in
+    edge order with per-vertex used-label masks.
+    """
+    used = [set() for _ in range(m)]
+    assignment: list[str] = []
+
+    def rec(k: int) -> Iterator[tuple[str, ...]]:
+        if k == len(edges):
+            yield tuple(assignment)
+            return
+        i, j = edges[k]
+        for lab in EDGE_LABELS:
+            if lab in used[i] or lab in used[j]:
+                continue
+            used[i].add(lab)
+            used[j].add(lab)
+            assignment.append(lab)
+            yield from rec(k + 1)
+            assignment.pop()
+            used[i].remove(lab)
+            used[j].remove(lab)
+
+    yield from rec(0)
 
 
 def count_proper_labelings(edges, m: int) -> int:

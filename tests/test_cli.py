@@ -10,7 +10,9 @@ import pytest
 
 from hyperglue import cli, glueing
 from hyperglue.cli import main
-from oracles import run_python
+from hyperglue.hyperboloid import basepoint
+from hyperglue.voronoi import MarkedGeodesic, classify_facets
+from oracles import E1, J2, plane_config, run_python
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -53,6 +55,19 @@ class TestForms:
     def test_check_non_admissible(self, capsys):
         assert run_cli("forms", "check", "--coeffs", "1,1,1", "--field", "Q") == 0
         assert "admissible=false" in capsys.readouterr().out
+
+    def test_zero_denominator_is_an_error(self):
+        result = run_subprocess("forms", "check", "--coeffs", "1/0,1,1")
+        assert result.returncode == 1
+        assert result.stderr == "error: '1/0' has a zero denominator\n"
+
+    def test_unwritable_out_is_an_error(self, tmp_path):
+        parent = tmp_path / "file"
+        parent.write_text("")
+        result = run_subprocess("forms", "family", "--n", "3", "--out", str(parent / "x"))
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: ") and "Not a directory" in result.stderr
+        assert len(result.stderr.splitlines()) == 1
 
     def test_missing_required_flag_exits_2(self):
         result = run_subprocess("forms", "family", "--field", "Q")
@@ -112,6 +127,7 @@ class TestGeomCommands:
             (("geom", "extension", "--length", "15"), "not finite and positive"),
             (("geom", "shrink", "--R", "2,4,19"), "not finite and positive"),
             (("geom", "extension", "--length", "300"), "word length 3 overflow"),
+            (("geom", "extension", "--q", "inf"), "summand inf is not finite"),
         ],
     )
     def test_overflowing_length_is_an_error(self, tmp_path, job, cause):
@@ -147,6 +163,16 @@ class TestGeomCommands:
             assert svgs
             for svg in svgs:
                 assert svg.with_suffix(".csv").exists()
+
+
+class TestCellRows:
+    def test_facet_rows(self):
+        _, _, cell = plane_config("cyclic", (2.0,))
+        axis = MarkedGeodesic(J2, basepoint(J2), E1, 0, 2.0)
+        rows = cli._cell_facet_rows(classify_facets(cell, [axis]))
+        assert rows[0][0] == "center"
+        assert len(rows) == 1 + len(cell.facets)
+        assert all(r[3] == "first" for r in rows[1:])
 
 
 class TestCount:

@@ -23,7 +23,6 @@ from hyperglue.hyperboloid import (
     ball_coordinates,
     basepoint,
     bilinear,
-    bisector,
     boundary_sphere,
     distance,
     exact_identity,
@@ -39,7 +38,7 @@ from hyperglue.hyperboloid import (
     translation_length,
 )
 
-from oracles import FractionPair, are_orthogonal, exact_mat_vec
+from oracles import FractionPair, are_orthogonal, bisector, exact_mat_vec
 
 J2 = jn_form(2)
 J3 = jn_form(3)

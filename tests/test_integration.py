@@ -17,7 +17,6 @@ from hyperglue.hyperboloid import (
     NestingVerdict,
     are_nested,
     basepoint,
-    bisector,
     translation_along,
 )
 from hyperglue.qforms import jn_form
@@ -31,7 +30,7 @@ from hyperglue.voronoi import (
     orthogonal_extension,
 )
 
-from oracles import are_orthogonal
+from oracles import are_orthogonal, bisector
 
 J2 = jn_form(2)
 J3 = jn_form(3)

@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hyperglue import hyperboloid
 from hyperglue.numfield import Embedding, FieldTag, QuadFieldElement, sqrt2
 from hyperglue.qforms import (
     DiagonalForm,
@@ -21,12 +23,15 @@ from hyperglue.qforms import (
     equivalence_certificate,
     evaluate,
     form_from_rationals,
+    gram_matrix,
     is_admissible,
     jn_form,
     restrict_to_orthogonal,
     ring_primes,
     signature_at,
 )
+
+from oracles import FractionPair
 
 
 def qs2(a, b=0):
@@ -120,6 +125,9 @@ class TestDirectSum:
             direct_sum(jn_form(2), -3)
         with pytest.raises(ValueError):
             direct_sum(counting_base_form(2, FieldTag.Q_SQRT2), sqrt2())
+        for q in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="not finite"):
+                direct_sum(jn_form(2), q)
 
     def test_dimension_and_field(self):
         rng = random.Random(3)
@@ -129,6 +137,61 @@ class TestDirectSum:
             out = direct_sum(form, rng.randint(1, 9))
             assert out.dimension == form.dimension + 1
             assert out.field is field
+
+
+class TestBilinear:
+    """The one exact b_f(u, w) = sum c_i u_i w_i, against the FractionPair oracle."""
+
+    @staticmethod
+    def oracle(form, u, w):
+        def pair(x):
+            return FractionPair(x.a, x.b, form.field)
+
+        total = FractionPair(0, 0, form.field)
+        for c, x, y in zip(form.coefficients, u, w):
+            total = total + pair(c) * pair(x) * pair(y)
+        return total
+
+    @staticmethod
+    def random_form(rng, field, n):
+        coeffs = []
+        while len(coeffs) < n:
+            c = random_element(rng, field)
+            if c:
+                coeffs.append(c)
+        return DiagonalForm(tuple(coeffs), field)
+
+    @pytest.mark.parametrize("field", [FieldTag.Q, FieldTag.Q_SQRT2])
+    def test_gram_matrix_evaluate_and_oracle_agree(self, field):
+        rng = random.Random(23)
+        for n in (3, 4, 5):
+            for _ in range(4):
+                form = self.random_form(rng, field, n)
+                basis = [
+                    tuple(random_element(rng, field) for _ in range(n))
+                    for _ in range(rng.randint(1, n))
+                ]
+                g = gram_matrix(form, basis)
+                for (i, u), (j, w) in itertools.product(enumerate(basis), repeat=2):
+                    b = form.bilinear(u, w)
+                    assert g[i][j] == b
+                    assert FractionPair(b.a, b.b, field) == self.oracle(form, u, w)
+                    assert hyperboloid.bilinear(form, u, w) == b
+                for v in basis:
+                    assert evaluate(form, v) == form.bilinear(v, v)
+
+    @pytest.mark.parametrize("field", [FieldTag.Q, FieldTag.Q_SQRT2])
+    def test_short_basis_row_refused(self, field):
+        rng = random.Random(5)
+        form = self.random_form(rng, field, 4)
+        basis = [
+            tuple(random_element(rng, field) for _ in range(4)),
+            tuple(random_element(rng, field) for _ in range(3)),
+        ]
+        with pytest.raises(ValueError, match="dimension does not match"):
+            gram_matrix(form, basis)
+        with pytest.raises(ValueError, match="dimension does not match"):
+            evaluate(form, basis[1])
 
 
 def random_space_like_vector(rng, form):

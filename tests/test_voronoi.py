@@ -927,14 +927,3 @@ class TestPoincare:
             compared += bool(vertices)
         assert compared >= 15
 
-
-class TestSceneSerialization:
-    def test_facet_rows(self):
-        from hyperglue.voronoi import cell_facet_rows
-
-        _, orbit, cell = plane_config("cyclic", (2.0,))
-        axis = MarkedGeodesic(J2, X0, E1, 0, 2.0)
-        rows = cell_facet_rows(classify_facets(cell, [axis]))
-        assert rows[0][0] == "center"
-        assert len(rows) == 1 + len(cell.facets)
-        assert all(r[3] == "first" for r in rows[1:])
