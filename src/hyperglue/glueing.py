@@ -24,7 +24,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 

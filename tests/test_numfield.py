@@ -168,11 +168,9 @@ class TestSerialization:
             parse_element("one plus r2")
         with pytest.raises(ValueError):
             parse_element("1 + 1*r2", FieldTag.Q)
-
-    @pytest.mark.parametrize("text", ["1/0", "-3/00", "1 + 1/0*r2", "1/0*r2"])
-    def test_zero_denominator_refused(self, text):
-        with pytest.raises(ValueError, match="zero denominator"):
-            parse_element(text)
+        for text in ("1/0", "-3/00", "1 + 1/0*r2", "1/0*r2"):
+            with pytest.raises(ValueError, match="zero denominator"):
+                parse_element(text)
 
 
 # operands with numerators and denominators far above 2**64 besides small ones
