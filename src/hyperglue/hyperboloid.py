@@ -189,12 +189,6 @@ def isometry_inverse(form: DiagonalForm, mat: np.ndarray) -> np.ndarray:
     return (mat.T * c[None, :]) / c[:, None]
 
 
-def translation_length(mat: np.ndarray) -> float:
-    """Translation length of a loxodromic element: log of the spectral radius."""
-    eigs = np.linalg.eigvals(mat)
-    return float(max(0.0, math.log(float(np.max(np.abs(eigs))))))
-
-
 # -- the J_n chart and sheet bookkeeping ---------------------------------------
 
 

@@ -3,13 +3,16 @@ admissible point sets, orthogonal extension, sphere shrinking and a
 Poincare pairing check for plane domains.
 
 Cells are built with floating arithmetic in the Klein model, where
-halfspaces are affine constraints a . k >= rhs.  Redundant bisectors are
-pruned with one convex hull of their polar points a / rhs.  Facet types
-are decided in closed form along the Klein line of each marked geodesic:
-a facet is first type iff the root of its own row lies in the interval
-where all rows and the box faces hold, both relaxed by the feasibility
-tolerance.  Everything is deterministic: orbit points are ordered
-breadth-first by provenance word, and facets keep that order.
+halfspaces are affine constraints a . k >= rhs.  Each cell has one Klein
+chart, centred on the cell: pruning, facet types and the Poincare check
+all read their rows in it, so no decision depends on where the cell sits
+in H^n.  Redundant bisectors are pruned with one convex hull of their
+polar points a / rhs.  Facet types are decided in closed form along the
+Klein line of each marked geodesic: a facet is first type iff the root of
+its own row lies in the interval where all rows and the box faces hold,
+both relaxed by the feasibility tolerance.  Everything is deterministic:
+orbit points are ordered breadth-first by provenance word, and facets
+keep that order.
 
 scipy is imported at the first Dirichlet cell (the `geom` commands), so
 the exact side (`forms`, `count`) loads numpy only.  The name `linprog`
@@ -48,7 +51,6 @@ from .hyperboloid import (
     normalize_points,
     quadratic,
     translation_along,
-    translation_length,
 )
 
 _FEAS_EPS = 1e-7
@@ -138,20 +140,15 @@ class MarkedGeodesic:
 
 @dataclass
 class GroupData:
-    """Generators with a declared translation-length floor R.
+    """Generators of a group acting on H^n, with its marked geodesic lifts.
 
-    Every generator must verify the isometry identity.  When a horizontal
-    hyperplane is declared, generators not stabilizing it must move by at
-    least `r_floor` (the user-supplied surrogate for a deep finite-index
-    subgroup).  Every marked lift must be a `MarkedGeodesic`; anything
-    else raises TypeError.
+    Every generator must verify the isometry identity.  Every marked lift
+    must be a `MarkedGeodesic`; anything else raises TypeError.
     """
 
     form: DiagonalForm
     generators: list[np.ndarray]
     marked: list[MarkedGeodesic] = field(default_factory=list)
-    r_floor: float = 0.0
-    horizontal: Hyperplane | None = None
 
     def __post_init__(self):
         for m in self.marked:
@@ -161,14 +158,6 @@ class GroupData:
         for g in self.generators:
             if not is_isometry(self.form, g, tol=1e-7):
                 raise ValueError("generator fails the isometry identity")
-        if self.r_floor > 0:
-            for g in self.generators:
-                if self.horizontal is not None and _stabilizes(g, self.horizontal):
-                    continue
-                if translation_length(g) < self.r_floor - 1e-6:
-                    raise ValueError(
-                        "generator moves by less than the declared floor R"
-                    )
 
     @property
     def gens_with_inverses(self) -> list[np.ndarray]:
@@ -177,10 +166,6 @@ class GroupData:
             out.append(g)
             out.append(isometry_inverse(self.form, g))
         return out
-
-
-def _stabilizes(mat: np.ndarray, h: Hyperplane) -> bool:
-    return h.apply(mat).same_as(h)
 
 
 # -- orbits ----------------------------------------------------------------------
@@ -319,6 +304,10 @@ class VoronoiCell:
     def contains(self, x) -> bool:
         return all(f.halfspace.contains(x) for f in self.facets)
 
+    @functools.cached_property
+    def _chart(self) -> tuple[np.ndarray, np.ndarray]:
+        return _cell_chart(self.form, self.center)
+
 
 def _centering_isometry(form: DiagonalForm, center: np.ndarray) -> np.ndarray:
     """Isometry taking the chart basepoint to `center`."""
@@ -330,14 +319,24 @@ def _centering_isometry(form: DiagonalForm, center: np.ndarray) -> np.ndarray:
     return translation_along(form, b0, u, d)
 
 
-def _klein_rows(form: DiagonalForm, normals, world_to_local: np.ndarray):
-    """Affine Klein rows (a, rhs), one per normal, in local coordinates.
+def _cell_chart(form: DiagonalForm, center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Klein chart centred on `center`: world -> chart T L^-1 and chart -> world L T^-1.
+
+    L is the isometry taking the basepoint to the center and T the J_n
+    chart, so the center sits at the chart's origin.
+    """
+    t, tinv = jn_chart(form)
+    move = _centering_isometry(form, center)
+    return t @ isometry_inverse(form, move), move @ tinv
+
+
+def _klein_rows(to_chart: np.ndarray, normals):
+    """Affine Klein rows (a, rhs), one per normal, in the chart `to_chart` maps into.
 
     An inward halfspace normal gives the constraint a . k >= rhs; a
     hyperplane normal gives the equality a . k = rhs.
     """
-    t, _ = jn_chart(form)
-    chart = t @ (world_to_local @ np.reshape(normals, (-1, form.dimension)).T)
+    chart = to_chart @ np.reshape(normals, (-1, len(to_chart))).T
     return chart[1:].T, chart[0]
 
 
@@ -401,8 +400,8 @@ def dirichlet_cell(
             "shorten the translations or lower the orbit cutoff"
         )
     inward = diff / np.sqrt(f_norm)[:, None]
-    world_to_local = isometry_inverse(form, _centering_isometry(form, center))
-    a_all, rhs_all = _klein_rows(form, inward, world_to_local)
+    chart = _cell_chart(form, center)
+    a_all, rhs_all = _klein_rows(chart[0], inward)
     polar = a_all / rhs_all[:, None]
     dim = form.dimension - 1
     box = math.tanh(min(rho, _BOX_CAP))
@@ -449,7 +448,9 @@ def dirichlet_cell(
             f"{len(others)} bisectors, so the cell would be everything; "
             "increase the orbit cutoff or the radius"
         )
-    return VoronoiCell(form, center, tuple(kept), orbit.certification_radius)
+    cell = VoronoiCell(form, center, tuple(kept), orbit.certification_radius)
+    cell.__dict__["_chart"] = chart  # the chart its rows were read in
+    return cell
 
 
 def classify_facets(
@@ -468,13 +469,10 @@ def classify_facets(
     is 0 within _FEAS_EPS and the interval is not empty.  Each lift must be
     a `MarkedGeodesic`; anything else raises TypeError.
     """
-    form = cell.form
     rho = box_radius if box_radius is not None else cell.certification_radius
     box = math.tanh(min(rho, _BOX_CAP))
-    world_to_local = isometry_inverse(form, _centering_isometry(form, cell.center))
-    a_all, rhs_all = _klein_rows(
-        form, [f.halfspace.inward_normal() for f in cell.facets], world_to_local
-    )
+    to_chart, _ = cell._chart
+    a_all, rhs_all = _klein_rows(to_chart, [f.halfspace.inward_normal() for f in cell.facets])
     n, dim = a_all.shape
     # facet rows, then the box faces -k_j >= -box and k_j >= -box
     rows = np.vstack([a_all, -np.eye(dim), np.eye(dim)])
@@ -485,9 +483,7 @@ def classify_facets(
     for m in marked:
         if not isinstance(m, MarkedGeodesic):
             raise TypeError(f"unsupported marked lift {type(m).__name__}")
-        (p_sp, u_sp), (p_0, u_0) = _klein_rows(
-            form, [m.point, m.tangent], world_to_local
-        )
+        (p_sp, u_sp), (p_0, u_0) = _klein_rows(to_chart, [m.point, m.tangent])
         d = (u_sp * p_0 - p_sp * u_0) / (p_0 * p_0)
         base = rows @ (p_sp / p_0) - rhs
         slope = rows @ d
@@ -822,6 +818,8 @@ class FacetPairing:
 
 @dataclass(frozen=True)
 class VertexCycle:
+    """A vertex cycle; `start` is (cell index, Klein point in that cell's chart)."""
+
     start: tuple[int, np.ndarray]
     angle_sum: float
     order: int | None
@@ -859,26 +857,22 @@ class PoincareReport:
 
 
 def _facet_ends(cell: VoronoiCell):
-    """Both ends of every facet of a plane cell, in world Klein coordinates.
+    """Both ends of every facet of a plane cell, in the cell's own Klein chart.
 
     Each end is (k, j): the Klein point and the facet j whose wall cuts
-    the facet there, with j = None where the facet runs out to the disk
-    of radius 0.999999 (k is then the exit point) or is cut no more than
+    the facet there, with j = None where the facet runs out to its ideal
+    point on the unit circle (k is then that point) or is cut no more than
     1e-7 inside it.  Ends come in the order lo, hi along the facet line.
     """
     if not cell.facets:
         return []
-    box = 0.999999
-    form = cell.form
-    a, rhs = _klein_rows(
-        form, [f.halfspace.inward_normal() for f in cell.facets], np.eye(form.dimension)
-    )
+    a, rhs = _klein_rows(cell._chart[0], [f.halfspace.inward_normal() for f in cell.facets])
     norm = np.linalg.norm(a, axis=1)
     base = a * rhs[:, None] / (norm * norm)[:, None]
     direction = np.stack([-a[:, 1], a[:, 0]], axis=1) / norm[:, None]
     # base is the foot of the perpendicular from the origin, so the line
     # leaves the disk at t = -+ half
-    half_sq = box * box - np.einsum("ij,ij->i", base, base)
+    half_sq = 1.0 - np.einsum("ij,ij->i", base, base)
     if np.any(half_sq <= 0):
         raise ValueError("facet line misses the Klein disk")
     half = np.sqrt(half_sq)
@@ -900,20 +894,9 @@ def _facet_ends(cell: VoronoiCell):
         ends = []
         for t, j in ((t_lo, j_lo), (t_hi, j_hi)):
             k = base[i] + t * direction[i]
-            ends.append((k, j if np.linalg.norm(k) < box - 1e-7 else None))
+            ends.append((k, j if np.linalg.norm(k) < 1.0 - 1e-7 else None))
         out.append(tuple(ends))
     return out
-
-
-def _klein_project(form: DiagonalForm, x: np.ndarray) -> np.ndarray:
-    t, _ = jn_chart(form)
-    y = t @ x
-    return y[1:] / y[0]
-
-
-def _klein_lift(form: DiagonalForm, k: np.ndarray) -> np.ndarray:
-    _, tinv = jn_chart(form)
-    return tinv @ np.concatenate(([1.0], k)) / math.sqrt(1.0 - float(np.dot(k, k)))
 
 
 def _interior_angle(form, cell, i, j) -> float:
@@ -936,14 +919,18 @@ def check_poincare_2d(
     1e-6 relative in m, and (iv) no two bounding hyperplanes from distinct
     cells are nested; (iv) needs the two cells to share their center.
 
-    A facet end (cell, facet, 0 or 1) cut by facet j is a vertex; the
-    same vertex is the end of j cut by the facet, its twin.  Check (ii)
-    maps each pairing's ends onto its partner's once, and check (iii)
-    walks each vertex cycle through that end map: leave through the
-    cutting facet from the twin end, cross its pairing, and go on from
-    the end it arrives at.  A walk that cannot cross, arrives at an end
-    that is no vertex, or meets an end seen before other than its start
-    is a BAD cycle.
+    Facet ends are taken in each cell's own Klein chart, an uncut facet
+    ending at its ideal point, so moving the whole domain by an isometry
+    leaves the report as it is.  A facet end (cell, facet, 0 or 1) cut by
+    facet j is a vertex; the same vertex is the end of j cut by the facet,
+    its twin.  Check (ii) maps each pairing's ends onto its partner's
+    once, projectively from the source cell's chart to the target's, and
+    check (iii) walks each vertex cycle through that end map: leave
+    through the cutting facet from the twin end, cross its pairing, and go
+    on from the end it arrives at.  A walk that cannot cross, arrives at
+    an end that is no vertex, or meets an end seen before other than its
+    start is a BAD cycle.  A pairing matrix so large that the image of its
+    facet's hyperplane is lost to rounding raises UndecidableError.
     """
     if not cells:
         raise ValueError("the Poincare check needs at least one cell")
@@ -978,17 +965,28 @@ def check_poincare_2d(
         if not is_isometry(form, p.isometry, tol=1e-7):
             errors.append(f"{name}: matrix is not an isometry")
             continue
-        src_cell = cells[p.source[0]]
-        dst_hs = cells[p.target[0]].facets[p.target[1]].halfspace
+        src_cell, dst_cell = cells[p.source[0]], cells[p.target[0]]
+        dst_hs = dst_cell.facets[p.target[1]].halfspace
         src_h = src_cell.facets[p.source[1]].halfspace.hyperplane
-        if not src_h.apply(p.isometry).same_as(dst_hs.hyperplane, tol=1e-6):
+        try:
+            image = src_h.apply(p.isometry)
+        except ValueError:
+            raise UndecidableError(
+                f"{name}: the image of the facet's hyperplane is not space-like in "
+                f"binary64; the pairing matrix has entries up to "
+                f"{np.abs(p.isometry).max():.6g}; move the domain nearer the basepoint"
+            ) from None
+        if not image.same_as(dst_hs.hyperplane, tol=1e-6):
             errors.append(f"{name}: image hyperplane does not match")
             continue
         if dst_hs.contains(p.isometry @ src_cell.center):
             errors.append(f"{name}: image of the cell does not lie across the partner facet")
             continue
         have, want = ends[p.source], ends[p.target]
-        mapped = [_klein_project(form, p.isometry @ _klein_lift(form, k)) for k, _ in have]
+        # chart_dst . g . chart_src^-1, taken projectively: ideal ends stay ideal
+        move = dst_cell._chart[0] @ p.isometry @ src_cell._chart[1]
+        y = np.array([(1.0, *k) for k, _ in have]) @ move.T
+        mapped = y[:, 1:] / y[:, :1]
         for order in ((0, 1), (1, 0)):
             if all(
                 (have[e][1] is None) == (want[o][1] is None)

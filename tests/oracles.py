@@ -51,6 +51,7 @@ from hyperglue.voronoi import (
     OrbitPoint,
     OrbitSet,
     VoronoiCell,
+    _cell_chart,
     _centering_isometry,
     _klein_rows,
     build_orbit,
@@ -183,11 +184,9 @@ def sample_in_cert_ball(cell: VoronoiCell, n: int, rng) -> np.ndarray:
     directions /= np.linalg.norm(directions, axis=1)[:, None]
     radii = r_klein * rng.random(n) ** (1.0 / dim)
     ks = directions * radii[:, None]
-    # the Klein lift x = T^-1 (1, k) / sqrt(1 - |k|^2) of every sample at once
-    _, tinv = jn_chart(form)
+    # the Klein lift x = L T^-1 (1, k) / sqrt(1 - |k|^2) of every sample at once
     homogeneous = np.hstack([np.ones((n, 1)), ks]) / np.sqrt(1.0 - (ks * ks).sum(axis=1))[:, None]
-    move = _centering_isometry(form, cell.center)
-    return homogeneous @ (move @ tinv).T
+    return homogeneous @ _cell_chart(form, cell.center)[1].T
 
 
 def nearest_center_agreement(
@@ -309,14 +308,9 @@ def lp_classified_facets(cell: VoronoiCell, marked, box_radius: float | None = N
     form = cell.form
     rho = box_radius if box_radius is not None else cell.certification_radius
     box = math.tanh(min(rho, _BOX_CAP))
-    world_to_local = isometry_inverse(form, _centering_isometry(form, cell.center))
-    a_all, rhs_all = _klein_rows(
-        form, [f.halfspace.inward_normal() for f in cell.facets], world_to_local
-    )
-    eq_rows = [
-        _klein_rows(form, [h.normal for h in m.hyperplanes()], world_to_local)
-        for m in marked
-    ]
+    to_chart, _ = _cell_chart(form, cell.center)
+    a_all, rhs_all = _klein_rows(to_chart, [f.halfspace.inward_normal() for f in cell.facets])
+    eq_rows = [_klein_rows(to_chart, [h.normal for h in m.hyperplanes()]) for m in marked]
     dim = form.dimension - 1
 
     new_facets = []
@@ -376,14 +370,14 @@ def plane_cell_vertices(cell: VoronoiCell) -> list[tuple[np.ndarray, int, int, f
 
     For facets i < j the point w = (n_i x n_j) / c is b_f-orthogonal to
     both inward normals.  It is kept when it is time-like and, taken on
-    the center's sheet, inside every other halfspace; a vertex at Klein
-    radius >= 0.999999 - 1e-7 counts as ideal and is left out, as the
-    Poincare check does.  Each vertex (w, i, j, angle) carries its
-    interior angle acos(-b(u_i, u_j)).
+    the center's sheet, inside every other halfspace; a vertex at radius
+    >= 1 - 1e-7 in the Klein chart centred on the cell counts as ideal and
+    is left out, as the Poincare check does.  Each vertex (w, i, j, angle)
+    carries its interior angle acos(-b(u_i, u_j)).
     """
     form = cell.form
     c = float_coefficients(form)
-    t, _ = jn_chart(form)
+    to_chart, _ = _cell_chart(form, cell.center)
     normals = [f.halfspace.inward_normal() for f in cell.facets]
     out = []
     for i in range(len(normals)):
@@ -400,12 +394,18 @@ def plane_cell_vertices(cell: VoronoiCell) -> list[tuple[np.ndarray, int, int, f
                 if k not in (i, j)
             ):
                 continue
-            y = t @ w
-            if np.linalg.norm(y[1:] / y[0]) >= 0.999999 - 1e-7:
+            y = to_chart @ w
+            if np.linalg.norm(y[1:] / y[0]) >= 1.0 - 1e-7:
                 continue
             cos = -bilinear(form, normals[i], normals[j])
             out.append((w, i, j, math.acos(max(-1.0, min(1.0, cos)))))
     return out
+
+
+def translation_length(mat: np.ndarray) -> float:
+    """Translation length of a loxodromic element: log of the spectral radius."""
+    eigs = np.linalg.eigvals(mat)
+    return float(max(0.0, math.log(float(np.max(np.abs(eigs))))))
 
 
 def are_orthogonal(form: DiagonalForm, h1: Hyperplane, h2: Hyperplane) -> bool:

@@ -35,10 +35,9 @@ from hyperglue.hyperboloid import (
     reflection,
     rotation_in_plane,
     translation_along,
-    translation_length,
 )
 
-from oracles import FractionPair, are_orthogonal, bisector, exact_mat_vec
+from oracles import FractionPair, are_orthogonal, bisector, exact_mat_vec, translation_length
 
 J2 = jn_form(2)
 J3 = jn_form(3)

@@ -1,5 +1,6 @@
 """Voronoi machinery: orbits, cells, facet types, admissible sets, Poincare."""
 
+import functools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hyperglue import voronoi
 from hyperglue.hyperboloid import (
     Hyperplane,
+    are_nested,
     basepoint,
     bilinear,
     distance,
@@ -111,17 +113,6 @@ class TestOrbit:
     def test_non_isometry_rejected(self):
         with pytest.raises(ValueError):
             GroupData(J2, [np.diag([1.0, 2.0, 1.0])])
-
-    def test_r_floor_enforced(self):
-        t = translation_along(J2, X0, E1, 1.0)
-        with pytest.raises(ValueError, match="floor"):
-            GroupData(J2, [t], r_floor=2.0)
-        GroupData(J2, [t], r_floor=0.5)  # passes
-
-    def test_r_floor_exempts_horizontal_stabilizer(self):
-        t = translation_along(J2, X0, E1, 1.0)  # stabilizes the marked axis
-        axis_plane = Hyperplane(J2, E2)
-        GroupData(J2, [t], r_floor=5.0, horizontal=axis_plane)
 
     def test_marked_lift_must_be_a_geodesic(self):
         with pytest.raises(TypeError, match="Hyperplane"):
@@ -723,12 +714,31 @@ def strip_domain(length=2.0):
     return cell, [pairing]
 
 
-def two_cell_domain(angle_deg, len_h, len_v):
-    t_h = translation_along(J2, X0, E1, len_h)
-    axis = rotation_in_plane(J2, 1, 2, math.radians(angle_deg)) @ E1
-    t_v = translation_along(J2, X0, axis, len_v)
-    cell_h = dirichlet_cell(X0, build_orbit([X0], GroupData(J2, [t_h]), 3))
-    cell_v = dirichlet_cell(X0, build_orbit([X0], GroupData(J2, [t_v]), 3))
+def translation_move(length, angle_deg):
+    """Translation of the given length from the basepoint, at the angle to e1."""
+    return translation_along(J2, X0, rotation_in_plane(J2, 1, 2, math.radians(angle_deg)) @ E1, length)
+
+
+# translations that move a whole domain off the basepoint
+MOVES = [(length, angle) for length in (0.1, 1.0, 2.0) for angle in (0.0, 17.0, 90.0)]
+
+
+def moved(move, gens):
+    """The image of the basepoint under `move`, and the generators conjugated
+    by it; the basepoint and the generators themselves when `move` is None."""
+    if move is None:
+        return X0, gens
+    back = isometry_inverse(J2, move)
+    return move @ X0, [move @ g @ back for g in gens]
+
+
+def two_cell_domain(angle_deg, len_h, len_v, move=None):
+    x, (t_h, t_v) = moved(
+        move,
+        [translation_along(J2, X0, E1, len_h), translation_move(len_v, angle_deg)],
+    )
+    cell_h = dirichlet_cell(x, build_orbit([x], GroupData(J2, [t_h]), 3))
+    cell_v = dirichlet_cell(x, build_orbit([x], GroupData(J2, [t_v]), 3))
     wh = [f.source_word for f in cell_h.facets]
     wv = [f.source_word for f in cell_v.facets]
     pairings = [
@@ -742,11 +752,12 @@ def two_cell_domain(angle_deg, len_h, len_v):
 SQUARE_ORBIFOLD = 2.0 * math.asinh(2.0 ** -0.25)
 
 
-def square_domain(length, pair_t2=True):
+def square_domain(length, pair_t2=True, move=None):
     """Square cell of translations t1, t2 along e1, e2; (1,) -> (0,) by t1, (3,) -> (2,) by t2."""
-    t1 = translation_along(J2, X0, E1, length)
-    t2 = translation_along(J2, X0, E2, length)
-    cell = dirichlet_cell(X0, build_orbit([X0], GroupData(J2, [t1, t2]), 1), prune_radius=3.0)
+    x, (t1, t2) = moved(
+        move, [translation_along(J2, X0, E1, length), translation_along(J2, X0, E2, length)]
+    )
+    cell = dirichlet_cell(x, build_orbit([x], GroupData(J2, [t1, t2]), 1), prune_radius=3.0)
     words = {f.source_word: i for i, f in enumerate(cell.facets)}
     pairings = [FacetPairing((0, words[(1,)]), (0, words[(0,)]), t1)]
     if pair_t2:
@@ -754,21 +765,25 @@ def square_domain(length, pair_t2=True):
     return cell, pairings
 
 
-def seeded_translation_domain(seed):
+def seeded_translation_domain(seed, move=None):
     """One or two translations at the basepoint, cutoff 1-3, prune radius 3 or 5;
-    generator g pairs facet (2g+1,) with facet (2g,)."""
+    generator g pairs facet (2g+1,) with facet (2g,).  The whole domain is
+    then moved by `move`."""
     rng = np.random.default_rng(seed)
-    gens = [
-        translation_along(
-            J2,
-            X0,
-            rotation_in_plane(J2, 1, 2, rng.uniform(0.0, 2.0 * math.pi)) @ E1,
-            rng.uniform(0.4, 4.0),
-        )
-        for _ in range(rng.integers(1, 3))
-    ]
-    orbit = build_orbit([X0], GroupData(J2, gens), int(rng.integers(1, 4)))
-    cell = dirichlet_cell(X0, orbit, prune_radius=float(rng.choice([3.0, 5.0])))
+    x, gens = moved(
+        move,
+        [
+            translation_along(
+                J2,
+                X0,
+                rotation_in_plane(J2, 1, 2, rng.uniform(0.0, 2.0 * math.pi)) @ E1,
+                rng.uniform(0.4, 4.0),
+            )
+            for _ in range(rng.integers(1, 3))
+        ],
+    )
+    orbit = build_orbit([x], GroupData(J2, gens), int(rng.integers(1, 4)))
+    cell = dirichlet_cell(x, orbit, prune_radius=float(rng.choice([3.0, 5.0])))
     words = {f.source_word: i for i, f in enumerate(cell.facets)}
     pairings = [
         FacetPairing((0, words[(2 * g + 1,)]), (0, words[(2 * g,)]), t)
@@ -776,6 +791,42 @@ def seeded_translation_domain(seed):
         if (2 * g + 1,) in words and (2 * g,) in words
     ]
     return cell, pairings
+
+
+def domain_report(build, move):
+    """What moving a domain by an isometry must leave as it is: the facet
+    words, the nesting verdicts between the first and the last cell, the
+    Poincare verdict, pairing errors and cycle orders; or the exception."""
+    try:
+        cells, pairings = build(move)
+        cells = cells if isinstance(cells, list) else [cells]
+        report = check_poincare_2d(cells, pairings)
+    except (ValueError, UndecidableError) as exc:
+        return type(exc).__name__, str(exc)
+    verdicts = [
+        are_nested(J2, a.halfspace, b.halfspace, cells[0].center)
+        for a in cells[0].facets
+        for b in cells[-1].facets
+        if len(cells) > 1
+    ]
+    return (
+        [[f.source_word for f in cell.facets] for cell in cells],
+        verdicts,
+        report.passed,
+        report.unpaired,
+        report.pairing_errors,
+        [(c.order, c.ok) for c in report.cycles],
+        report.nested_pairs,
+        report.skipped_nesting,
+    )
+
+
+# both README `geom nesting` scenes and the seeded one-cell domains
+INVARIANT_DOMAINS = {
+    "nesting 90/1/6": lambda move: two_cell_domain(90.0, 1.0, 6.0, move),
+    "nesting 60/0.3/8": lambda move: two_cell_domain(60.0, 0.3, 8.0, move),
+    **{f"seed {seed}": functools.partial(seeded_translation_domain, seed) for seed in range(40)},
+}
 
 
 class TestPoincare:
@@ -909,8 +960,10 @@ class TestPoincare:
         assert abs(sum(c.angle_sum for c in report.cycles) - math.pi) <= 1e-9
 
     def test_cycle_angles_add_up_to_vertex_oracle(self):
-        domains = [square_domain(SQUARE_ORBIFOLD)]
-        domains += [seeded_translation_domain(seed) for seed in range(40)]
+        domains = []
+        for move in [None] + [translation_move(*m) for m in MOVES]:
+            domains.append(square_domain(SQUARE_ORBIFOLD, move=move))
+            domains += [seeded_translation_domain(seed, move) for seed in range(40)]
         compared = 0
         for cell, pairings in domains:
             try:
@@ -925,5 +978,30 @@ class TestPoincare:
             total = sum(c.angle_sum for c in report.cycles)
             assert abs(total - sum(v[3] for v in vertices)) <= 1e-9, report.summary()
             compared += bool(vertices)
-        assert compared >= 15
+        assert compared >= 15 * (1 + len(MOVES))
 
+
+
+class TestIsometryInvariance:
+    """Moving a whole domain by an isometry leaves its Poincare report as it is."""
+
+    @pytest.fixture(scope="class")
+    def unmoved(self):
+        return {name: domain_report(build, None) for name, build in INVARIANT_DOMAINS.items()}
+
+    @pytest.mark.parametrize("length, angle", MOVES)
+    def test_moved_domain_keeps_its_report(self, unmoved, length, angle):
+        move = translation_move(length, angle)
+        for name, build in INVARIANT_DOMAINS.items():
+            assert domain_report(build, move) == unmoved[name], name
+
+    def test_pairing_lost_to_rounding_is_undecidable(self):
+        # 8 off the basepoint the image of the V facet's normal under the
+        # pairing is no longer space-like in binary64
+        cells, pairings = two_cell_domain(90.0, 1.0, 6.0, translation_move(8.0, 17.0))
+        pairing = pairings[1]
+        with pytest.raises(UndecidableError) as exc:
+            check_poincare_2d(cells, pairings)
+        message = str(exc.value)
+        assert message.startswith(f"pairing {pairing.source}->{pairing.target}: ")
+        assert f"entries up to {np.abs(pairing.isometry).max():.6g};" in message
