@@ -5,14 +5,14 @@ Poincare pairing check for plane domains.
 Cells are built with floating arithmetic in the Klein model, where
 halfspaces are affine constraints a . k >= rhs.  Each cell has one Klein
 chart, centred on the cell: pruning, facet types and the Poincare check
-all read their rows in it, so no decision depends on where the cell sits
-in H^n.  Redundant bisectors are pruned with one convex hull of their
-polar points a / rhs.  Facet types are decided in closed form along the
-Klein line of each marked geodesic: a facet is first type iff the root of
-its own row lies in the interval where all rows and the box faces hold,
-both relaxed by the feasibility tolerance.  Everything is deterministic:
-orbit points are ordered breadth-first by provenance word, and facets
-keep that order.
+all read their rows in it, so up to rounding no decision depends on
+where the cell sits in H^n.  Redundant bisectors are pruned with one
+convex hull of their polar points a / rhs.  Facet types are decided in
+closed form along the Klein line of each marked geodesic: a facet is
+first type iff the root of its own row lies in the interval where all
+rows and the box faces hold, both relaxed by the feasibility tolerance.
+Everything is deterministic: orbit points are ordered breadth-first by
+provenance word, and facets keep that order.
 
 scipy is imported at the first Dirichlet cell (the `geom` commands), so
 the exact side (`forms`, `count`) loads numpy only.  The name `linprog`
@@ -306,6 +306,7 @@ class VoronoiCell:
 
     @functools.cached_property
     def _chart(self) -> tuple[np.ndarray, np.ndarray]:
+        """(world -> chart, chart -> world) of the Klein chart centred on the cell."""
         return _cell_chart(self.form, self.center)
 
 

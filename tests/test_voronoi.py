@@ -716,7 +716,8 @@ def strip_domain(length=2.0):
 
 def translation_move(length, angle_deg):
     """Translation of the given length from the basepoint, at the angle to e1."""
-    return translation_along(J2, X0, rotation_in_plane(J2, 1, 2, math.radians(angle_deg)) @ E1, length)
+    axis = rotation_in_plane(J2, 1, 2, math.radians(angle_deg)) @ E1
+    return translation_along(J2, X0, axis, length)
 
 
 # translations that move a whole domain off the basepoint
@@ -959,6 +960,27 @@ class TestPoincare:
         assert [c.ok for c in report.cycles] == [False, False]
         assert abs(sum(c.angle_sum for c in report.cycles) - math.pi) <= 1e-9
 
+    def test_pairing_across_cells_with_their_own_centers(self):
+        # the strip and a copy moved off the basepoint by h; each pairing
+        # carries a facet of one onto a facet of the other, so its ends go
+        # from the source cell's chart to the target cell's
+        h = translation_move(1.0, 90.0)
+        t = translation_along(J2, X0, E1, 2.0)
+        cells = []
+        for move in (None, h):
+            x, gens = moved(move, [t])
+            cells.append(dirichlet_cell(x, build_orbit([x], GroupData(J2, gens), 3)))
+        words = [f.source_word for f in cells[0].facets]
+        assert words == [f.source_word for f in cells[1].facets]
+        lo, hi = words.index((1,)), words.index((0,))
+        pairings = [
+            FacetPairing((0, lo), (1, hi), h @ t),
+            FacetPairing((1, lo), (0, hi), t @ isometry_inverse(J2, h)),
+        ]
+        report = check_poincare_2d(cells, pairings)
+        assert report.passed, report.summary()
+        assert report.skipped_nesting == 4
+
     def test_cycle_angles_add_up_to_vertex_oracle(self):
         domains = []
         for move in [None] + [translation_move(*m) for m in MOVES]:
@@ -979,7 +1001,6 @@ class TestPoincare:
             assert abs(total - sum(v[3] for v in vertices)) <= 1e-9, report.summary()
             compared += bool(vertices)
         assert compared >= 15 * (1 + len(MOVES))
-
 
 
 class TestIsometryInvariance:
