@@ -52,6 +52,12 @@ EXTRA = (
     # refused by the f(x - y) check, the second answers
     "geom shrink --R 2,4,19 --out out/shrink-refused",
     "geom shrink --R 2,4,18 --out out/shrink-far",
+    # walls drawn from the cells' own spheres, and certificates read from the
+    # family, away from the README's values
+    "geom shrink --R 0.5,1.5,5,12 --spacing 0.7 --out out/shrink-spacing07",
+    "geom extension --length 0.3 --q 0.5 --out out/extension-short",
+    "geom extension --length 11 --out out/extension-long",
+    'forms family --n 8 --field "Q(sqrt2)" --out out/forms-sqrt2-n8',
     # a usage error: in process, argparse's exit must leave the parser as it was
     "geom spin --out out/spin",
 )

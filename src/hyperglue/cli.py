@@ -4,6 +4,10 @@ Every run is deterministic given (flags, seed): outputs are CSV/SVG
 pairs plus a manifest listing the exact parameters.  Exit codes: 0
 success, 1 verification failure, 2 usage error.
 
+The outputs are the library's own results, never recomputed here: the
+certificates the counting family holds, the nesting verdicts of the
+Poincare report, and the walls drawn from the spheres of the cells built.
+
 `main` can be called repeatedly in one process, and each call gives the
 same exit code, output and files as a fresh process would.  The argument
 parser is built once, on the first call, and reused; the command handler
@@ -15,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import sys
@@ -24,8 +29,6 @@ import numpy as np
 
 from . import glueing, qforms, voronoi
 from .hyperboloid import (
-    NestingVerdict,
-    are_nested,
     ball_coordinates,
     basepoint,
     boundary_sphere,
@@ -36,7 +39,6 @@ from .numfield import Embedding, FieldTag, format_element, parse_element
 from .qforms import (
     DiagonalForm,
     build_counting_family,
-    equivalence_certificate,
     is_admissible,
     jn_form,
     signature_at,
@@ -44,6 +46,7 @@ from .qforms import (
 from .svgout import BallCanvas
 from .voronoi import (
     FacetPairing,
+    FacetType,
     GroupData,
     MarkedGeodesic,
     build_admissible_set,
@@ -119,13 +122,11 @@ def cmd_forms_family(args) -> int:
         )
     _write_csv(out / "family.csv", ["label", "prime", "coefficients", "admissible"], rows)
     cert_rows = []
-    labels = list(qforms.LABELS)
-    for i, la in enumerate(labels):
-        for lb in labels[i + 1 :]:
-            cert = equivalence_certificate(family.forms[la], family.forms[lb])
-            cert_rows.append(
-                [la, lb, "non-equivalent" if cert.non_equivalent else "unknown", cert.reason or ""]
-            )
+    for la, lb in itertools.combinations(qforms.LABELS, 2):
+        cert = family.certificates[(la, lb)]
+        cert_rows.append(
+            [la, lb, "non-equivalent" if cert.non_equivalent else "unknown", cert.reason or ""]
+        )
     _write_csv(out / "certificates.csv", ["label_a", "label_b", "verdict", "reason"], cert_rows)
     _write_manifest(
         out,
@@ -167,7 +168,7 @@ def cmd_geom_admissible(args) -> int:
     form = jn_form(2)
     x0 = basepoint(form)
     e1 = np.array([0.0, 1.0, 0.0])
-    p2 = np.array([math.cosh(delta), 0.0, math.sinh(delta)])
+    p2 = translation_along(form, x0, np.array([0.0, 0.0, 1.0]), delta) @ x0
     s1 = MarkedGeodesic(form, x0, e1, surface_id=1, fundamental_length=window)
     s2 = MarkedGeodesic(form, p2, e1, surface_id=2, fundamental_length=window)
     group = GroupData(form, [], marked=[s1, s2])
@@ -241,23 +242,11 @@ def cmd_geom_nesting(args) -> int:
     form, x0, cell_h, cell_v, pairings = _two_translation_cells(
         args.angle, args.lenH, args.lenV
     )
+    # both cells are centred on x0, so check (iv) decides every H/V wall pair
     report = check_poincare_2d([cell_h, cell_v], pairings)
 
-    verdicts = []
-    for i, fh in enumerate(cell_h.facets):
-        for j, fv in enumerate(cell_v.facets):
-            verdict = are_nested(form, fh.halfspace, fv.halfspace, x0)
-            verdicts.append((i, j, verdict))
-
     out = _ensure_out(args)
-    rows = [
-        [
-            f"H{i}",
-            f"V{j}",
-            v.value,
-        ]
-        for i, j, v in verdicts
-    ]
+    rows = [[f"H{i}", f"V{j}", v.value] for (_, i), (_, j), v in report.nesting]
     rows.append(["poincare", "", "pass" if report.passed else "fail"])
     _write_csv(out / "nesting.csv", ["wall_a", "wall_b", "verdict"], rows)
     cell_rows = []
@@ -280,8 +269,7 @@ def cmd_geom_nesting(args) -> int:
         ["nesting.csv", "cells.csv", "nesting.svg"],
     )
 
-    nested_found = any(v is NestingVerdict.NESTED for _, _, v in verdicts)
-    if nested_found:
+    if report.nested_pairs:
         print("nested pair found")
         print(report.summary())
     else:
@@ -307,20 +295,14 @@ def cmd_geom_shrink(args) -> int:
     )
 
     canvas = BallCanvas()
-    # the vertical plane's ideal circle is the drawing plane's unit circle;
-    # first-type circles sit on the marked-geodesic axis, second-type on the
-    # orthogonal axis and shrink with R
-    s = report.spacing
-    canvas.circle(
-        (1.0 / math.tanh(s / 2.0), 0.0), 1.0 / math.sinh(s / 2.0), stroke="#d62728"
-    )
-    canvas.circle(
-        (-1.0 / math.tanh(s / 2.0), 0.0), 1.0 / math.sinh(s / 2.0), stroke="#d62728"
-    )
-    for row in report.rows:
-        c = 1.0 / math.tanh(row.r / 2.0)
-        canvas.circle((0.0, c), row.second_radius, stroke="#2ca02c")
-        canvas.circle((0.0, -c), row.second_radius, stroke="#2ca02c")
+    # each wall is drawn from the sphere its cell computed, in the vertical
+    # plane {x2 = 0} at its (x1, x3) centre: the first-type walls, which do
+    # not move with R, from the first row, and the second-type walls of every row
+    for idx, row in enumerate(report.rows):
+        for sphere, kind in row.spheres:
+            if kind is FacetType.SECOND or idx == 0:
+                stroke = "#2ca02c" if kind is FacetType.SECOND else "#d62728"
+                canvas.circle(sphere.center[[0, 2]], sphere.radius, stroke=stroke)
     canvas.save(out / "shrink.svg")
     _write_manifest(
         out,
@@ -379,10 +361,9 @@ def cmd_geom_extension(args) -> int:
 
     canvas = BallCanvas()
     canvas.line((-1.0, 0.0), (1.0, 0.0), stroke="#1f77b4")  # the base hyperplane, side view
-    wall = 1.0 / math.tanh(length / 2.0)
-    radius = 1.0 / math.sinh(length / 2.0)
-    canvas.circle((wall, 0.0), radius, stroke="#d62728")
-    canvas.circle((-wall, 0.0), radius, stroke="#d62728")
+    for f in ext.facets:
+        sphere = boundary_sphere(ext.form, f.halfspace.hyperplane)
+        canvas.circle(sphere.center[[0, 2]], sphere.radius, stroke="#d62728")
     for ideal, base_proj, sign in samples:
         # side view: (x1, x3) coordinates of the ideal point
         canvas.dot((ideal[1], ideal[3]), radius=0.008, fill="#2ca02c")

@@ -80,6 +80,14 @@ class DiagonalForm:
         tinv.setflags(write=False)
         return t, tinv
 
+    @cached_property
+    def discriminant(self) -> QuadFieldElement:
+        """The product of the coefficients, exact; multiplied out once."""
+        d = QuadFieldElement.one(self.field)
+        for c in self.coefficients:
+            d = d * c
+        return d
+
     def bilinear(self, u, w) -> QuadFieldElement:
         """b_f(u, w) = sum_i c_i u_i w_i, exact over the form's field."""
         if len(u) != self.dimension or len(w) != self.dimension:
@@ -253,13 +261,6 @@ def restrict_to_orthogonal(
     return DiagonalForm(tuple(diag), form.field)
 
 
-def discriminant(form: DiagonalForm) -> QuadFieldElement:
-    d = QuadFieldElement.one(form.field)
-    for c in form.coefficients:
-        d = d * c
-    return d
-
-
 @dataclass(frozen=True)
 class EquivalenceCertificate:
     """Outcome of the discriminant square-class test.
@@ -282,7 +283,7 @@ def equivalence_certificate(
         raise ValueError("forms live over different fields")
     if f.dimension != g.dimension:
         raise ValueError("forms have different dimensions")
-    ratio = discriminant(f) / discriminant(g)
+    ratio = f.discriminant / g.discriminant
     if not ratio.is_square():
         return EquivalenceCertificate(
             True, f"discriminant ratio {format_element(ratio)} is not a square"
@@ -366,7 +367,11 @@ LABELS = ("a+", "a-", "b+", "b-", "u", "v")
 
 @dataclass(frozen=True)
 class CountingFamily:
-    """The base form plus six labelled, pairwise non-equivalent extensions."""
+    """The base form plus six labelled, pairwise non-equivalent extensions.
+
+    `certificates` holds one per pair, keyed (earlier, later) in `LABELS`
+    order: `equivalence_certificate(forms[earlier], forms[later])`.
+    """
 
     base: DiagonalForm
     forms: dict[str, DiagonalForm]
@@ -398,26 +403,18 @@ def build_counting_family(n: int, field: FieldTag) -> CountingFamily:
     base = counting_base_form(n, field)
     chosen: list[tuple[str, QuadFieldElement, DiagonalForm]] = []
     certificates: dict[tuple[str, str], EquivalenceCertificate] = {}
-    labels = iter(LABELS)
     for prime in ring_primes(field):
         candidate = _append_ring_element(base, prime)
-        certs = {}
-        ok = True
-        for label, _, other in chosen:
-            cert = equivalence_certificate(candidate, other)
-            if not cert.non_equivalent:
-                ok = False
+        label = LABELS[len(chosen)]
+        certs = {
+            (other_label, label): equivalence_certificate(other, candidate)
+            for other_label, _, other in chosen
+        }
+        if all(c.non_equivalent for c in certs.values()):
+            certificates.update(certs)
+            chosen.append((label, prime, candidate))
+            if len(chosen) == len(LABELS):
                 break
-            certs[label] = cert
-        if not ok:
-            continue
-        label = next(labels)
-        for other_label, cert in certs.items():
-            certificates[(label, other_label)] = cert
-            certificates[(other_label, label)] = cert
-        chosen.append((label, prime, candidate))
-        if len(chosen) == len(LABELS):
-            break
     forms = {label: form for label, _, form in chosen}
     primes = {label: prime for label, prime, _ in chosen}
     return CountingFamily(base, forms, primes, certificates)

@@ -34,6 +34,7 @@ import numpy as np
 from .qforms import DiagonalForm, direct_sum
 from .hyperboloid import (
     EPS,
+    BoundarySphere,
     HalfSpace,
     Hyperplane,
     NestingVerdict,
@@ -211,7 +212,9 @@ def build_orbit(
     orbit point provably lies at distance > 2 rho from every seed for
     groups whose displacement grows linearly in word length.  Images too
     large for binary64 raise ValueError, and so does an empty seed list
-    under generators, which has no displacement to certify with.
+    under generators, which has no displacement to certify with.  A
+    generator so large that its image of a seed leaves the upper sheet in
+    binary64 raises UndecidableError.
 
     Each word shell is rounded, keyed and checked for overflow as one
     array, but every image is still one product `g @ x` of a generator and
@@ -267,9 +270,16 @@ def build_orbit(
     if not group.generators:
         radius = math.inf
     else:
-        delta_min = min(
-            min(distance(form, s, g @ s) for s in seeds) for g in group.generators
-        )
+        delta_min = math.inf
+        for gi, g in enumerate(group.generators):
+            try:
+                delta_min = min(delta_min, *(distance(form, s, g @ s) for s in seeds))
+            except ValueError:
+                raise UndecidableError(
+                    f"generator {gi} moves a seed off the upper sheet in binary64, so its "
+                    f"displacement certifies no radius; it has entries up to "
+                    f"{np.abs(g).max():.6g}; move the group nearer the basepoint"
+                ) from None
         diameter = 0.0
         for a, b in itertools.combinations(seeds, 2):
             diameter = max(diameter, distance(form, a, b))
@@ -730,14 +740,18 @@ def orthogonal_extension(cell: VoronoiCell, q) -> VoronoiCell:
 
 @dataclass(frozen=True)
 class ShrinkRow:
+    """One R of the shrink demo: the (ball-model boundary sphere, type) of
+    every wall of its cell, in facet order, and their mean radius by type.
+    """
+
     r: float
     first_radius: float
     second_radius: float
+    spheres: tuple[tuple[BoundarySphere, FacetType], ...]
 
 
 @dataclass(frozen=True)
 class ShrinkReport:
-    spacing: float
     rows: tuple[ShrinkRow, ...]
     second_strictly_decreasing: bool
     first_constant: bool
@@ -754,7 +768,9 @@ def sphere_shrink_report(
     translation along it (length `spacing`) cuts the first-type walls,
     and the R-parametrized translation orthogonal to it inside V cuts the
     second-type walls.  First-type radii stay constant while second-type
-    radii shrink like 1/sinh(R/2).
+    radii shrink like 1/sinh(R/2).  A cell that keeps no wall of one type
+    (its walls pruned within the feasibility tolerance) raises
+    UndecidableError.
     """
     from .qforms import jn_form
 
@@ -778,25 +794,22 @@ def sphere_shrink_report(
         cell = classify_facets(
             cell, [marked], box_radius=max(spacing, float(r)) / 2.0 + 1.0
         )
-        first = [
-            boundary_sphere(form, f.halfspace.hyperplane).radius
-            for f in cell.facets
-            if f.facet_type is FacetType.FIRST
-        ]
-        second = [
-            boundary_sphere(form, f.halfspace.hyperplane).radius
-            for f in cell.facets
-            if f.facet_type is FacetType.SECOND
-        ]
+        spheres = tuple(
+            (boundary_sphere(form, f.halfspace.hyperplane), f.facet_type) for f in cell.facets
+        )
+        first, second = ([s.radius for s, t in spheres if t is kind] for kind in FacetType)
         if not first or not second:
-            raise RuntimeError("shrink demo cell lost a facet family")
-        rows.append(ShrinkRow(float(r), float(np.mean(first)), float(np.mean(second))))
+            raise UndecidableError(
+                f"the shrink cell at R = {float(r):g}, spacing {spacing:g} lost its "
+                f"{'first' if not first else 'second'}-type walls to pruning within the "
+                f"{_FEAS_EPS:g} feasibility tolerance; widen the spacing or lower R"
+            )
+        rows.append(ShrinkRow(float(r), float(np.mean(first)), float(np.mean(second)), spheres))
 
     seconds = [row.second_radius for row in rows]
     firsts = [row.first_radius for row in rows]
     factors = tuple(a / b for a, b in zip(seconds, seconds[1:]))
     return ShrinkReport(
-        spacing=spacing,
         rows=tuple(rows),
         second_strictly_decreasing=all(f > 1.0 for f in factors),
         first_constant=max(firsts) - min(firsts) <= 1e-9,
@@ -829,12 +842,21 @@ class VertexCycle:
 
 @dataclass(frozen=True)
 class PoincareReport:
+    """What `check_poincare_2d` found; `nesting` holds every (facet of an
+    earlier cell, facet of a later cell, verdict) that check (iv) decided.
+    """
+
     passed: bool
     unpaired: tuple[FacetRef, ...]
     pairing_errors: tuple[str, ...]
     cycles: tuple[VertexCycle, ...]
-    nested_pairs: tuple[tuple[FacetRef, FacetRef], ...]
+    nesting: tuple[tuple[FacetRef, FacetRef, NestingVerdict], ...]
     skipped_nesting: int
+
+    @property
+    def nested_pairs(self) -> tuple[tuple[FacetRef, FacetRef], ...]:
+        """The facet pairs of `nesting` whose verdict is NESTED."""
+        return tuple((a, b) for a, b, v in self.nesting if v is NestingVerdict.NESTED)
 
     def summary(self) -> str:
         lines = [f"poincare check: {'PASS' if self.passed else 'FAIL'}"]
@@ -1038,7 +1060,7 @@ def check_poincare_2d(
         cycles.append(VertexCycle((ci, k0), angle, m if ok else None, ok))
 
     # (iv) nesting across distinct cells
-    nested: list[tuple[FacetRef, FacetRef]] = []
+    nesting: list[tuple[FacetRef, FacetRef, NestingVerdict]] = []
     skipped = 0
     for (ci, cell_a), (cj, cell_b) in itertools.combinations(enumerate(cells), 2):
         base = cell_a.center if np.allclose(cell_a.center, cell_b.center, atol=1e-7) else None
@@ -1049,18 +1071,16 @@ def check_poincare_2d(
                 ) <= EPS:
                     skipped += 1
                     continue
-                verdict = are_nested(form, fa.halfspace, fb.halfspace, base)
-                if verdict is NestingVerdict.NESTED:
-                    nested.append(((ci, fi), (cj, fj)))
+                nesting.append(
+                    ((ci, fi), (cj, fj), are_nested(form, fa.halfspace, fb.halfspace, base))
+                )
 
-    passed = (
-        not unpaired and not errors and all(c.ok for c in cycles) and not nested
-    )
+    nested = any(v is NestingVerdict.NESTED for _, _, v in nesting)
     return PoincareReport(
-        passed=passed,
+        passed=not unpaired and not errors and all(c.ok for c in cycles) and not nested,
         unpaired=unpaired,
         pairing_errors=tuple(errors),
         cycles=tuple(cycles),
-        nested_pairs=tuple(nested),
+        nesting=tuple(nesting),
         skipped_nesting=skipped,
     )

@@ -126,6 +126,8 @@ class TestGeomCommands:
             # far orbit points that binary64 cannot resolve, or cannot hold
             (("geom", "extension", "--length", "15"), "not finite and positive"),
             (("geom", "shrink", "--R", "2,4,19"), "not finite and positive"),
+            # walls so close that the other family is pruned within tolerance
+            (("geom", "shrink", "--R", "2,4", "--spacing", "0.001"), "lost its second-type walls"),
             (("geom", "extension", "--length", "300"), "word length 3 overflow"),
             (("geom", "extension", "--q", "inf"), "summand inf is not finite"),
         ],

@@ -19,7 +19,6 @@ from hyperglue.qforms import (
     build_counting_family,
     counting_base_form,
     direct_sum,
-    discriminant,
     equivalence_certificate,
     evaluate,
     form_from_rationals,
@@ -262,7 +261,7 @@ class TestCertificates:
         family = build_counting_family(2, FieldTag.Q_SQRT2)
         fa = family.forms["a+"]
         fb = family.forms["b-"]
-        ratio = discriminant(fa) / discriminant(fb)
+        ratio = fa.discriminant / fb.discriminant
         assert not ratio.is_square()
         assert equivalence_certificate(fa, fb).non_equivalent
 
@@ -275,6 +274,19 @@ class TestCertificates:
             rng.shuffle(coeffs)
             permuted = DiagonalForm(tuple(coeffs), field)
             assert not equivalence_certificate(form, permuted).non_equivalent
+
+    @pytest.mark.parametrize("field", [FieldTag.Q, FieldTag.Q_SQRT2])
+    def test_discriminant_against_oracle(self, field):
+        rng = random.Random(41)
+        forms = [TestBilinear.random_form(rng, field, n) for n in (1, 2, 3, 5) for _ in range(3)]
+        forms += build_counting_family(4, field).forms.values()
+        for form in forms:
+            product = FractionPair(1, 0, field)
+            for c in form.coefficients:
+                product = product * FractionPair(c.a, c.b, field)
+            d = form.discriminant
+            assert FractionPair(d.a, d.b, field) == product
+            assert form.discriminant is d
 
     def test_mismatch_errors(self):
         with pytest.raises(ValueError):
@@ -319,6 +331,17 @@ class TestCountingFamily:
             assert equivalence_certificate(
                 family.forms[la], family.forms[lb]
             ).non_equivalent
+
+    @pytest.mark.parametrize("field", [FieldTag.Q, FieldTag.Q_SQRT2])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_one_certificate_per_pair(self, n, field):
+        # keyed (earlier label, later label), in the orientation the CLI prints
+        family = build_counting_family(n, field)
+        assert len(family.certificates) == 15
+        assert set(family.certificates) == set(itertools.combinations(LABELS, 2))
+        for (la, lb), cert in family.certificates.items():
+            assert cert == equivalence_certificate(family.forms[la], family.forms[lb])
+            assert cert.non_equivalent
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):

@@ -9,9 +9,11 @@ import pytest
 from hyperglue import voronoi
 from hyperglue.hyperboloid import (
     Hyperplane,
+    NestingVerdict,
     are_nested,
     basepoint,
     bilinear,
+    boundary_sphere,
     distance,
     float_coefficients,
     hyperplane_distance,
@@ -676,6 +678,25 @@ class TestOrthogonalExtension:
         # projecting away the last coordinate recovers base-strip membership
         assert cap_signs == {1.0, -1.0}
 
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("length", [0.3, 1.0, 2.0, 5.0, 9.0, 12.0])
+    def test_wall_spheres_match_closed_form(self, length, q):
+        # `geom extension` draws these spheres: the strip walls of a
+        # translation by `length`, centred at (+-coth(length/2), 0, 0) with
+        # radius 1/sinh(length/2), whatever the summand q
+        t = translation_along(J2, X0, E1, length)
+        ext = orthogonal_extension(dirichlet_cell(X0, build_orbit([X0], GroupData(J2, [t]), 3)), q)
+        centre, radius = 1.0 / math.tanh(length / 2.0), 1.0 / math.sinh(length / 2.0)
+        signs = []
+        for f in ext.facets:
+            sphere = boundary_sphere(ext.form, f.halfspace.hyperplane)
+            sign = math.copysign(1.0, sphere.center[0])
+            expected = np.array([sign * centre, 0.0, 0.0])
+            assert np.linalg.norm(sphere.center - expected) <= 1e-10 * centre
+            assert abs(sphere.radius - radius) <= 1e-10 * radius
+            signs.append(sign)
+        assert signs == [1.0, -1.0]
+
     def test_ideal_points_off_base_cell_excluded(self):
         ext = orthogonal_extension(self.build(), 1)
         k1 = math.tanh(0.5) * 1.8  # beyond the strip wall
@@ -703,6 +724,36 @@ class TestShrink:
     def test_requires_increasing_r(self):
         with pytest.raises(ValueError):
             sphere_shrink_report([4.0, 2.0])
+
+    @pytest.mark.parametrize("spacing", [0.7, 2.0, 3.0])
+    def test_wall_spheres_match_closed_form(self, spacing):
+        # a FIRST wall sits at (+-coth(s/2), 0, 0) with radius 1/sinh(s/2), a
+        # SECOND wall at (0, 0, +-coth(R/2)) with radius 1/sinh(R/2); `geom
+        # shrink` draws these spheres, in facet order +first, -first, +second, -second
+        report = sphere_shrink_report([0.5, 1.0, 2.0, 4.0, 8.0, 12.0, 16.0], spacing=spacing)
+        for row in report.rows:
+            placed = []
+            for sphere, kind in row.spheres:
+                length, axis = (spacing, 0) if kind is FacetType.FIRST else (row.r, 2)
+                sign = math.copysign(1.0, sphere.center[axis])
+                expected = np.zeros(3)
+                expected[axis] = sign / math.tanh(length / 2.0)
+                radius = 1.0 / math.sinh(length / 2.0)
+                assert np.linalg.norm(sphere.center - expected) <= 1e-9 * abs(expected[axis])
+                assert abs(sphere.radius - radius) <= 1e-9 * radius
+                placed.append((kind, sign))
+            assert placed == [
+                (FacetType.FIRST, 1.0),
+                (FacetType.FIRST, -1.0),
+                (FacetType.SECOND, 1.0),
+                (FacetType.SECOND, -1.0),
+            ]
+
+    def test_lost_wall_family_is_undecidable(self):
+        # with walls 0.001 apart the second-type walls at R = 4 are pruned
+        # within the feasibility tolerance
+        with pytest.raises(UndecidableError, match="R = 4, spacing 0.001 lost its second-type"):
+            sphere_shrink_report([2.0, 4.0], spacing=0.001)
 
 
 def strip_domain(length=2.0):
@@ -981,6 +1032,42 @@ class TestPoincare:
         assert report.passed, report.summary()
         assert report.skipped_nesting == 4
 
+    def test_nesting_holds_every_verdict(self):
+        # scenes whose cells share their center, so check (iv) decides every
+        # cross-cell facet pair: both README nesting scenes, the 0, 37 and 90
+        # degree scenes of the output comparison, and 20 pairs of seeded
+        # one-cell domains
+        scenes = [
+            two_cell_domain(*args)[0]
+            for args in [(90.0, 1.0, 6.0), (60.0, 0.3, 8.0), (37.0, 2.2, 3.1), (0.0, 1.0, 1.0),
+                         (90.0, 0.5, 0.5)]
+        ]
+        scenes += [
+            [seeded_translation_domain(seed)[0], seeded_translation_domain(seed + 20)[0]]
+            for seed in range(24)
+        ]
+        verdicts, compared = set(), 0
+        for cells in scenes:
+            try:
+                report = check_poincare_2d(cells, [])
+            except ValueError as exc:
+                assert str(exc) == "facet is empty"  # see test_cycle_angles_add_up_to_vertex_oracle
+                continue
+            compared += 1
+            expected = [
+                ((0, i), (1, j), are_nested(J2, a.halfspace, b.halfspace, cells[0].center))
+                for i, a in enumerate(cells[0].facets)
+                for j, b in enumerate(cells[1].facets)
+            ]
+            assert list(report.nesting) == expected
+            assert report.nested_pairs == tuple(
+                (a, b) for a, b, v in expected if v is NestingVerdict.NESTED
+            )
+            assert report.skipped_nesting == 0
+            verdicts.update(v for _, _, v in expected)
+        assert compared == 5 + 20
+        assert verdicts == set(NestingVerdict)
+
     def test_cycle_angles_add_up_to_vertex_oracle(self):
         domains = []
         for move in [None] + [translation_move(*m) for m in MOVES]:
@@ -1026,3 +1113,16 @@ class TestIsometryInvariance:
         message = str(exc.value)
         assert message.startswith(f"pairing {pairing.source}->{pairing.target}: ")
         assert f"entries up to {np.abs(pairing.isometry).max():.6g};" in message
+
+    @pytest.mark.parametrize("length", [12.0, 13.0, 14.0])
+    def test_generator_lost_to_rounding_is_undecidable(self, length):
+        # from 12 off the basepoint the moved H translation takes the
+        # basepoint's image off the upper sheet in binary64, so build_orbit
+        # cannot measure its displacement
+        move = translation_move(length, 17.0)
+        _, (t_h,) = moved(move, [translation_along(J2, X0, E1, 1.0)])
+        with pytest.raises(UndecidableError) as exc:
+            two_cell_domain(90.0, 1.0, 6.0, move)
+        message = str(exc.value)
+        assert message.startswith("generator 0 ")
+        assert f"entries up to {np.abs(t_h).max():.6g};" in message
