@@ -58,7 +58,18 @@ from .voronoi import (
     sphere_shrink_report,
 )
 
-MAX_EXHAUSTIVE_M = 9
+# the largest --m-max of each counting mode, and why
+M_MAX_CAPS = {
+    "free": (
+        40,
+        "free-mode counting runs a degree-histogram recursion that takes about a second at m = 40",
+    ),
+    "proper": (
+        9,
+        "proper-mode counting backtracks over perfect matchings and takes over a minute "
+        "from m = 10 on",
+    ),
+}
 # --check-assemblies enumerates every base graph up to this m (481 graphs)
 MAX_ASSEMBLY_CHECK_M = 7
 
@@ -390,12 +401,9 @@ def _m_range(lo: int, hi: int) -> str:
 
 
 def cmd_count(args) -> int:
-    if args.m_max > MAX_EXHAUSTIVE_M:
-        print(
-            f"error: --m-max is capped at {MAX_EXHAUSTIVE_M}: proper-mode counting "
-            "backtracks over perfect matchings and takes over a minute from m = 10 on",
-            file=sys.stderr,
-        )
+    cap, why = M_MAX_CAPS[args.mode]
+    if args.m_max > cap:
+        print(f"error: --m-max is capped at {cap}: {why}", file=sys.stderr)
         return 2
     out = _ensure_out(args)
     rows = glueing.count_graphs(args.m_max, args.mode)

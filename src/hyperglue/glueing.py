@@ -315,6 +315,12 @@ class Pairing(_PairingFields):
         return cls(*iterable)
 
 
+@functools.lru_cache(maxsize=16)
+def _slot_set(counts: tuple[int, ...]) -> frozenset[SlotRef]:
+    """Every (piece, slot) ref of pieces with these boundary counts."""
+    return frozenset((piece, slot) for piece, n in enumerate(counts) for slot in range(n))
+
+
 # Builds a `Pairing` or `PieceInstance` from a tuple of its fields without
 # calling the class: only for records this module makes itself, whose
 # fields are valid by construction (every flag it writes is +1).
@@ -341,16 +347,12 @@ class AssembledManifold:
 
     @functools.cached_property
     def _closed(self) -> bool:
-        # one pass over the slot refs, on the first read: refs that are
-        # pairwise distinct and as many as the slots cover every slot iff
-        # each of them names an existing slot
-        counts = [p.template.boundary_count for p in self.pieces]
-        n = len(counts)
+        # computed on the first read, against the set of all (piece, slot)
+        # pairs: as many refs as slots, pairwise distinct and each a slot
+        # (so in piece range and in slot range) means every slot once
+        slots = _slot_set(tuple(p.template.boundary_count for p in self.pieces))
         refs = [p.a for p in self.pairings] + [p.b for p in self.pairings]
-        return (
-            len(refs) == sum(counts) == len(set(refs))
-            and all(0 <= pi < n and 0 <= si < counts[pi] for pi, si in refs)
-        )
+        return len(refs) == len(slots) == len(set(refs)) and slots.issuperset(refs)
 
     def is_connected(self) -> bool:
         if not self.is_closed():
@@ -417,18 +419,20 @@ def assemble(
     pieces = [
         _trusted(PieceInstance, (templates["v" if vtx == graph.root else "u"], ("vertex", vtx)))
         for vtx in range(m)
+    ] + [
+        _trusted(PieceInstance, (templates[lab], ("edge", k)))
+        for k, lab in enumerate(graph.labels)
     ]
+    capacity = [p.template.boundary_count for p in pieces[:m]]
     next_free = [0] * m  # each vertex block fills its slots in order
     pairings: list[Pairing] = []
-    for k, ((i, j), lab) in enumerate(zip(graph.edges, graph.labels)):
-        piece_idx = len(pieces)
-        pieces.append(_trusted(PieceInstance, (templates[lab], ("edge", k))))
-        for slot, vtx in ((0, i), (1, j)):
-            target = next_free[vtx]
-            if target == pieces[vtx].template.boundary_count:
-                raise RuntimeError("slot exhaustion: graph is not 4-regular")
-            next_free[vtx] = target + 1
-            pairings.append(_trusted(Pairing, ((piece_idx, slot), (vtx, target), 1)))
+    for piece_idx, (i, j) in enumerate(graph.edges, m):
+        si, sj = next_free[i], next_free[j]
+        if si == capacity[i] or sj == capacity[j]:
+            raise RuntimeError("slot exhaustion: graph is not 4-regular")
+        next_free[i], next_free[j] = si + 1, sj + 1
+        pairings.append(_trusted(Pairing, ((piece_idx, 0), (i, si), 1)))
+        pairings.append(_trusted(Pairing, ((piece_idx, 1), (j, sj), 1)))
     return AssembledManifold(tuple(pieces), tuple(pairings))
 
 
@@ -441,13 +445,15 @@ def is_orientable(manifold: AssembledManifold) -> bool:
 
     The cocycle is trivial iff the pieces admit a +-1 signing with every
     pairing flag equal to the product of its endpoint signs (i.e. every
-    cycle of the pairing graph has flag product +1).
+    cycle of the pairing graph has flag product +1).  With no flag -1
+    (internal joins always carry +1) the all-+1 signing is one, so the
+    pairing graph is walked only when some pairing reverses.
     """
     if not manifold.is_closed():
         raise ValueError("orientability needs a closed complex")
     if any(not p.template.orientable for p in manifold.pieces):
         return False
-    return manifold._walk()[1]
+    return all(p.flag > 0 for p in manifold.pairings) or manifold._walk()[1]
 
 
 def orientation_double_cover(manifold: AssembledManifold) -> AssembledManifold:
@@ -473,12 +479,12 @@ def orientation_double_cover(manifold: AssembledManifold) -> AssembledManifold:
     ]
     # piece i of sheet 1 is piece i + n of the cover
     pairings = []
-    for a, (j, slot), flag in manifold.pairings:
-        b0, b1 = (j, slot), (j + n, slot)
+    for a, b, flag in manifold.pairings:
+        a1, b1 = (a[0] + n, a[1]), (b[0] + n, b[1])
         if flag < 0:
-            b0, b1 = b1, b0
-        pairings.append(_trusted(Pairing, (a, b0, 1)))
-        pairings.append(_trusted(Pairing, ((a[0] + n, a[1]), b1, 1)))
+            b, b1 = b1, b
+        pairings.append(_trusted(Pairing, (a, b, 1)))
+        pairings.append(_trusted(Pairing, (a1, b1, 1)))
     joins = [
         (i, i + n)
         for i, p in enumerate(manifold.pieces)
@@ -486,7 +492,7 @@ def orientation_double_cover(manifold: AssembledManifold) -> AssembledManifold:
     ]
     joins += [(i + n, j + n) for i, j in manifold.internal_joins]
     joins += [(i, j) for i, j in manifold.internal_joins]
-    deck = tuple((i + n) % (2 * n) for i in range(2 * n))
+    deck = tuple(range(n, 2 * n)) + tuple(range(n))
     return AssembledManifold(tuple(pieces), tuple(pairings), tuple(joins), deck)
 
 

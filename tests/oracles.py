@@ -18,6 +18,7 @@ from scipy.optimize import linprog
 import hyperglue
 from hyperglue.glueing import (
     EDGE_LABELS,
+    AssembledManifold,
     CountRow,
     GlueingGraph,
     enumerate_base_graphs,
@@ -611,3 +612,42 @@ def enumerate_graphs(m: int, mode: str = "free") -> Iterator[GlueingGraph]:
         for labels in labelings:
             for root in range(m):
                 yield GlueingGraph(m, edges, tuple(labels), root, proper=mode == "proper")
+
+
+def closed_by_scan(manifold: AssembledManifold) -> bool:
+    """Whether every slot is paired exactly once, by one scan over the slot refs.
+
+    Refs that are pairwise distinct and as many as the slots cover every
+    slot iff each of them names an existing piece and a slot below that
+    piece's boundary count.
+    """
+    counts = [p.template.boundary_count for p in manifold.pieces]
+    n = len(counts)
+    refs = [p.a for p in manifold.pairings] + [p.b for p in manifold.pairings]
+    return (
+        len(refs) == sum(counts) == len(set(refs))
+        and all(0 <= pi < n and 0 <= si < counts[pi] for pi, si in refs)
+    )
+
+
+def brute_force_orientable(manifold: AssembledManifold, max_pieces: int = 20) -> bool:
+    """Orientability of a closed complex, by trying every +-1 signing of its pieces.
+
+    False with any non-orientable block.  Otherwise some signing must make
+    each pairing's flag, and +1 on each internal join, the product of its
+    endpoint signs.  Piece 0 keeps sign +1 (negating a signing keeps it
+    valid), so the 2^(n-1) signings are rows of one array, checked at once.
+    """
+    n = len(manifold.pieces)
+    if n > max_pieces:
+        raise ValueError(f"{n} pieces make too many signings")
+    if any(not p.template.orientable for p in manifold.pieces):
+        return False
+    edges = [(a[0], b[0], flag) for a, b, flag in manifold.pairings]
+    edges += [(i, j, 1) for i, j in manifold.internal_joins]
+    if not edges:
+        return True
+    i, j, flag = np.array(edges).T
+    bits = (np.arange(2 ** (n - 1))[:, None] >> np.arange(n - 1)) & 1
+    signs = np.hstack([np.ones((len(bits), 1), dtype=int), 1 - 2 * bits])
+    return bool((signs[:, i] * signs[:, j] == flag).all(axis=1).any())

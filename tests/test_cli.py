@@ -198,9 +198,22 @@ class TestCount:
         assert len(rows) == 1  # header only
         assert "warning" in capsys.readouterr().out
 
-    def test_too_large_refused(self, tmp_path):
+    def test_too_large_refused(self, tmp_path, capsys):
         out = tmp_path / "big"
-        assert run_cli("count", "--m-max", "12", "--out", str(out)) == 2
+        assert run_cli("count", "--m-max", "41", "--mode", "free", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "capped at 40" in err and "free-mode" in err and "proper" not in err
+        assert not out.exists()
+
+    def test_free_mode_past_the_proper_cap(self, tmp_path, capsys):
+        out = tmp_path / "f12"
+        assert run_cli("count", "--m-max", "12", "--mode", "free", "--out", str(out)) == 0
+        rows = [[int(x) for x in r] for r in read_csv(out / "counts.csv")[1:]]
+        # OEIS A005815 from m = 5 on
+        assert [r[1] for r in rows] == [
+            1, 15, 465, 19355, 1024380, 66462606, 5188453830, 480413921130
+        ]
+        assert all(total == base * m * 4 ** (2 * m) for m, base, total in rows)
 
     def test_checks_below_five_check_nothing(self, tmp_path, capsys):
         out = tmp_path / "c4"

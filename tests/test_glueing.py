@@ -27,7 +27,13 @@ from hyperglue.glueing import (
     standard_templates,
     volume,
 )
-from oracles import enumerate_graphs, enumerated_counts, proper_labelings
+from oracles import (
+    brute_force_orientable,
+    closed_by_scan,
+    enumerate_graphs,
+    enumerated_counts,
+    proper_labelings,
+)
 
 
 def bitmask_oracle(m: int, degree: int = 4) -> list[tuple[tuple[int, int], ...]]:
@@ -353,6 +359,37 @@ def two_piece_complex(*pairings):
     return AssembledManifold(pieces, tuple(Pairing(a, b) for a, b in pairings))
 
 
+def corrupted(manifold: AssembledManifold, rng):
+    """(kind, complex) for six seeded edits of a closed complex's pairings."""
+    pairings = list(manifold.pairings)
+    t, u = (int(x) for x in rng.choice(len(pairings), 2, replace=False))
+    side = ("a", "b")[int(rng.integers(2))]
+    piece, slot = getattr(pairings[t], side)
+    n = len(manifold.pieces)
+
+    def with_ref(ref):
+        out = list(pairings)
+        out[t] = out[t]._replace(**{side: ref})
+        return out
+
+    swapped = list(pairings)
+    swapped[t] = pairings[t]._replace(b=pairings[u].b)
+    swapped[u] = pairings[u]._replace(b=pairings[t].b)
+    variants = {
+        "slot-at-boundary-count": with_ref((piece, manifold.pieces[piece].template.boundary_count)),
+        # the same piece as a Python index from the end
+        "negative-piece": with_ref((piece - n, slot)),
+        "piece-past-the-end": with_ref((n, slot)),
+        "duplicated-ref": with_ref(pairings[u].a),
+        "dropped-pairing": pairings[:t] + pairings[t + 1:],
+        "swapped-refs": swapped,
+    }
+    for kind, edited in variants.items():
+        yield kind, AssembledManifold(
+            manifold.pieces, tuple(edited), manifold.internal_joins, manifold.deck_involution
+        )
+
+
 class TestClosedness:
     def test_every_slot_once_is_closed(self):
         assert two_piece_complex(((0, 0), (1, 0)), ((0, 1), (1, 1))).is_closed()
@@ -374,6 +411,22 @@ class TestClosedness:
         assert not assembled.is_closed()
         with pytest.raises(ValueError, match="closed"):
             assembled.is_connected()
+
+    def test_agrees_with_the_scan(self):
+        # every assembly of m = 5..7 and its cover, each with five seeded
+        # corruptions that open it and one swap of two refs that keeps it closed
+        checked = 0
+        for m in (5, 6, 7):
+            labels = tuple(EDGE_LABELS[k % 4] for k in range(2 * m))
+            for edges in enumerate_base_graphs(m):
+                assembled = assemble(GlueingGraph(m, edges, labels, root=0))
+                for built in (assembled, orientation_double_cover(assembled)):
+                    assert built.is_closed() and closed_by_scan(built)
+                    for kind, variant in corrupted(built, np.random.default_rng(checked)):
+                        assert variant.is_closed() == closed_by_scan(variant), kind
+                        assert variant.is_closed() == (kind == "swapped-refs"), kind
+                    checked += 1
+        assert checked == 2 * 481
 
     def test_pairing_refuses_other_flags(self):
         with pytest.raises(ValueError, match="flag"):
@@ -429,6 +482,33 @@ class TestOrientability:
         )
         assert not is_orientable(AssembledManifold(pieces, pairings))
 
+    def test_flag_subsets_against_brute_force(self):
+        # K5 with a u block at the root, so that every block is orientable
+        (edges,) = enumerate_base_graphs(5)
+        labels = tuple(EDGE_LABELS[k % 4] for k in range(len(edges)))
+        templates = {**standard_templates(), "v": standard_templates()["u"]}
+        base = assemble(GlueingGraph(5, edges, labels, root=0), templates=templates)
+        assert len(base.pieces) == 15 and len(base.pairings) == 20
+        verdicts = Counter()
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            # the pairings across a seeded cut of the pieces, which an
+            # orientable complex can reverse, and on odd seeds a random
+            # subset on top of them
+            side = rng.integers(2, size=len(base.pieces))
+            flip = {t for t, (a, b, _) in enumerate(base.pairings) if side[a[0]] != side[b[0]]}
+            if seed % 2:
+                flip ^= {int(t) for t in rng.choice(20, int(rng.integers(1, 21)), replace=False)}
+            assert flip
+            pairings = tuple(
+                p._replace(flag=-1) if t in flip else p for t, p in enumerate(base.pairings)
+            )
+            flipped = AssembledManifold(base.pieces, pairings)
+            verdict = is_orientable(flipped)
+            assert verdict == brute_force_orientable(flipped), seed
+            verdicts[verdict] += 1
+        assert verdicts[True] and verdicts[False]
+
     def test_non_closed_rejected(self):
         u = PieceTemplate("u", 2, True)
         pieces = (PieceInstance(u, ("a",)),)
@@ -460,6 +540,34 @@ class TestDoubleCover:
         assert deck is not None
         assert all(deck[i] != i for i in range(len(cover.pieces)))
         assert all(deck[deck[i]] == i for i in range(len(cover.pieces)))
+
+    def test_reversing_decorations_of_every_m6_graph(self):
+        # the glueing along edge k reverses for k = 1 (mod 3): the pairing of
+        # edge block k (piece 6 + k) at its slot 0 gets flag -1
+        checked = 0
+        for edges in enumerate_base_graphs(6):
+            labels = tuple(EDGE_LABELS[k % 4] for k in range(len(edges)))
+            plain = assemble(GlueingGraph(6, edges, labels, root=0))
+            pairings = tuple(
+                p._replace(flag=-1) if (p.a[0] - 6) % 3 == 1 and p.a[1] == 0 else p
+                for p in plain.pairings
+            )
+            base = AssembledManifold(plain.pieces, pairings)
+            assert sum(p.flag < 0 for p in pairings) == 4
+            assert not is_orientable(base)
+            cover = orientation_double_cover(base)
+            n = len(base.pieces)
+            assert closed_by_scan(cover) and cover.is_closed()
+            assert is_orientable(cover) and cover._walk()[1]
+            assert cover.is_connected()
+            deck = cover.deck_involution
+            assert all(deck[i] != i and deck[deck[i]] == i for i in range(2 * n))
+            for t, p in enumerate(base.pairings):
+                lifts = cover.pairings[2 * t: 2 * t + 2]
+                crossing = [(q.a[0] < n) != (q.b[0] < n) for q in lifts]
+                assert crossing == [p.flag < 0] * 2
+            checked += 1
+        assert checked == 15
 
     def test_reversing_flags_lift_to_preserving(self):
         u = PieceTemplate("u", 2, True)
