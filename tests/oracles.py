@@ -630,7 +630,7 @@ def closed_by_scan(manifold: AssembledManifold) -> bool:
     )
 
 
-def brute_force_orientable(manifold: AssembledManifold, max_pieces: int = 20) -> bool:
+def brute_force_orientable(manifold: AssembledManifold) -> bool:
     """Orientability of a closed complex, by trying every +-1 signing of its pieces.
 
     False with any non-orientable block.  Otherwise some signing must make
@@ -639,8 +639,8 @@ def brute_force_orientable(manifold: AssembledManifold, max_pieces: int = 20) ->
     valid), so the 2^(n-1) signings are rows of one array, checked at once.
     """
     n = len(manifold.pieces)
-    if n > max_pieces:
-        raise ValueError(f"{n} pieces make too many signings")
+    if n > 20:
+        raise ValueError(f"{n} pieces make too many signings to try")
     if any(not p.template.orientable for p in manifold.pieces):
         return False
     edges = [(a[0], b[0], flag) for a, b, flag in manifold.pairings]

@@ -205,7 +205,7 @@ class TestCount:
         assert "capped at 40" in err and "free-mode" in err and "proper" not in err
         assert not out.exists()
 
-    def test_free_mode_past_the_proper_cap(self, tmp_path, capsys):
+    def test_free_mode_past_the_proper_cap(self, tmp_path):
         out = tmp_path / "f12"
         assert run_cli("count", "--m-max", "12", "--mode", "free", "--out", str(out)) == 0
         rows = [[int(x) for x in r] for r in read_csv(out / "counts.csv")[1:]]
