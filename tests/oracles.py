@@ -645,8 +645,6 @@ def brute_force_orientable(manifold: AssembledManifold) -> bool:
         return False
     edges = [(a[0], b[0], flag) for a, b, flag in manifold.pairings]
     edges += [(i, j, 1) for i, j in manifold.internal_joins]
-    if not edges:
-        return True
     i, j, flag = np.array(edges).T
     bits = (np.arange(2 ** (n - 1))[:, None] >> np.arange(n - 1)) & 1
     signs = np.hstack([np.ones((len(bits), 1), dtype=int), 1 - 2 * bits])
