@@ -41,7 +41,7 @@ EXTRA = (
     "geom nesting --angle 0 --lenH 1 --lenV 1 --out out/nesting-equal",
     "geom nesting --angle 90 --lenH 0.5 --lenV 0.5 --out out/nesting-crossing",
     'forms family --n 3 --field "Q(sqrt2)" --out out/forms-sqrt2',
-    "count --m-max 8 --mode proper --out out/counts-proper",
+    "count --m-max 9 --mode proper --out out/counts-proper",
     # the assembly checks with m past the checked range
     "count --m-max 9 --mode free --check-assemblies --out out/counts-checked9",
     # the geom defaults, left out here and set in README's commands or the reverse

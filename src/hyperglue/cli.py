@@ -62,12 +62,13 @@ from .voronoi import (
 M_MAX_CAPS = {
     "free": (
         40,
-        "free-mode counting runs a degree-histogram recursion that takes about a second at m = 40",
+        "free-mode counting runs the degree-histogram recursion with one colour, "
+        "which takes about 0.7 s at m = 40",
     ),
     "proper": (
-        9,
-        "proper-mode counting backtracks over perfect matchings and takes over a minute "
-        "from m = 10 on",
+        13,
+        "proper-mode counting runs the degree-histogram recursion with four colours, "
+        "which takes about 0.7 s at m = 12 and about 3 s at m = 14",
     ),
 }
 # --check-assemblies enumerates every base graph up to this m (481 graphs)
@@ -294,10 +295,9 @@ def cmd_geom_shrink(args) -> int:
     out = _ensure_out(args)
     rows = []
     for idx, row in enumerate(report.rows):
-        factor = report.shrink_factors[idx - 1] if idx > 0 else ""
         rows.append(
             [_f(row.r), _f(row.first_radius), _f(row.second_radius),
-             _f(factor) if factor != "" else ""]
+             _f(report.shrink_factors[idx - 1]) if idx else ""]
         )
     _write_csv(
         out / "shrink.csv",

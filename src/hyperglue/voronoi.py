@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .qforms import DiagonalForm, direct_sum
+from .qforms import DiagonalForm, direct_sum, jn_form
 from .hyperboloid import (
     EPS,
     BoundarySphere,
@@ -772,8 +772,6 @@ def sphere_shrink_report(
     (its walls pruned within the feasibility tolerance) raises
     UndecidableError.
     """
-    from .qforms import jn_form
-
     if not r_list:
         raise ValueError("need at least one R value")
     if any(b <= a for a, b in zip(r_list, r_list[1:])):
@@ -783,10 +781,10 @@ def sphere_shrink_report(
     e1 = np.array([0.0, 1.0, 0.0, 0.0])
     e3 = np.array([0.0, 0.0, 0.0, 1.0])
     marked = MarkedGeodesic(form, x0, e1, surface_id=0, fundamental_length=spacing)
+    t_s = translation_along(form, x0, e1, spacing)
 
     rows = []
     for r in r_list:
-        t_s = translation_along(form, x0, e1, spacing)
         t_r = translation_along(form, x0, e3, float(r))
         group = GroupData(form, [t_s, t_r], marked=[marked])
         orbit = build_orbit([x0], group, word_cutoff=2)

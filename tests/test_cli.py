@@ -240,15 +240,17 @@ class TestCount:
         assert "assembly checks: 2 failures (1 graph, m = 5)" in captured.out.splitlines()
 
     def test_proper_up_to_the_cap(self, tmp_path, capsys):
-        out = tmp_path / "p9"
-        assert run_cli("count", "--m-max", "9", "--mode", "proper", "--out", str(out)) == 0
+        out = tmp_path / "p13"
+        assert run_cli("count", "--m-max", "13", "--mode", "proper", "--out", str(out)) == 0
         totals = {int(r[0]): int(r[2]) for r in read_csv(out / "counts.csv")[1:]}
-        assert totals == {5: 0, 6: 4320, 7: 0, 8: 23063040, 9: 0}
+        assert sorted(totals) == list(range(5, 14))
+        assert {m: totals[m] for m in (6, 8, 10)} == {6: 4320, 8: 23063040, 10: 217532044800}
+        assert all(totals[m] == 0 for m in range(5, 14, 2))
 
     def test_too_large_message(self, tmp_path, capsys):
-        assert run_cli("count", "--m-max", "10", "--mode", "proper", "--out", str(tmp_path / "p")) == 2
+        assert run_cli("count", "--m-max", "14", "--mode", "proper", "--out", str(tmp_path / "p")) == 2
         err = capsys.readouterr().err
-        assert "capped at 9" in err and "proper-mode" in err
+        assert "capped at 13" in err and "proper-mode" in err
         assert "exhaustive enumeration" not in err
 
 

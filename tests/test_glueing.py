@@ -186,6 +186,49 @@ class TestCounts:
         (row,) = count_graphs(8, "proper", m_min=8)
         assert (row.base_count, row.rooted_labelled) == (19355, 23063040)
 
+    def test_proper_m10_value(self):
+        # the matching backtracking that counted proper mode before gave this row
+        (row,) = count_graphs(10, "proper", m_min=10)
+        assert (row.base_count, row.rooted_labelled) == (66462606, 217532044800)
+
+    def test_one_matching_is_double_factorial(self):
+        count = glueing._graph_counter((1,))
+        for m in range(0, 31, 2):
+            assert count(m) == math.prod(range(m - 1, 0, -2))
+
+    def test_two_disjoint_matchings_by_inclusion_exclusion(self):
+        # ordered pairs (M1, M2) of edge-disjoint perfect matchings: (m-1)!! choices of
+        # M1, times the matchings sharing no edge with it, by inclusion-exclusion over
+        # the j edges of M1 that M2 would share
+        def double_factorial(n):
+            return math.prod(range(n, 0, -2))
+
+        count = glueing._graph_counter((1, 1))
+        for m in range(2, 25, 2):
+            avoiding = sum(
+                (-1) ** j * math.comb(m // 2, j) * double_factorial(m - 2 * j - 1)
+                for j in range(m // 2 + 1)
+            )
+            assert count(m) == double_factorial(m - 1) * avoiding
+
+    @pytest.mark.parametrize(
+        "degree,ms,expected",
+        [
+            # OEIS A001205: labelled 2-regular graphs
+            (2, range(3, 11), [1, 3, 12, 70, 465, 3507, 30016, 286884]),
+            # OEIS A002829: labelled cubic graphs
+            (3, range(4, 13, 2), [1, 70, 19355, 11180820, 11555272575]),
+        ],
+    )
+    def test_regular_counts_oeis(self, degree, ms, expected):
+        count = glueing._graph_counter((degree,))
+        assert [count(m) for m in ms] == expected
+
+    def test_odd_need_sum_gives_zero(self):
+        assert glueing._graph_counter((3,))(5) == 0
+        assert glueing._graph_counter((1, 1, 1, 1))(9) == 0
+        assert glueing._graph_counter((2, 1))(7) == 0
+
     def test_free_base_counts_oeis(self):
         rows = count_graphs(11, "free", m_min=9)
         # OEIS A005815
