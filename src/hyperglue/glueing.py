@@ -49,6 +49,9 @@ class PieceTemplate:
             raise ValueError("volume weight must be positive")
         if self.label == "v" and self.orientable:
             raise ValueError("the root block v must be non-orientable")
+        # equal templates are then alike in every field, so the pieces that
+        # `assemble` shares between equal mappings carry the caller's weights
+        object.__setattr__(self, "volume_weight", float(self.volume_weight))
 
     @functools.cached_property
     def _orientable_cover(self) -> PieceTemplate:
@@ -316,6 +319,8 @@ def _slot_set(counts: tuple[int, ...]) -> frozenset[SlotRef]:
     return frozenset((piece, slot) for piece, n in enumerate(counts) for slot in range(n))
 
 
+_ref_a, _ref_b = operator.itemgetter(0), operator.itemgetter(1)
+
 # Builds a `Pairing` or `PieceInstance` from a tuple of its fields without
 # calling the class: only for records this module makes itself, whose
 # fields are valid by construction (every flag it writes is +1).
@@ -342,12 +347,13 @@ class AssembledManifold:
 
     @functools.cached_property
     def _closed(self) -> bool:
-        # computed on the first read, against the set of all (piece, slot)
-        # pairs: as many refs as slots, pairwise distinct and each a slot
-        # (so in piece range and in slot range) means every slot once
+        # computed on the first read (a cover's is set when it is built): as
+        # many refs as slots, whose set is the set of all (piece, slot) pairs,
+        # means every slot once
         slots = _slot_set(tuple(p.template.boundary_count for p in self.pieces))
-        refs = [p.a for p in self.pairings] + [p.b for p in self.pairings]
-        return len(refs) == len(slots) == len(set(refs)) and slots.issuperset(refs)
+        return 2 * len(self.pairings) == len(slots) and slots == {
+            *map(_ref_a, self.pairings), *map(_ref_b, self.pairings)
+        }
 
     def is_connected(self) -> bool:
         if not self.is_closed():
@@ -398,6 +404,22 @@ class AssembledManifold:
         return components, consistent
 
 
+@functools.lru_cache(maxsize=64)
+def _assembly_pieces(m: int, root: int, labels: tuple[str, ...], templates: tuple) -> tuple:
+    """The pieces of `assemble`: the vertex blocks, v at the root, then the edge blocks.
+
+    They depend on this layout alone, never on the edges.  `templates` is a
+    mapping's items, by value: a mapping changed after a call is a new key.
+    """
+    by_label = dict(templates)
+    return tuple(
+        _trusted(PieceInstance, (by_label["v" if vtx == root else "u"], ("vertex", vtx)))
+        for vtx in range(m)
+    ) + tuple(
+        _trusted(PieceInstance, (by_label[lab], ("edge", k))) for k, lab in enumerate(labels)
+    )
+
+
 def assemble(
     graph: GlueingGraph,
     templates: Mapping[str, PieceTemplate] | None = None,
@@ -407,17 +429,13 @@ def assemble(
     The root vertex gets the non-orientable block v, every other vertex a
     u block, and every edge its labelled two-boundary block; each edge
     block is paired into one free slot of each endpoint block, giving 4m
-    orientation-compatible pairings in total.
+    orientation-compatible pairings in total.  The piece tuple is built
+    once per layout (m, root, labels and templates) and shared by every
+    graph of that layout; only the pairings are built per graph.
     """
     templates = templates or _STANDARD_TEMPLATES
     m = graph.vertex_count
-    pieces = [
-        _trusted(PieceInstance, (templates["v" if vtx == graph.root else "u"], ("vertex", vtx)))
-        for vtx in range(m)
-    ] + [
-        _trusted(PieceInstance, (templates[lab], ("edge", k)))
-        for k, lab in enumerate(graph.labels)
-    ]
+    pieces = _assembly_pieces(m, graph.root, tuple(graph.labels), tuple(templates.items()))
     capacity = [p.template.boundary_count for p in pieces[:m]]
     next_free = [0] * m  # each vertex block fills its slots in order
     pairings: list[Pairing] = []
@@ -428,7 +446,7 @@ def assemble(
         next_free[i], next_free[j] = si + 1, sj + 1
         pairings.append(_trusted(Pairing, ((piece_idx, 0), (i, si), 1)))
         pairings.append(_trusted(Pairing, ((piece_idx, 1), (j, sj), 1)))
-    return AssembledManifold(tuple(pieces), tuple(pairings))
+    return AssembledManifold(pieces, tuple(pairings))
 
 
 def volume(manifold: AssembledManifold) -> float:
@@ -451,6 +469,19 @@ def is_orientable(manifold: AssembledManifold) -> bool:
     return all(p.flag > 0 for p in manifold.pairings) or manifold._walk()[1]
 
 
+@functools.lru_cache(maxsize=64)
+def _cover_pieces(pieces: tuple[PieceInstance, ...]) -> tuple[PieceInstance, ...]:
+    """Sheet 0 then sheet 1 over `pieces`; the sheets of a non-orientable block are orientable."""
+    templates = [
+        p.template if p.template.orientable else p.template._orientable_cover for p in pieces
+    ]
+    return tuple(
+        _trusted(PieceInstance, (template, ("cover", *p.provenance, sheet)))
+        for sheet in (0, 1)
+        for p, template in zip(pieces, templates)
+    )
+
+
 def orientation_double_cover(manifold: AssembledManifold) -> AssembledManifold:
     """Two sheets per piece, pairings lifted through the orientation cocycle.
 
@@ -459,19 +490,16 @@ def orientation_double_cover(manifold: AssembledManifold) -> AssembledManifold:
     halves of its connected orientation cover: they are recorded as
     internally joined and marked orientable.  The deck involution swaps
     the sheets of every piece and is fixed-point-free on instances.
+
+    An open complex is refused, so the cover is closed by construction:
+    each base slot is paired once and lifts to one slot per sheet, paired
+    once by its pairing's lifts.  The cover's closedness is set from that,
+    not checked again.  Its piece tuple is built once per base piece tuple.
     """
     if not manifold.is_closed():
         raise ValueError("double cover needs a closed complex")
     n = len(manifold.pieces)
-    templates = [
-        p.template if p.template.orientable else p.template._orientable_cover
-        for p in manifold.pieces
-    ]
-    pieces = [
-        _trusted(PieceInstance, (template, ("cover", *p.provenance, sheet)))
-        for sheet in (0, 1)
-        for p, template in zip(manifold.pieces, templates)
-    ]
+    pieces = _cover_pieces(tuple(manifold.pieces))
     # piece i of sheet 1 is piece i + n of the cover
     pairings = []
     for a, b, flag in manifold.pairings:
@@ -488,7 +516,9 @@ def orientation_double_cover(manifold: AssembledManifold) -> AssembledManifold:
     joins += [(i + n, j + n) for i, j in manifold.internal_joins]
     joins += [(i, j) for i, j in manifold.internal_joins]
     deck = tuple(range(n, 2 * n)) + tuple(range(n))
-    return AssembledManifold(tuple(pieces), tuple(pairings), tuple(joins), deck)
+    cover = AssembledManifold(pieces, tuple(pairings), tuple(joins), deck)
+    cover.__dict__["_closed"] = True  # lifted from the base's checked closedness
+    return cover
 
 
 # -- growth --------------------------------------------------------------------------

@@ -396,6 +396,107 @@ class TestTrustedRecords:
             Pairing((0, 0), (1, 0), 0)
 
 
+def assembled_piece_by_piece(graph: GlueingGraph, templates) -> AssembledManifold:
+    """`assemble` without shared records: every piece and pairing made by its class."""
+    m = graph.vertex_count
+    pieces = [PieceInstance(templates["v" if v == graph.root else "u"], ("vertex", v)) for v in range(m)]
+    pieces += [PieceInstance(templates[lab], ("edge", k)) for k, lab in enumerate(graph.labels)]
+    pairings = []
+    for k, edge in enumerate(graph.edges):
+        for end, v in enumerate(edge):
+            # a vertex block gives its slots to its edges in edge order
+            slot = sum(v in earlier for earlier in graph.edges[:k])
+            pairings.append(Pairing((m + k, end), (v, slot)))
+    return AssembledManifold(tuple(pieces), tuple(pairings))
+
+
+class TestSharedPieces:
+    """Piece tuples are built once per layout; no call may see another's."""
+
+    def test_equal_an_unshared_build(self):
+        checked = 0
+        for m in (5, 6, 7):
+            labels = tuple(EDGE_LABELS[k % 4] for k in range(2 * m))
+            for edges in enumerate_base_graphs(m):
+                for root in (0, m - 1):
+                    graph = GlueingGraph(m, edges, labels, root=root)
+                    want = assembled_piece_by_piece(graph, standard_templates())
+                    assert assemble(graph) == want
+                    assert assemble(graph, standard_templates()) == want
+                    checked += 1
+        assert checked == 2 * 481
+
+    def test_changed_templates_never_get_stale_pieces(self):
+        (edges,) = enumerate_base_graphs(5)
+        graph = GlueingGraph(5, edges, tuple(EDGE_LABELS[k % 4] for k in range(10)), root=0)
+        templates = standard_templates({l: 2.0 for l in list(EDGE_LABELS) + ["u", "v"]})
+        assert volume(assemble(graph)) == 15.0
+        assert volume(assemble(graph, templates)) == 30.0
+        # the same dict after a first call: the four u blocks weigh 5, not 2
+        templates["u"] = PieceTemplate("u", 4, True, 5.0)
+        changed = assemble(graph, templates)
+        assert changed == assembled_piece_by_piece(graph, templates)
+        assert volume(changed) == 42.0
+        assert volume(orientation_double_cover(changed)) == 84.0
+        templates["u"] = PieceTemplate("u", 4, True, 2.0)
+        assert volume(assemble(graph, templates)) == 30.0
+        assert volume(assemble(graph)) == 15.0
+
+    def test_equal_weights_of_another_type_share_alike_pieces(self):
+        (edges,) = enumerate_base_graphs(5)
+        graph = GlueingGraph(5, edges, tuple(EDGE_LABELS[k % 4] for k in range(10)), root=0)
+        labels = list(EDGE_LABELS) + ["u", "v"]
+        # integer weights first: a float mapping equal to it reads the same pieces
+        assert repr(volume(assemble(graph, standard_templates({l: 3 for l in labels})))) == "45.0"
+        assert repr(volume(assemble(graph, standard_templates({l: 3.0 for l in labels})))) == "45.0"
+
+    def test_cover_equals_one_built_piece_by_piece(self):
+        u = PieceTemplate("u", 2, True)
+        reversing = AssembledManifold(
+            (PieceInstance(u, ("a",)), PieceInstance(u, ("b",))),
+            (Pairing((0, 0), (1, 0), 1), Pairing((0, 1), (1, 1), -1)),
+        )
+        sheets = tuple(PieceInstance(u, ("cover", name, sheet)) for sheet in (0, 1) for name in "ab")
+        want = AssembledManifold(
+            sheets,
+            (
+                Pairing((0, 0), (1, 0)),
+                Pairing((2, 0), (3, 0)),
+                # the reversing pairing lifts across the sheets
+                Pairing((0, 1), (3, 1)),
+                Pairing((2, 1), (1, 1)),
+            ),
+            (),
+            (2, 3, 0, 1),
+        )
+        cover = orientation_double_cover(reversing)
+        assert cover == want
+        assert cover.is_closed() and want.is_closed()
+        # a complex with the same pieces shares them, but lifts its own pairings
+        plain = AssembledManifold(reversing.pieces, (Pairing((0, 0), (1, 0)), Pairing((0, 1), (1, 1))))
+        assert orientation_double_cover(plain) == AssembledManifold(
+            sheets,
+            (
+                Pairing((0, 0), (1, 0)),
+                Pairing((2, 0), (3, 0)),
+                Pairing((0, 1), (1, 1)),
+                Pairing((2, 1), (3, 1)),
+            ),
+            (),
+            (2, 3, 0, 1),
+        )
+        # the root block v of K5: its sheets are halves of one orientable cover
+        k5 = k5_assembly()
+        n = len(k5.pieces)
+        for i, piece in enumerate(orientation_double_cover(k5).pieces):
+            t = k5.pieces[i % n].template
+            label = t.label if t.orientable else t.label + "~"
+            assert piece == PieceInstance(
+                PieceTemplate(label, t.boundary_count, True, t.volume_weight),
+                ("cover", *k5.pieces[i % n].provenance, i // n),
+            )
+
+
 def two_piece_complex(*pairings):
     u = PieceTemplate("u", 2, True)
     pieces = (PieceInstance(u, ("a",)), PieceInstance(u, ("b",)))
@@ -468,6 +569,25 @@ class TestClosedness:
                     for kind, variant in corrupted(built, np.random.default_rng(checked)):
                         assert variant.is_closed() == closed_by_scan(variant), kind
                         assert variant.is_closed() == (kind == "swapped-refs"), kind
+                    checked += 1
+        assert checked == 2 * 481
+
+    def test_cover_refuses_every_opened_complex(self):
+        # the cover's closedness is lifted from its base, so an open base
+        # must be refused; a swap of two refs keeps the base and its cover closed
+        checked = 0
+        for m in (5, 6, 7):
+            labels = tuple(EDGE_LABELS[k % 4] for k in range(2 * m))
+            for edges in enumerate_base_graphs(m):
+                assembled = assemble(GlueingGraph(m, edges, labels, root=0))
+                for built in (assembled, orientation_double_cover(assembled)):
+                    for kind, variant in corrupted(built, np.random.default_rng(checked)):
+                        if kind == "swapped-refs":
+                            cover = orientation_double_cover(variant)
+                            assert cover.is_closed() and closed_by_scan(cover)
+                        else:
+                            with pytest.raises(ValueError, match="^double cover needs a closed complex$"):
+                                orientation_double_cover(variant)
                     checked += 1
         assert checked == 2 * 481
 

@@ -1,6 +1,7 @@
 """Voronoi machinery: orbits, cells, facet types, admissible sets, Poincare."""
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from hyperglue import voronoi
 from hyperglue.hyperboloid import (
+    EPS,
     Hyperplane,
     NestingVerdict,
     are_nested,
@@ -754,6 +756,74 @@ class TestShrink:
         # within the feasibility tolerance
         with pytest.raises(UndecidableError, match="R = 4, spacing 0.001 lost its second-type"):
             sphere_shrink_report([2.0, 4.0], spacing=0.001)
+
+
+def translation_walls(angle, length):
+    """The Dirichlet walls at X0 of one translation whose axis leaves X0 at `angle`, by word."""
+    axis = rotation_in_plane(J2, 1, 2, angle) @ E1
+    t = translation_along(J2, X0, axis, length)
+    cell = dirichlet_cell(X0, build_orbit([X0], GroupData(J2, [t]), 3))
+    return {f.source_word: f.halfspace for f in cell.facets}
+
+
+class TestNestingClosedForm:
+    """Nesting verdicts and the crossing threshold against their closed forms.
+
+    Walls of translations of lengths a and b, with axes meeting at X0 at
+    angle theta, have inward normals whose product is
+    s = sigma cosh(a/2) cosh(b/2) cos(theta) - sinh(a/2) sinh(b/2),
+    sigma = +1 for two walls of words of one sign, -1 otherwise.
+    """
+
+    def test_products_and_verdicts(self):
+        rng = np.random.default_rng(0)
+        verdicts = set()
+        for _ in range(300):
+            theta = math.radians(rng.uniform(5.0, 175.0))
+            a, b = rng.uniform(0.2, 6.0, 2)
+            h_walls, v_walls = translation_walls(0.0, a), translation_walls(theta, b)
+            assert sorted(h_walls) == sorted(v_walls) == [(0,), (1,)]
+            ch, sh = math.cosh(a / 2) * math.cosh(b / 2), math.sinh(a / 2) * math.sinh(b / 2)
+            for (wh, hs_h), (wv, hs_v) in itertools.product(h_walls.items(), v_walls.items()):
+                s = (1.0 if wh == wv else -1.0) * ch * math.cos(theta) - sh
+                # the worst of 300 draws was 2.3e-14 relative on this seed
+                # and 3.6e-14 on seed 1
+                tol = 1e-13 * max(1.0, abs(s))
+                assert abs(bilinear(J2, hs_h.inward_normal(), hs_v.inward_normal()) - s) <= tol
+                # no draw comes within the tolerance of a verdict boundary
+                assert abs(abs(s) - (1.0 - EPS)) > tol
+                if abs(s) < 1.0 - EPS:
+                    want = NestingVerdict.CROSSING
+                else:
+                    want = NestingVerdict.NESTED if s > 0 else NestingVerdict.DISJOINT_NOT_NESTED
+                assert are_nested(J2, hs_h, hs_v, X0) is want
+                verdicts.add(want)
+        assert len(verdicts) == 3
+
+    @pytest.mark.parametrize("len_h", [0.3, 1.0, 2.0])
+    def test_orthogonal_threshold(self, len_h):
+        # at 90 degrees s = -sinh(lenH/2) sinh(lenV/2), so the walls stop
+        # crossing at lenV* = 2 asinh(1 / sinh(lenH/2))
+        h_walls = translation_walls(0.0, len_h).values()
+
+        def crossing(len_v):
+            return any(
+                are_nested(J2, hs_h, hs_v, X0) is NestingVerdict.CROSSING
+                for hs_h in h_walls
+                for hs_v in translation_walls(math.pi / 2, len_v).values()
+            )
+
+        lo, hi = 0.5, 6.0
+        assert crossing(lo) and not crossing(hi)
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            if crossing(mid):
+                lo = mid
+            else:
+                hi = mid
+        # the bracket is 5e-12 wide; the verdict's band |s| < 1 - EPS moves
+        # the threshold by EPS / |ds/dlenV|: 2.0e-9, 1.8e-9 and 1.3e-9 here
+        assert abs(hi - 2.0 * math.asinh(1.0 / math.sinh(len_h / 2))) <= 3e-9
 
 
 def strip_domain(length=2.0):
