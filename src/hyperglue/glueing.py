@@ -43,10 +43,10 @@ class PieceTemplate:
     volume_weight: float = 1.0
 
     def __post_init__(self):
-        if self.boundary_count not in (2, 4):
-            raise ValueError("boundary count must be 2 or 4")
-        if self.volume_weight <= 0:
-            raise ValueError("volume weight must be positive")
+        if not isinstance(self.boundary_count, int) or self.boundary_count not in (2, 4):
+            raise ValueError("boundary count must be the int 2 or 4")
+        if not (self.volume_weight > 0 and math.isfinite(self.volume_weight)):
+            raise ValueError("volume weight must be finite and positive")
         if self.label == "v" and self.orientable:
             raise ValueError("the root block v must be non-orientable")
         # equal templates are then alike in every field, so the pieces that

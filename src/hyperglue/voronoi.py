@@ -126,15 +126,6 @@ class MarkedGeodesic:
         assert len(planes) == n - 2
         return tuple(planes)
 
-    def apply(self, mat: np.ndarray) -> "MarkedGeodesic":
-        return MarkedGeodesic(
-            self.form,
-            mat @ self.point,
-            mat @ self.tangent,
-            self.surface_id,
-            self.fundamental_length,
-        )
-
 
 # -- group data ------------------------------------------------------------------
 
@@ -541,37 +532,6 @@ class AdmissibilityVerdict:
         return self.admissible
 
 
-def _marked_orbit(
-    group: GroupData, surfaces: Sequence[MarkedGeodesic], cutoff: int
-) -> list[MarkedGeodesic]:
-    """Images of the marked geodesics under reduced words of length <= cutoff."""
-    out: list[MarkedGeodesic] = []
-    seen: set[tuple] = set()
-
-    def push(geo: MarkedGeodesic):
-        h = geo.hyperplanes()[0]
-        key = (geo.surface_id,) + tuple(np.round(h.normal, 6))
-        if key not in seen:
-            seen.add(key)
-            out.append(geo)
-
-    for s in surfaces:
-        push(s)
-    frontier = list(surfaces)
-    gens = group.gens_with_inverses
-    for _ in range(cutoff):
-        next_frontier = []
-        for geo in frontier:
-            for g in gens:
-                img = geo.apply(g)
-                before = len(out)
-                push(img)
-                if len(out) > before:
-                    next_frontier.append(img)
-        frontier = next_frontier
-    return out
-
-
 def surface_separations(
     group: GroupData,
     surfaces: Sequence[MarkedGeodesic],
@@ -587,9 +547,25 @@ def surface_separations(
     form = group.form
     if form.dimension != 3:
         raise ValueError("surface separations are implemented for plane geodesics")
-    lifts = _marked_orbit(group, surfaces, lift_cutoff)
-    ids = np.array([geo.surface_id for geo in lifts])
-    normals = np.array([geo.hyperplanes()[0].normal for geo in lifts])
+    # breadth first over words: a lift is new when its (surface id, normal
+    # rounded to 6 places) is, and only new lifts are moved on
+    gens = group.gens_with_inverses
+    seen: set[tuple] = set()
+    lifts: list[tuple[int, np.ndarray]] = []
+    frontier = [(s.surface_id, s.hyperplanes()[0].normal) for s in surfaces]
+    for depth in range(lift_cutoff + 1):
+        if depth:
+            frontier = [(i, Hyperplane(form, g @ n).normal) for i, n in frontier for g in gens]
+        fresh = []
+        for i, n in frontier:
+            key = (i, *np.round(n, 6))
+            if key not in seen:
+                seen.add(key)
+                fresh.append((i, n))
+        lifts += fresh
+        frontier = fresh
+    ids = np.array([i for i, _ in lifts])
+    normals = np.array([n for _, n in lifts])
     c = float_coefficients(form)
     out: dict[int, float] = {}
     for i in sorted({s.surface_id for s in surfaces}):

@@ -3,7 +3,7 @@
 import csv
 import json
 import shlex
-import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,7 +14,11 @@ from hyperglue.hyperboloid import basepoint
 from hyperglue.voronoi import MarkedGeodesic, classify_facets
 from oracles import E1, J2, plane_config, run_python
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+# the golden's format is defined once, by the script that writes it
+sys.path.insert(0, str(ROOT / "bench"))
+from compare_outputs import GOLDEN, differences, read_commands, save_result, snapshot, versions  # noqa: E402
 
 
 def run_cli(*argv) -> int:
@@ -254,75 +258,41 @@ class TestCount:
         assert "exhaustive enumeration" not in err
 
 
-class TestDeterminism:
-    @pytest.mark.parametrize(
-        "job",
-        [
-            ("geom", "admissible", "--seed", "7"),
-            ("geom", "nesting", "--angle", "90", "--lenH", "1", "--lenV", "6"),
-            ("geom", "nesting", "--angle", "60", "--lenH", "0.3", "--lenV", "8"),
-            ("geom", "shrink", "--R", "2,4,8,16"),
-            ("geom", "extension", "--seed", "5"),
-            ("forms", "family", "--n", "3", "--field", "Q"),
-            ("count", "--m-max", "6", "--mode", "free"),
-        ],
-    )
-    def test_byte_identical_reruns(self, tmp_path, job):
-        out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        assert run_cli(*job, "--out", str(out1)) == 0
-        assert run_cli(*job, "--out", str(out2)) == 0
-        files1 = sorted(p.name for p in out1.iterdir())
-        files2 = sorted(p.name for p in out2.iterdir())
-        assert files1 == files2
-        for name in files1:
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+class TestGolden:
+    """The byte contract: every command of the golden's list, run twice in
+    one interpreter, gives the exit code, stdout, stderr and files that
+    each gave in a fresh interpreter when the golden was written."""
 
+    def test_every_command_matches_the_golden_twice(self, tmp_path, monkeypatch, capsys):
+        commands = read_commands(ROOT)
+        golden = snapshot(ROOT / GOLDEN)
+        written = json.loads((ROOT / GOLDEN / "versions.json").read_text(encoding="utf-8"))
+        for run in ("first", "second"):
+            for k, line in enumerate(commands):
+                run_dir = tmp_path / run / f"{k:02d}"
+                run_dir.mkdir(parents=True)
+                monkeypatch.chdir(run_dir)
+                try:
+                    code = main(shlex.split(line)[1:])
+                except SystemExit as exc:
+                    code = exc.code
+                save_result(run_dir, code, *capsys.readouterr())
+            lines = differences(golden, snapshot(tmp_path / run), commands, ("golden", f"the {run} run"))
+            assert not lines, "\n".join(
+                [f"{run} run of {GOLDEN}/commands.txt in one interpreter:", *lines,
+                 f"golden written with {written}; this run has {versions()}"]
+            )
 
-def readme_commands() -> list[list[str]]:
-    """Arguments of every `hyperglue ...` line in README.md."""
-    lines = [line.strip() for line in README.read_text(encoding="utf-8").splitlines()]
-    return [shlex.split(line)[1:] for line in lines if line.startswith("hyperglue ")]
-
-
-def files_under(root: Path) -> dict[str, bytes]:
-    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+    def test_every_readme_command_is_listed(self):
+        listed = set(read_commands(ROOT))
+        lines = [line.strip() for line in README.read_text(encoding="utf-8").splitlines()]
+        readme = [line for line in lines if line.startswith("hyperglue ")]
+        assert len(readme) >= 8
+        assert [line for line in readme if line not in listed] == []
 
 
 class TestRepeatedCalls:
     """`main` keeps no state from one call to the next."""
-
-    def test_readme_commands_repeat_after_errors(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        commands = readme_commands()
-        assert len(commands) >= 8
-
-        def run_all(between=()):
-            results = []
-            for k, argv in enumerate(commands):
-                code = main(argv)
-                captured = capsys.readouterr()
-                results.append((code, captured.out, captured.err))
-                if k < len(between):
-                    between[k]()
-            return results
-
-        def usage_error():
-            with pytest.raises(SystemExit) as exc:
-                main(["geom", "spin", "--out", "out/spin"])
-            assert exc.value.code == 2
-            assert "invalid choice: 'spin'" in capsys.readouterr().err
-
-        def refused_input():
-            assert main(["geom", "extension", "--length", "13", "--out", "out/refused"]) == 1
-            assert capsys.readouterr().err.startswith("error: the bisector")
-            shutil.rmtree("out/refused", ignore_errors=True)
-
-        first = run_all(between=(usage_error, refused_input))
-        first_files = files_under(tmp_path / "out")
-        assert [code for code, _, _ in first] == [0] * len(commands)
-        shutil.rmtree(tmp_path / "out")
-        assert run_all() == first
-        assert files_under(tmp_path / "out") == first_files
 
     def test_handler_rebound_after_first_call_runs(self, monkeypatch, capsys):
         assert run_cli("forms", "check", "--coeffs", "-1,1,1", "--field", "Q") == 0

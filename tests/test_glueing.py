@@ -291,6 +291,18 @@ def k5_assembly(root=0):
     return assemble(GlueingGraph(5, edges, labels, root=root))
 
 
+class TestTemplateValidation:
+    @pytest.mark.parametrize("count", [2.0, 4.0, 3, np.int64(2), "2"])
+    def test_boundary_count_must_be_the_int_2_or_4(self, count):
+        with pytest.raises(ValueError, match="boundary count must be the int 2 or 4"):
+            PieceTemplate("u", count, True)
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_volume_weight_must_be_finite_and_positive(self, weight):
+        with pytest.raises(ValueError, match="volume weight must be finite and positive"):
+            PieceTemplate("u", 4, True, weight)
+
+
 class TestAssembly:
     def test_k5_shape(self):
         assembled = k5_assembly()

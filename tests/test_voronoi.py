@@ -1038,6 +1038,26 @@ class TestPoincare:
             f"pairing {source}->{target}: facet endpoints do not map onto partner",
         )
 
+    @pytest.mark.parametrize("delta", [1e-7, 1e-9, 1e-11])
+    def test_walls_meeting_at_the_circle_make_no_vertex(self, delta):
+        # at angle +-acos(tanh 1) from e1, walls (0,) and (2,) of length-2
+        # translations meet on the unit circle; delta moves that point less
+        # than 1e-7 inside it, so both ends stay ideal and no cycle is walked
+        angle = math.acos(math.tanh(1.0)) - delta
+        t1, t2 = (
+            translation_along(J2, X0, rotation_in_plane(J2, 1, 2, a) @ E1, 2.0)
+            for a in (-angle, angle)
+        )
+        cell = dirichlet_cell(X0, build_orbit([X0], GroupData(J2, [t1, t2]), 1), prune_radius=3.0)
+        words = {f.source_word: i for i, f in enumerate(cell.facets)}
+        pairings = [
+            FacetPairing((0, words[(1,)]), (0, words[(0,)]), t1),
+            FacetPairing((0, words[(3,)]), (0, words[(2,)]), t2),
+        ]
+        report = check_poincare_2d([cell], pairings)
+        assert report.passed, report.summary()
+        assert not report.cycles and not report.pairing_errors
+
     def test_no_cells_refused(self):
         with pytest.raises(ValueError):
             check_poincare_2d([], [])
