@@ -88,8 +88,8 @@ def differences(left: dict, right: dict, commands: list[str], sides: tuple[str, 
         if left.get(name) != right.get(name):
             k, _, file = name.partition("/")
             command = commands[int(k)] if int(k) < len(commands) else "not in the list"
-            state = "differs" if name in left and name in right else \
-                f"missing in {sides[name in left]}"
+            state = ("differs" if name in left and name in right
+                     else f"missing in {sides[name in left]}")
             lines.append(f"{k} ({command}): {file}: {state}")
     return lines
 
