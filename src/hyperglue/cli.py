@@ -207,7 +207,7 @@ def cmd_geom_admissible(args) -> int:
 
     canvas = BallCanvas()
     for geo in (s1, s2):
-        canvas.geodesic(boundary_sphere(form, geo.hyperplanes()[0]), stroke="#1f77b4")
+        canvas.geodesic(boundary_sphere(form, geo.hyperplanes[0]), stroke="#1f77b4")
     for p, tag in dense.points:
         canvas.dot(ball_coordinates(form, p), radius=0.012, fill="#2ca02c")
     for p, tag in sparse.points:

@@ -13,9 +13,10 @@ need of 4 in one colour gives the base count (OEIS A005815): 1, 15, 465,
 colours gives the proper labellings of all base graphs together: the
 ordered 4-tuples of edge-disjoint perfect matchings of the complete graph K_m.
 
-Pieces are combinatorial: a template with a boundary-slot count, an
-orientability bit and a configured volume weight.  Pairing isometries
-are abstracted to an orientation flag per pairing.
+Pieces are combinatorial: a block with a boundary-slot count and an
+orientability bit, one of the six standard blocks of `TEMPLATES`.  Every
+block has volume one.  Pairing isometries are abstracted to an
+orientation flag per pairing.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -40,54 +42,35 @@ class PieceTemplate:
     label: str
     boundary_count: int
     orientable: bool
-    volume_weight: float = 1.0
 
     def __post_init__(self):
         if not isinstance(self.boundary_count, int) or self.boundary_count not in (2, 4):
             raise ValueError("boundary count must be the int 2 or 4")
-        if not (self.volume_weight > 0 and math.isfinite(self.volume_weight)):
-            raise ValueError("volume weight must be finite and positive")
         if self.label == "v" and self.orientable:
             raise ValueError("the root block v must be non-orientable")
-        # equal templates are then alike in every field, so the pieces that
-        # `assemble` shares between equal mappings carry the caller's weights
-        object.__setattr__(self, "volume_weight", float(self.volume_weight))
 
     @functools.cached_property
     def _orientable_cover(self) -> PieceTemplate:
         """The template of this block's connected orientation cover, built once."""
-        return PieceTemplate(self.label + "~", self.boundary_count, True, self.volume_weight)
+        return PieceTemplate(self.label + "~", self.boundary_count, True)
 
 
-def standard_templates(
-    weights: Mapping[str, float] | None = None
-) -> dict[str, PieceTemplate]:
-    weights = dict(weights or {})
-    out = {}
-    for label in EDGE_LABELS:
-        out[label] = PieceTemplate(label, 2, True, weights.get(label, 1.0))
-    out["u"] = PieceTemplate("u", 4, True, weights.get("u", 1.0))
-    out["v"] = PieceTemplate("v", 4, False, weights.get("v", 1.0))
-    return out
-
-
-# the default of `assemble`; never handed out, so never mutated
-_STANDARD_TEMPLATES = standard_templates()
+# the six standard blocks, by label: the edge blocks, u at every other
+# vertex and the non-orientable v at the root
+TEMPLATES: Mapping[str, PieceTemplate] = MappingProxyType(
+    {label: PieceTemplate(label, 2, True) for label in EDGE_LABELS}
+    | {"u": PieceTemplate("u", 4, True), "v": PieceTemplate("v", 4, False)}
+)
 
 
 @dataclass(frozen=True)
 class GlueingGraph:
-    """A rooted simple 4-regular graph with edges labelled a+/a-/b+/b-.
-
-    In proper mode the four edges at every vertex carry the four distinct
-    labels; free mode places no constraint.
-    """
+    """A rooted simple 4-regular graph with edges labelled a+/a-/b+/b-."""
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
     labels: tuple[str, ...]
     root: int
-    proper: bool = False
 
     def __post_init__(self):
         m = self.vertex_count
@@ -109,19 +92,6 @@ class GlueingGraph:
             degrees[j] += 1
         if any(d != VERTEX_DEGREE for d in degrees):
             raise ValueError("graph is not 4-regular")
-        if self.proper:
-            for v in range(m):
-                labs = [
-                    lab
-                    for (i, j), lab in zip(self.edges, self.labels)
-                    if v in (i, j)
-                ]
-                if sorted(labs) != sorted(EDGE_LABELS):
-                    raise ValueError("proper mode needs all four labels at each vertex")
-
-
-def _pair_index(m: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(m) for j in range(i + 1, m)]
 
 
 def enumerate_base_graphs(m: int) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -137,7 +107,7 @@ def enumerate_base_graphs(m: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """
     if m <= VERTEX_DEGREE:
         return
-    pairs = _pair_index(m)
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     total = len(pairs)
     residual = [VERTEX_DEGREE] * m
     # remaining[k][v] = number of pairs at position >= k that touch v
@@ -246,8 +216,8 @@ def _graph_counter(need: tuple[int, ...]):
     return count
 
 
-def count_graphs(m_max: int, mode: str = "free", m_min: int = 5) -> list[CountRow]:
-    """Exact counts per vertex number, with root and label multipliers.
+def count_graphs(m_max: int, mode: str = "free") -> list[CountRow]:
+    """Exact counts per vertex number m = 5, ..., m_max, with root and label multipliers.
 
     base_count, the number of labelled simple 4-regular graphs on m
     vertices, comes from the degree-histogram recursion of `_graph_counter`
@@ -270,8 +240,8 @@ def count_graphs(m_max: int, mode: str = "free", m_min: int = 5) -> list[CountRo
     count_base = _graph_counter((VERTEX_DEGREE,))
     count_colourings = _graph_counter((1,) * len(EDGE_LABELS)) if mode == "proper" else None
     rows = []
-    for m in range(m_min, m_max + 1):
-        base = count_base(m) if m > VERTEX_DEGREE else 0
+    for m in range(VERTEX_DEGREE + 1, m_max + 1):
+        base = count_base(m)
         per_root = base * 4 ** (2 * m) if mode == "free" else count_colourings(m)
         rows.append(CountRow(m, base, m * per_root))
     return rows
@@ -283,9 +253,6 @@ def count_graphs(m_max: int, mode: str = "free", m_min: int = 5) -> list[CountRo
 class PieceInstance(NamedTuple):
     template: PieceTemplate
     provenance: tuple
-
-    def __str__(self):
-        return f"{self.template.label}@{self.provenance}"
 
 
 SlotRef = tuple[int, int]  # (piece index, slot index)
@@ -405,37 +372,31 @@ class AssembledManifold:
 
 
 @functools.lru_cache(maxsize=64)
-def _assembly_pieces(m: int, root: int, labels: tuple[str, ...], templates: tuple) -> tuple:
+def _assembly_pieces(m: int, root: int, labels: tuple[str, ...]) -> tuple:
     """The pieces of `assemble`: the vertex blocks, v at the root, then the edge blocks.
 
-    They depend on this layout alone, never on the edges.  `templates` is a
-    mapping's items, by value: a mapping changed after a call is a new key.
+    They depend on this layout alone, never on the edges.
     """
-    by_label = dict(templates)
     return tuple(
-        _trusted(PieceInstance, (by_label["v" if vtx == root else "u"], ("vertex", vtx)))
+        _trusted(PieceInstance, (TEMPLATES["v" if vtx == root else "u"], ("vertex", vtx)))
         for vtx in range(m)
     ) + tuple(
-        _trusted(PieceInstance, (by_label[lab], ("edge", k))) for k, lab in enumerate(labels)
+        _trusted(PieceInstance, (TEMPLATES[lab], ("edge", k))) for k, lab in enumerate(labels)
     )
 
 
-def assemble(
-    graph: GlueingGraph,
-    templates: Mapping[str, PieceTemplate] | None = None,
-) -> AssembledManifold:
-    """Realize a glueing graph as a closed piece complex.
+def assemble(graph: GlueingGraph) -> AssembledManifold:
+    """Realize a glueing graph as a closed complex of the blocks of `TEMPLATES`.
 
     The root vertex gets the non-orientable block v, every other vertex a
     u block, and every edge its labelled two-boundary block; each edge
     block is paired into one free slot of each endpoint block, giving 4m
     orientation-compatible pairings in total.  The piece tuple is built
-    once per layout (m, root, labels and templates) and shared by every
-    graph of that layout; only the pairings are built per graph.
+    once per layout (m, root and labels) and shared by every graph of
+    that layout; only the pairings are built per graph.
     """
-    templates = templates or _STANDARD_TEMPLATES
     m = graph.vertex_count
-    pieces = _assembly_pieces(m, graph.root, tuple(graph.labels), tuple(templates.items()))
+    pieces = _assembly_pieces(m, graph.root, tuple(graph.labels))
     capacity = [p.template.boundary_count for p in pieces[:m]]
     next_free = [0] * m  # each vertex block fills its slots in order
     pairings: list[Pairing] = []
@@ -450,7 +411,8 @@ def assemble(
 
 
 def volume(manifold: AssembledManifold) -> float:
-    return sum(p.template.volume_weight for p in manifold.pieces)
+    """The volume of the complex: every block has volume one."""
+    return float(len(manifold.pieces))
 
 
 def is_orientable(manifold: AssembledManifold) -> bool:

@@ -102,12 +102,9 @@ class MarkedGeodesic:
     def point_at(self, t: float) -> np.ndarray:
         return math.cosh(t) * self.point + math.sinh(t) * self.tangent
 
-    def hyperplanes(self) -> tuple[Hyperplane, ...]:
-        """Hyperplanes whose intersection is this geodesic, built on the first call."""
-        return self._hyperplanes
-
     @functools.cached_property
-    def _hyperplanes(self) -> tuple[Hyperplane, ...]:
+    def hyperplanes(self) -> tuple[Hyperplane, ...]:
+        """Hyperplanes whose intersection is this geodesic, built on the first read."""
         form = self.form
         collected: list[np.ndarray] = []
         planes: list[Hyperplane] = []
@@ -552,7 +549,7 @@ def surface_separations(
     gens = group.gens_with_inverses
     seen: set[tuple] = set()
     lifts: list[tuple[int, np.ndarray]] = []
-    frontier = [(s.surface_id, s.hyperplanes()[0].normal) for s in surfaces]
+    frontier = [(s.surface_id, s.hyperplanes[0].normal) for s in surfaces]
     for depth in range(lift_cutoff + 1):
         if depth:
             frontier = [(i, Hyperplane(form, g @ n).normal) for i, n in frontier for g in gens]
@@ -637,7 +634,7 @@ def check_admissible(
             geo = next((s for s in surfaces if s.surface_id == t), None)
             if geo is None:
                 raise ValueError(f"point tagged with unknown surface {t}")
-            normals[t] = np.array([h.normal for h in geo.hyperplanes()])
+            normals[t] = np.array([h.normal for h in geo.hyperplanes])
     c = float_coefficients(form)
     for t, n in normals.items():
         on = np.array([as_float_vector(form, p) for p, tag in x_set.points if tag == t])

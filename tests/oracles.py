@@ -38,6 +38,7 @@ from hyperglue.hyperboloid import (
     normalize_point,
     normalize_points,
     quadratic,
+    reflection,
     rotation_in_plane,
     translation_along,
 )
@@ -311,7 +312,7 @@ def lp_classified_facets(cell: VoronoiCell, marked, box_radius: float | None = N
     box = math.tanh(min(rho, _BOX_CAP))
     to_chart, _ = _cell_chart(form, cell.center)
     a_all, rhs_all = _klein_rows(to_chart, [f.halfspace.inward_normal() for f in cell.facets])
-    eq_rows = [_klein_rows(to_chart, [h.normal for h in m.hyperplanes()]) for m in marked]
+    eq_rows = [_klein_rows(to_chart, [h.normal for h in m.hyperplanes]) for m in marked]
     dim = form.dimension - 1
 
     new_facets = []
@@ -401,6 +402,25 @@ def plane_cell_vertices(cell: VoronoiCell) -> list[tuple[np.ndarray, int, int, f
             cos = -bilinear(form, normals[i], normals[j])
             out.append((w, i, j, math.acos(max(-1.0, min(1.0, cos)))))
     return out
+
+
+def reflection_polygon(n: int, angle: float) -> tuple[GroupData, np.ndarray]:
+    """The reflection group of the regular n-gon with interior angle `angle`, centred at x0.
+
+    Returns the group, generated by the reflections in the n mirrors, and
+    the mirrors' unit normals as rows.  The inradius r has cosh r =
+    cos(angle/2) / sin(pi/n), mirror k has the normal (sinh r, cosh r
+    cos phi_k, cosh r sin phi_k) with phi_k = 2 pi k / n, and the polygon
+    is {x : b_f(x, N_k) <= 0 for every k} (Beardon, The Geometry of
+    Discrete Groups, 1983, ch. 7).  With angle = pi/p the group is
+    discrete and its Dirichlet cell at any interior point is the polygon.
+    """
+    r = math.acosh(math.cos(angle / 2) / math.sin(math.pi / n))
+    phis = 2 * math.pi * np.arange(n) / n
+    normals = np.column_stack(
+        [np.full(n, math.sinh(r)), math.cosh(r) * np.cos(phis), math.cosh(r) * np.sin(phis)]
+    )
+    return GroupData(J2, [reflection(J2, v) for v in normals]), normals
 
 
 def translation_length(mat: np.ndarray) -> float:
@@ -573,14 +593,31 @@ def count_proper_labelings(edges, m: int) -> int:
     return sum(1 for _ in proper_labelings(edges, m))
 
 
-def enumerated_counts(m_max: int, mode: str = "free", m_min: int = 5) -> list[CountRow]:
+def bitmask_oracle(m: int, degree: int = 4) -> list[tuple[tuple[int, int], ...]]:
+    """Exhaustive enumeration over all 2^(m choose 2) adjacency bitmasks."""
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    incidence = np.zeros((len(pairs), m), dtype=np.int64)
+    for k, (i, j) in enumerate(pairs):
+        incidence[k, i] = incidence[k, j] = 1
+    masks = np.arange(2 ** len(pairs), dtype=np.int64)
+    bits = (masks[:, None] >> np.arange(len(pairs))[None, :]) & 1
+    degrees = bits @ incidence
+    good = np.where(np.all(degrees == degree, axis=1))[0]
+    out = []
+    for mask in good:
+        edges = tuple(pairs[k] for k in range(len(pairs)) if (int(mask) >> k) & 1)
+        out.append(edges)
+    return out
+
+
+def enumerated_counts(m_max: int, mode: str = "free") -> list[CountRow]:
     """The rows of `count_graphs`, found by enumerating every base graph.
 
     Free mode multiplies each graph by m roots and 4^(2m) labellings;
     proper mode adds m times the graph's proper 4-edge-colourings.
     """
     rows = []
-    for m in range(m_min, m_max + 1):
+    for m in range(5, m_max + 1):
         base = 0
         total = 0
         for edges in enumerate_base_graphs(m):
@@ -611,7 +648,7 @@ def enumerate_graphs(m: int, mode: str = "free") -> Iterator[GlueingGraph]:
             labelings = proper_labelings(edges, m)
         for labels in labelings:
             for root in range(m):
-                yield GlueingGraph(m, edges, tuple(labels), root, proper=mode == "proper")
+                yield GlueingGraph(m, edges, tuple(labels), root)
 
 
 def closed_by_scan(manifold: AssembledManifold) -> bool:

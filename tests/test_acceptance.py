@@ -52,7 +52,7 @@ from hyperglue import glueing
 from hyperglue.cli import main as cli_main
 
 import oracles
-from oracles import J2, E1, nearest_center_agreement, plane_config
+from oracles import J2, E1, bitmask_oracle, nearest_center_agreement, plane_config
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -256,8 +256,6 @@ def test_criterion_07_sphere_shrinking():
 
 def test_criterion_08_graph_counts():
     """Enumeration matches the bitmask oracle; free-mode totals follow the product rule."""
-    from test_glueing import bitmask_oracle
-
     with Budget(120.0, "8 graph-counts"):
         expected = {5: 1, 6: 15, 7: 465}
         for m, count in expected.items():

@@ -309,6 +309,63 @@ class TestDirichletCell:
         assert normal_set(moved_cell) == normal_set(cell, transform=g)
 
 
+@functools.cache
+def reflection_polygon_cell(n, angle, cutoff, offset):
+    """(mirror normals, Dirichlet cell) of `oracles.reflection_polygon`, centred `offset` along E1."""
+    group, normals = oracles.reflection_polygon(n, angle)
+    center = translation_along(J2, X0, E1, offset) @ X0 if offset else X0
+    return normals, dirichlet_cell(center, build_orbit([center], group, cutoff))
+
+
+# At cutoff 1 the default radius is the distance to the nearest mirror, and
+# the cell keeps only some of the mirrors (ROADMAP item 5), so it is not asserted.
+@pytest.mark.parametrize("offset", [0.0, 0.2], ids=["x0", "offset"])
+@pytest.mark.parametrize("cutoff", [2, 3])
+@pytest.mark.parametrize(
+    "n,angle",
+    [(3, math.pi / 4), (5, math.pi / 2), (6, math.pi / 2), (8, math.pi / 4)],
+    ids=["n3-pi/4", "n5-pi/2", "n6-pi/2", "n8-pi/4"],
+)
+class TestReflectionPolygons:
+    """The Dirichlet cell of a reflection group at an interior point is its polygon."""
+
+    def test_facets_are_the_mirrors(self, n, angle, cutoff, offset):
+        normals, cell = reflection_polygon_cell(n, angle, cutoff, offset)
+        assert len(cell.facets) == n
+        mirrors = set()
+        for facet in cell.facets:
+            (k,) = [
+                k for k, normal in enumerate(normals)
+                if np.allclose(facet.halfspace.inward_normal(), -normal, atol=1e-9)
+            ]
+            # the reflection in mirror k, generator k, is word (2k,)
+            assert facet.source_word == (2 * k,)
+            mirrors.add(k)
+        assert mirrors == set(range(n))
+
+    def test_membership_is_inside_every_mirror(self, n, angle, cutoff, offset):
+        normals, cell = reflection_polygon_cell(n, angle, cutoff, offset)
+        # points out to 1.5 circumradii, cosh R = cot(pi/n) cot(angle/2)
+        reach = 1.5 * math.acosh(1 / (math.tan(math.pi / n) * math.tan(angle / 2)))
+        rng = np.random.default_rng(n * 10 + cutoff)
+        verdicts = set()
+        for t, theta in zip(rng.uniform(0, reach, 200), rng.uniform(0, 2 * math.pi, 200)):
+            x = np.array([math.cosh(t), math.sinh(t) * math.cos(theta), math.sinh(t) * math.sin(theta)])
+            sides = [bilinear(J2, x, normal) for normal in normals]
+            if min(map(abs, sides)) < 1e-9:
+                continue
+            inside = all(side < 0 for side in sides)
+            assert cell.contains(x) == inside, (t, theta)
+            verdicts.add(inside)
+        assert verdicts == {True, False}
+
+    def test_vertex_angles(self, n, angle, cutoff, offset):
+        _, cell = reflection_polygon_cell(n, angle, cutoff, offset)
+        vertices = oracles.plane_cell_vertices(cell)
+        assert len(vertices) == n
+        assert all(abs(a - angle) <= 1e-12 for _, _, _, a in vertices)
+
+
 class TestFacetTypes:
     def test_strip_along_marked_axis_first(self):
         _, orbit, cell = plane_config("cyclic", (2.0,))
@@ -337,7 +394,7 @@ class TestFacetTypes:
         assert types[(0,)] is FacetType.FIRST and types[(1,)] is FacetType.FIRST
         assert types[(2,)] is FacetType.SECOND and types[(3,)] is FacetType.SECOND
         # independent check: distance between supporting hyperplane and the axis
-        axis_plane = axis.hyperplanes()[0]
+        axis_plane = axis.hyperplanes[0]
         for f in tagged.facets:
             gap = hyperplane_distance(J2, f.halfspace.hyperplane, axis_plane)
             if f.facet_type is FacetType.FIRST:
@@ -353,7 +410,7 @@ class TestFacetTypes:
 
     def test_lift_must_be_a_geodesic(self):
         _, _, cell = plane_config("cyclic", (2.0,))
-        axis_plane = MarkedGeodesic(J2, X0, E1, 0, 2.0).hyperplanes()[0]
+        axis_plane = MarkedGeodesic(J2, X0, E1, 0, 2.0).hyperplanes[0]
         with pytest.raises(TypeError, match="Hyperplane"):
             classify_facets(cell, [axis_plane])
 
