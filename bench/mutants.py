@@ -112,7 +112,6 @@ MUTANTS = [
         (
             f"{T_GLUEING}::TestOrientability::test_single_reversing_flag_on_cycle",
             f"{T_GLUEING}::TestOrientability::test_flag_subsets_against_brute_force",
-            f"{T_GLUEING}::TestDoubleCover::test_reversing_decorations_of_every_m6_graph",
         ),
     ),
     Mutant(
