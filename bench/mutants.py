@@ -112,6 +112,7 @@ MUTANTS = [
         (
             f"{T_GLUEING}::TestOrientability::test_single_reversing_flag_on_cycle",
             f"{T_GLUEING}::TestOrientability::test_flag_subsets_against_brute_force",
+            f"{T_GLUEING}::TestDoubleCover::test_reversing_flags_lift_to_preserving",
         ),
     ),
     Mutant(
