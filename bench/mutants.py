@@ -36,12 +36,20 @@ class Mutant(NamedTuple):
 
 
 GLUEING = "src/hyperglue/glueing.py"
+NUMFIELD = "src/hyperglue/numfield.py"
 VORONOI = "src/hyperglue/voronoi.py"
 T_GLUEING = "tests/test_glueing.py"
 GOLDEN = "tests/test_cli.py::TestGolden::test_every_command_matches_the_golden_twice"
 WALLS_AT_THE_CIRCLE = tuple(
     f"tests/test_voronoi.py::TestPoincare::test_walls_meeting_at_the_circle_make_no_vertex[{d}]"
     for d in ("1e-07", "1e-09", "1e-11")
+)
+SELF_PAIRED_MIRRORS = tuple(
+    f"tests/test_voronoi.py::TestReflectionPolygons::test_self_paired_mirrors_pass_poincare"
+    f"[{polygon}-{cutoff}-{offset}]"
+    for polygon in ("n3-pi/4", "n5-pi/2", "n6-pi/2", "n8-pi/4")
+    for cutoff in (2, 3)
+    for offset in ("x0", "offset")
 )
 ORTHOGONAL_THRESHOLD = tuple(
     f"tests/test_voronoi.py::TestNestingClosedForm::test_orthogonal_threshold[{len_h}]"
@@ -59,6 +67,39 @@ MUTANTS = [
         "    out = Path(args.out)\n",
         '    out, _ensure_out.last = Path(getattr(_ensure_out, "last", args.out)), args.out\n',
         (GOLDEN,),
+    ),
+    # exact elements: a same-field product left unreduced, and a writable field
+    Mutant(
+        "mul-fast-path-skips-the-gcd", NUMFIELD,
+        "    def __mul__(self, other):\n"
+        "        if type(other) is QuadFieldElement and other._field is self._field:\n"
+        "            p, q, d = other._p, other._q, other._d\n",
+        "    def __mul__(self, other):\n"
+        "        if type(other) is QuadFieldElement and other._field is self._field:\n"
+        "            sp, sq, p, q, d = self._p, self._q, other._p, other._q, other._d\n"
+        "            return _make(sp * p + 2 * sq * q, sp * q + sq * p, self._d * d, self._field)\n",
+        ("tests/test_numfield.py::TestFractionPairOracle::test_ring_operations",),
+    ),
+    Mutant(
+        "field-property-with-a-setter", NUMFIELD,
+        "        return self._field\n\n    @property\n",
+        "        return self._field\n\n    @field.setter\n    def field(self, value):\n"
+        "        self._field = value\n\n    @property\n",
+        tuple(
+            f"tests/test_numfield.py::TestImmutability::test_assignment_and_deletion_refused[{x}-field]"
+            for x in ("qs2", "q")
+        ),
+    ),
+    # the Poincare check: a self-pairing counted twice, or by a map that is no involution
+    Mutant(
+        "poincare-self-pairing-counted-twice", VORONOI,
+        "for ref in dict.fromkeys((p.source, p.target)):", "for ref in (p.source, p.target):",
+        SELF_PAIRED_MIRRORS,
+    ),
+    Mutant(
+        "poincare-self-pairing-no-involution-check", VORONOI,
+        "        if p.source == p.target:\n", "        if False:\n",
+        ("tests/test_voronoi.py::TestPoincare::test_self_pairing_must_be_an_involution",),
     ),
     # the Poincare check: a wall cut less than 1e-7 inside the unit circle ends ideally
     Mutant(

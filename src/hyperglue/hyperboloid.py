@@ -7,7 +7,8 @@ Two scalar regimes, matching how the objects are used:
   isometry verification).  These computations never round.  Reflections,
   products and isometry checks run on integer matrices over one common
   denominator (`numfield.int_matrix`): one gcd per result entry, and none
-  in `is_isometry`, which cross-multiplies instead.
+  in `is_isometry`, which cross-multiplies instead.  Both read the form's
+  integer coefficients, built once per form (`DiagonalForm.int_coefficients`).
 * floating: numpy binary64 with tolerance EPS = 1e-9 for the metric side
   (distances, bisectors, ball-model output, nesting of halfspaces).
 
@@ -121,7 +122,7 @@ def reflection(form: DiagonalForm, v):
         if len(v) != n:
             raise ValueError("vector dimension does not match form")
         (up,), (uq,), _, field = int_matrix([v], form.field)
-        (cp,), (cq,), _, _ = int_matrix([form.coefficients])
+        cp, cq = form.int_coefficients
         wp, wq = _entrywise(cp, cq, up, uq)
         np_ = sum(map(mul, wp, up)) + 2 * sum(map(mul, wq, uq))
         nq = sum(map(mul, wp, uq)) + sum(map(mul, wq, up))
@@ -162,7 +163,7 @@ def is_isometry(form: DiagonalForm, mat, tol: float = EPS) -> bool:
         if len(mat) != n or any(len(row) != n for row in mat):
             raise ValueError("matrix dimension does not match form")
         ap, aq, d, _ = int_matrix(mat, form.field)
-        (cp,), (cq,), _, _ = int_matrix([form.coefficients])
+        cp, cq = form.int_coefficients
         cols = list(zip(zip(*ap), zip(*aq)))
         fcols = [_times_columns(*_entrywise(cp, cq, xp, xq)) for xp, xq in cols]
         dd = d * d

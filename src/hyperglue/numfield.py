@@ -5,8 +5,13 @@ reflection identities, square classes) is discrete, so all predicates are
 decided algebraically.  An element is held as Python ints (p, q, d) meaning
 (p + q*sqrt2)/d, with d > 0 and gcd(p, q, d) = 1: one integer vector over a
 common denominator (Cohen, A Course in Computational Algebraic Number
-Theory, ch. 4), normalised by one gcd per operation.  Exact matrices take
-the same layout: integer matrices (P, Q) over one common denominator D
+Theory, ch. 4), normalised by one gcd per operation.  The ints and the
+field sit in four private slots filled by plain stores; an operation on two
+elements of one field reads the other's slots directly and builds its
+result without the constructor.  The public `field`, `a` and `b` are
+read-only properties, as in `fractions.Fraction`, so assigning them or any
+new attribute raises AttributeError.  Exact matrices take the same
+layout: integer matrices (P, Q) over one common denominator D
 (`int_matrix`), on which `hyperboloid` computes reflections and products
 with one gcd per result entry (`canonical`) and checks isometries with
 none.  No floating point enters this module except through the explicit
@@ -68,12 +73,13 @@ class QuadFieldElement:
 
     d > 0 and gcd(p, q, d) = 1, so equal values have equal (p, q, d) and zero
     is (0, 0, 1).  The constructor takes a + b*sqrt2 with int or Fraction
-    parts a, b; the properties `a` and `b` return them as Fractions.  Values
-    are immutable; arithmetic stays inside a single field and is exact.  For
-    FieldTag.Q the sqrt-2 part is forced to zero.
+    parts a, b; the read-only properties `a` and `b` return them as
+    Fractions and `field` the ground field.  Arithmetic stays inside a
+    single field and is exact.  For FieldTag.Q the sqrt-2 part is forced to
+    zero.
     """
 
-    __slots__ = ("_p", "_q", "_d", "field")
+    __slots__ = ("_p", "_q", "_d", "_field")
 
     def __init__(self, a, b=0, field: FieldTag | None = None):
         an, ad = _ratio(a)
@@ -84,16 +90,18 @@ class QuadFieldElement:
             raise ValueError("rational field element cannot carry a sqrt-2 part")
         # a and b are in lowest terms, so over d = lcm(ad, bd) the gcd is 1
         d = math.lcm(ad, bd)
-        _set_p(self, an * (d // ad))
-        _set_q(self, bn * (d // bd))
-        _set_d(self, d)
-        _set_field(self, field)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadFieldElement is immutable")
+        self._p = an * (d // ad)
+        self._q = bn * (d // bd)
+        self._d = d
+        self._field = field
 
     def __reduce__(self):
-        return (QuadFieldElement, (self.a, self.b, self.field))
+        return (QuadFieldElement, (self.a, self.b, self._field))
+
+    @property
+    def field(self) -> FieldTag:
+        """The ground field, Q or Q(sqrt 2)."""
+        return self._field
 
     @property
     def a(self) -> Fraction:
@@ -116,11 +124,15 @@ class QuadFieldElement:
         return _make(1, 0, 1, field)
 
     def _operand(self, other) -> tuple[int, int, int] | None:
-        """(p, q, d) of an element of the same field, an int or a Fraction."""
+        """(p, q, d) of an element of the same field, an int or a Fraction.
+
+        The binary operators read an element of their own field directly and
+        call this for every other operand.
+        """
         if isinstance(other, QuadFieldElement):
-            if other.field is not self.field:
+            if other._field is not self._field:
                 raise ValueError(
-                    f"mixed fields: {self.field.value} vs {other.field.value}"
+                    f"mixed fields: {self._field.value} vs {other._field.value}"
                 )
             return other._p, other._q, other._d
         if isinstance(other, (int, Fraction)):
@@ -130,48 +142,60 @@ class QuadFieldElement:
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        p, q, d = o
+        if type(other) is QuadFieldElement and other._field is self._field:
+            p, q, d = other._p, other._q, other._d
+        else:
+            o = self._operand(other)
+            if o is None:
+                return NotImplemented
+            p, q, d = o
         sd = self._d
         if d == sd:
-            return _norm(self._p + p, self._q + q, d, self.field)
-        return _norm(self._p * d + p * sd, self._q * d + q * sd, sd * d, self.field)
+            return _norm(self._p + p, self._q + q, d, self._field)
+        return _norm(self._p * d + p * sd, self._q * d + q * sd, sd * d, self._field)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        p, q, d = o
+        if type(other) is QuadFieldElement and other._field is self._field:
+            p, q, d = other._p, other._q, other._d
+        else:
+            o = self._operand(other)
+            if o is None:
+                return NotImplemented
+            p, q, d = o
         sd = self._d
         if d == sd:
-            return _norm(self._p - p, self._q - q, d, self.field)
-        return _norm(self._p * d - p * sd, self._q * d - q * sd, sd * d, self.field)
+            return _norm(self._p - p, self._q - q, d, self._field)
+        return _norm(self._p * d - p * sd, self._q * d - q * sd, sd * d, self._field)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return _make(-self._p, -self._q, self._d, self.field)
+        return _make(-self._p, -self._q, self._d, self._field)
 
     def __mul__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        p, q, d = o
+        if type(other) is QuadFieldElement and other._field is self._field:
+            p, q, d = other._p, other._q, other._d
+        else:
+            o = self._operand(other)
+            if o is None:
+                return NotImplemented
+            p, q, d = o
         sp, sq = self._p, self._q
-        return _norm(sp * p + 2 * sq * q, sp * q + sq * p, self._d * d, self.field)
+        return _norm(sp * p + 2 * sq * q, sp * q + sq * p, self._d * d, self._field)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        p, q, d = o
+        if type(other) is QuadFieldElement and other._field is self._field:
+            p, q, d = other._p, other._q, other._d
+        else:
+            o = self._operand(other)
+            if o is None:
+                return NotImplemented
+            p, q, d = o
         n = p * p - 2 * q * q
         if n == 0:
             raise ZeroDivisionError("division by zero field element")
@@ -179,17 +203,17 @@ class QuadFieldElement:
         sp, sq = self._p, self._q
         if n < 0:
             d, n = -d, -n
-        return _norm((sp * p - 2 * sq * q) * d, (sq * p - sp * q) * d, self._d * n, self.field)
+        return _norm((sp * p - 2 * sq * q) * d, (sq * p - sp * q) * d, self._d * n, self._field)
 
     def __rtruediv__(self, other):
-        return QuadFieldElement(other, 0, self.field) / self
+        return QuadFieldElement(other, 0, self._field) / self
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
-            return (QuadFieldElement.one(self.field) / self) ** (-exponent)
-        result = QuadFieldElement.one(self.field)
+            return (QuadFieldElement.one(self._field) / self) ** (-exponent)
+        result = QuadFieldElement.one(self._field)
         base = self
         k = exponent
         while k:
@@ -202,7 +226,7 @@ class QuadFieldElement:
     def __eq__(self, other):
         if isinstance(other, QuadFieldElement):
             return (
-                self.field is other.field
+                self._field is other._field
                 and self._p == other._p
                 and self._q == other._q
                 and self._d == other._d
@@ -219,13 +243,13 @@ class QuadFieldElement:
         # a rational value hashes like the int or Fraction it equals
         if self._q == 0:
             return hash(Fraction(self._p, self._d))
-        return hash((self._p, self._q, self._d, self.field))
+        return hash((self._p, self._q, self._d, self._field))
 
     def __bool__(self):
         return self._p != 0 or self._q != 0
 
     def __repr__(self):
-        return f"QuadFieldElement({self.a!r}, {self.b!r}, {self.field})"
+        return f"QuadFieldElement({self.a!r}, {self.b!r}, {self._field})"
 
     def __str__(self):
         return format_element(self)
@@ -234,7 +258,7 @@ class QuadFieldElement:
 
     def conjugate(self) -> "QuadFieldElement":
         """Galois conjugate a + b*sqrt2 -> a - b*sqrt2 (identity on Q)."""
-        return _make(self._p, -self._q, self._d, self.field)
+        return _make(self._p, -self._q, self._d, self._field)
 
     def norm(self) -> Fraction:
         """Field norm a^2 - 2 b^2 (= x * conjugate(x))."""
@@ -257,7 +281,7 @@ class QuadFieldElement:
         return 1 if p > 0 else -1
 
     def is_totally_positive(self) -> bool:
-        return all(self.sign_at(e) == 1 for e in self.field.embeddings())
+        return all(self.sign_at(e) == 1 for e in self._field.embeddings())
 
     def is_square(self) -> bool:
         """Exact decision whether the element is a square inside its own field.
@@ -273,7 +297,7 @@ class QuadFieldElement:
         if q == 0:
             # c^2 = a (e = 0), or over Q(sqrt2) also 2 e^2 = a (c = 0)
             return _is_square_int(p * d) or (
-                self.field is FieldTag.Q_SQRT2 and _is_square_int(2 * p * d)
+                self._field is FieldTag.Q_SQRT2 and _is_square_int(2 * p * d)
             )
         n = p * p - 2 * q * q
         if not _is_square_int(n):
@@ -292,19 +316,15 @@ class QuadFieldElement:
 
 
 _new = object.__new__
-_set_p = QuadFieldElement._p.__set__
-_set_q = QuadFieldElement._q.__set__
-_set_d = QuadFieldElement._d.__set__
-_set_field = QuadFieldElement.field.__set__
 
 
 def _make(p: int, q: int, d: int, field: FieldTag) -> QuadFieldElement:
     """The element with canonical ints (p, q, d), skipping the constructor."""
     x = _new(QuadFieldElement)
-    _set_p(x, p)
-    _set_q(x, q)
-    _set_d(x, d)
-    _set_field(x, field)
+    x._p = p
+    x._q = q
+    x._d = d
+    x._field = field
     return x
 
 
@@ -313,7 +333,13 @@ def _norm(p: int, q: int, d: int, field: FieldTag) -> QuadFieldElement:
     g = math.gcd(p, q, d)
     if g != 1:
         p, q, d = p // g, q // g, d // g
-    return _make(p, q, d, field)
+    # the stores of `_make`, inlined: every arithmetic result comes through here
+    x = _new(QuadFieldElement)
+    x._p = p
+    x._q = q
+    x._d = d
+    x._field = field
+    return x
 
 
 def canonical(p: int, q: int, d: int, field: FieldTag) -> QuadFieldElement:
@@ -332,12 +358,14 @@ def int_matrix(rows, field: FieldTag | None = None):
     one field, `field` when given; otherwise ValueError("mixed fields ...").
     """
     if field is None:
-        field = rows[0][0].field
+        field = rows[0][0]._field
+    dens = set()
     for row in rows:
         for x in row:
-            if x.field is not field:
-                raise ValueError(f"mixed fields: {field.value} vs {x.field.value}")
-    d = math.lcm(*[x._d for row in rows for x in row])
+            if x._field is not field:
+                raise ValueError(f"mixed fields: {field.value} vs {x._field.value}")
+            dens.add(x._d)
+    d = math.lcm(*dens)
     p = [[x._p * (d // x._d) for x in row] for row in rows]
     q = [[x._q * (d // x._d) for x in row] for row in rows]
     return p, q, d, field

@@ -21,6 +21,7 @@ from .numfield import (
     FieldTag,
     QuadFieldElement,
     format_element,
+    int_matrix,
     sqrt2,
 )
 
@@ -58,6 +59,15 @@ class DiagonalForm:
         c = np.array([x.embed(Embedding.IDENTITY) for x in self.coefficients])
         c.setflags(write=False)
         return c
+
+    @cached_property
+    def int_coefficients(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(C_p, C_q) with c_i = (C_p[i] + C_q[i]*sqrt2)/D over one common D; built once.
+
+        Exact reflections and isometry checks read these ints; neither needs D.
+        """
+        (cp,), (cq,), _, _ = int_matrix([self.coefficients], self.field)
+        return tuple(cp), tuple(cq)
 
     @cached_property
     def jn_chart(self) -> tuple[np.ndarray, np.ndarray]:
@@ -99,7 +109,7 @@ class DiagonalForm:
 
     def __getstate__(self):
         # copies and pickles carry the fields only; a copy rebuilds its own
-        # read-only float views (deepcopy and unpickling would make them writeable)
+        # cached views (deepcopy and unpickling would make the float ones writeable)
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def __str__(self):

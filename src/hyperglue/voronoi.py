@@ -906,9 +906,11 @@ def check_poincare_2d(
 ) -> PoincareReport:
     """Poincare-style verification for a plane domain given as paired cells.
 
-    Checks: (i) every facet paired exactly once, (ii) each pairing
-    isometry carries its facet onto the partner facet, end to end, and
-    the source cell's center to beyond the partner facet, (iii) vertex
+    Checks: (i) every facet paired exactly once, a facet paired with
+    itself counting once, (ii) each pairing isometry carries its facet onto
+    the partner facet, end to end, and the source cell's center to beyond
+    the partner facet, and a facet paired with itself is paired by an
+    involution (g g = I within `is_isometry`'s tolerance), (iii) vertex
     cycles close up with angle sum 2 pi / m for integer m >= 1, within
     1e-6 relative in m, and (iv) no two bounding hyperplanes from distinct
     cells are nested; (iv) needs the two cells to share their center.
@@ -938,7 +940,8 @@ def check_poincare_2d(
     }
     errors: list[str] = []
     for p in pairings:
-        for ref in (p.source, p.target):
+        # a facet paired with itself counts once; source before target otherwise
+        for ref in dict.fromkeys((p.source, p.target)):
             if ref in counts:
                 counts[ref] += 1
             else:
@@ -959,6 +962,11 @@ def check_poincare_2d(
         if not is_isometry(form, p.isometry, tol=1e-7):
             errors.append(f"{name}: matrix is not an isometry")
             continue
+        if p.source == p.target:
+            scale = max(1.0, float(np.max(np.abs(p.isometry))) ** 2)
+            if np.max(np.abs(p.isometry @ p.isometry - np.eye(3))) > 1e-7 * scale:
+                errors.append(f"{name}: a facet paired with itself needs an involution")
+                continue
         src_cell, dst_cell = cells[p.source[0]], cells[p.target[0]]
         dst_hs = dst_cell.facets[p.target[1]].halfspace
         src_h = src_cell.facets[p.source[1]].halfspace.hyperplane

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import operator
 import pickle
 from fractions import Fraction
 
@@ -209,6 +210,21 @@ class TestFractionPairOracle:
         assert x.norm() == rx.norm()
         if ry.norm() != 0:
             assert _agrees(x / y, rx / ry)
+        # int and Fraction operands on either side go through the coercion path
+        for k in (2, Fraction(3, 7), -5):
+            rk = FractionPair(k)
+            assert _agrees(x + k, rx + rk) and _agrees(k + x, rk + rx)
+            assert _agrees(x - k, rx - rk) and _agrees(k - x, rk - rx)
+            assert _agrees(x * k, rx * rk) and _agrees(k * x, rk * rx)
+            assert _agrees(x / k, rx / rk)
+            if rx.norm() != 0:
+                assert _agrees(k / x, rk / rx)
+        # an element of Q meets one of Q(sqrt2): refused whichever side it is on
+        q = QuadFieldElement(u[0], 0, FieldTag.Q)
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            for left, right in ((q, y), (y, q)):
+                with pytest.raises(ValueError, match="mixed fields"):
+                    op(left, right)
 
     @given(pairs_st, st.integers(-4, 4))
     def test_powers(self, u, k):
@@ -272,6 +288,22 @@ class TestHashing:
     def test_equal_elements_hash_equal(self, x, y):
         z = x + y - y
         assert z == x and hash(z) == hash(x)
+
+
+class TestImmutability:
+    """The public attributes are read-only properties over private slots."""
+
+    @pytest.mark.parametrize("name", ["field", "a", "b", "c"])
+    @pytest.mark.parametrize(
+        "x", [qs2(Fraction(3, 4), -2), QuadFieldElement(Fraction(-5, 2))], ids=["qs2", "q"]
+    )
+    def test_assignment_and_deletion_refused(self, x, name):
+        key, twin = hash(x), QuadFieldElement(x.a, x.b, x.field)
+        with pytest.raises(AttributeError):
+            setattr(x, name, FieldTag.Q if name == "field" else Fraction(1, 3))
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+        assert x == twin and hash(x) == key and x.field is twin.field
 
 
 class TestCopying:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from hyperglue import hyperboloid
-from hyperglue.numfield import Embedding, FieldTag, QuadFieldElement, sqrt2
+from hyperglue.numfield import Embedding, FieldTag, QuadFieldElement, int_matrix, sqrt2
 from hyperglue.qforms import (
     DiagonalForm,
     IsotropicVectorError,
@@ -380,6 +380,20 @@ class TestFloatView:
             assert np.array_equal(y.jn_chart[0], t)
             assert not y.float_coefficients.flags.writeable
             assert not y.jn_chart[1].flags.writeable
+
+    @pytest.mark.parametrize(
+        "form",
+        FORMS + [form_from_rationals([Fraction(-3, 4), Fraction(5, 6), 2])],
+        ids=["J3", "sqrt2", "fractions"],
+    )
+    def test_int_coefficients(self, form):
+        (cp,), (cq,) = int_matrix([form.coefficients])[:2]
+        assert form.int_coefficients == (tuple(cp), tuple(cq))
+        assert form.int_coefficients is form.int_coefficients
+        # copies carry the fields only and rebuild the view
+        for y in (copy.copy(form), copy.deepcopy(form), pickle.loads(pickle.dumps(form))):
+            assert "int_coefficients" not in vars(y)
+            assert y.int_coefficients == form.int_coefficients
 
     def test_non_hyperbolic_chart_refused(self):
         form = form_from_rationals([1, 1, 1])

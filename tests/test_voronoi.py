@@ -365,6 +365,22 @@ class TestReflectionPolygons:
         assert len(vertices) == n
         assert all(abs(a - angle) <= 1e-12 for _, _, _, a in vertices)
 
+    def test_self_paired_mirrors_pass_poincare(self, n, angle, cutoff, offset):
+        normals, cell = reflection_polygon_cell(n, angle, cutoff, offset)
+        # each mirror is paired with itself by the reflection in it, word (2k,)
+        pairings = [
+            FacetPairing((0, i), (0, i), reflection(J2, normals[f.source_word[0] // 2]))
+            for i, f in enumerate(cell.facets)
+        ]
+        report = check_poincare_2d([cell], pairings)
+        assert report.passed, report.summary()
+        assert not report.unpaired and not report.pairing_errors
+        # one cycle per vertex, through both of its mirrors: angle sum 2 angle
+        assert len(report.cycles) == n
+        for cyc in report.cycles:
+            assert abs(cyc.angle_sum - 2 * angle) <= 1e-9
+            assert cyc.order == round(math.pi / angle) and cyc.ok
+
 
 class TestFacetTypes:
     def test_strip_along_marked_axis_first(self):
@@ -1074,6 +1090,26 @@ class TestPoincare:
         assert report.pairing_errors == (
             f"pairing {p.source}->{p.target}: image of the cell does not lie across "
             "the partner facet",
+        )
+
+    def test_self_pairing_must_be_an_involution(self):
+        # the reflection in a wall of the strip pairs the wall with itself; a
+        # glide reflection along the wall also keeps the wall and its ideal
+        # ends and takes the cell across it, but its square is a translation
+        cell, _ = strip_domain(2.0)
+        mirrors = [reflection(J2, f.halfspace.hyperplane.normal) for f in cell.facets]
+        pairings = [FacetPairing((0, i), (0, i), m) for i, m in enumerate(mirrors)]
+        report = check_poincare_2d([cell], pairings)
+        assert report.passed, report.summary()
+        assert not report.cycles
+        y = X0 + mirrors[0] @ X0  # x0 and its image are symmetric about wall 0
+        foot = y / math.sqrt(-bilinear(J2, y, y))
+        glide = translation_along(J2, foot, E2, 0.5) @ mirrors[0]
+        pairings[0] = FacetPairing((0, 0), (0, 0), glide)
+        report = check_poincare_2d([cell], pairings)
+        assert not report.passed and not report.unpaired
+        assert report.pairing_errors == (
+            "pairing (0, 0)->(0, 0): a facet paired with itself needs an involution",
         )
 
     def test_ideal_end_must_map_onto_partner_ideal_end(self):
