@@ -6,9 +6,9 @@ decided algebraically.  An element is held as Python ints (p, q, d) meaning
 (p + q*sqrt2)/d, with d > 0 and gcd(p, q, d) = 1: one integer vector over a
 common denominator (Cohen, A Course in Computational Algebraic Number
 Theory, ch. 4), normalised by one gcd per operation.  The ints and the
-field sit in four private slots filled by plain stores; an operation on two
-elements of one field reads the other's slots directly and builds its
-result without the constructor.  The public `field`, `a` and `b` are
+field sit in four private slots filled by plain stores.  Results are built
+without the constructor, and an operation on two elements of one field
+reads the other's slots directly.  The public `field`, `a` and `b` are
 read-only properties, as in `fractions.Fraction`, so assigning them or any
 new attribute raises AttributeError.  Exact matrices take the same
 layout: integer matrices (P, Q) over one common denominator D
@@ -79,6 +79,8 @@ class QuadFieldElement:
     zero.
     """
 
+    # read-only properties, not a __setattr__ override, keep the values
+    # immutable: an override would take every slot store off CPython's fast path
     __slots__ = ("_p", "_q", "_d", "_field")
 
     def __init__(self, a, b=0, field: FieldTag | None = None):

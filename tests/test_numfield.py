@@ -293,12 +293,15 @@ class TestHashing:
 class TestImmutability:
     """The public attributes are read-only properties over private slots."""
 
-    @pytest.mark.parametrize("name", ["field", "a", "b", "c"])
+    @pytest.mark.parametrize("name", ["field", "a", "b", "extra"])
     @pytest.mark.parametrize(
-        "x", [qs2(Fraction(3, 4), -2), QuadFieldElement(Fraction(-5, 2))], ids=["qs2", "q"]
+        "parts",
+        [(Fraction(3, 4), -2, FieldTag.Q_SQRT2), (Fraction(-5, 2), 0, FieldTag.Q)],
+        ids=["qs2", "q"],
     )
-    def test_assignment_and_deletion_refused(self, x, name):
-        key, twin = hash(x), QuadFieldElement(x.a, x.b, x.field)
+    def test_assignment_and_deletion_refused(self, parts, name):
+        x, twin = QuadFieldElement(*parts), QuadFieldElement(*parts)
+        key = hash(x)
         with pytest.raises(AttributeError):
             setattr(x, name, FieldTag.Q if name == "field" else Fraction(1, 3))
         with pytest.raises(AttributeError):
