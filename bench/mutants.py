@@ -36,6 +36,7 @@ class Mutant(NamedTuple):
 
 
 GLUEING = "src/hyperglue/glueing.py"
+HYPERBOLOID = "src/hyperglue/hyperboloid.py"
 NUMFIELD = "src/hyperglue/numfield.py"
 VORONOI = "src/hyperglue/voronoi.py"
 T_GLUEING = "tests/test_glueing.py"
@@ -109,9 +110,38 @@ MUTANTS = [
         WALLS_AT_THE_CIRCLE,
     ),
     Mutant(
-        "nesting-crossing-band-1e-7", "src/hyperglue/hyperboloid.py",
+        "nesting-crossing-band-1e-7", HYPERBOLOID,
         "    if abs(s) < 1.0 - EPS:\n", "    if abs(s) < 1.0 - 1e-7:\n",
         ORTHOGONAL_THRESHOLD,
+    ),
+    # the tangent frame without its refusal, and a sheet point without its finiteness test
+    Mutant(
+        "unit-tangent-no-refusal", HYPERBOLOID,
+        '    if not EPS < q < math.inf:\n        raise ValueError(f"tangent must',
+        '    if False:\n        raise ValueError(f"tangent must',
+        (
+            "tests/test_hyperboloid.py::TestTranslation::test_direction_along_the_point_rejected",
+            "tests/test_hyperboloid.py::TestUnitTangent::test_vanishing_projection_refused[tangent0]",
+            "tests/test_hyperboloid.py::TestUnitTangent::test_vanishing_projection_refused[tangent1]",
+            "tests/test_voronoi.py::TestFacetTypes::test_tangent_along_the_point_refused",
+        ),
+    ),
+    Mutant(
+        "normalize-point-no-finiteness-test", HYPERBOLOID,
+        "    if not math.isfinite(q):\n        raise", "    if False:\n        raise",
+        tuple(
+            f"tests/test_hyperboloid.py::TestNonFiniteRefused::test_sheet_point[{x}]"
+            for x in ("nan", "inf", "-inf")
+        ),
+    ),
+    # the graph search: a pair bound one too tight cuts branches that hold graphs
+    Mutant(
+        "enumeration-bound-for-j-too-tight", GLUEING,
+        "residual[j] <= m - i - 2", "residual[j] <= m - i - 3",
+        tuple(
+            f"{T_GLUEING}::TestEnumeration::test_counts_match_oracle[{m}-{n}]"
+            for m, n in ((5, 1), (6, 15), (7, 465))
+        ),
     ),
     # assembly checks
     Mutant(
@@ -166,13 +196,20 @@ MUTANTS = [
         "return float(len(manifold.pieces))", "return len(manifold.pieces)",
         (f"{T_GLUEING}::TestAssembly::test_volume_linear",),
     ),
-    # known survivor
+    # known survivors
     Mutant(
         "assembly-no-slot-exhaustion-check", GLUEING,
         "if si == capacity[i] or sj == capacity[j]:", "if False:",
         (T_GLUEING, "tests/test_cli.py"),
         survives="`GlueingGraph` refuses a graph that is not 4-regular, so no graph "
         "`assemble` accepts can exhaust a vertex block's slots",
+    ),
+    Mutant(
+        "enumeration-bound-for-j-too-loose", GLUEING,
+        "residual[j] <= m - i - 2", "residual[j] <= m - i - 1",
+        (T_GLUEING,),
+        survives="a looser bound only prunes less: every leaf is still checked for 4-regularity, "
+        "so the search yields the same 1, 15 and 465 graphs in the same order",
     ),
 ]
 

@@ -110,17 +110,12 @@ def enumerate_base_graphs(m: int) -> Iterator[tuple[tuple[int, int], ...]]:
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     total = len(pairs)
     residual = [VERTEX_DEGREE] * m
-    # remaining[k][v] = number of pairs at position >= k that touch v
-    remaining = [[0] * m for _ in range(total + 1)]
-    for k in range(total - 1, -1, -1):
-        i, j = pairs[k]
-        for v in range(m):
-            remaining[k][v] = remaining[k + 1][v] + (1 if v in (i, j) else 0)
-
     chosen: list[tuple[int, int]] = []
 
-    # Invariant on entering rec(k): residual[v] <= remaining[k][v] for every v.
-    # Position k only touches i and j, so the other vertices keep it at k + 1.
+    # Invariant on entering rec(k): residual[v] <= the pairs at position >= k
+    # that touch v.  Position k only touches i and j; after it come (i, j+1),
+    # ..., (i, m-1) and then pairs with a larger first vertex, so m-1-j of them
+    # touch i and (j-i-1) + (m-1-j) = m-i-2 touch j.
     def rec(k: int) -> Iterator[tuple[tuple[int, int], ...]]:
         if k == total:
             if all(r == 0 for r in residual):
@@ -128,7 +123,7 @@ def enumerate_base_graphs(m: int) -> Iterator[tuple[tuple[int, int], ...]]:
             return
         i, j = pairs[k]
         # bit = 0: i and j lose one remaining pair each
-        if residual[i] <= remaining[k + 1][i] and residual[j] <= remaining[k + 1][j]:
+        if residual[i] <= m - 1 - j and residual[j] <= m - i - 2:
             yield from rec(k + 1)
         # bit = 1: i and j lose one residual degree and one remaining pair each
         if residual[i] > 0 and residual[j] > 0:

@@ -148,8 +148,8 @@ def reflection(form: DiagonalForm, v):
         ]
     vf = as_float_vector(form, v)
     fv = float(np.dot(vf * float_coefficients(form), vf))
-    if fv <= 0:
-        raise ValueError("reflection mirror must be space-like")
+    if not 0 < fv < math.inf:
+        raise ValueError(f"reflection mirror must be space-like, got f(v) = {fv:g}")
     n = form.dimension
     return np.eye(n) - 2.0 * np.outer(vf, vf * float_coefficients(form)) / fv
 
@@ -200,10 +200,7 @@ def jn_chart(form: DiagonalForm) -> tuple[np.ndarray, np.ndarray]:
 
 def time_coordinate(form: DiagonalForm, x) -> float:
     """The J-chart 0-th coordinate; positive on the upper sheet."""
-    c = float_coefficients(form)
-    neg = int(np.where(c < 0)[0][0])
-    xf = as_float_vector(form, x)
-    return float(xf[neg] * math.sqrt(-c[neg]))
+    return float(jn_chart(form)[0][0] @ as_float_vector(form, x))
 
 
 def _quad_scale(form: DiagonalForm, xf: np.ndarray) -> float:
@@ -220,9 +217,10 @@ def _quad_scale(form: DiagonalForm, xf: np.ndarray) -> float:
 def is_point(form: DiagonalForm, x) -> bool:
     """Upper-sheet membership, f(x) = -1 within 1e-7 relative to the coordinates' size."""
     xf = as_float_vector(form, x)
-    scale = _quad_scale(form, xf)
+    q = quadratic(form, xf)
     return (
-        abs(quadratic(form, xf) + 1.0) <= 1e-7 * scale
+        math.isfinite(q)
+        and abs(q + 1.0) <= 1e-7 * _quad_scale(form, xf)
         and time_coordinate(form, xf) > 0
     )
 
@@ -236,14 +234,13 @@ def normalize_point(form: DiagonalForm, x) -> np.ndarray:
     """
     xf = as_float_vector(form, x)
     q = quadratic(form, xf)
+    if not math.isfinite(q):
+        raise ValueError(f"vector is not finite: f(x) = {q:g}")
     scale = _quad_scale(form, xf)
-    if abs(q + 1.0) <= 1e-7 * scale:
-        if time_coordinate(form, xf) <= 0:
-            raise ValueError("vector lies on the lower sheet")
-        return xf
-    if q >= -EPS * scale:
-        raise ValueError("vector is not time-like")
-    xf = xf / math.sqrt(-q)
+    if abs(q + 1.0) > 1e-7 * scale:
+        if q >= -EPS * scale:
+            raise ValueError("vector is not time-like")
+        xf = xf / math.sqrt(-q)
     if time_coordinate(form, xf) <= 0:
         raise ValueError("vector lies on the lower sheet")
     return xf
@@ -262,8 +259,8 @@ def normalize_points(form: DiagonalForm, xs) -> list[np.ndarray]:
     c = float_coefficients(form)
     q = (xf * xf * c).sum(axis=1)
     scale = np.maximum(1.0, (xf * xf * np.abs(c)).sum(axis=1))
-    upper = xf[:, int(np.where(c < 0)[0][0])] > 0
-    on_sheet = (np.abs(q + 1.0) <= 1e-7 * scale) & upper
+    upper = xf @ jn_chart(form)[0][0] > 0
+    on_sheet = np.isfinite(q) & (np.abs(q + 1.0) <= 1e-7 * scale) & upper
     return [x if ok else normalize_point(form, x) for x, ok in zip(xf, on_sheet)]
 
 
@@ -303,8 +300,8 @@ class Hyperplane:
         exact_normal = tuple(normal) if _is_exact_vector(normal) else None
         vf = as_float_vector(form, normal)
         q = float(np.dot(vf * float_coefficients(form), vf))
-        if q <= EPS:
-            raise ValueError("hyperplane normal must be space-like")
+        if not EPS < q < math.inf:
+            raise ValueError(f"hyperplane normal must be space-like, got f(v) = {q:g}")
         vf = vf / math.sqrt(q)
         lead = next(i for i, x in enumerate(vf) if abs(x) > EPS)
         if vf[lead] < 0:
@@ -418,6 +415,21 @@ def boundary_sphere(form: DiagonalForm, h: Hyperplane) -> BoundarySphere:
 # -- isometries ------------------------------------------------------------------
 
 
+def unit_tangent(form: DiagonalForm, point, tangent) -> tuple[np.ndarray, np.ndarray]:
+    """The sheet point p of `point` and the unit tangent u at p along `tangent`.
+
+    The tangent is projected onto p's tangent space and scaled to f(u) = 1;
+    a projection that is not space-like (or not finite) is refused.
+    """
+    p = normalize_point(form, point)
+    u = as_float_vector(form, tangent)
+    u = u + bilinear(form, u, p) * p  # f(p) = -1
+    q = quadratic(form, u)
+    if not EPS < q < math.inf:
+        raise ValueError(f"tangent must be space-like after projection, got f(u) = {q:g}")
+    return p, u / math.sqrt(q)
+
+
 def translation_along(form: DiagonalForm, point, tangent, length: float) -> np.ndarray:
     """Hyperbolic translation with the given axis and translation length.
 
@@ -435,13 +447,7 @@ def translation_along(form: DiagonalForm, point, tangent, length: float) -> np.n
         ch = sh = math.inf
     if not math.isfinite(ch * ch):
         raise ValueError(f"translation length {length:g} is too large: cosh^2 overflows binary64")
-    p = normalize_point(form, point)
-    u = as_float_vector(form, tangent)
-    u = u + bilinear(form, u, p) * p  # project onto tangent space (f(p) = -1)
-    q = quadratic(form, u)
-    if q <= EPS:
-        raise ValueError("tangent vector is degenerate")
-    u = u / math.sqrt(q)
+    p, u = unit_tangent(form, point, tangent)
     c = float_coefficients(form)
     fp = p * c
     fu = u * c

@@ -52,6 +52,7 @@ from .hyperboloid import (
     normalize_points,
     quadratic,
     translation_along,
+    unit_tangent,
 )
 
 _FEAS_EPS = 1e-7
@@ -90,14 +91,9 @@ class MarkedGeodesic:
     fundamental_length: float = 0.0
 
     def __post_init__(self):
-        p = normalize_point(self.form, self.point)
-        u = as_float_vector(self.form, self.tangent)
-        u = u + bilinear(self.form, u, p) * p
-        q = quadratic(self.form, u)
-        if q <= EPS:
-            raise ValueError("tangent must be space-like after projection")
+        p, u = unit_tangent(self.form, self.point, self.tangent)
         object.__setattr__(self, "point", p)
-        object.__setattr__(self, "tangent", u / math.sqrt(q))
+        object.__setattr__(self, "tangent", u)
 
     def point_at(self, t: float) -> np.ndarray:
         return math.cosh(t) * self.point + math.sinh(t) * self.tangent
@@ -163,7 +159,6 @@ class GroupData:
 class OrbitPoint(NamedTuple):
     point: np.ndarray
     word: tuple[int, ...]
-    seed_index: int
     tag: int | None = None
 
 
@@ -223,7 +218,7 @@ def build_orbit(
     gens = group.gens_with_inverses
 
     frontier = [
-        OrbitPoint(s, (), i, tags[i] if tags is not None else None)
+        OrbitPoint(s, (), tags[i] if tags is not None else None)
         for i, s in enumerate(seeds)
     ]
     points = list(frontier)
@@ -252,7 +247,7 @@ def build_orbit(
         frontier = []
         for y, c in zip(shell, fresh):
             op, gi = parents[c]
-            frontier.append(OrbitPoint(y, op.word + (gi,), op.seed_index, op.tag))
+            frontier.append(OrbitPoint(y, op.word + (gi,), op.tag))
         points += frontier
 
     if not group.generators:
@@ -313,9 +308,10 @@ def _centering_isometry(form: DiagonalForm, center: np.ndarray) -> np.ndarray:
     b0 = basepoint(form)
     if np.allclose(b0, center, atol=EPS):
         return np.eye(form.dimension)
+    # the centre projects to a tangent of size sinh d; over d it stays near 1
+    # for a centre close to b0, above the refusal threshold of `unit_tangent`
     d = distance(form, b0, center)
-    u = (center - math.cosh(d) * b0) / math.sinh(d)
-    return translation_along(form, b0, u, d)
+    return translation_along(form, b0, center / d, d)
 
 
 def _cell_chart(form: DiagonalForm, center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

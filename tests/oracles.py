@@ -119,7 +119,7 @@ def scalar_orbit(
 
     Every candidate image is rounded, keyed and stored on its own; the
     array version must give the same points bit for bit, the same words,
-    seed indices, tags and radius, and the same overflow error.
+    tags and radius, and the same overflow error.
     """
     if word_cutoff < 1:
         raise ValueError("word cutoff must be at least 1")
@@ -137,7 +137,7 @@ def scalar_orbit(
 
     frontier: list[OrbitPoint] = []
     for i, (s, key) in enumerate(zip(seeds, np.round(seeds, 7))):
-        op = OrbitPoint(s, (), i, tags[i] if tags is not None else None)
+        op = OrbitPoint(s, (), tags[i] if tags is not None else None)
         seen[tuple(key)] = len(points)
         points.append(op)
         frontier.append(op)
@@ -152,7 +152,7 @@ def scalar_orbit(
                 k = key_of(y)
                 if k in seen:
                     continue
-                new = OrbitPoint(y, op.word + (gi,), op.seed_index, op.tag)
+                new = OrbitPoint(y, op.word + (gi,), op.tag)
                 seen[k] = len(points)
                 points.append(new)
                 next_frontier.append(new)

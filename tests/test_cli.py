@@ -134,6 +134,8 @@ class TestGeomCommands:
             (("geom", "shrink", "--R", "2,4", "--spacing", "0.001"), "lost its second-type walls"),
             (("geom", "extension", "--length", "300"), "word length 3 overflow"),
             (("geom", "extension", "--q", "inf"), "summand inf is not finite"),
+            # a NaN angle turns the second axis into a NaN tangent
+            (("geom", "nesting", "--angle", "nan", "--lenH", "1", "--lenV", "1"), "tangent must be space-like"),
         ],
     )
     def test_overflowing_length_is_an_error(self, tmp_path, job, cause):

@@ -45,6 +45,25 @@ class TestEnumeration:
         assert len(ours) == expected
         assert sorted(ours) == sorted(oracle)
 
+    @pytest.mark.parametrize("m", [5, 6, 7, 8])
+    def test_ascending_bitmask_order(self, m):
+        # pair (0, 1) is the most significant bit; the bitmask oracle stores it least
+        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+
+        def bits(edges):
+            chosen = set(edges)
+            return tuple(p in chosen for p in pairs)
+
+        ours = list(enumerate_base_graphs(m))
+        if m <= 7:
+            assert ours == sorted(bitmask_oracle(m), key=bits)
+        else:
+            # 2^28 masks are too many for the oracle: the graphs are 4-regular,
+            # distinct, ascending and as many as the formula counts
+            assert all(set(Counter(v for e in g for v in e).values()) == {4} for g in ours)
+            assert all(bits(a) < bits(b) for a, b in zip(ours, ours[1:]))
+            assert len(ours) == count_graphs(8)[-1].base_count
+
     def test_duplicate_free(self):
         graphs = list(enumerate_base_graphs(7))
         assert len(set(graphs)) == len(graphs)

@@ -28,13 +28,16 @@ from hyperglue.hyperboloid import (
     exact_identity,
     exact_mat_mul,
     is_isometry,
+    is_point,
     isometry_inverse,
     normalize_point,
     normalize_points,
     quadratic,
     reflection,
     rotation_in_plane,
+    time_coordinate,
     translation_along,
+    unit_tangent,
 )
 
 from oracles import FractionPair, are_orthogonal, bisector, exact_mat_vec, translation_length
@@ -556,6 +559,74 @@ class TestTranslation:
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
             translation_along(J2, basepoint(J2), np.zeros(3), 1.0)
+
+    def test_direction_along_the_point_rejected(self):
+        # the tangent's projection vanishes
+        x0 = basepoint(J2)
+        with pytest.raises(ValueError, match="space-like after projection"):
+            translation_along(J2, x0, x0, 1.0)
+
+
+class TestUnitTangent:
+    def test_orthonormal_frame(self):
+        rng = np.random.default_rng(41)
+        for _ in range(10):
+            x = random_sheet_point(rng, J3)
+            p, u = unit_tangent(J3, 2.5 * x, rng.standard_normal(4))
+            assert np.allclose(p, x, atol=1e-12)
+            assert abs(quadratic(J3, u) - 1.0) <= 1e-12
+            assert abs(bilinear(J3, p, u)) <= 1e-12
+
+    def test_keeps_the_direction(self):
+        p, u = unit_tangent(J2, basepoint(J2), np.array([5.0, 3.0, 0.0]))
+        assert np.array_equal(p, basepoint(J2))
+        assert np.allclose(u, E1)
+
+    @pytest.mark.parametrize("tangent", [np.zeros(3), np.array([2.0, 0.0, 0.0])])
+    def test_vanishing_projection_refused(self, tangent):
+        with pytest.raises(ValueError, match="space-like after projection"):
+            unit_tangent(J2, basepoint(J2), tangent)
+
+
+def test_time_coordinate_needs_hyperbolic_signature():
+    with pytest.raises(ValueError, match="hyperbolic signature"):
+        time_coordinate(form_from_rationals([1, 1, 1]), np.array([1.0, 0.0, 0.0]))
+
+
+NON_FINITE = pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+
+
+class TestNonFiniteRefused:
+    """A NaN passes every sign test, and an infinite time coordinate passes the sheet test."""
+
+    @NON_FINITE
+    def test_sheet_point(self, bad):
+        x = np.array([bad, 0.0, 0.0])
+        assert not is_point(J2, x)
+        with pytest.raises(ValueError, match=r"not finite: f\(x\) = (nan|-inf)"):
+            normalize_point(J2, x)
+        with pytest.raises(ValueError, match="not finite"):
+            normalize_points(J2, [basepoint(J2), x])
+
+    @NON_FINITE
+    def test_translation(self, bad):
+        x0 = basepoint(J2)
+        with pytest.raises(ValueError, match="not finite"):
+            translation_along(J2, np.array([bad, 0.0, 0.0]), E1, 1.0)
+        with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match=r"space-like after projection, got f\(u\) = nan"
+        ):
+            translation_along(J2, x0, np.array([0.0, bad, 0.0]), 1.0)
+
+    @NON_FINITE
+    def test_hyperplane_normal(self, bad):
+        with pytest.raises(ValueError, match=r"normal must be space-like, got f\(v\) = (nan|inf)"):
+            Hyperplane(J2, np.array([0.0, bad, 0.0]))
+
+    @NON_FINITE
+    def test_float_mirror(self, bad):
+        with pytest.raises(ValueError, match=r"mirror must be space-like, got f\(v\) = (nan|inf)"):
+            reflection(J2, np.array([0.0, 1.0, bad]))
 
 
 def wall_halfspaces(angle_deg, len_h, len_v):
