@@ -135,12 +135,13 @@ MUTANTS = [
         ),
     ),
     # the graph search: a pair bound one too tight cuts branches that hold graphs
+    # (it still finds K5, and none of the 15 and 465 graphs on 6 and 7 vertices)
     Mutant(
         "enumeration-bound-for-j-too-tight", GLUEING,
         "residual[j] <= m - i - 2", "residual[j] <= m - i - 3",
         tuple(
             f"{T_GLUEING}::TestEnumeration::test_counts_match_oracle[{m}-{n}]"
-            for m, n in ((5, 1), (6, 15), (7, 465))
+            for m, n in ((6, 15), (7, 465))
         ),
     ),
     # assembly checks
