@@ -56,6 +56,15 @@ ORTHOGONAL_THRESHOLD = tuple(
     f"tests/test_voronoi.py::TestNestingClosedForm::test_orthogonal_threshold[{len_h}]"
     for len_h in ("0.3", "1.0", "2.0")
 )
+CHART = tuple(
+    f"tests/test_voronoi.py::TestCellChart::test_centre_at_the_origin_and_inverse[{d}-{form}]"
+    for d in ("1e-06", "0.1", "1.0", "3.0", "10.0")
+    for form in ("J2", "J3", "sqrt2")
+)
+MOVED_DOMAINS = tuple(
+    f"tests/test_voronoi.py::TestIsometryInvariance::test_moved_domain_keeps_its_report[{move}]"
+    for move in (f"{length}-{angle}" for length in (0.1, 1.0, 2.0) for angle in (0.0, 17.0, 90.0))
+)
 
 MUTANTS = [
     # the CLI byte contract: a rounding change and state carried between calls
@@ -68,6 +77,14 @@ MUTANTS = [
         "    out = Path(args.out)\n",
         '    out, _ensure_out.last = Path(getattr(_ensure_out, "last", args.out)), args.out\n',
         (GOLDEN,),
+    ),
+    Mutant(
+        "extension-samples-uncapped", "src/hyperglue/cli.py",
+        "    if not 0 <= args.samples <= cap:\n", "    if False:\n",
+        tuple(
+            f"tests/test_cli.py::TestGeomCommands::test_extension_samples_outside_the_cap_refused[{n}]"
+            for n in ("-3", "-1", "10001")
+        ),
     ),
     # exact elements: a same-field product left unreduced, and a writable field
     Mutant(
@@ -90,6 +107,12 @@ MUTANTS = [
             f"tests/test_numfield.py::TestImmutability::test_assignment_and_deletion_refused[{x}-field]"
             for x in ("qs2", "q")
         ),
+    ),
+    # the cell chart moves the centre away from the origin, not onto it
+    Mutant(
+        "cell-chart-without-its-inverse", VORONOI,
+        "return (j[:, None] * boost * j[None, :]) @ t, tinv @ boost", "return boost @ t, tinv @ boost",
+        CHART + MOVED_DOMAINS,
     ),
     # the Poincare check: a self-pairing counted twice, or by a map that is no involution
     Mutant(
@@ -128,10 +151,14 @@ MUTANTS = [
     ),
     Mutant(
         "normalize-point-no-finiteness-test", HYPERBOLOID,
-        "    if not math.isfinite(q):\n        raise", "    if False:\n        raise",
+        "    if not math.isfinite(scale):\n        raise", "    if False:\n        raise",
         tuple(
             f"tests/test_hyperboloid.py::TestNonFiniteRefused::test_sheet_point[{x}]"
             for x in ("nan", "inf", "-inf")
+        )
+        + tuple(
+            f"tests/test_hyperboloid.py::TestNonFiniteRefused::test_overflowing_terms[{x}]"
+            for x in ("light-like", "nan-f")
         ),
     ),
     # the graph search: a pair bound one too tight cuts branches that hold graphs

@@ -71,6 +71,12 @@ M_MAX_CAPS = {
         "which takes about 0.7 s at m = 12 and about 3 s at m = 14",
     ),
 }
+# the largest --samples of `geom extension`, and why
+MAX_EXTENSION_SAMPLES = (
+    10_000,
+    "each sample writes up to two CSV rows and two SVG dots, about 330 bytes, "
+    "so the cap keeps the output near 3.3 MB",
+)
 # --check-assemblies enumerates every base graph up to this m (481 graphs)
 MAX_ASSEMBLY_CHECK_M = 7
 
@@ -328,6 +334,10 @@ def cmd_geom_shrink(args) -> int:
 
 
 def cmd_geom_extension(args) -> int:
+    cap, why = MAX_EXTENSION_SAMPLES
+    if not 0 <= args.samples <= cap:
+        print(f"error: --samples must lie in 0..{cap}: {why}", file=sys.stderr)
+        return 2
     length = args.length
     form = jn_form(2)
     x0 = basepoint(form)

@@ -208,19 +208,22 @@ def _quad_scale(form: DiagonalForm, xf: np.ndarray) -> float:
 
     Far sheet points have coordinates ~cosh(d), so f(x) = -1 is computed
     with absolute cancellation error ~ eps * cosh(d)^2; membership tests
-    must scale their tolerance accordingly.
+    must scale their tolerance accordingly.  The scale is NaN or inf for a
+    vector whose terms overflow or are not finite, and a finite scale
+    bounds |f(x)|.
     """
     c = np.abs(float_coefficients(form))
-    return max(1.0, float(np.dot(c * xf, xf)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.maximum(1.0, np.dot(c * xf, xf)))
 
 
 def is_point(form: DiagonalForm, x) -> bool:
     """Upper-sheet membership, f(x) = -1 within 1e-7 relative to the coordinates' size."""
     xf = as_float_vector(form, x)
-    q = quadratic(form, xf)
+    scale = _quad_scale(form, xf)
     return (
-        math.isfinite(q)
-        and abs(q + 1.0) <= 1e-7 * _quad_scale(form, xf)
+        math.isfinite(scale)
+        and abs(quadratic(form, xf) + 1.0) <= 1e-7 * scale
         and time_coordinate(form, xf) > 0
     )
 
@@ -234,9 +237,9 @@ def normalize_point(form: DiagonalForm, x) -> np.ndarray:
     """
     xf = as_float_vector(form, x)
     q = quadratic(form, xf)
-    if not math.isfinite(q):
-        raise ValueError(f"vector is not finite: f(x) = {q:g}")
     scale = _quad_scale(form, xf)
+    if not math.isfinite(scale):
+        raise ValueError(f"vector is not finite: f(x) = {q:g} from terms of size {scale:g}")
     if abs(q + 1.0) > 1e-7 * scale:
         if q >= -EPS * scale:
             raise ValueError("vector is not time-like")
@@ -260,7 +263,7 @@ def normalize_points(form: DiagonalForm, xs) -> list[np.ndarray]:
     q = (xf * xf * c).sum(axis=1)
     scale = np.maximum(1.0, (xf * xf * np.abs(c)).sum(axis=1))
     upper = xf @ jn_chart(form)[0][0] > 0
-    on_sheet = np.isfinite(q) & (np.abs(q + 1.0) <= 1e-7 * scale) & upper
+    on_sheet = np.isfinite(scale) & (np.abs(q + 1.0) <= 1e-7 * scale) & upper
     return [x if ok else normalize_point(form, x) for x, ok in zip(xf, on_sheet)]
 
 

@@ -4,9 +4,10 @@ Poincare pairing check for plane domains.
 
 Cells are built with floating arithmetic in the Klein model, where
 halfspaces are affine constraints a . k >= rhs.  Each cell has one Klein
-chart, centred on the cell: pruning, facet types and the Poincare check
-all read their rows in it, so up to rounding no decision depends on
-where the cell sits in H^n.  Redundant bisectors are pruned with one
+chart, centred on the cell by the Lorentz boost that takes the J_n chart's
+e_0 to the cell's center, in closed form: pruning, facet types and the
+Poincare check all read their rows in it, so up to rounding no decision
+depends on where the cell sits in H^n.  Redundant bisectors are pruned with one
 convex hull of their polar points a / rhs.  Facet types are decided in
 closed form along the Klein line of each marked geodesic: a facet is
 first type iff the root of its own row lies in the interval where all
@@ -303,26 +304,23 @@ class VoronoiCell:
         return _cell_chart(self.form, self.center)
 
 
-def _centering_isometry(form: DiagonalForm, center: np.ndarray) -> np.ndarray:
-    """Isometry taking the chart basepoint to `center`."""
-    b0 = basepoint(form)
-    if np.allclose(b0, center, atol=EPS):
-        return np.eye(form.dimension)
-    # the centre projects to a tangent of size sinh d; over d it stays near 1
-    # for a centre close to b0, above the refusal threshold of `unit_tangent`
-    d = distance(form, b0, center)
-    return translation_along(form, b0, center / d, d)
-
-
 def _cell_chart(form: DiagonalForm, center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Klein chart centred on `center`: world -> chart T L^-1 and chart -> world L T^-1.
+    """The Klein chart centred on `center`: world -> chart J B J T and chart -> world T^-1 B.
 
-    L is the isometry taking the basepoint to the center and T the J_n
-    chart, so the center sits at the chart's origin.
+    T is the J_n chart and B = J + w w^T / w_0, with w = T center + e_0, the
+    symmetric J-boost taking e_0 to T center (Ratcliffe, Foundations of
+    Hyperbolic Manifolds, ch. 3); its inverse is J B J.  So the center sits
+    at the chart's origin.  On the upper sheet w_0 >= 2, so there is no
+    special case; where T center is exactly e_0, as at the basepoint of a
+    J_n form, B is exactly the identity.
     """
     t, tinv = jn_chart(form)
-    move = _centering_isometry(form, center)
-    return t @ isometry_inverse(form, move), move @ tinv
+    w = t @ center
+    w[0] += 1.0
+    j = np.ones(len(w))
+    j[0] = -1.0
+    boost = np.diag(j) + np.outer(w, w) / w[0]
+    return (j[:, None] * boost * j[None, :]) @ t, tinv @ boost
 
 
 def _klein_rows(to_chart: np.ndarray, normals):
@@ -395,8 +393,7 @@ def dirichlet_cell(
             "shorten the translations or lower the orbit cutoff"
         )
     inward = diff / np.sqrt(f_norm)[:, None]
-    chart = _cell_chart(form, center)
-    a_all, rhs_all = _klein_rows(chart[0], inward)
+    a_all, rhs_all = _klein_rows(_cell_chart(form, center)[0], inward)
     polar = a_all / rhs_all[:, None]
     dim = form.dimension - 1
     box = math.tanh(min(rho, _BOX_CAP))
@@ -443,9 +440,7 @@ def dirichlet_cell(
             f"{len(others)} bisectors, so the cell would be everything; "
             "increase the orbit cutoff or the radius"
         )
-    cell = VoronoiCell(form, center, tuple(kept), orbit.certification_radius)
-    cell.__dict__["_chart"] = chart  # the chart its rows were read in
-    return cell
+    return VoronoiCell(form, center, tuple(kept), orbit.certification_radius)
 
 
 def classify_facets(
@@ -656,13 +651,12 @@ def check_admissible(
             + np.sinh(ts)[:, None] * s.tangent[None, :]
         )
         cosh_orbit = -(samples * c[None, :]) @ coords.T
-        cosh_seeds = cosh_orbit[:, : len(seeds)]  # the orbit lists the seeds first
-        nearest_seed = np.arccosh(np.maximum(1.0, cosh_seeds.min(axis=1)))
+        dists = np.arccosh(np.maximum(1.0, cosh_orbit))
+        nearest_seed = dists[:, : len(seeds)].min(axis=1)  # the orbit lists the seeds first
         if np.any(nearest_seed > orbit.certification_radius + EPS):
             raise UndecidableError(
                 "sample beyond the certification radius; increase the orbit cutoff"
             )
-        dists = np.arccosh(np.maximum(1.0, cosh_orbit))
         own = np.where(orbit_tags == s.surface_id, dists, np.inf).min(axis=1)
         other = np.where(orbit_tags != s.surface_id, dists, np.inf).min(axis=1)
         bad = other < own - 1e-12

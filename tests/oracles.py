@@ -33,8 +33,6 @@ from hyperglue.hyperboloid import (
     distance,
     float_coefficients,
     is_point,
-    isometry_inverse,
-    jn_chart,
     normalize_point,
     normalize_points,
     quadratic,
@@ -54,7 +52,6 @@ from hyperglue.voronoi import (
     OrbitSet,
     VoronoiCell,
     _cell_chart,
-    _centering_isometry,
     _klein_rows,
     build_orbit,
     dirichlet_cell,
@@ -273,12 +270,8 @@ def lp_pruned_cell(center, orbit: OrbitSet, prune_radius: float | None = None) -
     if len(raw) <= 1:
         return VoronoiCell(form, center, tuple(raw), orbit.certification_radius)
 
-    t, _ = jn_chart(form)
-    world_to_local = isometry_inverse(form, _centering_isometry(form, center))
-    rows = []
-    for f in raw:
-        n_chart = t @ (world_to_local @ f.halfspace.hyperplane.normal)
-        rows.append(f.halfspace.side * n_chart)
+    to_chart, _ = _cell_chart(form, center)
+    rows = [f.halfspace.side * (to_chart @ f.halfspace.hyperplane.normal) for f in raw]
     a_all = np.array([r[1:] for r in rows])
     rhs_all = np.array([r[0] for r in rows])
     bounds = [(-box, box)] * a_all.shape[1]

@@ -121,6 +121,23 @@ class TestGeomCommands:
         assert run_cli("geom", "extension", "--out", str(out)) == 0
         assert "two conformal copies" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("samples", ["-3", "-1", "10001"])
+    def test_extension_samples_outside_the_cap_refused(self, tmp_path, capsys, samples):
+        out = tmp_path / "e"
+        assert run_cli("geom", "extension", "--samples", samples, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --samples must lie in 0..10000: ") and "3.3 MB" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("samples", [0, 10000])
+    def test_extension_samples_at_the_ends_of_the_range(self, tmp_path, capsys, samples):
+        out = tmp_path / "e"
+        assert run_cli("geom", "extension", "--samples", str(samples), "--out", str(out)) == 0
+        ideal = sum(r[0] == "ideal-sample" for r in read_csv(out / "extension.csv"))
+        # a draw inside the unit disk gives one row per cap
+        assert ideal % 2 == 0 and (ideal > 0) == (samples > 0) and ideal <= 2 * samples
+        assert json.loads((out / "manifest.json").read_text())["params"]["samples"] == samples
+
     @pytest.mark.parametrize(
         "job, cause",
         [

@@ -608,6 +608,17 @@ class TestNonFiniteRefused:
         with pytest.raises(ValueError, match="not finite"):
             normalize_points(J2, [basepoint(J2), x])
 
+    @pytest.mark.parametrize("x", [[1e154, 1e154, 0.0], [1e200, -1e200, 0.0]], ids=["light-like", "nan-f"])
+    def test_overflowing_terms(self, x):
+        # the squared terms overflow to inf, while f(x) stays finite or is NaN
+        x = np.array(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not is_point(J2, x)
+            with pytest.raises(ValueError, match=r"not finite: f\(x\) = \S+ from terms of size inf"):
+                normalize_point(J2, x)
+            with pytest.raises(ValueError, match="not finite"):
+                normalize_points(J2, [basepoint(J2), x])
+
     @NON_FINITE
     def test_translation(self, bad):
         x0 = basepoint(J2)

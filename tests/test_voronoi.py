@@ -1320,3 +1320,36 @@ class TestIsometryInvariance:
         message = str(exc.value)
         assert message.startswith("generator 0 ")
         assert f"entries up to {np.abs(t_h).max():.6g};" in message
+
+
+class TestCellChart:
+    """The Klein chart centred on a cell, against a frame built by translation."""
+
+    @ORACLE_FORMS
+    @pytest.mark.parametrize("d", [1e-6, 0.1, 1.0, 3.0, 10.0])
+    def test_centre_at_the_origin_and_inverse(self, form, d):
+        rng = np.random.default_rng(round(100 * d))
+        x0 = basepoint(form)
+        t, tinv = form.jn_chart
+        for _ in range(20):
+            center = _random_translation(form, rng, d) @ x0
+            to_chart, to_world = voronoi._cell_chart(form, center)
+            image = to_chart @ center
+            assert np.linalg.norm(image[1:]) <= 1e-10 * np.linalg.norm(center)
+            size = np.abs(to_chart).max() * np.abs(to_world).max()
+            assert np.abs(to_chart @ to_world - np.eye(form.dimension)).max() <= 1e-14 * size
+            if d >= 0.1:
+                move = translation_along(form, x0, center / d, d)
+                for got, want in zip((to_chart, to_world), (t @ isometry_inverse(form, move), move @ tinv)):
+                    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("d", [1e-12, 1e-9, 1e-8, 1.5e-8, 1e-5])
+    def test_cell_just_off_the_basepoint_keeps_its_facets(self, d):
+        gens = [translation_along(J2, X0, E1, 1.0), translation_along(J2, X0, E2, 1.5)]
+        x, moved_gens = moved(translation_along(J2, X0, E1, d), gens)
+
+        def words(center, generators):
+            cell = dirichlet_cell(center, build_orbit([center], GroupData(J2, generators), 2))
+            return [f.source_word for f in cell.facets]
+
+        assert words(x, moved_gens) == words(X0, gens)
