@@ -4,14 +4,15 @@ Poincare pairing check for plane domains.
 
 Cells are built with floating arithmetic in the Klein model, where
 halfspaces are affine constraints a . k >= rhs.  Each cell has one Klein
-chart, centred on the cell by the Lorentz boost that takes the J_n chart's
-e_0 to the cell's center, in closed form: pruning, facet types and the
-Poincare check all read their rows in it, so up to rounding no decision
-depends on where the cell sits in H^n.  Redundant bisectors are pruned with one
-convex hull of their polar points a / rhs.  Facet types are decided in
-closed form along the Klein line of each marked geodesic: a facet is
-first type iff the root of its own row lies in the interval where all
-rows and the box faces hold, both relaxed by the feasibility tolerance.
+chart, centred on the cell by the Lorentz boost that takes the J_n
+chart's e_0 to the cell's center, in closed form: pruning, facet types
+and the Poincare check all read their rows in it, so up to rounding no
+decision depends on where the cell sits in H^n.  Redundant bisectors are
+pruned with one convex hull of their polar points a / rhs.  Facet types
+are decided in closed form along the Klein line of each marked geodesic:
+a facet is first type iff the root of its own row lies in the interval
+where all rows and the box faces hold, both relaxed by the feasibility
+tolerance.
 Everything is deterministic: orbit points are ordered breadth-first by
 provenance word, and facets keep that order.
 
@@ -307,12 +308,11 @@ class VoronoiCell:
 def _cell_chart(form: DiagonalForm, center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Klein chart centred on `center`: world -> chart J B J T and chart -> world T^-1 B.
 
-    T is the J_n chart and B = J + w w^T / w_0, with w = T center + e_0, the
-    symmetric J-boost taking e_0 to T center (Ratcliffe, Foundations of
-    Hyperbolic Manifolds, ch. 3); its inverse is J B J.  So the center sits
-    at the chart's origin.  On the upper sheet w_0 >= 2, so there is no
-    special case; where T center is exactly e_0, as at the basepoint of a
-    J_n form, B is exactly the identity.
+    T is the J_n chart and B = J + w w^T / w_0, with w = T center + e_0, is
+    the symmetric J-boost taking e_0 to T center (Ratcliffe, Foundations of
+    Hyperbolic Manifolds, ch. 3), so the center sits at the chart's origin;
+    J B J is its inverse.  On the upper sheet w_0 >= 2; where T center is
+    exactly e_0, as at a J_n form's basepoint, B is exactly the identity.
     """
     t, tinv = jn_chart(form)
     w = t @ center
