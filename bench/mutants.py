@@ -171,17 +171,36 @@ MUTANTS = [
             for m, n in ((6, 15), (7, 465))
         ),
     ),
-    # assembly checks
+    # assembly: the base and its cover are slot arrays, and the CLI checks them
+    Mutant(
+        "assembly-second-ends-left-open", GLUEING,
+        "        partner[s + 1], partner[sj] = sj, s + 1\n", "",
+        (
+            GOLDEN,
+            f"{T_GLUEING}::TestSharedPieces::test_equal_an_unshared_build",
+            f"{T_GLUEING}::TestAssembly::test_k5_shape",
+        ),
+    ),
     Mutant(
         "cover-of-an-open-base", GLUEING,
         '        raise ValueError("double cover needs a closed complex")\n', "        pass\n",
         (f"{T_GLUEING}::TestClosedness::test_cover_refuses_every_opened_complex",),
     ),
+    # the mutant that passed the CLI while closedness was assumed: a cover
+    # built with no pairings and no joins
+    Mutant(
+        "cover-without-pairings", GLUEING,
+        "    partner = lift + [t - size if t >= size else t + size for t in lift]\n"
+        "    joins = [(i, i + n) for i in manifold.layout.non_orientable]\n"
+        "    joins += [(i + n, j + n) for i, j in manifold.internal_joins] + list(manifold.internal_joins)\n",
+        "    partner, joins = list(range(2 * size)), []\n",
+        (GOLDEN, "tests/test_cli.py::TestCount::test_checks_above_seven_name_unchecked_m"),
+    ),
     Mutant(
         "cover-sheets-keep-the-base-template", GLUEING,
-        "p.template if p.template.orientable else p.template._orientable_cover for p in pieces",
-        "p.template for p in pieces",
+        'PieceTemplate(p.template.label + "~", p.template.boundary_count, True)', "p.template",
         (
+            GOLDEN,
             f"{T_GLUEING}::TestSharedPieces::test_cover_equals_one_built_piece_by_piece",
             f"{T_GLUEING}::TestDoubleCover::test_cover_of_non_orientable_is_connected_orientable",
             f"{T_GLUEING}::TestDoubleCover::test_reversing_decorations_of_every_m6_graph",
@@ -189,7 +208,7 @@ MUTANTS = [
     ),
     Mutant(
         "cover-no-sheet-swap", GLUEING,
-        "        if flag < 0:\n            b, b1 = b1, b\n", "",
+        "lift = [t + size if f < 0 else t for t, f in", "lift = [t for t, f in",
         (
             f"{T_GLUEING}::TestSharedPieces::test_cover_equals_one_built_piece_by_piece",
             f"{T_GLUEING}::TestDoubleCover::test_reversing_decorations_of_every_m6_graph",
@@ -200,13 +219,28 @@ MUTANTS = [
         "cover-identity-deck", GLUEING,
         "deck = tuple(range(n, 2 * n)) + tuple(range(n))", "deck = tuple(range(2 * n))",
         (
+            GOLDEN,
             f"{T_GLUEING}::TestSharedPieces::test_cover_equals_one_built_piece_by_piece",
             f"{T_GLUEING}::TestDoubleCover::test_deck_involution_fixed_point_free",
         ),
     ),
     Mutant(
+        "deck-check-skips-the-glueings", GLUEING,
+        "return [partner[moved[t]] for t in partner] == moved", "return True",
+        (f"{T_GLUEING}::TestDoubleCover::test_deck_checks_can_fail",),
+    ),
+    Mutant(
+        "cover-walk-ignores-the-glueings", GLUEING,
+        "y, want = piece_of[partner[s]], sx * flag[s]", "y, want = x, sx * flag[s]",
+        (
+            GOLDEN,
+            f"{T_GLUEING}::TestAssembly::test_k5_shape",
+            f"{T_GLUEING}::TestOrientability::test_flag_subsets_against_brute_force",
+        ),
+    ),
+    Mutant(
         "orientability-walk-skipped", GLUEING,
-        "return all(p.flag > 0 for p in manifold.pairings) or manifold._walk()[1]",
+        "return -1 not in manifold.flag or manifold._walk()[1]",
         "return True",
         (
             f"{T_GLUEING}::TestOrientability::test_single_reversing_flag_on_cycle",
@@ -216,7 +250,7 @@ MUTANTS = [
     ),
     Mutant(
         "assembly-pieces-ignore-the-root", GLUEING,
-        'TEMPLATES["v" if vtx == root else "u"]', 'TEMPLATES["v" if vtx == 0 else "u"]',
+        'TEMPLATES["v" if v == root else "u"]', 'TEMPLATES["v" if v == 0 else "u"]',
         (f"{T_GLUEING}::TestSharedPieces::test_equal_an_unshared_build",),
     ),
     Mutant(
@@ -225,13 +259,6 @@ MUTANTS = [
         (f"{T_GLUEING}::TestAssembly::test_volume_linear",),
     ),
     # known survivors
-    Mutant(
-        "assembly-no-slot-exhaustion-check", GLUEING,
-        "if si == capacity[i] or sj == capacity[j]:", "if False:",
-        (T_GLUEING, "tests/test_cli.py"),
-        survives="`GlueingGraph` refuses a graph that is not 4-regular, so no graph "
-        "`assemble` accepts can exhaust a vertex block's slots",
-    ),
     Mutant(
         "enumeration-bound-for-j-too-loose", GLUEING,
         "residual[j] <= m - i - 2", "residual[j] <= m - i - 1",

@@ -437,13 +437,22 @@ def cmd_count(args) -> int:
                 assembled = glueing.assemble(graph)
                 if not assembled.is_closed():
                     failures.append(f"m={m}: assembly not closed")
-                if len(assembled.pairings) != 4 * m:
+                    continue
+                # a closed complex glues its slots two by two
+                if len(assembled.partner) != 8 * m:
                     failures.append(f"m={m}: pairing count != 4m")
                 if glueing.is_orientable(assembled):
                     failures.append(f"m={m}: assembly unexpectedly orientable")
                 cover = glueing.orientation_double_cover(assembled)
+                if not cover.is_closed():
+                    failures.append(f"m={m}: double cover not closed")
+                    continue
                 if not glueing.is_orientable(cover):
                     failures.append(f"m={m}: double cover not orientable")
+                if not cover.is_connected():
+                    failures.append(f"m={m}: double cover not connected")
+                if not cover.deck_is_free():
+                    failures.append(f"m={m}: deck involution not free or not commuting")
                 if abs(glueing.volume(cover) - 2 * glueing.volume(assembled)) > 1e-12:
                     failures.append(f"m={m}: cover volume not doubled")
         if not checked:

@@ -25,7 +25,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
@@ -48,11 +48,6 @@ class PieceTemplate:
             raise ValueError("boundary count must be the int 2 or 4")
         if self.label == "v" and self.orientable:
             raise ValueError("the root block v must be non-orientable")
-
-    @functools.cached_property
-    def _orientable_cover(self) -> PieceTemplate:
-        """The template of this block's connected orientation cover, built once."""
-        return PieceTemplate(self.label + "~", self.boundary_count, True)
 
 
 # the six standard blocks, by label: the edge blocks, u at every other
@@ -253,130 +248,169 @@ class PieceInstance(NamedTuple):
 SlotRef = tuple[int, int]  # (piece index, slot index)
 
 
-class _PairingFields(NamedTuple):
+class Pairing(NamedTuple):
+    """Two slot refs glued together, and the orientation flag of the glueing."""
+
     a: SlotRef
     b: SlotRef
     flag: int = 1  # +1 orientation-compatible, -1 reversing
 
 
-class Pairing(_PairingFields):
-    """Two slot refs glued together, and the orientation flag of the glueing."""
+@dataclass(frozen=True)
+class SlotLayout:
+    """Pieces with their slots numbered in turn: piece i owns the range
+    slots[i], and slot s lies in piece piece_of[s].  `cover` lays out the
+    orientation double cover, where slot s of sheet t is slot s + t * S for
+    S slots here.  `assemble` shares one layout, and its cover layout, per
+    m, root and labels."""
 
-    __slots__ = ()
+    pieces: tuple[PieceInstance, ...]
+    slots: tuple[range, ...] = field(init=False, repr=False, compare=False)
+    piece_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    non_orientable: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __new__(cls, a: SlotRef, b: SlotRef, flag: int = 1):
-        if flag not in (-1, 1):
-            raise ValueError("flag must be +1 or -1")
-        return tuple.__new__(cls, (a, b, flag))
+    def __post_init__(self):
+        counts = [p.template.boundary_count for p in self.pieces]
+        first = list(itertools.accumulate(counts, initial=0))
+        object.__setattr__(self, "slots", tuple(map(range, first, first[1:])))
+        object.__setattr__(self, "piece_of", tuple(i for i, r in enumerate(self.slots) for _ in r))
+        bad = tuple(i for i, p in enumerate(self.pieces) if not p.template.orientable)
+        object.__setattr__(self, "non_orientable", bad)
 
-    @classmethod
-    def _make(cls, iterable) -> Pairing:
-        # `_replace` builds through `_make`, so it validates too
-        return cls(*iterable)
-
-
-@functools.lru_cache(maxsize=16)
-def _slot_set(counts: tuple[int, ...]) -> frozenset[SlotRef]:
-    """Every (piece, slot) ref of pieces with these boundary counts."""
-    return frozenset((piece, slot) for piece, n in enumerate(counts) for slot in range(n))
-
-
-_ref_a, _ref_b = operator.itemgetter(0), operator.itemgetter(1)
-
-# Builds a `Pairing` or `PieceInstance` from a tuple of its fields without
-# calling the class: only for records this module makes itself, whose
-# fields are valid by construction (every flag it writes is +1).
-_trusted = tuple.__new__
+    @functools.cached_property
+    def cover(self) -> SlotLayout:
+        """Two sheets per piece; the sheets of a non-orientable block are orientable."""
+        templates = [
+            PieceTemplate(p.template.label + "~", p.template.boundary_count, True)
+            if i in self.non_orientable else p.template
+            for i, p in enumerate(self.pieces)
+        ]
+        return SlotLayout(tuple(
+            PieceInstance(template, ("cover", *p.provenance, sheet))
+            for sheet in (0, 1)
+            for p, template in zip(self.pieces, templates)
+        ))
 
 
 @dataclass(frozen=True)
 class AssembledManifold:
-    """A closed complex of piece instances with slot pairings.
+    """A complex of piece instances glued slot to slot: `partner[s]` is the
+    slot glued to slot s, or s itself when s is open, and `flag[s]` that
+    glueing's orientation flag.  `internal_joins` pairs the instances that
+    are halves of one connected covering block (a non-orientable piece's sheets)."""
 
-    `internal_joins` records pairs of instances that are halves of one
-    connected covering block (used by orientation double covers of
-    complexes containing non-orientable pieces).
-    """
-
-    pieces: tuple[PieceInstance, ...]
-    pairings: tuple[Pairing, ...]
+    layout: SlotLayout
+    partner: tuple[int, ...]
+    flag: tuple[int, ...]
     internal_joins: tuple[tuple[int, int], ...] = ()
     deck_involution: tuple[int, ...] | None = None
 
-    def is_closed(self) -> bool:
-        """Whether every slot of every piece is paired exactly once."""
-        return self._closed
+    def __post_init__(self):
+        # closed: `partner` is a fixed-point-free involution, read once as the arrays never change
+        partner, slots = self.partner, range(len(self.partner))
+        closed = [partner[t] for t in partner] == list(slots)
+        object.__setattr__(self, "_involution", closed and all(map(operator.ne, partner, slots)))
 
-    @functools.cached_property
-    def _closed(self) -> bool:
-        # computed on the first read (a cover's is set when it is built): as
-        # many refs as slots, whose set is the set of all (piece, slot) pairs,
-        # means every slot once
-        slots = _slot_set(tuple(p.template.boundary_count for p in self.pieces))
-        return 2 * len(self.pairings) == len(slots) and slots == {
-            *map(_ref_a, self.pairings), *map(_ref_b, self.pairings)
-        }
+    @classmethod
+    def glued(cls, pieces, pairings, internal_joins=(), deck_involution=None) -> AssembledManifold:
+        """The complex whose pairings glue slot a to slot b with their flags.
+        Refuses a flag other than +1 or -1, a ref to no slot of the pieces
+        and a slot named twice; a slot that no pairing names stays open."""
+        layout = SlotLayout(tuple(pieces))
+        slots = layout.slots
+        partner, flag = list(range(len(layout.piece_of))), [1] * len(layout.piece_of)
+        for a, b, f in pairings:
+            if f not in (-1, 1):
+                raise ValueError("flag must be +1 or -1")
+            for piece, index in (a, b):
+                if not (0 <= piece < len(slots) and 0 <= index < len(slots[piece])):
+                    raise ValueError(f"slot ref {(piece, index)} names no slot of the pieces")
+            s, t = slots[a[0]][a[1]], slots[b[0]][b[1]]
+            if s == t or partner[s] != s or partner[t] != t:
+                raise ValueError(f"slot ref {a if partner[s] != s else b} is glued twice")
+            partner[s], partner[t] = t, s
+            flag[s] = flag[t] = 1 if f > 0 else -1
+        deck = None if deck_involution is None else tuple(deck_involution)
+        return cls(layout, tuple(partner), tuple(flag), tuple(internal_joins), deck)
+
+    @property
+    def pieces(self) -> tuple[PieceInstance, ...]:
+        return self.layout.pieces
+
+    @property
+    def pairings(self) -> tuple[Pairing, ...]:
+        """The glueings as slot-ref pairs, in the order of their lower slot."""
+        refs = [(i, k) for i, r in enumerate(self.layout.slots) for k in range(len(r))]
+        pairs = [(s, t) for s, t in enumerate(self.partner) if s < t]
+        return tuple(Pairing(refs[s], refs[t], self.flag[s]) for s, t in pairs)
+
+    def is_closed(self) -> bool:
+        """Whether every slot is glued to exactly one other slot."""
+        return self._involution
 
     def is_connected(self) -> bool:
         if not self.is_closed():
             raise ValueError("connectivity needs a closed complex")
         return self._walk()[0] <= 1
 
-    def _walk(self) -> tuple[int, bool]:
-        """Components of the piece graph, and whether it has a consistent signing.
+    def deck_is_free(self) -> bool:
+        """Whether the deck involution is a fixed-point-free involution of the
+        pieces that commutes with `partner` when it moves slot k of each
+        piece to slot k of its image."""
+        if not self.is_closed():
+            raise ValueError("the deck check needs a closed complex")
+        deck, slots, partner = self.deck_involution, self.layout.slots, self.partner
+        pieces = list(range(len(slots)))
+        if deck is None or sorted(deck) != pieces or [deck[d] for d in deck] != pieces:
+            return False
+        images = [slots[d] for d in deck]
+        if any(map(operator.eq, deck, pieces)) or list(map(len, images)) != list(map(len, slots)):
+            return False
+        moved = list(itertools.chain.from_iterable(images))
+        return [partner[moved[t]] for t in partner] == moved  # partner moved partner = moved
 
-        The edges are the pairings, carrying their flags, and the internal
-        joins, carrying +1.  A signing gives every piece +-1 so that each
-        edge's flag is the product of its endpoint signs; it exists iff
-        every cycle has flag product +1.
-        """
-        n = len(self.pieces)
-        # adj[x] holds y for an edge x-y with flag +1 and ~y (= -1 - y) for flag -1
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for (i, _), (j, _), flag in self.pairings:
-            if flag > 0:
-                adj[i].append(j)
-                adj[j].append(i)
-            else:
-                adj[i].append(~j)
-                adj[j].append(~i)
+    def _walk(self) -> tuple[int, bool]:
+        """Components of the piece graph, and whether a +-1 signing of the
+        pieces makes each join's flag the product of its ends' signs: each
+        slot joins its piece to its partner's with the slot's flag, each
+        internal join two pieces with +1."""
+        slots, piece_of = self.layout.slots, self.layout.piece_of
+        partner, flag = self.partner, self.flag
+        joined: list[tuple[int, ...]] = [()] * len(slots)
         for i, j in self.internal_joins:
-            adj[i].append(j)
-            adj[j].append(i)
-        sign = [0] * n
-        components = 0
-        consistent = True
-        for start in range(n):
-            if sign[start]:
+            joined[i], joined[j] = joined[i] + (j,), joined[j] + (i,)
+        sign = [0] * len(slots)
+        components, consistent = 0, True
+        for start, seen in enumerate(sign):
+            if seen:
                 continue
             components += 1
             sign[start] = 1
             stack = [start]
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    want = sign[x]
-                    if y < 0:
-                        y, want = ~y, -want
-                    if sign[y] == 0:
+            for x in stack:  # grows while it is read
+                sx = sign[x]
+                for s in slots[x]:
+                    y, want = piece_of[partner[s]], sx * flag[s]
+                    if not sign[y]:
                         sign[y] = want
                         stack.append(y)
                     elif sign[y] != want:
+                        consistent = False
+                for y in joined[x]:
+                    if not sign[y]:
+                        sign[y] = sx
+                        stack.append(y)
+                    elif sign[y] != sx:
                         consistent = False
         return components, consistent
 
 
 @functools.lru_cache(maxsize=64)
-def _assembly_pieces(m: int, root: int, labels: tuple[str, ...]) -> tuple:
-    """The pieces of `assemble`: the vertex blocks, v at the root, then the edge blocks.
-
-    They depend on this layout alone, never on the edges.
-    """
-    return tuple(
-        _trusted(PieceInstance, (TEMPLATES["v" if vtx == root else "u"], ("vertex", vtx)))
-        for vtx in range(m)
-    ) + tuple(
-        _trusted(PieceInstance, (TEMPLATES[lab], ("edge", k))) for k, lab in enumerate(labels)
+def _assembly_layout(m: int, root: int, labels: tuple[str, ...]) -> SlotLayout:
+    """The vertex blocks, v at the root, then the edge blocks."""
+    return SlotLayout(
+        tuple(PieceInstance(TEMPLATES["v" if v == root else "u"], ("vertex", v)) for v in range(m))
+        + tuple(PieceInstance(TEMPLATES[lab], ("edge", k)) for k, lab in enumerate(labels))
     )
 
 
@@ -384,25 +418,22 @@ def assemble(graph: GlueingGraph) -> AssembledManifold:
     """Realize a glueing graph as a closed complex of the blocks of `TEMPLATES`.
 
     The root vertex gets the non-orientable block v, every other vertex a
-    u block, and every edge its labelled two-boundary block; each edge
-    block is paired into one free slot of each endpoint block, giving 4m
-    orientation-compatible pairings in total.  The piece tuple is built
-    once per layout (m, root and labels) and shared by every graph of
-    that layout; only the pairings are built per graph.
+    u block, and every edge its labelled two-boundary block.  Vertex v owns
+    slots 4v .. 4v + 3 and fills them in edge order; edge k owns slots
+    4m + 2k and 4m + 2k + 1, glued with flag +1 to a free slot of each
+    endpoint.  A block given too many edges writes into the next block's
+    slots, and `partner` is then no involution.
     """
     m = graph.vertex_count
-    pieces = _assembly_pieces(m, graph.root, tuple(graph.labels))
-    capacity = [p.template.boundary_count for p in pieces[:m]]
-    next_free = [0] * m  # each vertex block fills its slots in order
-    pairings: list[Pairing] = []
-    for piece_idx, (i, j) in enumerate(graph.edges, m):
-        si, sj = next_free[i], next_free[j]
-        if si == capacity[i] or sj == capacity[j]:
-            raise RuntimeError("slot exhaustion: graph is not 4-regular")
-        next_free[i], next_free[j] = si + 1, sj + 1
-        pairings.append(_trusted(Pairing, ((piece_idx, 0), (i, si), 1)))
-        pairings.append(_trusted(Pairing, ((piece_idx, 1), (j, sj), 1)))
-    return AssembledManifold(pieces, tuple(pairings))
+    partner = list(range(8 * m))
+    free = list(range(0, 4 * m, 4))  # the next free slot of each vertex block
+    for s, (i, j) in zip(range(4 * m, 8 * m, 2), graph.edges):
+        si, sj = free[i], free[j]
+        free[i], free[j] = si + 1, sj + 1
+        partner[s], partner[si] = si, s
+        partner[s + 1], partner[sj] = sj, s + 1
+    layout = _assembly_layout(m, graph.root, tuple(graph.labels))
+    return AssembledManifold(layout, tuple(partner), (1,) * (8 * m))
 
 
 def volume(manifold: AssembledManifold) -> float:
@@ -411,71 +442,37 @@ def volume(manifold: AssembledManifold) -> float:
 
 
 def is_orientable(manifold: AssembledManifold) -> bool:
-    """False with any non-orientable block; otherwise the orientation cocycle.
-
-    The cocycle is trivial iff the pieces admit a +-1 signing with every
-    pairing flag equal to the product of its endpoint signs (i.e. every
-    cycle of the pairing graph has flag product +1).  With no flag -1
-    (internal joins always carry +1) the all-+1 signing is one, so the
-    pairing graph is walked only when some pairing reverses.
+    """False with any non-orientable block; otherwise whether the pieces
+    have a signing (see `_walk`).  With no flag -1 the all-+1 signing is
+    one, so the piece graph is walked only when some glueing reverses.
     """
     if not manifold.is_closed():
         raise ValueError("orientability needs a closed complex")
-    if any(not p.template.orientable for p in manifold.pieces):
+    if manifold.layout.non_orientable:
         return False
-    return all(p.flag > 0 for p in manifold.pairings) or manifold._walk()[1]
-
-
-@functools.lru_cache(maxsize=64)
-def _cover_pieces(pieces: tuple[PieceInstance, ...]) -> tuple[PieceInstance, ...]:
-    """Sheet 0 then sheet 1 over `pieces`; the sheets of a non-orientable block are orientable."""
-    templates = [
-        p.template if p.template.orientable else p.template._orientable_cover for p in pieces
-    ]
-    return tuple(
-        _trusted(PieceInstance, (template, ("cover", *p.provenance, sheet)))
-        for sheet in (0, 1)
-        for p, template in zip(pieces, templates)
-    )
+    return -1 not in manifold.flag or manifold._walk()[1]
 
 
 def orientation_double_cover(manifold: AssembledManifold) -> AssembledManifold:
-    """Two sheets per piece, pairings lifted through the orientation cocycle.
+    """Two sheets per piece, glueings lifted through the orientation cocycle.
 
-    Reversing pairings (flag -1) connect opposite sheets and lift to
-    compatible ones.  The two sheets over a non-orientable block are the
-    halves of its connected orientation cover: they are recorded as
-    internally joined and marked orientable.  The deck involution swaps
-    the sheets of every piece and is fixed-point-free on instances.
-
-    An open complex is refused, so the cover is closed by construction:
-    each base slot is paired once and lifts to one slot per sheet, paired
-    once by its pairing's lifts.  The cover's closedness is set from that,
-    not checked again.  Its piece tuple is built once per base piece tuple.
+    Slot s of sheet t is glued to partner(s) on sheet t, or on the other
+    sheet when the glueing reverses; every lifted flag is +1.  The sheets
+    over a non-orientable block are the internally joined, orientable
+    halves of its connected orientation cover.  The deck involution swaps
+    the sheets of every piece.  An open complex is refused.
     """
     if not manifold.is_closed():
         raise ValueError("double cover needs a closed complex")
-    n = len(manifold.pieces)
-    pieces = _cover_pieces(tuple(manifold.pieces))
-    # piece i of sheet 1 is piece i + n of the cover
-    pairings = []
-    for a, b, flag in manifold.pairings:
-        a1, b1 = (a[0] + n, a[1]), (b[0] + n, b[1])
-        if flag < 0:
-            b, b1 = b1, b
-        pairings.append(_trusted(Pairing, (a, b, 1)))
-        pairings.append(_trusted(Pairing, (a1, b1, 1)))
-    joins = [
-        (i, i + n)
-        for i, p in enumerate(manifold.pieces)
-        if not p.template.orientable
-    ]
-    joins += [(i + n, j + n) for i, j in manifold.internal_joins]
-    joins += [(i, j) for i, j in manifold.internal_joins]
+    n, size = len(manifold.pieces), len(manifold.partner)
+    # sheet 0 first; sheet 1 is its image under the sheet swap
+    lift = [t + size if f < 0 else t for t, f in zip(manifold.partner, manifold.flag)]
+    partner = lift + [t - size if t >= size else t + size for t in lift]
+    joins = [(i, i + n) for i in manifold.layout.non_orientable]
+    joins += [(i + n, j + n) for i, j in manifold.internal_joins] + list(manifold.internal_joins)
     deck = tuple(range(n, 2 * n)) + tuple(range(n))
-    cover = AssembledManifold(pieces, tuple(pairings), tuple(joins), deck)
-    cover.__dict__["_closed"] = True  # lifted from the base's checked closedness
-    return cover
+    cover = manifold.layout.cover
+    return AssembledManifold(cover, tuple(partner), (1,) * (2 * size), tuple(joins), deck)
 
 
 # -- growth --------------------------------------------------------------------------

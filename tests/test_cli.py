@@ -254,13 +254,30 @@ class TestCount:
         assert [r[1] for r in rows[1:]] == ["1", "15", "465", "19355", "1024380"]
 
     def test_failed_assembly_check_is_reported(self, tmp_path, capsys, monkeypatch):
-        # the complex itself is no orientable cover of it, nor of twice its volume
+        # the complex itself is no orientable cover of it, has no deck
+        # involution, and is not of twice its volume
         monkeypatch.setattr(glueing, "orientation_double_cover", lambda manifold: manifold)
         code = run_cli("count", "--m-max", "5", "--check-assemblies", "--out", str(tmp_path / "c"))
         captured = capsys.readouterr()
         assert code == 1
         assert "FAIL m=5: double cover not orientable" in captured.err.splitlines()
-        assert "assembly checks: 2 failures (1 graph, m = 5)" in captured.out.splitlines()
+        assert "FAIL m=5: deck involution not free or not commuting" in captured.err.splitlines()
+        assert "assembly checks: 3 failures (1 graph, m = 5)" in captured.out.splitlines()
+
+    def test_cover_without_glueings_fails(self, tmp_path, capsys, monkeypatch):
+        # the cover's pieces, joins and deck involution, but no slot glued to another
+        cover_of = glueing.orientation_double_cover
+
+        def unglued(manifold):
+            cover = cover_of(manifold)
+            return glueing.AssembledManifold.glued(cover.pieces, (), (), cover.deck_involution)
+
+        monkeypatch.setattr(glueing, "orientation_double_cover", unglued)
+        code = run_cli("count", "--m-max", "7", "--check-assemblies", "--out", str(tmp_path / "c"))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.splitlines().count("FAIL m=7: double cover not closed") == 465
+        assert "assembly checks: 481 failures (481 graphs, m = 5..7)" in captured.out.splitlines()
 
     def test_proper_up_to_the_cap(self, tmp_path, capsys):
         out = tmp_path / "p13"

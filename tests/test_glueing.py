@@ -1,11 +1,13 @@
 """Graph enumeration against a bitmask oracle, assembly and cover invariants."""
 
 import copy
+import dataclasses
 import itertools
 import math
 import pickle
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -365,36 +367,21 @@ class TestAssembly:
                 assembled = assemble(GlueingGraph(m, edges, labels, root=0))
                 assert volume(assembled) <= 3.0 * m
 
-
-class TestTrustedRecords:
-    """`assemble` and the cover build their records without calling the class."""
-
-    def test_records_equal_the_validated_ones(self):
-        u = PieceTemplate("u", 2, True)
-        reversing = AssembledManifold(
-            (PieceInstance(u, ("a",)), PieceInstance(u, ("b",))),
-            (Pairing((0, 0), (1, 0), 1), Pairing((0, 1), (1, 1), -1)),
-        )
-        complexes = [reversing, orientation_double_cover(reversing)]
-        checked = 0
-        for m in (5, 6, 7):
-            labels = tuple(EDGE_LABELS[k % 4] for k in range(2 * m))
-            for edges in enumerate_base_graphs(m):
-                assembled = assemble(GlueingGraph(m, edges, labels, root=0))
-                complexes += [assembled, orientation_double_cover(assembled)]
-                checked += 1
-        assert checked == 481
-        for built in complexes:
-            for p in built.pairings:
-                assert type(p) is Pairing and Pairing(*p) == p
-            for x in built.pieces:
-                assert type(x) is PieceInstance and PieceInstance(*x) == x
-        with pytest.raises(ValueError, match="flag"):
-            Pairing((0, 0), (1, 0), 0)
+    @pytest.mark.parametrize("dropped,doubled", [((1, 2), (0, 3)), ((0, 1), (2, 4))],
+                             ids=["inner-block", "last-block"])
+    def test_overfilled_block_is_open(self, dropped, doubled):
+        # a graph that `GlueingGraph` would refuse: one edge of K5 moved onto
+        # another, so two vertex blocks get five edges and two get three; the
+        # fifth edge of a block takes the next block's first slot, which for
+        # the last vertex block is the first edge block's
+        (edges,) = enumerate_base_graphs(5)
+        edges = sorted([e for e in edges if e != dropped] + [doubled])
+        graph = SimpleNamespace(vertex_count=5, edges=edges, labels=("a+",) * 10, root=0)
+        assert not assemble(graph).is_closed()
 
 
 def assembled_piece_by_piece(graph: GlueingGraph, templates) -> AssembledManifold:
-    """`assemble` without shared records: every piece and pairing made by its class."""
+    """`assemble` without a shared layout: pieces and pairings made by their classes, glued by refs."""
     m = graph.vertex_count
     pieces = [PieceInstance(templates["v" if v == graph.root else "u"], ("vertex", v)) for v in range(m)]
     pieces += [PieceInstance(templates[lab], ("edge", k)) for k, lab in enumerate(graph.labels)]
@@ -404,7 +391,7 @@ def assembled_piece_by_piece(graph: GlueingGraph, templates) -> AssembledManifol
             # a vertex block gives its slots to its edges in edge order
             slot = sum(v in earlier for earlier in graph.edges[:k])
             pairings.append(Pairing((m + k, end), (v, slot)))
-    return AssembledManifold(tuple(pieces), tuple(pairings))
+    return AssembledManifold.glued(pieces, pairings)
 
 
 class TestSharedPieces:
@@ -423,12 +410,12 @@ class TestSharedPieces:
 
     def test_cover_equals_one_built_piece_by_piece(self):
         u = PieceTemplate("u", 2, True)
-        reversing = AssembledManifold(
+        reversing = AssembledManifold.glued(
             (PieceInstance(u, ("a",)), PieceInstance(u, ("b",))),
             (Pairing((0, 0), (1, 0), 1), Pairing((0, 1), (1, 1), -1)),
         )
         sheets = tuple(PieceInstance(u, ("cover", name, sheet)) for sheet in (0, 1) for name in "ab")
-        want = AssembledManifold(
+        want = AssembledManifold.glued(
             sheets,
             (
                 Pairing((0, 0), (1, 0)),
@@ -444,8 +431,10 @@ class TestSharedPieces:
         assert cover == want
         assert cover.is_closed() and want.is_closed()
         # a complex with the same pieces shares them, but lifts its own pairings
-        plain = AssembledManifold(reversing.pieces, (Pairing((0, 0), (1, 0)), Pairing((0, 1), (1, 1))))
-        assert orientation_double_cover(plain) == AssembledManifold(
+        plain = AssembledManifold.glued(
+            reversing.pieces, (Pairing((0, 0), (1, 0)), Pairing((0, 1), (1, 1)))
+        )
+        assert orientation_double_cover(plain) == AssembledManifold.glued(
             sheets,
             (
                 Pairing((0, 0), (1, 0)),
@@ -471,11 +460,15 @@ class TestSharedPieces:
 def two_piece_complex(*pairings):
     u = PieceTemplate("u", 2, True)
     pieces = (PieceInstance(u, ("a",)), PieceInstance(u, ("b",)))
-    return AssembledManifold(pieces, tuple(Pairing(a, b) for a, b in pairings))
+    return AssembledManifold.glued(pieces, (Pairing(a, b) for a, b in pairings))
+
+
+# the corruptions that `AssembledManifold.glued` refuses: refs to no slot, and a slot named twice
+REFUSED = {"slot-at-boundary-count", "negative-piece", "piece-past-the-end", "duplicated-ref"}
 
 
 def corrupted(manifold: AssembledManifold, rng):
-    """(kind, complex) for six seeded edits of a closed complex's pairings."""
+    """(kind, pairings) for six seeded edits of a closed complex's pairings."""
     pairings = list(manifold.pairings)
     t, u = (int(x) for x in rng.choice(len(pairings), 2, replace=False))
     side = ("a", "b")[int(rng.integers(2))]
@@ -499,10 +492,17 @@ def corrupted(manifold: AssembledManifold, rng):
         "dropped-pairing": pairings[:t] + pairings[t + 1:],
         "swapped-refs": swapped,
     }
-    for kind, edited in variants.items():
-        yield kind, AssembledManifold(
-            manifold.pieces, tuple(edited), manifold.internal_joins, manifold.deck_involution
+    yield from variants.items()
+
+
+def glued_or_refused(manifold: AssembledManifold, pairings):
+    """`manifold` glued by `pairings` instead, or None when `glued` refuses them."""
+    try:
+        return AssembledManifold.glued(
+            manifold.pieces, pairings, manifold.internal_joins, manifold.deck_involution
         )
+    except ValueError:
+        return None
 
 
 class TestClosedness:
@@ -510,18 +510,29 @@ class TestClosedness:
         assert two_piece_complex(((0, 0), (1, 0)), ((0, 1), (1, 1))).is_closed()
 
     @pytest.mark.parametrize(
-        "pairings",
+        "pairings,refusal",
         [
-            (((0, 0), (1, 0)), ((0, 0), (1, 1))),
-            (((0, 0), (1, 0)), ((0, 2), (1, 1))),
-            (((0, 0), (1, 0)), ((0, 1), (2, 1))),
-            (((0, 0), (1, 0)), ((0, 1), (-1, 1))),
-            (((0, 0), (1, 0)),),
+            ((((0, 0), (1, 0)), ((0, 0), (1, 1))), "glued twice"),
+            ((((0, 0), (1, 0)), ((0, 2), (1, 1))), "names no slot"),
+            ((((0, 0), (1, 0)), ((0, 1), (2, 1))), "names no slot"),
+            ((((0, 0), (1, 0)), ((0, 1), (-1, 1))), "names no slot"),
+            ((((0, 0), (1, 0)),), None),
         ],
         ids=["slot-used-twice", "slot-past-boundary-count", "piece-out-of-range",
              "negative-piece", "unused-slot"],
     )
-    def test_not_closed(self, pairings):
+    def test_not_closed(self, pairings, refusal):
+        # refused when made, or made and reported open; the scan agrees it is open
+        u = PieceTemplate("u", 2, True)
+        refs = SimpleNamespace(
+            pieces=(PieceInstance(u, ("a",)), PieceInstance(u, ("b",))),
+            pairings=[Pairing(a, b) for a, b in pairings],
+        )
+        assert not closed_by_scan(refs)
+        if refusal:
+            with pytest.raises(ValueError, match=refusal):
+                two_piece_complex(*pairings)
+            return
         assembled = two_piece_complex(*pairings)
         assert not assembled.is_closed()
         with pytest.raises(ValueError, match="closed"):
@@ -529,7 +540,8 @@ class TestClosedness:
 
     def test_agrees_with_the_scan(self):
         # every assembly of m = 5..7 and its cover, each with five seeded
-        # corruptions that open it and one swap of two refs that keeps it closed
+        # corruptions that open it and one swap of two refs that keeps it
+        # closed; an opening edit is refused when made or reported open
         checked = 0
         for m in (5, 6, 7):
             labels = tuple(EDGE_LABELS[k % 4] for k in range(2 * m))
@@ -537,9 +549,13 @@ class TestClosedness:
                 assembled = assemble(GlueingGraph(m, edges, labels, root=0))
                 for built in (assembled, orientation_double_cover(assembled)):
                     assert built.is_closed() and closed_by_scan(built)
-                    for kind, variant in corrupted(built, np.random.default_rng(checked)):
-                        assert variant.is_closed() == closed_by_scan(variant), kind
-                        assert variant.is_closed() == (kind == "swapped-refs"), kind
+                    for kind, edited in corrupted(built, np.random.default_rng(checked)):
+                        scan = closed_by_scan(SimpleNamespace(pieces=built.pieces, pairings=edited))
+                        assert scan == (kind == "swapped-refs"), kind
+                        variant = glued_or_refused(built, edited)
+                        assert (variant is None) == (kind in REFUSED), kind
+                        if variant is not None:
+                            assert variant.is_closed() == scan, kind
                     checked += 1
         assert checked == 2 * 481
 
@@ -552,21 +568,23 @@ class TestClosedness:
             for edges in enumerate_base_graphs(m):
                 assembled = assemble(GlueingGraph(m, edges, labels, root=0))
                 for built in (assembled, orientation_double_cover(assembled)):
-                    for kind, variant in corrupted(built, np.random.default_rng(checked)):
+                    for kind, edited in corrupted(built, np.random.default_rng(checked)):
+                        variant = glued_or_refused(built, edited)
                         if kind == "swapped-refs":
                             cover = orientation_double_cover(variant)
                             assert cover.is_closed() and closed_by_scan(cover)
-                        else:
+                        elif kind not in REFUSED:
                             with pytest.raises(ValueError, match="^double cover needs a closed complex$"):
                                 orientation_double_cover(variant)
                     checked += 1
         assert checked == 2 * 481
 
     def test_pairing_refuses_other_flags(self):
+        pieces = two_piece_complex().pieces
         with pytest.raises(ValueError, match="flag"):
-            Pairing((0, 0), (1, 0), flag=0)
+            AssembledManifold.glued(pieces, [Pairing((0, 0), (1, 0), flag=0)])
         with pytest.raises(ValueError, match="flag"):
-            Pairing((0, 0), (1, 0))._replace(flag=2)
+            AssembledManifold.glued(pieces, [Pairing((0, 0), (1, 0))._replace(flag=2)])
 
     def test_records_are_immutable(self):
         assembled = k5_assembly()
@@ -576,6 +594,8 @@ class TestClosedness:
             assembled.pairings[0].flag = -1
         with pytest.raises(AttributeError):
             assembled.pairings = ()
+        with pytest.raises(AttributeError):
+            assembled.partner = ()
         with pytest.raises(TypeError):
             TEMPLATES["u"] = TEMPLATES["v"]
 
@@ -607,7 +627,7 @@ class TestOrientability:
             Pairing((0, 0), (1, 0), 1),
             Pairing((0, 1), (1, 1), 1),
         )
-        assert is_orientable(AssembledManifold(pieces, pairings))
+        assert is_orientable(AssembledManifold.glued(pieces, pairings))
 
     def test_single_reversing_flag_on_cycle(self):
         u = PieceTemplate("u", 2, True)
@@ -616,7 +636,7 @@ class TestOrientability:
             Pairing((0, 0), (1, 0), 1),
             Pairing((0, 1), (1, 1), -1),
         )
-        assert not is_orientable(AssembledManifold(pieces, pairings))
+        assert not is_orientable(AssembledManifold.glued(pieces, pairings))
 
     def test_flag_subsets_against_brute_force(self):
         # K5 with a u block at the root, so that every block is orientable
@@ -639,7 +659,7 @@ class TestOrientability:
             pairings = tuple(
                 p._replace(flag=-1) if t in flip else p for t, p in enumerate(base.pairings)
             )
-            flipped = AssembledManifold(base.pieces, pairings)
+            flipped = AssembledManifold.glued(base.pieces, pairings)
             verdict = is_orientable(flipped)
             assert verdict == brute_force_orientable(flipped), seed
             verdicts[verdict] += 1
@@ -649,7 +669,7 @@ class TestOrientability:
         u = PieceTemplate("u", 2, True)
         pieces = (PieceInstance(u, ("a",)),)
         with pytest.raises(ValueError):
-            is_orientable(AssembledManifold(pieces, ()))
+            is_orientable(AssembledManifold.glued(pieces, ()))
 
 
 class TestDoubleCover:
@@ -665,7 +685,7 @@ class TestDoubleCover:
         u = PieceTemplate("u", 2, True)
         pieces = (PieceInstance(u, ("a",)), PieceInstance(u, ("b",)))
         pairings = (Pairing((0, 0), (1, 0), 1), Pairing((0, 1), (1, 1), 1))
-        assembled = AssembledManifold(pieces, pairings)
+        assembled = AssembledManifold.glued(pieces, pairings)
         cover = orientation_double_cover(assembled)
         assert is_orientable(cover)
         assert not cover.is_connected()
@@ -676,32 +696,54 @@ class TestDoubleCover:
         assert deck is not None
         assert all(deck[i] != i for i in range(len(cover.pieces)))
         assert all(deck[deck[i]] == i for i in range(len(cover.pieces)))
+        assert cover.deck_is_free()
+
+    def test_deck_checks_can_fail(self):
+        cover = orientation_double_cover(k5_assembly())
+        n, m = len(cover.pieces) // 2, 5
+        swap = list(cover.deck_involution)
+        # vertex block 0 to the other sheet's vertex block 1: free and an
+        # involution, but it does not commute with the glueings
+        crossed = list(swap)
+        crossed[0], crossed[n + 1], crossed[1], crossed[n] = n + 1, 0, n, 1
+        # vertex block 0 (four slots) with an edge block (two slots)
+        resized = list(swap)
+        resized[0], resized[n + m], resized[m], resized[n] = n + m, 0, n, m
+        for deck in (None, tuple(range(2 * n)), tuple(crossed), tuple(resized), tuple(swap[:-1])):
+            assert not dataclasses.replace(cover, deck_involution=deck).deck_is_free(), deck
+        with pytest.raises(ValueError, match="closed"):
+            two_piece_complex(((0, 0), (1, 0))).deck_is_free()
 
     def test_reversing_decorations_of_every_m6_graph(self):
         # the glueing along edge k reverses for k = 1 (mod 3): the pairing of
-        # edge block k (piece 6 + k) at its slot 0 gets flag -1
+        # edge block k (piece 6 + k) at its slot 0 gets flag -1; an edge
+        # block's slots come after the vertex blocks', so it is ref b
         checked = 0
         for edges in enumerate_base_graphs(6):
             labels = tuple(EDGE_LABELS[k % 4] for k in range(len(edges)))
             plain = assemble(GlueingGraph(6, edges, labels, root=0))
             pairings = tuple(
-                p._replace(flag=-1) if (p.a[0] - 6) % 3 == 1 and p.a[1] == 0 else p
+                p._replace(flag=-1) if (p.b[0] - 6) % 3 == 1 and p.b[1] == 0 else p
                 for p in plain.pairings
             )
-            base = AssembledManifold(plain.pieces, pairings)
-            assert sum(p.flag < 0 for p in pairings) == 4
+            base = AssembledManifold.glued(plain.pieces, pairings)
+            assert sum(p.flag < 0 for p in base.pairings) == 4
             assert not is_orientable(base)
             cover = orientation_double_cover(base)
             n = len(base.pieces)
             assert closed_by_scan(cover) and cover.is_closed()
             assert is_orientable(cover) and cover._walk()[1]
-            assert cover.is_connected()
+            assert cover.is_connected() and cover.deck_is_free()
             deck = cover.deck_involution
             assert all(deck[i] != i and deck[deck[i]] == i for i in range(2 * n))
-            for t, p in enumerate(base.pairings):
-                lifts = cover.pairings[2 * t: 2 * t + 2]
-                crossing = [(q.a[0] < n) != (q.b[0] < n) for q in lifts]
-                assert crossing == [p.flag < 0] * 2
+            # each base glueing lifts to two, which cross the sheets iff it reverses
+            flags = {frozenset((p.a, p.b)): p.flag for p in base.pairings}
+            lifted = Counter()
+            for q in cover.pairings:
+                below = frozenset(((q.a[0] % n, q.a[1]), (q.b[0] % n, q.b[1])))
+                assert ((q.a[0] < n) != (q.b[0] < n)) == (flags[below] < 0)
+                lifted[below] += 1
+            assert lifted == dict.fromkeys(flags, 2)
             checked += 1
         assert checked == 15
 
@@ -709,7 +751,7 @@ class TestDoubleCover:
         u = PieceTemplate("u", 2, True)
         pieces = (PieceInstance(u, ("a",)), PieceInstance(u, ("b",)))
         pairings = (Pairing((0, 0), (1, 0), 1), Pairing((0, 1), (1, 1), -1))
-        assembled = AssembledManifold(pieces, pairings)
+        assembled = AssembledManifold.glued(pieces, pairings)
         assert not is_orientable(assembled)
         cover = orientation_double_cover(assembled)
         assert is_orientable(cover)
