@@ -171,10 +171,10 @@ MUTANTS = [
             for m, n in ((6, 15), (7, 465))
         ),
     ),
-    # assembly: the base and its cover are slot arrays, and the CLI checks them
+    # assembly: every graph of one m is a row of slot arrays, and the CLI checks each batch
     Mutant(
-        "assembly-second-ends-left-open", GLUEING,
-        "        partner[s + 1], partner[sj] = sj, s + 1\n", "",
+        "assembly-edge-slots-left-open", GLUEING,
+        "    np.put_along_axis(partner, 4 * m + order, vertex_slot, 1)\n", "",
         (
             GOLDEN,
             f"{T_GLUEING}::TestSharedPieces::test_equal_an_unshared_build",
@@ -183,17 +183,17 @@ MUTANTS = [
     ),
     Mutant(
         "cover-of-an-open-base", GLUEING,
-        '        raise ValueError("double cover needs a closed complex")\n', "        pass\n",
+        'return manifold.as_batch("double cover").cover.row(0)', "return manifold.as_batch().cover.row(0)",
         (f"{T_GLUEING}::TestClosedness::test_cover_refuses_every_opened_complex",),
     ),
     # the mutant that passed the CLI while closedness was assumed: a cover
     # built with no pairings and no joins
     Mutant(
         "cover-without-pairings", GLUEING,
-        "    partner = lift + [t - size if t >= size else t + size for t in lift]\n"
-        "    joins = [(i, i + n) for i in manifold.layout.non_orientable]\n"
-        "    joins += [(i + n, j + n) for i, j in manifold.internal_joins] + list(manifold.internal_joins)\n",
-        "    partner, joins = list(range(2 * size)), []\n",
+        "        partner = np.hstack([self.partner + size * reverses, self.partner + size * ~reverses])\n"
+        "        joins = [(i, i + n) for i in self.layout.non_orientable]\n"
+        "        joins += [(i + n, j + n) for i, j in self.internal_joins] + list(self.internal_joins)\n",
+        "        partner, joins = np.tile(np.arange(2 * size), (len(self.partner), 1)), []\n",
         (GOLDEN, "tests/test_cli.py::TestCount::test_checks_above_seven_name_unchecked_m"),
     ),
     Mutant(
@@ -208,7 +208,8 @@ MUTANTS = [
     ),
     Mutant(
         "cover-no-sheet-swap", GLUEING,
-        "lift = [t + size if f < 0 else t for t, f in", "lift = [t for t, f in",
+        "[self.partner + size * reverses, self.partner + size * ~reverses]",
+        "[self.partner, self.partner + size]",
         (
             f"{T_GLUEING}::TestSharedPieces::test_cover_equals_one_built_piece_by_piece",
             f"{T_GLUEING}::TestDoubleCover::test_reversing_decorations_of_every_m6_graph",
@@ -226,12 +227,15 @@ MUTANTS = [
     ),
     Mutant(
         "deck-check-skips-the-glueings", GLUEING,
-        "return [partner[moved[t]] for t in partner] == moved", "return True",
+        "return (self.partner[:, moved] == moved[self.partner]).all(1)",
+        "return np.ones(len(self.partner), dtype=bool)",
         (f"{T_GLUEING}::TestDoubleCover::test_deck_checks_can_fail",),
     ),
+    # the component count: slots that lead back to their own piece, and a
+    # propagation stopped after one sweep
     Mutant(
-        "cover-walk-ignores-the-glueings", GLUEING,
-        "y, want = piece_of[partner[s]], sx * flag[s]", "y, want = x, sx * flag[s]",
+        "components-ignore-the-glueings", GLUEING,
+        "piece_of[self.partner.T]", "np.repeat(piece_of[:, None], rows, 1)",
         (
             GOLDEN,
             f"{T_GLUEING}::TestAssembly::test_k5_shape",
@@ -239,10 +243,16 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "orientability-walk-skipped", GLUEING,
-        "return -1 not in manifold.flag or manifold._walk()[1]",
-        "return True",
+        "components-after-one-sweep", GLUEING,
+        "        while not np.array_equal(label, previous):\n", "        for _ in range(1):\n",
+        (f"{T_GLUEING}::TestBatchAgainstOracles::test_ring_of_twelve_blocks",),
+    ),
+    Mutant(
+        "orientability-count-skipped", GLUEING,
+        "return self.cover.components == 2 * self.components",
+        "return np.ones(len(self.partner), dtype=bool)",
         (
+            GOLDEN,
             f"{T_GLUEING}::TestOrientability::test_single_reversing_flag_on_cycle",
             f"{T_GLUEING}::TestOrientability::test_flag_subsets_against_brute_force",
             f"{T_GLUEING}::TestDoubleCover::test_reversing_flags_lift_to_preserving",
@@ -255,8 +265,14 @@ MUTANTS = [
     ),
     Mutant(
         "volume-as-an-int", GLUEING,
-        "return float(len(manifold.pieces))", "return len(manifold.pieces)",
+        "return float(len(manifold.layout.pieces))", "return len(manifold.layout.pieces)",
         (f"{T_GLUEING}::TestAssembly::test_volume_linear",),
+    ),
+    # the CLI's vertex-edge check, which a closed complex can fail
+    Mutant(
+        "vertex-edge-check-passes", "src/hyperglue/cli.py",
+        "(vertex_slots >= 4 * m).all(1) & (edge_slots < 4 * m).all(1)", "np.ones(len(edges), dtype=bool)",
+        ("tests/test_cli.py::TestCount::test_vertex_blocks_glued_together_fail",),
     ),
     # known survivors
     Mutant(

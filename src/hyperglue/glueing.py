@@ -73,20 +73,10 @@ class GlueingGraph:
             raise ValueError("root out of range")
         if len(self.labels) != len(self.edges):
             raise ValueError("one label per edge required")
-        degrees = [0] * m
-        seen = set()
-        for (i, j), lab in zip(self.edges, self.labels):
-            if not (0 <= i < j < m):
-                raise ValueError("edges must be sorted pairs of distinct vertices")
-            if (i, j) in seen:
-                raise ValueError("multi-edge")
-            seen.add((i, j))
-            if lab not in EDGE_LABELS:
-                raise ValueError(f"unknown edge label {lab!r}")
-            degrees[i] += 1
-            degrees[j] += 1
-        if any(d != VERTEX_DEGREE for d in degrees):
-            raise ValueError("graph is not 4-regular")
+        unknown = [lab for lab in self.labels if lab not in EDGE_LABELS]
+        if unknown:
+            raise ValueError(f"unknown edge label {unknown[0]!r}")
+        stack_edges(m, [self.edges])
 
 
 def enumerate_base_graphs(m: int) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -261,8 +251,7 @@ class SlotLayout:
     """Pieces with their slots numbered in turn: piece i owns the range
     slots[i], and slot s lies in piece piece_of[s].  `cover` lays out the
     orientation double cover, where slot s of sheet t is slot s + t * S for
-    S slots here.  `assemble` shares one layout, and its cover layout, per
-    m, root and labels."""
+    S slots here."""
 
     pieces: tuple[PieceInstance, ...]
     slots: tuple[range, ...] = field(init=False, repr=False, compare=False)
@@ -297,19 +286,14 @@ class AssembledManifold:
     """A complex of piece instances glued slot to slot: `partner[s]` is the
     slot glued to slot s, or s itself when s is open, and `flag[s]` that
     glueing's orientation flag.  `internal_joins` pairs the instances that
-    are halves of one connected covering block (a non-orientable piece's sheets)."""
+    are halves of one connected covering block (a non-orientable piece's
+    sheets).  Every check runs on `as_batch()`, a batch of one row."""
 
     layout: SlotLayout
     partner: tuple[int, ...]
     flag: tuple[int, ...]
     internal_joins: tuple[tuple[int, int], ...] = ()
     deck_involution: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        # closed: `partner` is a fixed-point-free involution, read once as the arrays never change
-        partner, slots = self.partner, range(len(self.partner))
-        closed = [partner[t] for t in partner] == list(slots)
-        object.__setattr__(self, "_involution", closed and all(map(operator.ne, partner, slots)))
 
     @classmethod
     def glued(cls, pieces, pairings, internal_joins=(), deck_involution=None) -> AssembledManifold:
@@ -344,135 +328,196 @@ class AssembledManifold:
         pairs = [(s, t) for s, t in enumerate(self.partner) if s < t]
         return tuple(Pairing(refs[s], refs[t], self.flag[s]) for s, t in pairs)
 
+    def as_batch(self, needs: str = "") -> AssemblyBatch:
+        """This complex as a batch of one row; with `needs`, an open complex is refused."""
+        rows = [np.array(x, dtype=np.intp).reshape(1, -1) for x in (self.partner, self.flag)]
+        batch = AssemblyBatch(self.layout, *rows, self.internal_joins, self.deck_involution)
+        if needs and not batch.closed()[0]:
+            raise ValueError(f"{needs} needs a closed complex")
+        return batch
+
     def is_closed(self) -> bool:
         """Whether every slot is glued to exactly one other slot."""
-        return self._involution
+        return bool(self.as_batch().closed()[0])
 
     def is_connected(self) -> bool:
-        if not self.is_closed():
-            raise ValueError("connectivity needs a closed complex")
-        return self._walk()[0] <= 1
+        return bool(self.as_batch("connectivity").components[0] <= 1)
 
     def deck_is_free(self) -> bool:
-        """Whether the deck involution is a fixed-point-free involution of the
-        pieces that commutes with `partner` when it moves slot k of each
-        piece to slot k of its image."""
-        if not self.is_closed():
-            raise ValueError("the deck check needs a closed complex")
-        deck, slots, partner = self.deck_involution, self.layout.slots, self.partner
-        pieces = list(range(len(slots)))
-        if deck is None or sorted(deck) != pieces or [deck[d] for d in deck] != pieces:
-            return False
-        images = [slots[d] for d in deck]
-        if any(map(operator.eq, deck, pieces)) or list(map(len, images)) != list(map(len, slots)):
-            return False
-        moved = list(itertools.chain.from_iterable(images))
-        return [partner[moved[t]] for t in partner] == moved  # partner moved partner = moved
+        """See `AssemblyBatch.deck_free`."""
+        return bool(self.as_batch("the deck check").deck_free()[0])
 
-    def _walk(self) -> tuple[int, bool]:
-        """Components of the piece graph, and whether a +-1 signing of the
-        pieces makes each join's flag the product of its ends' signs: each
-        slot joins its piece to its partner's with the slot's flag, each
-        internal join two pieces with +1."""
-        slots, piece_of = self.layout.slots, self.layout.piece_of
-        partner, flag = self.partner, self.flag
-        joined: list[tuple[int, ...]] = [()] * len(slots)
-        for i, j in self.internal_joins:
-            joined[i], joined[j] = joined[i] + (j,), joined[j] + (i,)
-        sign = [0] * len(slots)
-        components, consistent = 0, True
-        for start, seen in enumerate(sign):
-            if seen:
-                continue
-            components += 1
-            sign[start] = 1
-            stack = [start]
-            for x in stack:  # grows while it is read
-                sx = sign[x]
-                for s in slots[x]:
-                    y, want = piece_of[partner[s]], sx * flag[s]
-                    if not sign[y]:
-                        sign[y] = want
-                        stack.append(y)
-                    elif sign[y] != want:
-                        consistent = False
-                for y in joined[x]:
-                    if not sign[y]:
-                        sign[y] = sx
-                        stack.append(y)
-                    elif sign[y] != sx:
-                        consistent = False
-        return components, consistent
+
+@dataclass(frozen=True, eq=False)
+class AssemblyBatch:
+    """Complexes on one slot layout, one per row of the (G, S) int arrays
+    `partner` and `flag`, with one set of internal joins and one deck
+    involution.  Each check gives one verdict per row, meaningful on an
+    open row only from `closed`.  The arrays are made read-only, as
+    `components` and `cover` are computed once."""
+
+    layout: SlotLayout
+    partner: np.ndarray
+    flag: np.ndarray
+    internal_joins: tuple[tuple[int, int], ...] = ()
+    deck_involution: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        self.partner.setflags(write=False)
+        self.flag.setflags(write=False)
+
+    def row(self, g: int) -> AssembledManifold:
+        partner, flag = (tuple(x[g].tolist()) for x in (self.partner, self.flag))
+        joins, deck = self.internal_joins, self.deck_involution
+        return AssembledManifold(self.layout, partner, flag, joins, deck)
+
+    def closed(self) -> np.ndarray:
+        """Whether `partner` is a fixed-point-free involution."""
+        rows, slots = np.arange(len(self.partner))[:, None], np.arange(self.partner.shape[1])
+        involution = (self.partner[rows, self.partner] == slots).all(1)
+        return involution & (self.partner != slots).all(1)
+
+    @functools.cached_property
+    def components(self) -> np.ndarray:
+        """The components of the piece graph, whose edges are the glueings
+        and the internal joins, by min-label propagation with pointer
+        jumping (Shiloach and Vishkin, J. Algorithms 3, 1982): every piece
+        takes the least label among its own and its neighbours', then the
+        label of that label, until no label moves.  A label only falls and
+        stays in its component, so at the fixed point one piece per
+        component keeps its own."""
+        rows, n = len(self.partner), len(self.layout.pieces)
+        if not n:
+            return np.zeros(rows, dtype=np.intp)
+        piece_of = np.asarray(self.layout.piece_of, dtype=np.intp)
+        i, j = np.array(self.internal_joins, dtype=np.intp).reshape(-1, 2).T
+        # row c of `across` leads from piece owner[c] across a slot or a join,
+        # to piece q of row g, labelled q * rows + g
+        owner = np.concatenate([piece_of, i, j])
+        joined = np.repeat(np.concatenate([j, i])[:, None], rows, 1)
+        across = np.vstack([piece_of[self.partner.T], joined]) * rows + np.arange(rows)
+        # row k of `table`: the k-th row of `across` of each piece, whose rows
+        # repeat up to the widest piece's count (a repeat leaves a minimum alone)
+        order, width = np.argsort(owner, kind="stable"), np.bincount(owner, minlength=n)
+        table = order[np.cumsum(width) - width + np.arange(width.max())[:, None] % width]
+        near = across[table].reshape(len(table), n * rows)
+        label, previous = np.arange(n * rows), None
+        while not np.array_equal(label, previous):
+            previous = label
+            label = np.minimum(label, label[near].min(0))
+            label = label[label]
+        return (label == np.arange(n * rows)).reshape(n, rows).sum(0)
+
+    def orientable(self) -> np.ndarray:
+        """Whether no block is non-orientable and a +-1 signing of the
+        pieces makes each glueing's flag, and +1 on each internal join, the
+        product of its ends' signs: iff the cover's piece graph, the signed
+        double graph on (piece, sign) nodes, has twice the components."""
+        return self.cover.components == 2 * self.components
+
+    def deck_free(self) -> np.ndarray:
+        """Whether the deck involution is a fixed-point-free involution of
+        the pieces that commutes with `partner` when it moves slot k of each
+        piece to slot k of its image."""
+        deck, slots = self.deck_involution, self.layout.slots
+        if deck is None or sorted(deck) != list(range(len(slots))) or not all(
+            deck[d] == i != d and len(slots[d]) == len(slots[i]) for i, d in enumerate(deck)
+        ):
+            return np.zeros(len(self.partner), dtype=bool)
+        moved = np.fromiter(itertools.chain.from_iterable(slots[d] for d in deck), np.intp)
+        return (self.partner[:, moved] == moved[self.partner]).all(1)
+
+    @functools.cached_property
+    def cover(self) -> AssemblyBatch:
+        """The orientation double cover of every row: slot s of sheet t
+        (slot s + t * S) is glued to partner(s) on sheet t xor [flag(s) < 0],
+        with flag +1.  The sheets over a non-orientable block are the
+        internally joined, orientable halves of its connected orientation
+        cover.  The deck involution swaps the sheets of every piece."""
+        n, size = len(self.layout.pieces), self.partner.shape[1]
+        reverses = self.flag < 0
+        partner = np.hstack([self.partner + size * reverses, self.partner + size * ~reverses])
+        joins = [(i, i + n) for i in self.layout.non_orientable]
+        joins += [(i + n, j + n) for i, j in self.internal_joins] + list(self.internal_joins)
+        deck = tuple(range(n, 2 * n)) + tuple(range(n))
+        flag = np.broadcast_to(1, partner.shape)
+        return AssemblyBatch(self.layout.cover, partner, flag, tuple(joins), deck)
 
 
 @functools.lru_cache(maxsize=64)
 def _assembly_layout(m: int, root: int, labels: tuple[str, ...]) -> SlotLayout:
-    """The vertex blocks, v at the root, then the edge blocks."""
+    """The vertex blocks, v at the root, then the edge blocks; shared by every
+    batch of one m, root and labelling, and so are its cover layouts."""
     return SlotLayout(
         tuple(PieceInstance(TEMPLATES["v" if v == root else "u"], ("vertex", v)) for v in range(m))
         + tuple(PieceInstance(TEMPLATES[lab], ("edge", k)) for k, lab in enumerate(labels))
     )
 
 
+def stack_edges(m: int, graphs) -> np.ndarray:
+    """The edge lists of simple 4-regular graphs on m vertices as one int
+    array of shape (G, 2m, 2); refuses pairs that are not i < j < m, a
+    pair listed twice and a vertex of degree other than 4."""
+    graphs = list(graphs)
+    sizes = set(map(len, itertools.chain.from_iterable(graphs)))
+    if {len(edges) for edges in graphs} - {2 * m} or sizes - {2}:
+        raise ValueError(f"a 4-regular graph on {m} vertices has {2 * m} edges, each a pair")
+    ends = itertools.chain.from_iterable(itertools.chain.from_iterable(graphs))
+    edges = np.fromiter(ends, np.intp, 4 * m * len(graphs)).reshape(len(graphs), 2 * m, 2)
+    i, j = edges[..., 0], edges[..., 1]
+    if not ((0 <= i) & (i < j) & (j < m)).all():
+        raise ValueError("edges must be sorted pairs of distinct vertices")
+    graph_of = np.arange(len(edges))[:, None]
+    if np.bincount((graph_of * m * m + i * m + j).ravel()).max(initial=0) > 1:
+        raise ValueError("multi-edge")
+    degrees = np.bincount((edges + graph_of[..., None] * m).ravel(), minlength=len(edges) * m)
+    if (degrees != VERTEX_DEGREE).any():
+        raise ValueError("graph is not 4-regular")
+    return edges
+
+
+def assemble_batch(m: int, edges: np.ndarray, root: int, labels: tuple[str, ...]) -> AssemblyBatch:
+    """The complexes of the graphs on m vertices whose edge lists are the
+    rows of `edges`, with one root and labelling: the root vertex gets the
+    non-orientable block v, every other vertex a u block, and every edge
+    its labelled block.  Vertex v owns slots 4v .. 4v + 3 and gives them to
+    its edges in edge order; edge k owns slots 4m + 2k and 4m + 2k + 1,
+    glued with flag +1 to its ends.  A block given too many edges writes
+    into the next block's slots, and `partner` is then no involution."""
+    ends = edges.reshape(len(edges), -1)  # end e of the row is edge slot 4m + e
+    size = 4 * m + ends.shape[1]
+    # in stable vertex order the r-th end is its vertex's (r - first)-th
+    order = np.argsort(ends, axis=1, kind="stable")
+    vertex = np.take_along_axis(ends, order, 1)
+    r = np.arange(ends.shape[1])
+    first = np.maximum.accumulate(np.where(np.diff(vertex, axis=1, prepend=-1) != 0, r, 0), axis=1)
+    vertex_slot = 4 * vertex + r - first
+    partner = np.tile(np.arange(size), (len(ends), 1))
+    np.put_along_axis(partner, vertex_slot, 4 * m + order, 1)
+    np.put_along_axis(partner, 4 * m + order, vertex_slot, 1)
+    layout = _assembly_layout(m, root, tuple(labels))
+    return AssemblyBatch(layout, partner, np.broadcast_to(1, partner.shape))
+
+
 def assemble(graph: GlueingGraph) -> AssembledManifold:
-    """Realize a glueing graph as a closed complex of the blocks of `TEMPLATES`.
-
-    The root vertex gets the non-orientable block v, every other vertex a
-    u block, and every edge its labelled two-boundary block.  Vertex v owns
-    slots 4v .. 4v + 3 and fills them in edge order; edge k owns slots
-    4m + 2k and 4m + 2k + 1, glued with flag +1 to a free slot of each
-    endpoint.  A block given too many edges writes into the next block's
-    slots, and `partner` is then no involution.
-    """
-    m = graph.vertex_count
-    partner = list(range(8 * m))
-    free = list(range(0, 4 * m, 4))  # the next free slot of each vertex block
-    for s, (i, j) in zip(range(4 * m, 8 * m, 2), graph.edges):
-        si, sj = free[i], free[j]
-        free[i], free[j] = si + 1, sj + 1
-        partner[s], partner[si] = si, s
-        partner[s + 1], partner[sj] = sj, s + 1
-    layout = _assembly_layout(m, graph.root, tuple(graph.labels))
-    return AssembledManifold(layout, tuple(partner), (1,) * (8 * m))
+    """The complex of one glueing graph (see `assemble_batch`)."""
+    edges = np.array([graph.edges], dtype=np.intp)
+    return assemble_batch(graph.vertex_count, edges, graph.root, graph.labels).row(0)
 
 
-def volume(manifold: AssembledManifold) -> float:
+def volume(manifold: AssembledManifold | AssemblyBatch) -> float:
     """The volume of the complex: every block has volume one."""
-    return float(len(manifold.pieces))
+    return float(len(manifold.layout.pieces))
 
 
 def is_orientable(manifold: AssembledManifold) -> bool:
-    """False with any non-orientable block; otherwise whether the pieces
-    have a signing (see `_walk`).  With no flag -1 the all-+1 signing is
-    one, so the piece graph is walked only when some glueing reverses.
-    """
-    if not manifold.is_closed():
-        raise ValueError("orientability needs a closed complex")
-    if manifold.layout.non_orientable:
-        return False
-    return -1 not in manifold.flag or manifold._walk()[1]
+    """See `AssemblyBatch.orientable`."""
+    return bool(manifold.as_batch("orientability").orientable()[0])
 
 
 def orientation_double_cover(manifold: AssembledManifold) -> AssembledManifold:
-    """Two sheets per piece, glueings lifted through the orientation cocycle.
-
-    Slot s of sheet t is glued to partner(s) on sheet t, or on the other
-    sheet when the glueing reverses; every lifted flag is +1.  The sheets
-    over a non-orientable block are the internally joined, orientable
-    halves of its connected orientation cover.  The deck involution swaps
-    the sheets of every piece.  An open complex is refused.
-    """
-    if not manifold.is_closed():
-        raise ValueError("double cover needs a closed complex")
-    n, size = len(manifold.pieces), len(manifold.partner)
-    # sheet 0 first; sheet 1 is its image under the sheet swap
-    lift = [t + size if f < 0 else t for t, f in zip(manifold.partner, manifold.flag)]
-    partner = lift + [t - size if t >= size else t + size for t in lift]
-    joins = [(i, i + n) for i in manifold.layout.non_orientable]
-    joins += [(i + n, j + n) for i, j in manifold.internal_joins] + list(manifold.internal_joins)
-    deck = tuple(range(n, 2 * n)) + tuple(range(n))
-    cover = manifold.layout.cover
-    return AssembledManifold(cover, tuple(partner), (1,) * (2 * size), tuple(joins), deck)
+    """The cover of one complex (see `AssemblyBatch.cover`); an open complex is refused."""
+    return manifold.as_batch("double cover").cover.row(0)
 
 
 # -- growth --------------------------------------------------------------------------

@@ -679,3 +679,56 @@ def brute_force_orientable(manifold: AssembledManifold) -> bool:
     bits = (np.arange(2 ** (n - 1))[:, None] >> np.arange(n - 1)) & 1
     signs = np.hstack([np.ones((len(bits), 1), dtype=int), 1 - 2 * bits])
     return bool((signs[:, i] * signs[:, j] == flag).all(axis=1).any())
+
+
+def components_and_signing(manifold: AssembledManifold) -> tuple[int, bool]:
+    """Components of a closed complex's piece graph, and whether it is
+    orientable, by one breadth-first search over the slot refs.
+
+    Each pairing joins its pieces with its flag and each internal join
+    joins two pieces with +1.  The search signs every piece it reaches
+    with its parent's sign times the join's flag; the complex is
+    orientable iff no block is non-orientable and no join meets two signs
+    whose product is not its flag.
+    """
+    n = len(manifold.pieces)
+    joins = [[] for _ in range(n)]
+    for a, b, flag in manifold.pairings:
+        joins[a[0]].append((b[0], flag))
+        joins[b[0]].append((a[0], flag))
+    for i, j in manifold.internal_joins:
+        joins[i].append((j, 1))
+        joins[j].append((i, 1))
+    sign = [0] * n
+    components = 0
+    consistent = all(p.template.orientable for p in manifold.pieces)
+    for start in range(n):
+        if sign[start]:
+            continue
+        components += 1
+        sign[start] = 1
+        queue = [start]
+        for x in queue:  # grows while it is read
+            for y, flag in joins[x]:
+                if not sign[y]:
+                    sign[y] = sign[x] * flag
+                    queue.append(y)
+                elif sign[y] != sign[x] * flag:
+                    consistent = False
+    return components, consistent
+
+
+def deck_commutes_by_refs(manifold: AssembledManifold) -> bool:
+    """Whether the deck involution of a closed complex is a fixed-point-free
+    involution of its pieces that maps each glued pair of slot refs, piece
+    by piece and slot by slot, to a glued pair."""
+    deck, pieces = manifold.deck_involution, manifold.pieces
+    n = len(pieces)
+    if deck is None or len(deck) != n or not all(0 <= d < n for d in deck):
+        return False
+    if any(deck[i] == i or deck[deck[i]] != i for i in range(n)):
+        return False
+    if any(pieces[deck[i]].template.boundary_count != p.template.boundary_count for i, p in enumerate(pieces)):
+        return False
+    glued = {frozenset((a, b)) for a, b, _ in manifold.pairings}
+    return all(frozenset(((deck[a[0]], a[1]), (deck[b[0]], b[1]))) in glued for a, b, _ in manifold.pairings)

@@ -1,11 +1,13 @@
 """CLI behaviour: outputs, exit codes, determinism, CSV/SVG pairing."""
 
 import csv
+import dataclasses
 import json
 import shlex
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hyperglue import cli, glueing
@@ -256,7 +258,7 @@ class TestCount:
     def test_failed_assembly_check_is_reported(self, tmp_path, capsys, monkeypatch):
         # the complex itself is no orientable cover of it, has no deck
         # involution, and is not of twice its volume
-        monkeypatch.setattr(glueing, "orientation_double_cover", lambda manifold: manifold)
+        monkeypatch.setattr(glueing.AssemblyBatch, "cover", property(lambda batch: batch))
         code = run_cli("count", "--m-max", "5", "--check-assemblies", "--out", str(tmp_path / "c"))
         captured = capsys.readouterr()
         assert code == 1
@@ -265,19 +267,44 @@ class TestCount:
         assert "assembly checks: 3 failures (1 graph, m = 5)" in captured.out.splitlines()
 
     def test_cover_without_glueings_fails(self, tmp_path, capsys, monkeypatch):
-        # the cover's pieces, joins and deck involution, but no slot glued to another
-        cover_of = glueing.orientation_double_cover
+        # the cover's pieces and deck involution, but no join and no slot glued to another
+        cover_of = glueing.AssemblyBatch.cover.func
 
-        def unglued(manifold):
-            cover = cover_of(manifold)
-            return glueing.AssembledManifold.glued(cover.pieces, (), (), cover.deck_involution)
+        def unglued(batch):
+            cover = cover_of(batch)
+            slots = np.broadcast_to(np.arange(cover.partner.shape[1]), cover.partner.shape)
+            return dataclasses.replace(cover, partner=slots, internal_joins=())
 
-        monkeypatch.setattr(glueing, "orientation_double_cover", unglued)
+        monkeypatch.setattr(glueing.AssemblyBatch, "cover", property(unglued))
         code = run_cli("count", "--m-max", "7", "--check-assemblies", "--out", str(tmp_path / "c"))
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.splitlines().count("FAIL m=7: double cover not closed") == 465
         assert "assembly checks: 481 failures (481 graphs, m = 5..7)" in captured.out.splitlines()
+
+    def test_vertex_blocks_glued_together_fail(self, tmp_path, capsys, monkeypatch):
+        # K5's complex with vertex blocks 0 and 2 glued to each other, and
+        # edge blocks 5 and 6 (edges (0, 1) and (0, 2)), in place of the
+        # glueings (0, 0)-(5, 0) and (2, 0)-(6, 1): closed, connected and
+        # non-orientable, so only the vertex-edge check fails
+        assemble_batch = glueing.assemble_batch
+
+        def crossed(m, edges, root, labels):
+            k5 = assemble_batch(m, edges, root, labels).row(0)
+            moved = {((0, 0), (5, 0)), ((2, 0), (6, 1))}
+            pairings = [p for p in k5.pairings if (p.a, p.b) not in moved]
+            pairings += [glueing.Pairing((0, 0), (2, 0)), glueing.Pairing((5, 0), (6, 1))]
+            complex_ = glueing.AssembledManifold.glued(k5.pieces, pairings)
+            assert complex_.is_closed() and complex_.is_connected()
+            assert not glueing.is_orientable(complex_)
+            return complex_.as_batch()
+
+        monkeypatch.setattr(glueing, "assemble_batch", crossed)
+        code = run_cli("count", "--m-max", "5", "--check-assemblies", "--out", str(tmp_path / "c"))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.splitlines() == ["FAIL m=5: glueing not between a vertex block and an edge block"]
+        assert "assembly checks: 1 failures (1 graph, m = 5)" in captured.out.splitlines()
 
     def test_proper_up_to_the_cap(self, tmp_path, capsys):
         out = tmp_path / "p13"

@@ -17,22 +17,27 @@ from hyperglue.glueing import (
     EDGE_LABELS,
     TEMPLATES,
     AssembledManifold,
+    AssemblyBatch,
     GlueingGraph,
     Pairing,
     PieceInstance,
     PieceTemplate,
     assemble,
+    assemble_batch,
     count_graphs,
     enumerate_base_graphs,
     growth_fit,
     is_orientable,
     orientation_double_cover,
+    stack_edges,
     volume,
 )
 from oracles import (
     bitmask_oracle,
     brute_force_orientable,
     closed_by_scan,
+    components_and_signing,
+    deck_commutes_by_refs,
     enumerate_graphs,
     enumerated_counts,
     proper_labelings,
@@ -380,18 +385,23 @@ class TestAssembly:
         assert not assemble(graph).is_closed()
 
 
-def assembled_piece_by_piece(graph: GlueingGraph, templates) -> AssembledManifold:
-    """`assemble` without a shared layout: pieces and pairings made by their classes, glued by refs."""
-    m = graph.vertex_count
-    pieces = [PieceInstance(templates["v" if v == graph.root else "u"], ("vertex", v)) for v in range(m)]
-    pieces += [PieceInstance(templates[lab], ("edge", k)) for k, lab in enumerate(graph.labels)]
+def pairings_of(graph) -> list[Pairing]:
+    """The glueings of `assemble` as slot refs, read off the edge list alone."""
     pairings = []
     for k, edge in enumerate(graph.edges):
         for end, v in enumerate(edge):
             # a vertex block gives its slots to its edges in edge order
             slot = sum(v in earlier for earlier in graph.edges[:k])
-            pairings.append(Pairing((m + k, end), (v, slot)))
-    return AssembledManifold.glued(pieces, pairings)
+            pairings.append(Pairing((graph.vertex_count + k, end), (v, slot)))
+    return pairings
+
+
+def assembled_piece_by_piece(graph: GlueingGraph, templates) -> AssembledManifold:
+    """`assemble` without a shared layout: pieces and pairings made by their classes, glued by refs."""
+    m = graph.vertex_count
+    pieces = [PieceInstance(templates["v" if v == graph.root else "u"], ("vertex", v)) for v in range(m)]
+    pieces += [PieceInstance(templates[lab], ("edge", k)) for k, lab in enumerate(graph.labels)]
+    return AssembledManifold.glued(pieces, pairings_of(graph))
 
 
 class TestSharedPieces:
@@ -732,7 +742,7 @@ class TestDoubleCover:
             cover = orientation_double_cover(base)
             n = len(base.pieces)
             assert closed_by_scan(cover) and cover.is_closed()
-            assert is_orientable(cover) and cover._walk()[1]
+            assert is_orientable(cover) and components_and_signing(cover) == (1, True)
             assert cover.is_connected() and cover.deck_is_free()
             deck = cover.deck_involution
             assert all(deck[i] != i and deck[deck[i]] == i for i in range(2 * n))
@@ -756,6 +766,122 @@ class TestDoubleCover:
         cover = orientation_double_cover(assembled)
         assert is_orientable(cover)
         assert cover.is_connected()
+
+
+def batch_of(pieces, rows) -> AssemblyBatch:
+    """One row per list of pairings in `rows`, each glued on its own by `AssembledManifold.glued`."""
+    built = [AssembledManifold.glued(pieces, pairings) for pairings in rows]
+    partner, flag = (np.array([getattr(b, name) for b in built]) for name in ("partner", "flag"))
+    return AssemblyBatch(built[0].layout, partner, flag)
+
+
+def refs(pieces, pairings, internal_joins=(), deck_involution=None):
+    return SimpleNamespace(
+        pieces=pieces, pairings=pairings, internal_joins=internal_joins, deck_involution=deck_involution
+    )
+
+
+def read_back(batch: AssemblyBatch, g: int):
+    """The slot refs of row g of a batch whose `partner` is an involution."""
+    row = batch.row(g)
+    return refs(row.pieces, row.pairings, row.internal_joins, row.deck_involution)
+
+
+def verdicts_agree(batch: AssemblyBatch, rows) -> Counter:
+    """Check every verdict of `batch` on row g against the oracles on the
+    slot refs rows[g], and count the verdicts seen."""
+    closed, deck_free = batch.closed(), batch.deck_free()
+    components, orientable = batch.components, batch.orientable()
+    seen = Counter()
+    for g, row in enumerate(rows):
+        assert closed[g] == closed_by_scan(row), g
+        seen["closed" if closed[g] else "open"] += 1
+        if closed[g]:
+            assert (components[g], orientable[g]) == components_and_signing(row), g
+            if len(row.pieces) <= 15:
+                assert orientable[g] == brute_force_orientable(row), g
+            assert deck_free[g] == deck_commutes_by_refs(row), g
+            seen["orientable" if orientable[g] else "non-orientable"] += 1
+    return seen
+
+
+class TestBatchAgainstOracles:
+    """Every verdict of a batch, row by row, against oracles that read slot
+    refs: `closed_by_scan`, a breadth-first search for the components and a
+    signing, `brute_force_orientable` up to 15 pieces, and the deck
+    involution's action on the refs."""
+
+    def test_every_assembly_flipped_corrupted_and_covered(self):
+        seen = Counter()
+        for m in (5, 6, 7):
+            rng = np.random.default_rng(m)
+            labels = tuple(EDGE_LABELS[k % 4] for k in range(2 * m))
+            graphs = [GlueingGraph(m, edges, labels, root=0) for edges in enumerate_base_graphs(m)]
+            batch = assemble_batch(m, stack_edges(m, [graph.edges for graph in graphs]), 0, labels)
+            assert [batch.row(g) for g in range(len(graphs))] == [
+                assembled_piece_by_piece(graph, TEMPLATES) for graph in graphs
+            ]
+            # every glueing reverses with probability one half
+            flipped = [
+                [p._replace(flag=int(f)) for p, f in zip(pairings_of(graph), rng.choice((-1, 1), 4 * m))]
+                for graph in graphs
+            ]
+            dropped = [row[:k] + row[k + 1:] for row, k in zip(flipped, rng.integers(4 * m, size=len(graphs)))]
+            swapped = []
+            for row in flipped:
+                t, u = (int(x) for x in rng.choice(4 * m, 2, replace=False))
+                row = list(row)
+                row[t], row[u] = row[t]._replace(b=row[u].b), row[u]._replace(b=row[t].b)
+                swapped.append(row)
+            # the root block v, and a u block at the root so that the signing decides
+            for templates in (TEMPLATES, {**TEMPLATES, "v": TEMPLATES["u"]}):
+                pieces = assembled_piece_by_piece(graphs[0], templates).pieces
+                for rows in (flipped, dropped, swapped):
+                    base = batch_of(pieces, rows)
+                    seen += verdicts_agree(base, [refs(pieces, row) for row in rows])
+                    # the covers of the closed rows, read back as refs
+                    closed = base.closed()
+                    cover = dataclasses.replace(base, partner=base.partner[closed], flag=base.flag[closed]).cover
+                    seen += verdicts_agree(cover, [read_back(cover, g) for g in range(sum(closed))])
+                    assert all(cover.deck_free())
+            # an edge moved to another vertex: one block gets five edges and one three
+            moved = []
+            for graph in graphs:
+                k = int(rng.integers(2 * m))
+                i, j = graph.edges[k]
+                other = int(rng.choice([v for v in range(m) if v not in (i, j)]))
+                edges = list(graph.edges)
+                edges[k] = (min(i, other), max(i, other))
+                moved.append(SimpleNamespace(vertex_count=m, edges=edges))
+            overfilled = assemble_batch(m, np.array([graph.edges for graph in moved]), 0, labels)
+            pieces = batch.layout.pieces
+            assert verdicts_agree(overfilled, [refs(pieces, pairings_of(graph)) for graph in moved]) == {
+                "open": len(graphs)
+            }
+        assert seen["open"] and seen["closed"] and seen["orientable"] and seen["non-orientable"]
+
+    def test_ring_of_twelve_blocks(self):
+        # a ring through twelve two-slot blocks in the order 0, 11, 1, 10,
+        # ..., 6: after one sweep of label propagation blocks 0 to 5 each
+        # still keep their own label, so only the fixed point counts one
+        # component; no, one and two reversing glueings
+        u = PieceTemplate("u", 2, True)
+        pieces = tuple(PieceInstance(u, (k,)) for k in range(12))
+        order = [0, 11, 1, 10, 2, 9, 3, 8, 4, 7, 5, 6]
+        ring = [Pairing((a, 1), (b, 0)) for a, b in zip(order, order[1:] + order[:1])]
+        rows = [ring, [ring[0]._replace(flag=-1)] + ring[1:], [p._replace(flag=-1) for p in ring[:2]] + ring[2:]]
+        batch = batch_of(pieces, rows)
+        assert verdicts_agree(batch, [refs(pieces, row) for row in rows])["closed"] == 3
+        assert list(batch.components) == [1, 1, 1]
+        assert list(batch.orientable()) == [True, False, True]
+        assert list(batch.cover.components) == [2, 1, 2]
+        verdicts_agree(batch.cover, [read_back(batch.cover, g) for g in range(3)])
+
+    def test_no_pieces(self):
+        # nothing to glue: closed, connected and orientable, with a free deck on its cover
+        empty = AssembledManifold.glued((), ())
+        assert empty.is_closed() and empty.is_connected() and is_orientable(empty)
+        assert orientation_double_cover(empty).deck_is_free()
 
 
 class TestGrowth:
