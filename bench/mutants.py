@@ -183,7 +183,7 @@ MUTANTS = [
     ),
     Mutant(
         "cover-of-an-open-base", GLUEING,
-        'return manifold.as_batch("double cover").cover.row(0)', "return manifold.as_batch().cover.row(0)",
+        'return manifold._closed_batch("double cover").cover.row(0)', "return manifold.as_batch().cover.row(0)",
         (f"{T_GLUEING}::TestClosedness::test_cover_refuses_every_opened_complex",),
     ),
     # the mutant that passed the CLI while closedness was assumed: a cover

@@ -328,11 +328,14 @@ class AssembledManifold:
         pairs = [(s, t) for s, t in enumerate(self.partner) if s < t]
         return tuple(Pairing(refs[s], refs[t], self.flag[s]) for s, t in pairs)
 
-    def as_batch(self, needs: str = "") -> AssemblyBatch:
-        """This complex as a batch of one row; with `needs`, an open complex is refused."""
+    def as_batch(self) -> AssemblyBatch:
+        """This complex as a batch of one row."""
         rows = [np.array(x, dtype=np.intp).reshape(1, -1) for x in (self.partner, self.flag)]
-        batch = AssemblyBatch(self.layout, *rows, self.internal_joins, self.deck_involution)
-        if needs and not batch.closed()[0]:
+        return AssemblyBatch(self.layout, *rows, self.internal_joins, self.deck_involution)
+
+    def _closed_batch(self, needs: str) -> AssemblyBatch:
+        batch = self.as_batch()
+        if not batch.closed()[0]:
             raise ValueError(f"{needs} needs a closed complex")
         return batch
 
@@ -341,11 +344,11 @@ class AssembledManifold:
         return bool(self.as_batch().closed()[0])
 
     def is_connected(self) -> bool:
-        return bool(self.as_batch("connectivity").components[0] <= 1)
+        return bool(self._closed_batch("connectivity").components[0] <= 1)
 
     def deck_is_free(self) -> bool:
         """See `AssemblyBatch.deck_free`."""
-        return bool(self.as_batch("the deck check").deck_free()[0])
+        return bool(self._closed_batch("the deck check").deck_free()[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -512,12 +515,12 @@ def volume(manifold: AssembledManifold | AssemblyBatch) -> float:
 
 def is_orientable(manifold: AssembledManifold) -> bool:
     """See `AssemblyBatch.orientable`."""
-    return bool(manifold.as_batch("orientability").orientable()[0])
+    return bool(manifold._closed_batch("orientability").orientable()[0])
 
 
 def orientation_double_cover(manifold: AssembledManifold) -> AssembledManifold:
     """The cover of one complex (see `AssemblyBatch.cover`); an open complex is refused."""
-    return manifold.as_batch("double cover").cover.row(0)
+    return manifold._closed_batch("double cover").cover.row(0)
 
 
 # -- growth --------------------------------------------------------------------------
