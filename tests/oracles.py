@@ -728,7 +728,8 @@ def deck_commutes_by_refs(manifold: AssembledManifold) -> bool:
         return False
     if any(deck[i] == i or deck[deck[i]] != i for i in range(n)):
         return False
-    if any(pieces[deck[i]].template.boundary_count != p.template.boundary_count for i, p in enumerate(pieces)):
+    counts = [p.template.boundary_count for p in pieces]
+    if any(counts[deck[i]] != count for i, count in enumerate(counts)):
         return False
     glued = {frozenset((a, b)) for a, b, _ in manifold.pairings}
     return all(frozenset(((deck[a[0]], a[1]), (deck[b[0]], b[1]))) in glued for a, b, _ in manifold.pairings)

@@ -826,7 +826,8 @@ class TestBatchAgainstOracles:
                 [p._replace(flag=int(f)) for p, f in zip(pairings_of(graph), rng.choice((-1, 1), 4 * m))]
                 for graph in graphs
             ]
-            dropped = [row[:k] + row[k + 1:] for row, k in zip(flipped, rng.integers(4 * m, size=len(graphs)))]
+            cuts = rng.integers(4 * m, size=len(graphs))
+            dropped = [row[:k] + row[k + 1:] for row, k in zip(flipped, cuts)]
             swapped = []
             for row in flipped:
                 t, u = (int(x) for x in rng.choice(4 * m, 2, replace=False))
@@ -841,7 +842,8 @@ class TestBatchAgainstOracles:
                     seen += verdicts_agree(base, [refs(pieces, row) for row in rows])
                     # the covers of the closed rows, read back as refs
                     closed = base.closed()
-                    cover = dataclasses.replace(base, partner=base.partner[closed], flag=base.flag[closed]).cover
+                    partner, flag = base.partner[closed], base.flag[closed]
+                    cover = dataclasses.replace(base, partner=partner, flag=flag).cover
                     seen += verdicts_agree(cover, [read_back(cover, g) for g in range(sum(closed))])
                     assert all(cover.deck_free())
             # an edge moved to another vertex: one block gets five edges and one three
@@ -869,7 +871,9 @@ class TestBatchAgainstOracles:
         pieces = tuple(PieceInstance(u, (k,)) for k in range(12))
         order = [0, 11, 1, 10, 2, 9, 3, 8, 4, 7, 5, 6]
         ring = [Pairing((a, 1), (b, 0)) for a, b in zip(order, order[1:] + order[:1])]
-        rows = [ring, [ring[0]._replace(flag=-1)] + ring[1:], [p._replace(flag=-1) for p in ring[:2]] + ring[2:]]
+        once = [ring[0]._replace(flag=-1)] + ring[1:]
+        twice = [p._replace(flag=-1) for p in ring[:2]] + ring[2:]
+        rows = [ring, once, twice]
         batch = batch_of(pieces, rows)
         assert verdicts_agree(batch, [refs(pieces, row) for row in rows])["closed"] == 3
         assert list(batch.components) == [1, 1, 1]
