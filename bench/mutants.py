@@ -181,10 +181,25 @@ MUTANTS = [
             f"{T_GLUEING}::TestAssembly::test_k5_shape",
         ),
     ),
+    # the input checks of a batch: a root that names no vertex, flags other
+    # than +-1, and copies whose arrays can be written under their cached checks
     Mutant(
-        "cover-of-an-open-base", GLUEING,
-        'return manifold._closed_batch("double cover").cover.row(0)', "return manifold.as_batch().cover.row(0)",
-        (f"{T_GLUEING}::TestClosedness::test_cover_refuses_every_opened_complex",),
+        "assembly-accepts-any-root", GLUEING,
+        "    if not 0 <= root < m:\n", "    if False:\n",
+        (f"{T_GLUEING}::TestGraphValidation::test_rejects_bad_root",),
+    ),
+    Mutant(
+        "batch-accepts-other-flags", GLUEING,
+        "        if not (abs(self.flag) == 1).all():\n", "        if False:\n",
+        tuple(f"{T_GLUEING}::TestBatchValidation::test_refuses_other_flags[{v}]" for v in (0, 2, -2)),
+    ),
+    Mutant(
+        "batch-copies-keep-their-arrays", GLUEING,
+        "    def __reduce__(self):\n", "    def _reduce(self):\n",
+        tuple(
+            f"{T_GLUEING}::TestClosedness::test_copies_after_the_cached_check[{clone}]"
+            for clone in ("deepcopy", "pickle")
+        ),
     ),
     # the mutant that passed the CLI while closedness was assumed: a cover
     # built with no pairings and no joins

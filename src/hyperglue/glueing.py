@@ -3,8 +3,8 @@
 Counts labelled simple 4-regular graphs and their rooted, edge-labelled
 decorations by formula, enumerates the base graphs (backtracking over the
 upper-triangular adjacency bitmask in ascending order) for the assembly
-checks, assembles the corresponding closed piece complexes, and measures
-the super-exponential growth of the counts.
+checks, assembles the corresponding closed piece complexes as array batches,
+and measures the super-exponential growth of the counts.
 
 Both counts come from one degree-histogram recursion (R. C. Read, J. London
 Math. Soc. 34, 1959) keyed by the edges of each colour a vertex needs.  A
@@ -16,7 +16,10 @@ ordered 4-tuples of edge-disjoint perfect matchings of the complete graph K_m.
 Pieces are combinatorial: a block with a boundary-slot count and an
 orientability bit, one of the six standard blocks of `TEMPLATES`.  Every
 block has volume one.  Pairing isometries are abstracted to an
-orientation flag per pairing.
+orientation flag per pairing.  A glued complex is one slot involution
+(Lienhardt, Int. J. Comput. Geom. Appl. 4, 1994), held as a row of an
+`AssemblyBatch`: the complexes of one slot layout are checked together, one
+array expression per check, and a single complex is a batch of one row.
 """
 
 from __future__ import annotations
@@ -56,27 +59,6 @@ TEMPLATES: Mapping[str, PieceTemplate] = MappingProxyType(
     {label: PieceTemplate(label, 2, True) for label in EDGE_LABELS}
     | {"u": PieceTemplate("u", 4, True), "v": PieceTemplate("v", 4, False)}
 )
-
-
-@dataclass(frozen=True)
-class GlueingGraph:
-    """A rooted simple 4-regular graph with edges labelled a+/a-/b+/b-."""
-
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
-    labels: tuple[str, ...]
-    root: int
-
-    def __post_init__(self):
-        m = self.vertex_count
-        if not (0 <= self.root < m):
-            raise ValueError("root out of range")
-        if len(self.labels) != len(self.edges):
-            raise ValueError("one label per edge required")
-        unknown = [lab for lab in self.labels if lab not in EDGE_LABELS]
-        if unknown:
-            raise ValueError(f"unknown edge label {unknown[0]!r}")
-        stack_edges(m, [self.edges])
 
 
 def enumerate_base_graphs(m: int) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -235,17 +217,6 @@ class PieceInstance(NamedTuple):
     provenance: tuple
 
 
-SlotRef = tuple[int, int]  # (piece index, slot index)
-
-
-class Pairing(NamedTuple):
-    """Two slot refs glued together, and the orientation flag of the glueing."""
-
-    a: SlotRef
-    b: SlotRef
-    flag: int = 1  # +1 orientation-compatible, -1 reversing
-
-
 @dataclass(frozen=True)
 class SlotLayout:
     """Pieces with their slots numbered in turn: piece i owns the range
@@ -281,23 +252,43 @@ class SlotLayout:
         ))
 
 
-@dataclass(frozen=True)
-class AssembledManifold:
-    """A complex of piece instances glued slot to slot: `partner[s]` is the
-    slot glued to slot s, or s itself when s is open, and `flag[s]` that
-    glueing's orientation flag.  `internal_joins` pairs the instances that
-    are halves of one connected covering block (a non-orientable piece's
-    sheets).  Every check runs on `as_batch()`, a batch of one row."""
+@dataclass(frozen=True, eq=False)
+class AssemblyBatch:
+    """Complexes on one slot layout, one per row of the (G, S) int arrays
+    `partner` and `flag`: `partner[g, s]` is the slot glued to slot s, or s
+    itself when s is open, and `flag[g, s]` that glueing's orientation flag
+    (+1 or -1).  `internal_joins` pairs the pieces that are halves of one
+    connected covering block (a non-orientable piece's sheets).  A single
+    complex is a batch of one row.  Each check gives one verdict per row,
+    meaningful on an open row only from `closed`.  The arrays are made
+    read-only, as `components` and `cover` are computed once."""
 
     layout: SlotLayout
-    partner: tuple[int, ...]
-    flag: tuple[int, ...]
+    partner: np.ndarray
+    flag: np.ndarray
     internal_joins: tuple[tuple[int, int], ...] = ()
     deck_involution: tuple[int, ...] | None = None
 
+    def __post_init__(self):
+        rows, size = len(self.partner), len(self.layout.piece_of)
+        for name, x in (("partner", self.partner), ("flag", self.flag)):
+            if x.shape != (rows, size) or x.dtype.kind not in "iu":
+                raise ValueError(f"{name} must be an int array of shape (G, {size}), one row per complex")
+        if not ((0 <= self.partner) & (self.partner < size)).all():
+            raise ValueError("partner must name slots of the layout")
+        if not (abs(self.flag) == 1).all():
+            raise ValueError("flag must be +1 or -1")
+        self.partner.setflags(write=False)
+        self.flag.setflags(write=False)
+
+    def __reduce__(self):
+        # a copy is built anew, so its arrays are read-only and its checks uncached
+        return type(self), (self.layout, self.partner, self.flag, self.internal_joins, self.deck_involution)
+
     @classmethod
-    def glued(cls, pieces, pairings, internal_joins=(), deck_involution=None) -> AssembledManifold:
-        """The complex whose pairings glue slot a to slot b with their flags.
+    def glued(cls, pieces, pairings, internal_joins=(), deck_involution=None) -> AssemblyBatch:
+        """One complex, whose pairings (a, b, flag) glue slot ref a to slot
+        ref b, a ref being (piece index, slot index within the piece).
         Refuses a flag other than +1 or -1, a ref to no slot of the pieces
         and a slot named twice; a slot that no pairing names stays open."""
         layout = SlotLayout(tuple(pieces))
@@ -315,64 +306,8 @@ class AssembledManifold:
             partner[s], partner[t] = t, s
             flag[s] = flag[t] = 1 if f > 0 else -1
         deck = None if deck_involution is None else tuple(deck_involution)
-        return cls(layout, tuple(partner), tuple(flag), tuple(internal_joins), deck)
-
-    @property
-    def pieces(self) -> tuple[PieceInstance, ...]:
-        return self.layout.pieces
-
-    @property
-    def pairings(self) -> tuple[Pairing, ...]:
-        """The glueings as slot-ref pairs, in the order of their lower slot."""
-        refs = [(i, k) for i, r in enumerate(self.layout.slots) for k in range(len(r))]
-        pairs = [(s, t) for s, t in enumerate(self.partner) if s < t]
-        return tuple(Pairing(refs[s], refs[t], self.flag[s]) for s, t in pairs)
-
-    def as_batch(self) -> AssemblyBatch:
-        """This complex as a batch of one row."""
-        rows = [np.array(x, dtype=np.intp).reshape(1, -1) for x in (self.partner, self.flag)]
-        return AssemblyBatch(self.layout, *rows, self.internal_joins, self.deck_involution)
-
-    def _closed_batch(self, needs: str) -> AssemblyBatch:
-        batch = self.as_batch()
-        if not batch.closed()[0]:
-            raise ValueError(f"{needs} needs a closed complex")
-        return batch
-
-    def is_closed(self) -> bool:
-        """Whether every slot is glued to exactly one other slot."""
-        return bool(self.as_batch().closed()[0])
-
-    def is_connected(self) -> bool:
-        return bool(self._closed_batch("connectivity").components[0] <= 1)
-
-    def deck_is_free(self) -> bool:
-        """See `AssemblyBatch.deck_free`."""
-        return bool(self._closed_batch("the deck check").deck_free()[0])
-
-
-@dataclass(frozen=True, eq=False)
-class AssemblyBatch:
-    """Complexes on one slot layout, one per row of the (G, S) int arrays
-    `partner` and `flag`, with one set of internal joins and one deck
-    involution.  Each check gives one verdict per row, meaningful on an
-    open row only from `closed`.  The arrays are made read-only, as
-    `components` and `cover` are computed once."""
-
-    layout: SlotLayout
-    partner: np.ndarray
-    flag: np.ndarray
-    internal_joins: tuple[tuple[int, int], ...] = ()
-    deck_involution: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        self.partner.setflags(write=False)
-        self.flag.setflags(write=False)
-
-    def row(self, g: int) -> AssembledManifold:
-        partner, flag = (tuple(x[g].tolist()) for x in (self.partner, self.flag))
-        joins, deck = self.internal_joins, self.deck_involution
-        return AssembledManifold(self.layout, partner, flag, joins, deck)
+        rows = (np.array([x], dtype=np.intp) for x in (partner, flag))
+        return cls(layout, *rows, tuple(internal_joins), deck)
 
     def closed(self) -> np.ndarray:
         """Whether `partner` is a fixed-point-free involution."""
@@ -486,7 +421,16 @@ def assemble_batch(m: int, edges: np.ndarray, root: int, labels: tuple[str, ...]
     its labelled block.  Vertex v owns slots 4v .. 4v + 3 and gives them to
     its edges in edge order; edge k owns slots 4m + 2k and 4m + 2k + 1,
     glued with flag +1 to its ends.  A block given too many edges writes
-    into the next block's slots, and `partner` is then no involution."""
+    into the next block's slots, and `partner` is then no involution.
+    Refuses a root outside 0 .. m - 1, a label count other than 2m and a
+    label outside `EDGE_LABELS`."""
+    if not 0 <= root < m:
+        raise ValueError("root out of range")
+    if len(labels) != 2 * m:
+        raise ValueError("one label per edge required")
+    unknown = [lab for lab in labels if lab not in EDGE_LABELS]
+    if unknown:
+        raise ValueError(f"unknown edge label {unknown[0]!r}")
     ends = edges.reshape(len(edges), -1)  # end e of the row is edge slot 4m + e
     size = 4 * m + ends.shape[1]
     # in stable vertex order the r-th end is its vertex's (r - first)-th
@@ -502,25 +446,9 @@ def assemble_batch(m: int, edges: np.ndarray, root: int, labels: tuple[str, ...]
     return AssemblyBatch(layout, partner, np.broadcast_to(1, partner.shape))
 
 
-def assemble(graph: GlueingGraph) -> AssembledManifold:
-    """The complex of one glueing graph (see `assemble_batch`)."""
-    edges = np.array([graph.edges], dtype=np.intp)
-    return assemble_batch(graph.vertex_count, edges, graph.root, graph.labels).row(0)
-
-
-def volume(manifold: AssembledManifold | AssemblyBatch) -> float:
-    """The volume of the complex: every block has volume one."""
-    return float(len(manifold.layout.pieces))
-
-
-def is_orientable(manifold: AssembledManifold) -> bool:
-    """See `AssemblyBatch.orientable`."""
-    return bool(manifold._closed_batch("orientability").orientable()[0])
-
-
-def orientation_double_cover(manifold: AssembledManifold) -> AssembledManifold:
-    """The cover of one complex (see `AssemblyBatch.cover`); an open complex is refused."""
-    return manifold._closed_batch("double cover").cover.row(0)
+def volume(batch: AssemblyBatch) -> float:
+    """The volume of each complex of the batch: every block has volume one."""
+    return float(len(batch.layout.pieces))
 
 
 # -- growth --------------------------------------------------------------------------

@@ -10,19 +10,13 @@ import warnings
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
 
 import hyperglue
-from hyperglue.glueing import (
-    EDGE_LABELS,
-    AssembledManifold,
-    CountRow,
-    GlueingGraph,
-    enumerate_base_graphs,
-)
+from hyperglue.glueing import EDGE_LABELS, AssemblyBatch, CountRow, PieceInstance, enumerate_base_graphs
 from hyperglue.hyperboloid import (
     EPS,
     HalfSpace,
@@ -623,7 +617,16 @@ def enumerated_counts(m_max: int, mode: str = "free") -> list[CountRow]:
     return rows
 
 
-def enumerate_graphs(m: int, mode: str = "free") -> Iterator[GlueingGraph]:
+class DecoratedGraph(NamedTuple):
+    """A rooted simple 4-regular graph with edges labelled a+/a-/b+/b-."""
+
+    vertex_count: int
+    edges: tuple[tuple[int, int], ...]
+    labels: tuple[str, ...]
+    root: int
+
+
+def enumerate_graphs(m: int, mode: str = "free") -> Iterator[DecoratedGraph]:
     """Stream of decorated graphs: every base graph, root choice and labeling.
 
     Free mode runs over all 4^(2m) label tuples, so consume lazily.
@@ -641,10 +644,40 @@ def enumerate_graphs(m: int, mode: str = "free") -> Iterator[GlueingGraph]:
             labelings = proper_labelings(edges, m)
         for labels in labelings:
             for root in range(m):
-                yield GlueingGraph(m, edges, tuple(labels), root)
+                yield DecoratedGraph(m, edges, tuple(labels), root)
 
 
-def closed_by_scan(manifold: AssembledManifold) -> bool:
+SlotRef = tuple[int, int]  # (piece index, slot index within the piece)
+
+
+class Pairing(NamedTuple):
+    """Two slot refs glued together, and the orientation flag of the glueing."""
+
+    a: SlotRef
+    b: SlotRef
+    flag: int = 1  # +1 orientation-compatible, -1 reversing
+
+
+class RefComplex(NamedTuple):
+    """A glued complex as slot refs, which the oracles below read."""
+
+    pieces: tuple[PieceInstance, ...]
+    pairings: Sequence[Pairing]
+    internal_joins: tuple[tuple[int, int], ...] = ()
+    deck_involution: tuple[int, ...] | None = None
+
+
+def row_refs(batch: AssemblyBatch, g: int) -> RefComplex:
+    """Row g of a batch whose `partner` is an involution, read off
+    `layout.slots` and `partner[g]`: its glueings in the order of their
+    lower slot."""
+    refs = [(i, k) for i, r in enumerate(batch.layout.slots) for k in range(len(r))]
+    partner, flag = batch.partner[g].tolist(), batch.flag[g].tolist()
+    pairings = tuple(Pairing(refs[s], refs[t], flag[s]) for s, t in enumerate(partner) if s < t)
+    return RefComplex(batch.layout.pieces, pairings, batch.internal_joins, batch.deck_involution)
+
+
+def closed_by_scan(manifold: RefComplex) -> bool:
     """Whether every slot is paired exactly once, by one scan over the slot refs.
 
     Refs that are pairwise distinct and as many as the slots cover every
@@ -660,7 +693,7 @@ def closed_by_scan(manifold: AssembledManifold) -> bool:
     )
 
 
-def brute_force_orientable(manifold: AssembledManifold) -> bool:
+def brute_force_orientable(manifold: RefComplex) -> bool:
     """Orientability of a closed complex, by trying every +-1 signing of its pieces.
 
     False with any non-orientable block.  Otherwise some signing must make
@@ -681,7 +714,7 @@ def brute_force_orientable(manifold: AssembledManifold) -> bool:
     return bool((signs[:, i] * signs[:, j] == flag).all(axis=1).any())
 
 
-def components_and_signing(manifold: AssembledManifold) -> tuple[int, bool]:
+def components_and_signing(manifold: RefComplex) -> tuple[int, bool]:
     """Components of a closed complex's piece graph, and whether it is
     orientable, by one breadth-first search over the slot refs.
 
@@ -718,7 +751,7 @@ def components_and_signing(manifold: AssembledManifold) -> tuple[int, bool]:
     return components, consistent
 
 
-def deck_commutes_by_refs(manifold: AssembledManifold) -> bool:
+def deck_commutes_by_refs(manifold: RefComplex) -> bool:
     """Whether the deck involution of a closed complex is a fixed-point-free
     involution of its pieces that maps each glued pair of slot refs, piece
     by piece and slot by slot, to a glued pair."""

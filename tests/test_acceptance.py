@@ -268,21 +268,23 @@ def test_criterion_08_graph_counts():
 
 
 def test_criterion_09_assembly_suite():
-    """Every assembly for m <= 6: closed, 4m pairings, non-orientable, cover doubles."""
+    """Every assembly for m <= 6, as the CLI builds it: closed, 4m pairings, non-orientable, cover doubles."""
     with Budget(60.0, "9 assembly-suite"):
-        for m in (5, 6):
-            for edges in glueing.enumerate_base_graphs(m):
-                labels = tuple(glueing.EDGE_LABELS[k % 4] for k in range(len(edges)))
-                graph = glueing.GlueingGraph(m, edges, labels, root=0)
-                assembled = glueing.assemble(graph)
-                assert assembled.is_closed()
-                assert len(assembled.pairings) == 4 * m
-                assert not glueing.is_orientable(assembled)
-                cover = glueing.orientation_double_cover(assembled)
-                assert glueing.is_orientable(cover)
-                assert abs(glueing.volume(cover) - 2 * glueing.volume(assembled)) < 1e-12
-                deck = cover.deck_involution
-                assert all(deck[i] != i for i in range(len(cover.pieces)))
+        for m, count in ((5, 1), (6, 15)):
+            labels = tuple(glueing.EDGE_LABELS[k % 4] for k in range(2 * m))
+            edges = glueing.stack_edges(m, glueing.enumerate_base_graphs(m))
+            assembled = glueing.assemble_batch(m, edges, 0, labels)
+            slots = np.arange(assembled.partner.shape[1])
+            assert assembled.partner.shape[0] == count
+            assert assembled.closed().all()
+            assert ((assembled.partner > slots).sum(1) == 4 * m).all()
+            assert not assembled.orientable().any()
+            cover = assembled.cover
+            assert cover.orientable().all()
+            assert abs(glueing.volume(cover) - 2 * glueing.volume(assembled)) < 1e-12
+            deck = np.array(cover.deck_involution)
+            assert (deck != np.arange(len(cover.layout.pieces))).all()
+            assert cover.deck_free().all()
 
 
 def test_criterion_10_growth():

@@ -14,7 +14,7 @@ from hyperglue import cli, glueing
 from hyperglue.cli import main
 from hyperglue.hyperboloid import basepoint
 from hyperglue.voronoi import MarkedGeodesic, classify_facets
-from oracles import E1, J2, plane_config, run_python
+from oracles import E1, J2, Pairing, plane_config, row_refs, run_python
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -290,14 +290,14 @@ class TestCount:
         assemble_batch = glueing.assemble_batch
 
         def crossed(m, edges, root, labels):
-            k5 = assemble_batch(m, edges, root, labels).row(0)
+            k5 = row_refs(assemble_batch(m, edges, root, labels), 0)
             moved = {((0, 0), (5, 0)), ((2, 0), (6, 1))}
             pairings = [p for p in k5.pairings if (p.a, p.b) not in moved]
-            pairings += [glueing.Pairing((0, 0), (2, 0)), glueing.Pairing((5, 0), (6, 1))]
-            complex_ = glueing.AssembledManifold.glued(k5.pieces, pairings)
-            assert complex_.is_closed() and complex_.is_connected()
-            assert not glueing.is_orientable(complex_)
-            return complex_.as_batch()
+            pairings += [Pairing((0, 0), (2, 0)), Pairing((5, 0), (6, 1))]
+            complex_ = glueing.AssemblyBatch.glued(k5.pieces, pairings)
+            assert complex_.closed()[0] and complex_.components[0] == 1
+            assert not complex_.orientable()[0]
+            return complex_
 
         monkeypatch.setattr(glueing, "assemble_batch", crossed)
         code = run_cli("count", "--m-max", "5", "--check-assemblies", "--out", str(tmp_path / "c"))

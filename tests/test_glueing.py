@@ -7,7 +7,6 @@ import math
 import pickle
 from collections import Counter
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,23 +15,21 @@ from hyperglue import glueing
 from hyperglue.glueing import (
     EDGE_LABELS,
     TEMPLATES,
-    AssembledManifold,
     AssemblyBatch,
-    GlueingGraph,
-    Pairing,
     PieceInstance,
     PieceTemplate,
-    assemble,
+    SlotLayout,
     assemble_batch,
     count_graphs,
     enumerate_base_graphs,
     growth_fit,
-    is_orientable,
-    orientation_double_cover,
     stack_edges,
     volume,
 )
 from oracles import (
+    DecoratedGraph,
+    Pairing,
+    RefComplex,
     bitmask_oracle,
     brute_force_orientable,
     closed_by_scan,
@@ -41,6 +38,7 @@ from oracles import (
     enumerate_graphs,
     enumerated_counts,
     proper_labelings,
+    row_refs,
 )
 
 
@@ -279,21 +277,97 @@ class TestCounts:
         assert [r.base_count for r in rows] == [1, 15, 465, 19355, 1024380]
 
 
+def labels_of(m: int) -> tuple[str, ...]:
+    """Labels a+, a-, b+, b- in edge order, one per edge of a graph on m vertices."""
+    return tuple(EDGE_LABELS[k % 4] for k in range(2 * m))
+
+
+def assembled(m: int, graphs, root: int = 0) -> AssemblyBatch:
+    """The complexes of the edge lists `graphs` on m vertices, stacked, checked and assembled as the CLI does."""
+    return assemble_batch(m, stack_edges(m, graphs), root, labels_of(m))
+
+
+def k5_assembly(root=0) -> AssemblyBatch:
+    return assembled(5, enumerate_base_graphs(5), root)
+
+
+def same(x: AssemblyBatch, y: AssemblyBatch) -> bool:
+    """Whether two batches hold the same complexes, row by row."""
+    return (
+        x.layout == y.layout
+        and np.array_equal(x.partner, y.partner)
+        and np.array_equal(x.flag, y.flag)
+        and x.internal_joins == y.internal_joins
+        and x.deck_involution == y.deck_involution
+    )
+
+
+def stacked(batches) -> AssemblyBatch:
+    """The rows of batches on one layout, with the first one's joins and deck involution."""
+    first = batches[0]
+    partner, flag = (np.vstack([getattr(b, name) for b in batches]) for name in ("partner", "flag"))
+    return AssemblyBatch(first.layout, partner, flag, first.internal_joins, first.deck_involution)
+
+
 class TestGraphValidation:
     def test_rejects_wrong_degree(self):
         with pytest.raises(ValueError, match="4-regular"):
-            GlueingGraph(5, ((0, 1), (2, 3)), ("a+", "a-"), root=0)
+            stack_edges(5, [((0, 1), (2, 3))])
 
     def test_rejects_bad_root(self):
-        edges = next(enumerate_base_graphs(5))
-        with pytest.raises(ValueError, match="root"):
-            GlueingGraph(5, edges, tuple("a+" for _ in edges), root=9)
+        # a root outside the vertices would leave the complex with no root block v
+        edges = stack_edges(5, enumerate_base_graphs(5))
+        for root in (9, 5, -1):
+            with pytest.raises(ValueError, match="^root out of range$"):
+                assemble_batch(5, edges, root, labels_of(5))
+
+    def test_rejects_a_label_count_other_than_2m(self):
+        edges = stack_edges(5, enumerate_base_graphs(5))
+        for labels in (labels_of(5)[:3], labels_of(5)[:9], labels_of(5) + ("a+",)):
+            with pytest.raises(ValueError, match="^one label per edge required$"):
+                assemble_batch(5, edges, 0, labels)
+
+    def test_rejects_an_unknown_label(self):
+        edges = stack_edges(5, enumerate_base_graphs(5))
+        labels = labels_of(5)[:4] + ("c+",) + labels_of(5)[5:]
+        with pytest.raises(ValueError, match=r"^unknown edge label 'c\+'$"):
+            assemble_batch(5, edges, 0, labels)
 
 
-def k5_assembly(root=0):
-    (edges,) = enumerate_base_graphs(5)
-    labels = tuple(EDGE_LABELS[k % 4] for k in range(len(edges)))
-    return assemble(GlueingGraph(5, edges, labels, root=root))
+class TestBatchValidation:
+    def test_refuses_arrays_not_of_the_layout(self):
+        k5 = k5_assembly()
+        partner, flag = k5.partner, k5.flag
+        size = partner.shape[1]
+        for bad_partner, bad_flag in (
+            (partner[0], flag[0]),  # one complex, but not as a row
+            (partner[:, :-1], flag[:, :-1]),  # one slot short of the layout
+            (partner, np.vstack([flag, flag])),  # one row of partner, two of flag
+            (partner.astype(float), flag),
+            (partner, flag.astype(bool)),
+        ):
+            with pytest.raises(ValueError, match=rf"must be an int array of shape \(G, {size}\)"):
+                dataclasses.replace(k5, partner=bad_partner, flag=bad_flag)
+
+    @pytest.mark.parametrize("slot", [-1, 40])
+    def test_refuses_a_partner_that_names_no_slot(self, slot):
+        # K5 has 40 slots: four on each vertex block and two on each edge block
+        k5 = k5_assembly()
+        partner = k5.partner.copy()
+        partner[0, 3] = slot
+        with pytest.raises(ValueError, match="^partner must name slots of the layout$"):
+            dataclasses.replace(k5, partner=partner)
+
+    @pytest.mark.parametrize("value", [0, 2, -2])
+    def test_refuses_other_flags(self, value):
+        flag = np.ones((2, 4), dtype=np.intp)
+        flag[1, 2] = value
+        u = PieceTemplate("u", 2, True)
+        layout = SlotLayout((PieceInstance(u, ("a",)), PieceInstance(u, ("b",))))
+        partner = np.array([[2, 3, 0, 1]] * 2)
+        assert AssemblyBatch(layout, partner, np.ones_like(flag)).closed().all()
+        with pytest.raises(ValueError, match=r"^flag must be \+1 or -1$"):
+            AssemblyBatch(layout, partner, flag)
 
 
 class TestTemplateValidation:
@@ -306,25 +380,25 @@ class TestTemplateValidation:
 class TestAssembly:
     def test_k5_shape(self):
         assembled = k5_assembly()
-        assert len(assembled.pieces) == 15  # 5 vertex blocks + 10 edge blocks
-        assert len(assembled.pairings) == 20
-        assert assembled.is_closed()
-        assert assembled.is_connected()
+        slots = np.arange(assembled.partner.shape[1])
+        assert len(assembled.layout.pieces) == 15  # 5 vertex blocks + 10 edge blocks
+        assert list((assembled.partner > slots).sum(1)) == [20]
+        assert list(assembled.closed()) == [True]
+        assert list(assembled.components) == [1]
 
     def test_all_m6_assemblies_closed(self):
-        for edges in enumerate_base_graphs(6):
-            labels = tuple(EDGE_LABELS[k % 4] for k in range(len(edges)))
-            graph = GlueingGraph(6, edges, labels, root=3)
-            assembled = assemble(graph)
-            assert assembled.is_closed()
-            assert len(assembled.pairings) == 4 * 6
-            assert assembled.is_connected()
+        batch = assembled(6, enumerate_base_graphs(6), root=3)
+        slots = np.arange(batch.partner.shape[1])
+        assert len(batch.partner) == 15
+        assert batch.closed().all()
+        assert ((batch.partner > slots).sum(1) == 4 * 6).all()
+        assert (batch.components == 1).all()
 
     def test_isomorphic_graphs_give_isomorphic_assemblies(self):
         # relabel the vertices of a graph; the slot-pairing structures must
         # agree under the induced bijection, detected by a label-refined
         # canonical invariant
-        def invariant(assembled: AssembledManifold):
+        def invariant(assembled: RefComplex):
             partners = {}
             for p in assembled.pairings:
                 partners.setdefault(p.a[0], []).append(p.b[0])
@@ -340,8 +414,8 @@ class TestAssembly:
             return sorted(colors.values())
 
         edges = next(enumerate_base_graphs(6))
-        labels = tuple(EDGE_LABELS[k % 4] for k in range(len(edges)))
-        g1 = GlueingGraph(6, edges, labels, root=0)
+        labels = labels_of(6)
+        g1 = assemble_batch(6, stack_edges(6, [edges]), 0, labels)
 
         perm = [2, 0, 1, 4, 5, 3]
         perm_edges = []
@@ -351,42 +425,35 @@ class TestAssembly:
             perm_edges.append(e)
             perm_labels[e] = lab
         perm_edges.sort()
-        g2 = GlueingGraph(
-            6,
-            tuple(perm_edges),
-            tuple(perm_labels[e] for e in perm_edges),
-            root=perm[0],
+        g2 = assemble_batch(
+            6, stack_edges(6, [perm_edges]), perm[0], tuple(perm_labels[e] for e in perm_edges)
         )
-        assert invariant(assemble(g1)) == invariant(assemble(g2))
+        assert invariant(row_refs(g1, 0)) == invariant(row_refs(g2, 0))
 
     def test_volume_linear(self):
         # every block has volume one: K5 has 5 vertex and 10 edge blocks
         assembled = k5_assembly()
         assert repr(volume(assembled)) == "15.0"
-        assert repr(volume(orientation_double_cover(assembled))) == "30.0"
+        assert repr(volume(assembled.cover)) == "30.0"
 
     def test_volume_bounded_by_three_m(self):
         for m in (5, 6):
-            for edges in itertools.islice(enumerate_base_graphs(m), 5):
-                labels = tuple(EDGE_LABELS[k % 4] for k in range(len(edges)))
-                assembled = assemble(GlueingGraph(m, edges, labels, root=0))
-                assert volume(assembled) <= 3.0 * m
+            assert volume(assembled(m, itertools.islice(enumerate_base_graphs(m), 5))) <= 3.0 * m
 
     @pytest.mark.parametrize("dropped,doubled", [((1, 2), (0, 3)), ((0, 1), (2, 4))],
                              ids=["inner-block", "last-block"])
     def test_overfilled_block_is_open(self, dropped, doubled):
-        # a graph that `GlueingGraph` would refuse: one edge of K5 moved onto
+        # a graph that `stack_edges` would refuse: one edge of K5 moved onto
         # another, so two vertex blocks get five edges and two get three; the
         # fifth edge of a block takes the next block's first slot, which for
         # the last vertex block is the first edge block's
         (edges,) = enumerate_base_graphs(5)
         edges = sorted([e for e in edges if e != dropped] + [doubled])
-        graph = SimpleNamespace(vertex_count=5, edges=edges, labels=("a+",) * 10, root=0)
-        assert not assemble(graph).is_closed()
+        assert list(assemble_batch(5, np.array([edges]), 0, labels_of(5)).closed()) == [False]
 
 
-def pairings_of(graph) -> list[Pairing]:
-    """The glueings of `assemble` as slot refs, read off the edge list alone."""
+def pairings_of(graph: DecoratedGraph) -> list[Pairing]:
+    """The glueings of `assemble_batch` as slot refs, read off the edge list alone."""
     pairings = []
     for k, edge in enumerate(graph.edges):
         for end, v in enumerate(edge):
@@ -396,12 +463,12 @@ def pairings_of(graph) -> list[Pairing]:
     return pairings
 
 
-def assembled_piece_by_piece(graph: GlueingGraph, templates) -> AssembledManifold:
-    """`assemble` without a shared layout: pieces and pairings made by their classes, glued by refs."""
+def assembled_piece_by_piece(graph: DecoratedGraph, templates) -> AssemblyBatch:
+    """`assemble_batch` without a shared layout: pieces and pairings made by their classes, glued by refs."""
     m = graph.vertex_count
     pieces = [PieceInstance(templates["v" if v == graph.root else "u"], ("vertex", v)) for v in range(m)]
     pieces += [PieceInstance(templates[lab], ("edge", k)) for k, lab in enumerate(graph.labels)]
-    return AssembledManifold.glued(pieces, pairings_of(graph))
+    return AssemblyBatch.glued(pieces, pairings_of(graph))
 
 
 class TestSharedPieces:
@@ -410,22 +477,24 @@ class TestSharedPieces:
     def test_equal_an_unshared_build(self):
         checked = 0
         for m in (5, 6, 7):
-            labels = tuple(EDGE_LABELS[k % 4] for k in range(2 * m))
-            for edges in enumerate_base_graphs(m):
-                for root in (0, m - 1):
-                    graph = GlueingGraph(m, edges, labels, root=root)
-                    assert assemble(graph) == assembled_piece_by_piece(graph, TEMPLATES)
-                    checked += 1
+            graphs = list(enumerate_base_graphs(m))
+            for root in (0, m - 1):
+                unshared = [
+                    assembled_piece_by_piece(DecoratedGraph(m, edges, labels_of(m), root), TEMPLATES)
+                    for edges in graphs
+                ]
+                assert same(assembled(m, graphs, root), stacked(unshared))
+                checked += len(unshared)
         assert checked == 2 * 481
 
     def test_cover_equals_one_built_piece_by_piece(self):
         u = PieceTemplate("u", 2, True)
-        reversing = AssembledManifold.glued(
+        reversing = AssemblyBatch.glued(
             (PieceInstance(u, ("a",)), PieceInstance(u, ("b",))),
             (Pairing((0, 0), (1, 0), 1), Pairing((0, 1), (1, 1), -1)),
         )
         sheets = tuple(PieceInstance(u, ("cover", name, sheet)) for sheet in (0, 1) for name in "ab")
-        want = AssembledManifold.glued(
+        want = AssemblyBatch.glued(
             sheets,
             (
                 Pairing((0, 0), (1, 0)),
@@ -437,14 +506,13 @@ class TestSharedPieces:
             (),
             (2, 3, 0, 1),
         )
-        cover = orientation_double_cover(reversing)
-        assert cover == want
-        assert cover.is_closed() and want.is_closed()
+        assert same(reversing.cover, want)
+        assert reversing.cover.closed()[0] and want.closed()[0]
         # a complex with the same pieces shares them, but lifts its own pairings
-        plain = AssembledManifold.glued(
-            reversing.pieces, (Pairing((0, 0), (1, 0)), Pairing((0, 1), (1, 1)))
+        plain = AssemblyBatch.glued(
+            reversing.layout.pieces, (Pairing((0, 0), (1, 0)), Pairing((0, 1), (1, 1)))
         )
-        assert orientation_double_cover(plain) == AssembledManifold.glued(
+        assert same(plain.cover, AssemblyBatch.glued(
             sheets,
             (
                 Pairing((0, 0), (1, 0)),
@@ -454,30 +522,31 @@ class TestSharedPieces:
             ),
             (),
             (2, 3, 0, 1),
-        )
+        ))
         # the root block v of K5: its sheets are halves of one orientable cover
         k5 = k5_assembly()
-        n = len(k5.pieces)
-        for i, piece in enumerate(orientation_double_cover(k5).pieces):
-            t = k5.pieces[i % n].template
+        pieces = k5.layout.pieces
+        n = len(pieces)
+        for i, piece in enumerate(k5.cover.layout.pieces):
+            t = pieces[i % n].template
             label = t.label if t.orientable else t.label + "~"
             assert piece == PieceInstance(
                 PieceTemplate(label, t.boundary_count, True),
-                ("cover", *k5.pieces[i % n].provenance, i // n),
+                ("cover", *pieces[i % n].provenance, i // n),
             )
 
 
-def two_piece_complex(*pairings):
+def two_piece_complex(*pairings) -> AssemblyBatch:
     u = PieceTemplate("u", 2, True)
     pieces = (PieceInstance(u, ("a",)), PieceInstance(u, ("b",)))
-    return AssembledManifold.glued(pieces, (Pairing(a, b) for a, b in pairings))
+    return AssemblyBatch.glued(pieces, (Pairing(a, b) for a, b in pairings))
 
 
-# the corruptions that `AssembledManifold.glued` refuses: refs to no slot, and a slot named twice
+# the corruptions that `AssemblyBatch.glued` refuses: refs to no slot, and a slot named twice
 REFUSED = {"slot-at-boundary-count", "negative-piece", "piece-past-the-end", "duplicated-ref"}
 
 
-def corrupted(manifold: AssembledManifold, rng):
+def corrupted(manifold: RefComplex, rng):
     """(kind, pairings) for six seeded edits of a closed complex's pairings."""
     pairings = list(manifold.pairings)
     t, u = (int(x) for x in rng.choice(len(pairings), 2, replace=False))
@@ -505,10 +574,10 @@ def corrupted(manifold: AssembledManifold, rng):
     yield from variants.items()
 
 
-def glued_or_refused(manifold: AssembledManifold, pairings):
+def glued_or_refused(manifold: RefComplex, pairings):
     """`manifold` glued by `pairings` instead, or None when `glued` refuses them."""
     try:
-        return AssembledManifold.glued(
+        return AssemblyBatch.glued(
             manifold.pieces, pairings, manifold.internal_joins, manifold.deck_involution
         )
     except ValueError:
@@ -517,7 +586,7 @@ def glued_or_refused(manifold: AssembledManifold, pairings):
 
 class TestClosedness:
     def test_every_slot_once_is_closed(self):
-        assert two_piece_complex(((0, 0), (1, 0)), ((0, 1), (1, 1))).is_closed()
+        assert two_piece_complex(((0, 0), (1, 0)), ((0, 1), (1, 1))).closed()[0]
 
     @pytest.mark.parametrize(
         "pairings,refusal",
@@ -534,19 +603,15 @@ class TestClosedness:
     def test_not_closed(self, pairings, refusal):
         # refused when made, or made and reported open; the scan agrees it is open
         u = PieceTemplate("u", 2, True)
-        refs = SimpleNamespace(
-            pieces=(PieceInstance(u, ("a",)), PieceInstance(u, ("b",))),
-            pairings=[Pairing(a, b) for a, b in pairings],
+        refs = RefComplex(
+            (PieceInstance(u, ("a",)), PieceInstance(u, ("b",))), [Pairing(a, b) for a, b in pairings]
         )
         assert not closed_by_scan(refs)
         if refusal:
             with pytest.raises(ValueError, match=refusal):
                 two_piece_complex(*pairings)
             return
-        assembled = two_piece_complex(*pairings)
-        assert not assembled.is_closed()
-        with pytest.raises(ValueError, match="closed"):
-            assembled.is_connected()
+        assert list(two_piece_complex(*pairings).closed()) == [False]
 
     def test_agrees_with_the_scan(self):
         # every assembly of m = 5..7 and its cover, each with five seeded
@@ -554,58 +619,58 @@ class TestClosedness:
         # closed; an opening edit is refused when made or reported open
         checked = 0
         for m in (5, 6, 7):
-            labels = tuple(EDGE_LABELS[k % 4] for k in range(2 * m))
-            for edges in enumerate_base_graphs(m):
-                assembled = assemble(GlueingGraph(m, edges, labels, root=0))
-                for built in (assembled, orientation_double_cover(assembled)):
-                    assert built.is_closed() and closed_by_scan(built)
-                    for kind, edited in corrupted(built, np.random.default_rng(checked)):
-                        scan = closed_by_scan(SimpleNamespace(pieces=built.pieces, pairings=edited))
+            batch = assembled(m, enumerate_base_graphs(m))
+            for g in range(len(batch.partner)):
+                for built in (batch, batch.cover):
+                    refs = row_refs(built, g)
+                    assert built.closed()[g] and closed_by_scan(refs)
+                    for kind, edited in corrupted(refs, np.random.default_rng(checked)):
+                        scan = closed_by_scan(refs._replace(pairings=edited))
                         assert scan == (kind == "swapped-refs"), kind
-                        variant = glued_or_refused(built, edited)
+                        variant = glued_or_refused(refs, edited)
                         assert (variant is None) == (kind in REFUSED), kind
                         if variant is not None:
-                            assert variant.is_closed() == scan, kind
+                            assert variant.closed()[0] == scan, kind
                     checked += 1
         assert checked == 2 * 481
 
-    def test_cover_refuses_every_opened_complex(self):
-        # the cover's closedness is lifted from its base, so an open base
-        # must be refused; a swap of two refs keeps the base and its cover closed
+    def test_cover_of_every_opened_complex_is_open(self):
+        # the cover lifts each slot's partner, so it is open over an opened
+        # base; a swap of two refs keeps the base and its cover closed
         checked = 0
         for m in (5, 6, 7):
-            labels = tuple(EDGE_LABELS[k % 4] for k in range(2 * m))
-            for edges in enumerate_base_graphs(m):
-                assembled = assemble(GlueingGraph(m, edges, labels, root=0))
-                for built in (assembled, orientation_double_cover(assembled)):
-                    for kind, edited in corrupted(built, np.random.default_rng(checked)):
-                        variant = glued_or_refused(built, edited)
-                        if kind == "swapped-refs":
-                            cover = orientation_double_cover(variant)
-                            assert cover.is_closed() and closed_by_scan(cover)
-                        elif kind not in REFUSED:
-                            with pytest.raises(ValueError, match="^double cover needs a closed complex$"):
-                                orientation_double_cover(variant)
+            batch = assembled(m, enumerate_base_graphs(m))
+            for g in range(len(batch.partner)):
+                for built in (batch, batch.cover):
+                    refs = row_refs(built, g)
+                    for kind, edited in corrupted(refs, np.random.default_rng(checked)):
+                        variant = glued_or_refused(refs, edited)
+                        if variant is not None:
+                            cover = variant.cover
+                            assert cover.closed()[0] == (kind == "swapped-refs"), kind
+                            if cover.closed()[0]:
+                                assert closed_by_scan(row_refs(cover, 0))
                     checked += 1
         assert checked == 2 * 481
 
     def test_pairing_refuses_other_flags(self):
-        pieces = two_piece_complex().pieces
+        pieces = two_piece_complex().layout.pieces
         with pytest.raises(ValueError, match="flag"):
-            AssembledManifold.glued(pieces, [Pairing((0, 0), (1, 0), flag=0)])
+            AssemblyBatch.glued(pieces, [Pairing((0, 0), (1, 0), flag=0)])
         with pytest.raises(ValueError, match="flag"):
-            AssembledManifold.glued(pieces, [Pairing((0, 0), (1, 0))._replace(flag=2)])
+            AssemblyBatch.glued(pieces, [Pairing((0, 0), (1, 0))._replace(flag=2)])
 
     def test_records_are_immutable(self):
         assembled = k5_assembly()
         with pytest.raises(AttributeError):
-            assembled.pieces[0].template = assembled.pieces[1].template
+            assembled.layout.pieces[0].template = assembled.layout.pieces[1].template
         with pytest.raises(AttributeError):
-            assembled.pairings[0].flag = -1
+            assembled.layout = assembled.cover.layout
         with pytest.raises(AttributeError):
-            assembled.pairings = ()
-        with pytest.raises(AttributeError):
-            assembled.partner = ()
+            assembled.partner = assembled.partner.copy()
+        for array in (assembled.partner, assembled.flag):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1
         with pytest.raises(TypeError):
             TEMPLATES["u"] = TEMPLATES["v"]
 
@@ -615,20 +680,25 @@ class TestClosedness:
         ids=["copy", "deepcopy", "pickle"],
     )
     def test_copies_after_the_cached_check(self, clone):
+        # a clone keeps the rows, and its arrays stay read-only, so the checks
+        # it caches cannot go stale
         closed, open_ = k5_assembly(), two_piece_complex(((0, 0), (1, 0)))
-        assert closed.is_closed() and not open_.is_closed()
-        for original in (closed, open_, orientation_double_cover(closed)):
+        assert closed.closed()[0] and not open_.closed()[0]
+        for original in (closed, open_, closed.cover):
+            assert original.components is not None and original.cover is not None
             twin = clone(original)
-            assert twin == original
-            assert twin.is_closed() == original.is_closed()
-            if original.is_closed():
-                assert is_orientable(twin) == is_orientable(original)
+            assert same(twin, original)
+            assert twin.partner.flags.writeable is False and twin.flag.flags.writeable is False
+            assert list(twin.closed()) == list(original.closed())
+            assert list(twin.components) == list(original.components)
+            if original.closed()[0]:
+                assert twin.orientable()[0] == original.orientable()[0]
 
 
 class TestOrientability:
     def test_root_block_forces_non_orientable(self):
-        assert not is_orientable(k5_assembly())
-        assert not is_orientable(k5_assembly(root=4))
+        assert not k5_assembly().orientable()[0]
+        assert not k5_assembly(root=4).orientable()[0]
 
     def test_all_orientable_preserving_flags(self):
         u = PieceTemplate("u", 2, True)
@@ -637,7 +707,7 @@ class TestOrientability:
             Pairing((0, 0), (1, 0), 1),
             Pairing((0, 1), (1, 1), 1),
         )
-        assert is_orientable(AssembledManifold.glued(pieces, pairings))
+        assert AssemblyBatch.glued(pieces, pairings).orientable()[0]
 
     def test_single_reversing_flag_on_cycle(self):
         u = PieceTemplate("u", 2, True)
@@ -646,14 +716,13 @@ class TestOrientability:
             Pairing((0, 0), (1, 0), 1),
             Pairing((0, 1), (1, 1), -1),
         )
-        assert not is_orientable(AssembledManifold.glued(pieces, pairings))
+        assert not AssemblyBatch.glued(pieces, pairings).orientable()[0]
 
     def test_flag_subsets_against_brute_force(self):
         # K5 with a u block at the root, so that every block is orientable
         (edges,) = enumerate_base_graphs(5)
-        labels = tuple(EDGE_LABELS[k % 4] for k in range(len(edges)))
-        graph = GlueingGraph(5, edges, labels, root=0)
-        base = assembled_piece_by_piece(graph, {**TEMPLATES, "v": TEMPLATES["u"]})
+        graph = DecoratedGraph(5, edges, labels_of(5), root=0)
+        base = row_refs(assembled_piece_by_piece(graph, {**TEMPLATES, "v": TEMPLATES["u"]}), 0)
         assert len(base.pieces) == 15 and len(base.pairings) == 20
         verdicts = Counter()
         for seed in range(40):
@@ -669,48 +738,41 @@ class TestOrientability:
             pairings = tuple(
                 p._replace(flag=-1) if t in flip else p for t, p in enumerate(base.pairings)
             )
-            flipped = AssembledManifold.glued(base.pieces, pairings)
-            verdict = is_orientable(flipped)
-            assert verdict == brute_force_orientable(flipped), seed
+            verdict = bool(AssemblyBatch.glued(base.pieces, pairings).orientable()[0])
+            assert verdict == brute_force_orientable(base._replace(pairings=pairings)), seed
             verdicts[verdict] += 1
         assert verdicts[True] and verdicts[False]
-
-    def test_non_closed_rejected(self):
-        u = PieceTemplate("u", 2, True)
-        pieces = (PieceInstance(u, ("a",)),)
-        with pytest.raises(ValueError):
-            is_orientable(AssembledManifold.glued(pieces, ()))
 
 
 class TestDoubleCover:
     def test_cover_of_non_orientable_is_connected_orientable(self):
         assembled = k5_assembly()
-        cover = orientation_double_cover(assembled)
-        assert cover.is_closed()
-        assert is_orientable(cover)
-        assert cover.is_connected()
+        cover = assembled.cover
+        assert cover.closed()[0]
+        assert cover.orientable()[0]
+        assert cover.components[0] == 1
         assert volume(cover) == 2.0 * volume(assembled)
 
     def test_cover_of_orientable_splits(self):
         u = PieceTemplate("u", 2, True)
         pieces = (PieceInstance(u, ("a",)), PieceInstance(u, ("b",)))
         pairings = (Pairing((0, 0), (1, 0), 1), Pairing((0, 1), (1, 1), 1))
-        assembled = AssembledManifold.glued(pieces, pairings)
-        cover = orientation_double_cover(assembled)
-        assert is_orientable(cover)
-        assert not cover.is_connected()
+        cover = AssemblyBatch.glued(pieces, pairings).cover
+        assert cover.orientable()[0]
+        assert cover.components[0] == 2
 
     def test_deck_involution_fixed_point_free(self):
-        cover = orientation_double_cover(k5_assembly())
+        cover = k5_assembly().cover
         deck = cover.deck_involution
+        n = len(cover.layout.pieces)
         assert deck is not None
-        assert all(deck[i] != i for i in range(len(cover.pieces)))
-        assert all(deck[deck[i]] == i for i in range(len(cover.pieces)))
-        assert cover.deck_is_free()
+        assert all(deck[i] != i for i in range(n))
+        assert all(deck[deck[i]] == i for i in range(n))
+        assert cover.deck_free()[0]
 
     def test_deck_checks_can_fail(self):
-        cover = orientation_double_cover(k5_assembly())
-        n, m = len(cover.pieces) // 2, 5
+        cover = k5_assembly().cover
+        n, m = len(cover.layout.pieces) // 2, 5
         swap = list(cover.deck_involution)
         # vertex block 0 to the other sheet's vertex block 1: free and an
         # involution, but it does not commute with the glueings
@@ -720,36 +782,35 @@ class TestDoubleCover:
         resized = list(swap)
         resized[0], resized[n + m], resized[m], resized[n] = n + m, 0, n, m
         for deck in (None, tuple(range(2 * n)), tuple(crossed), tuple(resized), tuple(swap[:-1])):
-            assert not dataclasses.replace(cover, deck_involution=deck).deck_is_free(), deck
-        with pytest.raises(ValueError, match="closed"):
-            two_piece_complex(((0, 0), (1, 0))).deck_is_free()
+            assert not dataclasses.replace(cover, deck_involution=deck).deck_free()[0], deck
 
     def test_reversing_decorations_of_every_m6_graph(self):
         # the glueing along edge k reverses for k = 1 (mod 3): the pairing of
         # edge block k (piece 6 + k) at its slot 0 gets flag -1; an edge
         # block's slots come after the vertex blocks', so it is ref b
         checked = 0
-        for edges in enumerate_base_graphs(6):
-            labels = tuple(EDGE_LABELS[k % 4] for k in range(len(edges)))
-            plain = assemble(GlueingGraph(6, edges, labels, root=0))
+        plain = assembled(6, enumerate_base_graphs(6))
+        for g in range(len(plain.partner)):
+            refs = row_refs(plain, g)
             pairings = tuple(
                 p._replace(flag=-1) if (p.b[0] - 6) % 3 == 1 and p.b[1] == 0 else p
-                for p in plain.pairings
+                for p in refs.pairings
             )
-            base = AssembledManifold.glued(plain.pieces, pairings)
-            assert sum(p.flag < 0 for p in base.pairings) == 4
-            assert not is_orientable(base)
-            cover = orientation_double_cover(base)
-            n = len(base.pieces)
-            assert closed_by_scan(cover) and cover.is_closed()
-            assert is_orientable(cover) and components_and_signing(cover) == (1, True)
-            assert cover.is_connected() and cover.deck_is_free()
+            base = AssemblyBatch.glued(refs.pieces, pairings)
+            assert sum(p.flag < 0 for p in row_refs(base, 0).pairings) == 4
+            assert not base.orientable()[0]
+            cover = base.cover
+            lifts = row_refs(cover, 0)
+            n = len(refs.pieces)
+            assert closed_by_scan(lifts) and cover.closed()[0]
+            assert cover.orientable()[0] and components_and_signing(lifts) == (1, True)
+            assert cover.components[0] == 1 and cover.deck_free()[0]
             deck = cover.deck_involution
             assert all(deck[i] != i and deck[deck[i]] == i for i in range(2 * n))
             # each base glueing lifts to two, which cross the sheets iff it reverses
-            flags = {frozenset((p.a, p.b)): p.flag for p in base.pairings}
+            flags = {frozenset((p.a, p.b)): p.flag for p in pairings}
             lifted = Counter()
-            for q in cover.pairings:
+            for q in lifts.pairings:
                 below = frozenset(((q.a[0] % n, q.a[1]), (q.b[0] % n, q.b[1])))
                 assert ((q.a[0] < n) != (q.b[0] < n)) == (flags[below] < 0)
                 lifted[below] += 1
@@ -761,30 +822,16 @@ class TestDoubleCover:
         u = PieceTemplate("u", 2, True)
         pieces = (PieceInstance(u, ("a",)), PieceInstance(u, ("b",)))
         pairings = (Pairing((0, 0), (1, 0), 1), Pairing((0, 1), (1, 1), -1))
-        assembled = AssembledManifold.glued(pieces, pairings)
-        assert not is_orientable(assembled)
-        cover = orientation_double_cover(assembled)
-        assert is_orientable(cover)
-        assert cover.is_connected()
+        assembled = AssemblyBatch.glued(pieces, pairings)
+        assert not assembled.orientable()[0]
+        cover = assembled.cover
+        assert cover.orientable()[0]
+        assert cover.components[0] == 1
 
 
 def batch_of(pieces, rows) -> AssemblyBatch:
-    """One row per list of pairings in `rows`, each glued on its own by `AssembledManifold.glued`."""
-    built = [AssembledManifold.glued(pieces, pairings) for pairings in rows]
-    partner, flag = (np.array([getattr(b, name) for b in built]) for name in ("partner", "flag"))
-    return AssemblyBatch(built[0].layout, partner, flag)
-
-
-def refs(pieces, pairings, internal_joins=(), deck_involution=None):
-    return SimpleNamespace(
-        pieces=pieces, pairings=pairings, internal_joins=internal_joins, deck_involution=deck_involution
-    )
-
-
-def read_back(batch: AssemblyBatch, g: int):
-    """The slot refs of row g of a batch whose `partner` is an involution."""
-    row = batch.row(g)
-    return refs(row.pieces, row.pairings, row.internal_joins, row.deck_involution)
+    """One row per list of pairings in `rows`, each glued on its own by `AssemblyBatch.glued`."""
+    return stacked([AssemblyBatch.glued(pieces, pairings) for pairings in rows])
 
 
 def verdicts_agree(batch: AssemblyBatch, rows) -> Counter:
@@ -815,12 +862,10 @@ class TestBatchAgainstOracles:
         seen = Counter()
         for m in (5, 6, 7):
             rng = np.random.default_rng(m)
-            labels = tuple(EDGE_LABELS[k % 4] for k in range(2 * m))
-            graphs = [GlueingGraph(m, edges, labels, root=0) for edges in enumerate_base_graphs(m)]
-            batch = assemble_batch(m, stack_edges(m, [graph.edges for graph in graphs]), 0, labels)
-            assert [batch.row(g) for g in range(len(graphs))] == [
-                assembled_piece_by_piece(graph, TEMPLATES) for graph in graphs
-            ]
+            labels = labels_of(m)
+            graphs = [DecoratedGraph(m, edges, labels, 0) for edges in enumerate_base_graphs(m)]
+            batch = assembled(m, [graph.edges for graph in graphs])
+            assert same(batch, stacked([assembled_piece_by_piece(graph, TEMPLATES) for graph in graphs]))
             # every glueing reverses with probability one half
             flipped = [
                 [p._replace(flag=int(f)) for p, f in zip(pairings_of(graph), rng.choice((-1, 1), 4 * m))]
@@ -836,15 +881,15 @@ class TestBatchAgainstOracles:
                 swapped.append(row)
             # the root block v, and a u block at the root so that the signing decides
             for templates in (TEMPLATES, {**TEMPLATES, "v": TEMPLATES["u"]}):
-                pieces = assembled_piece_by_piece(graphs[0], templates).pieces
+                pieces = assembled_piece_by_piece(graphs[0], templates).layout.pieces
                 for rows in (flipped, dropped, swapped):
                     base = batch_of(pieces, rows)
-                    seen += verdicts_agree(base, [refs(pieces, row) for row in rows])
+                    seen += verdicts_agree(base, [RefComplex(pieces, row) for row in rows])
                     # the covers of the closed rows, read back as refs
                     closed = base.closed()
                     partner, flag = base.partner[closed], base.flag[closed]
                     cover = dataclasses.replace(base, partner=partner, flag=flag).cover
-                    seen += verdicts_agree(cover, [read_back(cover, g) for g in range(sum(closed))])
+                    seen += verdicts_agree(cover, [row_refs(cover, g) for g in range(sum(closed))])
                     assert all(cover.deck_free())
             # an edge moved to another vertex: one block gets five edges and one three
             moved = []
@@ -854,10 +899,10 @@ class TestBatchAgainstOracles:
                 other = int(rng.choice([v for v in range(m) if v not in (i, j)]))
                 edges = list(graph.edges)
                 edges[k] = (min(i, other), max(i, other))
-                moved.append(SimpleNamespace(vertex_count=m, edges=edges))
+                moved.append(graph._replace(edges=edges))
             overfilled = assemble_batch(m, np.array([graph.edges for graph in moved]), 0, labels)
             pieces = batch.layout.pieces
-            assert verdicts_agree(overfilled, [refs(pieces, pairings_of(graph)) for graph in moved]) == {
+            assert verdicts_agree(overfilled, [RefComplex(pieces, pairings_of(graph)) for graph in moved]) == {
                 "open": len(graphs)
             }
         assert seen["open"] and seen["closed"] and seen["orientable"] and seen["non-orientable"]
@@ -875,17 +920,17 @@ class TestBatchAgainstOracles:
         twice = [p._replace(flag=-1) for p in ring[:2]] + ring[2:]
         rows = [ring, once, twice]
         batch = batch_of(pieces, rows)
-        assert verdicts_agree(batch, [refs(pieces, row) for row in rows])["closed"] == 3
+        assert verdicts_agree(batch, [RefComplex(pieces, row) for row in rows])["closed"] == 3
         assert list(batch.components) == [1, 1, 1]
         assert list(batch.orientable()) == [True, False, True]
         assert list(batch.cover.components) == [2, 1, 2]
-        verdicts_agree(batch.cover, [read_back(batch.cover, g) for g in range(3)])
+        verdicts_agree(batch.cover, [row_refs(batch.cover, g) for g in range(3)])
 
     def test_no_pieces(self):
-        # nothing to glue: closed, connected and orientable, with a free deck on its cover
-        empty = AssembledManifold.glued((), ())
-        assert empty.is_closed() and empty.is_connected() and is_orientable(empty)
-        assert orientation_double_cover(empty).deck_is_free()
+        # nothing to glue: closed, with no component, orientable, and a free deck on its cover
+        empty = AssemblyBatch.glued((), ())
+        assert empty.closed()[0] and empty.components[0] == 0 and empty.orientable()[0]
+        assert empty.cover.deck_free()[0]
 
 
 class TestGrowth:
