@@ -280,7 +280,7 @@ MUTANTS = [
     ),
     Mutant(
         "volume-as-an-int", GLUEING,
-        "return float(len(manifold.layout.pieces))", "return len(manifold.layout.pieces)",
+        "return float(len(batch.layout.pieces))", "return len(batch.layout.pieces)",
         (f"{T_GLUEING}::TestAssembly::test_volume_linear",),
     ),
     # the CLI's vertex-edge check, which a closed complex can fail
