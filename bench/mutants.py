@@ -128,14 +128,38 @@ MUTANTS = [
     # the Poincare check: a wall cut less than 1e-7 inside the unit circle ends ideally
     Mutant(
         "poincare-no-ideal-end-rule", VORONOI,
-        "ends.append((k, j if np.linalg.norm(k) < 1.0 - 1e-7 else None))",
-        "ends.append((k, j))",
+        "inner = (np.linalg.norm(k, axis=2) < 1.0 - 1e-7).tolist()",
+        "inner = np.ones(k.shape[:2], dtype=bool).tolist()",
         WALLS_AT_THE_CIRCLE,
     ),
     Mutant(
         "nesting-crossing-band-1e-7", HYPERBOLOID,
-        "    if abs(s) < 1.0 - EPS:\n", "    if abs(s) < 1.0 - 1e-7:\n",
+        "    crossing = np.abs(s) < 1.0 - EPS\n", "    crossing = np.abs(s) < 1.0 - 1e-7\n",
         ORTHOGONAL_THRESHOLD,
+    ),
+    # the nesting table: pairs outside a halfspace decided anyway, and EQUAL never found
+    Mutant(
+        "nesting-table-ignores-margins", HYPERBOLOID,
+        "    inside = ((inward_a * fx).sum(-1) > EPS)[:, None] & ((inward_b * fx).sum(-1) > EPS)[None, :]\n",
+        "    inside = np.ones((len(inward_a), len(inward_b)), dtype=bool)\n",
+        (
+            "tests/test_hyperboloid.py::TestNesting::test_basepoint_must_be_interior",
+            *(
+                f"tests/test_voronoi.py::TestNestingTableOracle::"
+                f"test_a_halfspace_at_most_eps_inside_skips_its_row[{m}]"
+                for m in ("0.0", "5e-10", "1e-09")
+            ),
+        ),
+    ),
+    Mutant(
+        "nesting-table-without-equal", HYPERBOLOID,
+        "    equal = close_to(planes_a[:, None, :], planes_b[None, :, :], 1e-7)\n",
+        "    equal = np.zeros((len(planes_a), len(planes_b)), dtype=bool)\n",
+        (
+            GOLDEN,
+            "tests/test_hyperboloid.py::TestNesting::test_equal_halfspaces",
+            "tests/test_voronoi.py::TestNestingTableOracle::test_golden_scenes[0/1/1]",
+        ),
     ),
     # the tangent frame without its refusal, and a sheet point without its finiteness test
     Mutant(

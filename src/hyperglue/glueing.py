@@ -392,6 +392,14 @@ def _assembly_layout(m: int, root: int, labels: tuple[str, ...]) -> SlotLayout:
     )
 
 
+def _sorted_pairs(m: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two ends (i, j) of every edge; refuses any that is not i < j < m with 0 <= i."""
+    i, j = edges[..., 0], edges[..., 1]
+    if not ((0 <= i) & (i < j) & (j < m)).all():
+        raise ValueError("edges must be sorted pairs of distinct vertices")
+    return i, j
+
+
 def stack_edges(m: int, graphs) -> np.ndarray:
     """The edge lists of simple 4-regular graphs on m vertices as one int
     array of shape (G, 2m, 2); refuses pairs that are not i < j < m, a
@@ -402,9 +410,7 @@ def stack_edges(m: int, graphs) -> np.ndarray:
         raise ValueError(f"a 4-regular graph on {m} vertices has {2 * m} edges, each a pair")
     ends = itertools.chain.from_iterable(itertools.chain.from_iterable(graphs))
     edges = np.fromiter(ends, np.intp, 4 * m * len(graphs)).reshape(len(graphs), 2 * m, 2)
-    i, j = edges[..., 0], edges[..., 1]
-    if not ((0 <= i) & (i < j) & (j < m)).all():
-        raise ValueError("edges must be sorted pairs of distinct vertices")
+    i, j = _sorted_pairs(m, edges)
     graph_of = np.arange(len(edges))[:, None]
     if np.bincount((graph_of * m * m + i * m + j).ravel()).max(initial=0) > 1:
         raise ValueError("multi-edge")
@@ -422,10 +428,12 @@ def assemble_batch(m: int, edges: np.ndarray, root: int, labels: tuple[str, ...]
     its edges in edge order; edge k owns slots 4m + 2k and 4m + 2k + 1,
     glued with flag +1 to its ends.  A block given too many edges writes
     into the next block's slots, and `partner` is then no involution.
-    Refuses a root outside 0 .. m - 1, a label count other than 2m and a
-    label outside `EDGE_LABELS`."""
+    Refuses a root outside 0 .. m - 1, an edge that is not a pair
+    i < j of vertices, a label count other than 2m and a label outside
+    `EDGE_LABELS`; degrees are not checked."""
     if not 0 <= root < m:
         raise ValueError("root out of range")
+    _sorted_pairs(m, edges)
     if len(labels) != 2 * m:
         raise ValueError("one label per edge required")
     unknown = [lab for lab in labels if lab not in EDGE_LABELS]

@@ -68,6 +68,16 @@ def quadratic(form: DiagonalForm, v):
     return bilinear(form, v, v)
 
 
+def close_to(a: np.ndarray, b: np.ndarray, atol: float) -> np.ndarray:
+    """|a - b| <= atol + 1e-5 |b| in every entry along the last axis, broadcast over the others.
+
+    This is `np.isclose`'s rule for finite input (rtol 1e-5); it is not
+    symmetric in a and b.  A NaN or infinite entry of a never matches a
+    finite b.
+    """
+    return (np.abs(a - b) <= atol + 1e-5 * np.abs(b)).all(axis=-1)
+
+
 # -- exact matrices ------------------------------------------------------------
 
 
@@ -316,7 +326,7 @@ class Hyperplane:
         self.exact_normal = exact_normal
 
     def same_as(self, other: "Hyperplane", tol: float = 1e-7) -> bool:
-        return bool(np.allclose(self.normal, other.normal, atol=tol))
+        return bool(close_to(self.normal, other.normal, tol))
 
     def apply(self, mat: np.ndarray) -> "Hyperplane":
         return Hyperplane(self.form, mat @ self.normal)
@@ -486,25 +496,58 @@ class NestingVerdict(enum.Enum):
     EQUAL = "equal"
 
 
+def stack_halfspaces(form: DiagonalForm, halfspaces) -> tuple[np.ndarray, np.ndarray]:
+    """The hyperplane normals and the inward normals of `halfspaces`, one row each."""
+    planes = np.reshape([h.hyperplane.normal for h in halfspaces], (-1, form.dimension))
+    sides = np.array([float(h.side) for h in halfspaces])
+    return planes, sides[:, None] * planes
+
+
+def nesting_table(form: DiagonalForm, first, second, x) -> list[list[NestingVerdict | None]]:
+    """The verdict of every pair of halfspaces, row i of `first` against row j of `second`.
+
+    Both are stacks from `stack_halfspaces`.  Entry (i, j) is None unless x
+    lies inside both halfspaces by a margin b_f(x, u) > EPS.  Otherwise the
+    two hyperplanes are EQUAL when their normals agree within
+    `close_to(..., 1e-7)`, as in `Hyperplane.same_as`.  Else, with both
+    inward normals u, u' scaled to f = 1 and oriented toward x, the product
+    s = b_f(u, u') decides: |s| < 1 - EPS means the boundary hyperplanes
+    cross, s > 0 beyond that means one halfspace contains the other
+    (nested), s < 0 means disjoint boundaries facing away from each other.
+    Tangency at infinity (|s| = 1) is classified with its closure.  Every
+    entry is a sum over the last axis of broadcast products, so it is the
+    same whatever the table's shape.
+    """
+    planes_a, inward_a = first
+    planes_b, inward_b = second
+    c = float_coefficients(form)
+    fx = as_float_vector(form, x) * c
+    inside = ((inward_a * fx).sum(-1) > EPS)[:, None] & ((inward_b * fx).sum(-1) > EPS)[None, :]
+    equal = close_to(planes_a[:, None, :], planes_b[None, :, :], 1e-7)
+    s = ((inward_a * c)[:, None, :] * inward_b[None, :, :]).sum(-1)
+    crossing = np.abs(s) < 1.0 - EPS
+    return [
+        [
+            None if not ok
+            else NestingVerdict.EQUAL if eq
+            else NestingVerdict.CROSSING if cross
+            else NestingVerdict.NESTED if si > 0
+            else NestingVerdict.DISJOINT_NOT_NESTED
+            for ok, eq, cross, si in zip(*row)
+        ]
+        for row in zip(inside.tolist(), equal.tolist(), crossing.tolist(), s.tolist())
+    ]
+
+
 def are_nested(form: DiagonalForm, hs1: HalfSpace, hs2: HalfSpace, x) -> NestingVerdict:
     """Classify two halfspaces that both contain the basepoint x.
 
-    With both normals scaled to f = 1 and oriented toward x, the product
-    s = b_f(u, u') decides everything: |s| < 1 means the boundary
-    hyperplanes cross, s >= 1 means one halfspace contains the other
-    (nested), s <= -1 means disjoint boundaries facing away from each
-    other.  Tangency at infinity (|s| = 1) is classified with its closure.
+    This is the 1 x 1 case of `nesting_table`, which holds the thresholds;
+    a basepoint not interior to both halfspaces is refused.
     """
-    xf = as_float_vector(form, x)
-    if hs1.margin(xf) <= EPS or hs2.margin(xf) <= EPS:
+    ((verdict,),) = nesting_table(
+        form, stack_halfspaces(form, [hs1]), stack_halfspaces(form, [hs2]), x
+    )
+    if verdict is None:
         raise ValueError("basepoint must be interior to both halfspaces")
-    if hs1.hyperplane.same_as(hs2.hyperplane):
-        return NestingVerdict.EQUAL
-    u1 = hs1.inward_normal()
-    u2 = hs2.inward_normal()
-    s = bilinear(form, u1, u2)
-    if abs(s) < 1.0 - EPS:
-        return NestingVerdict.CROSSING
-    if s > 0:
-        return NestingVerdict.NESTED
-    return NestingVerdict.DISJOINT_NOT_NESTED
+    return verdict

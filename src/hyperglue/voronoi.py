@@ -40,19 +40,21 @@ from .hyperboloid import (
     HalfSpace,
     Hyperplane,
     NestingVerdict,
-    are_nested,
     as_float_vector,
     basepoint,
     bilinear,
     boundary_sphere,
+    close_to,
     distance,
     float_coefficients,
     is_isometry,
     isometry_inverse,
     jn_chart,
     normalize_point,
+    nesting_table,
     normalize_points,
     quadratic,
+    stack_halfspaces,
     translation_along,
     unit_tangent,
 )
@@ -359,8 +361,7 @@ def dirichlet_cell(
     form = orbit.form
     center = normalize_point(form, center)
     coords = orbit.coordinates()
-    # np.allclose(op.point, center, atol=1e-7) for every orbit point at once
-    matches = np.flatnonzero(np.isclose(coords, center, atol=1e-7).all(axis=1))
+    matches = np.flatnonzero(close_to(coords, center, 1e-7))
     if not len(matches):
         raise ValueError("center must be one of the orbit points")
     idx = int(matches[0])
@@ -378,7 +379,7 @@ def dirichlet_cell(
     # the bisector normal x - y, scaled to f = 1, points toward the center x
     points = np.delete(coords, idx, axis=0)
     diff = center[None, :] - points
-    if np.any(np.all(np.abs(diff) <= EPS + 1e-5 * np.abs(points), axis=1)):
+    if close_to(center, points, EPS).any():
         raise ValueError("bisector requires two distinct points")
     c = float_coefficients(form)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -401,9 +402,7 @@ def dirichlet_cell(
 
     hull = ConvexHull(np.vstack([polar, box_polar]))
     vertices = hull.vertices[hull.vertices < len(others)]
-    # np.isclose(inward, inward[v], atol=1e-7) for every hull vertex v at once
-    near = inward[vertices][:, None, :]
-    dups = np.all(np.abs(inward[None, :, :] - near) <= 1e-7 + 1e-5 * np.abs(near), axis=2)
+    dups = close_to(inward[None, :, :], inward[vertices][:, None, :], 1e-7)
     classes: dict[int, int] = {}  # earliest orbit index -> row of `dups`
     for row, first in enumerate(np.argmax(dups, axis=1)):
         classes.setdefault(int(first), row)
@@ -840,17 +839,18 @@ class PoincareReport:
         return "\n".join(lines)
 
 
-def _facet_ends(cell: VoronoiCell):
+def _facet_ends(cell: VoronoiCell, inward: np.ndarray):
     """Both ends of every facet of a plane cell, in the cell's own Klein chart.
 
-    Each end is (k, j): the Klein point and the facet j whose wall cuts
-    the facet there, with j = None where the facet runs out to its ideal
-    point on the unit circle (k is then that point) or is cut no more than
-    1e-7 inside it.  Ends come in the order lo, hi along the facet line.
+    `inward` holds the facets' inward normals, one row each.  Each end is
+    (k, j): the Klein point and the facet j whose wall cuts the facet
+    there, with j = None where the facet runs out to its ideal point on
+    the unit circle (k is then that point) or is cut no more than 1e-7
+    inside it.  Ends come in the order lo, hi along the facet line.
     """
     if not cell.facets:
         return []
-    a, rhs = _klein_rows(cell._chart[0], [f.halfspace.inward_normal() for f in cell.facets])
+    a, rhs = _klein_rows(cell._chart[0], inward)
     norm = np.linalg.norm(a, axis=1)
     base = a * rhs[:, None] / (norm * norm)[:, None]
     direction = np.stack([-a[:, 1], a[:, 0]], axis=1) / norm[:, None]
@@ -860,27 +860,31 @@ def _facet_ends(cell: VoronoiCell):
     if np.any(half_sq <= 0):
         raise ValueError("facet line misses the Klein disk")
     half = np.sqrt(half_sq)
-    out = []
-    for i in range(len(cell.facets)):
+    # wall j meets the line of facet i at t = offset[i, j] / coeff[i, j]
+    coeff = (direction[:, None, :] * a[None, :, :]).sum(-1)
+    offset = rhs[None, :] - (base[:, None, :] * a[None, :, :]).sum(-1)
+    bounds, cuts = [], []
+    for i, (coeff_i, offset_i) in enumerate(zip(coeff.tolist(), offset.tolist())):
         t_lo, t_hi, j_lo, j_hi = -half[i], half[i], None, None
-        for j, (a_j, rhs_j) in enumerate(zip(a, rhs)):
-            coeff = float(np.dot(a_j, direction[i]))
-            if j == i or abs(coeff) <= 1e-12:
+        for j, (c, o) in enumerate(zip(coeff_i, offset_i)):
+            if j == i or abs(c) <= 1e-12:
                 continue
-            t_star = (rhs_j - float(np.dot(a_j, base[i]))) / coeff
-            if coeff > 0:
+            t_star = o / c
+            if c > 0:
                 if t_star > t_lo + 1e-12:
                     t_lo, j_lo = t_star, j
             elif t_star < t_hi - 1e-12:
                 t_hi, j_hi = t_star, j
         if t_lo >= t_hi - 1e-12:
             raise ValueError("facet is empty")
-        ends = []
-        for t, j in ((t_lo, j_lo), (t_hi, j_hi)):
-            k = base[i] + t * direction[i]
-            ends.append((k, j if np.linalg.norm(k) < 1.0 - 1e-7 else None))
-        out.append(tuple(ends))
-    return out
+        bounds.append((t_lo, t_hi))
+        cuts.append((j_lo, j_hi))
+    k = base[:, None, :] + np.array(bounds)[:, :, None] * direction[:, None, :]
+    inner = (np.linalg.norm(k, axis=2) < 1.0 - 1e-7).tolist()
+    return [
+        tuple((k_e, j if in_e else None) for k_e, j, in_e in zip(k_i, cut, in_i))
+        for k_i, cut, in_i in zip(k, cuts, inner)
+    ]
 
 
 def _interior_angle(form, cell, i, j) -> float:
@@ -903,7 +907,11 @@ def check_poincare_2d(
     involution (g g = I within `is_isometry`'s tolerance), (iii) vertex
     cycles close up with angle sum 2 pi / m for integer m >= 1, within
     1e-6 relative in m, and (iv) no two bounding hyperplanes from distinct
-    cells are nested; (iv) needs the two cells to share their center.
+    cells are nested.  Check (iv) decides each pair of cells with one
+    `nesting_table` at their common center, from each cell's halfspaces
+    stacked once; a pair of cells whose centers differ, and a facet pair
+    whose halfspaces do not hold the center by more than EPS, is skipped
+    and counted.
 
     Facet ends are taken in each cell's own Klein chart, an uncut facet
     ending at its ideal point, so moving the whole domain by an isometry
@@ -939,10 +947,11 @@ def check_poincare_2d(
     unpaired = tuple(ref for ref, c in counts.items() if c != 1)
 
     # (ii) geometric pairing
+    walls = [stack_halfspaces(form, [f.halfspace for f in cell.facets]) for cell in cells]
     ends = {
         (ci, fi): pair
-        for ci, cell in enumerate(cells)
-        for fi, pair in enumerate(_facet_ends(cell))
+        for ci, (cell, (_, inward)) in enumerate(zip(cells, walls))
+        for fi, pair in enumerate(_facet_ends(cell, inward))
     }
     end_map: dict[tuple[int, int, int], tuple[int, int, int]] = {}
     for p in pairings:
@@ -979,14 +988,13 @@ def check_poincare_2d(
         move = dst_cell._chart[0] @ p.isometry @ src_cell._chart[1]
         y = np.array([(1.0, *k) for k, _ in have]) @ move.T
         mapped = y[:, 1:] / y[:, :1]
-        for order in ((0, 1), (1, 0)):
-            if all(
-                (have[e][1] is None) == (want[o][1] is None)
-                and np.allclose(mapped[e], want[o][0], atol=1e-6)
-                for e, o in enumerate(order)
-            ):
-                break
-        else:
+        # lands[e][o]: end e arrives on end o, both ideal or both cut
+        lands = (
+            close_to(mapped[:, None, :], np.array([k for k, _ in want])[None, :, :], 1e-6)
+            & np.equal.outer([j is None for _, j in have], [j is None for _, j in want])
+        ).tolist()
+        order = next((o for o in ((0, 1), (1, 0)) if lands[0][o[0]] and lands[1][o[1]]), None)
+        if order is None:
             errors.append(f"{name}: facet endpoints do not map onto partner")
             continue
         for e, o in enumerate(order):
@@ -1028,21 +1036,20 @@ def check_poincare_2d(
         ok = m >= 1 and abs(m_hat - m) <= 1e-6 * max(1.0, m_hat)
         cycles.append(VertexCycle((ci, k0), angle, m if ok else None, ok))
 
-    # (iv) nesting across distinct cells
+    # (iv) nesting across distinct cells, one table per pair of cells
     nesting: list[tuple[FacetRef, FacetRef, NestingVerdict]] = []
     skipped = 0
     for (ci, cell_a), (cj, cell_b) in itertools.combinations(enumerate(cells), 2):
-        base = cell_a.center if np.allclose(cell_a.center, cell_b.center, atol=1e-7) else None
-        for fi, fa in enumerate(cell_a.facets):
-            for fj, fb in enumerate(cell_b.facets):
-                if base is None or fa.halfspace.margin(base) <= EPS or fb.halfspace.margin(
-                    base
-                ) <= EPS:
+        if not close_to(cell_a.center, cell_b.center, 1e-7):
+            skipped += len(cell_a.facets) * len(cell_b.facets)
+            continue
+        table = nesting_table(form, walls[ci], walls[cj], cell_a.center)
+        for fi, row in enumerate(table):
+            for fj, verdict in enumerate(row):
+                if verdict is None:
                     skipped += 1
-                    continue
-                nesting.append(
-                    ((ci, fi), (cj, fj), are_nested(form, fa.halfspace, fb.halfspace, base))
-                )
+                else:
+                    nesting.append(((ci, fi), (cj, fj), verdict))
 
     nested = any(v is NestingVerdict.NESTED for _, _, v in nesting)
     return PoincareReport(

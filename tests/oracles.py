@@ -21,6 +21,7 @@ from hyperglue.hyperboloid import (
     EPS,
     HalfSpace,
     Hyperplane,
+    NestingVerdict,
     as_float_vector,
     basepoint,
     bilinear,
@@ -389,6 +390,52 @@ def plane_cell_vertices(cell: VoronoiCell) -> list[tuple[np.ndarray, int, int, f
             cos = -bilinear(form, normals[i], normals[j])
             out.append((w, i, j, math.acos(max(-1.0, min(1.0, cos)))))
     return out
+
+
+def _fsum_bilinear(form: DiagonalForm, u, w) -> float:
+    """b_f(u, w) summed exactly, from the rounded products c_i u_i w_i."""
+    return math.fsum(float(c) * float(a) * float(b) for c, a, b in zip(float_coefficients(form), u, w))
+
+
+def _scalar_close(a, b, atol: float) -> bool:
+    return all(abs(float(x) - float(y)) <= atol + 1e-5 * abs(float(y)) for x, y in zip(a, b))
+
+
+def scalar_nesting_verdict(form: DiagonalForm, hs1: HalfSpace, hs2: HalfSpace, x) -> NestingVerdict | None:
+    """The nesting verdict of two halfspaces about x, one pair at a time with `math.fsum`.
+
+    None unless x lies inside both by a margin > EPS; EQUAL when the
+    hyperplane normals agree entry by entry within 1e-7 + 1e-5 |n2|; then,
+    for the inward normals' product s, CROSSING when |s| < 1 - EPS, NESTED
+    when s > 0 and DISJOINT_NOT_NESTED otherwise: the thresholds that
+    `are_nested` documents.
+    """
+    u1, u2 = hs1.inward_normal(), hs2.inward_normal()
+    if _fsum_bilinear(form, x, u1) <= EPS or _fsum_bilinear(form, x, u2) <= EPS:
+        return None
+    if _scalar_close(hs1.hyperplane.normal, hs2.hyperplane.normal, 1e-7):
+        return NestingVerdict.EQUAL
+    s = _fsum_bilinear(form, u1, u2)
+    if abs(s) < 1.0 - EPS:
+        return NestingVerdict.CROSSING
+    return NestingVerdict.NESTED if s > 0 else NestingVerdict.DISJOINT_NOT_NESTED
+
+
+def scalar_nesting(cells: Sequence[VoronoiCell]) -> tuple[list, int]:
+    """Check (iv) of the Poincare check pair by pair: the (facet, facet,
+    verdict) triples of every two cells whose centers agree within 1e-7,
+    at the earlier cell's center, and the count of facet pairs skipped."""
+    nesting, skipped = [], 0
+    for (ci, a), (cj, b) in itertools.combinations(enumerate(cells), 2):
+        for (fi, fa), (fj, fb) in itertools.product(enumerate(a.facets), enumerate(b.facets)):
+            verdict = None
+            if _scalar_close(a.center, b.center, 1e-7):
+                verdict = scalar_nesting_verdict(a.form, fa.halfspace, fb.halfspace, a.center)
+            if verdict is None:
+                skipped += 1
+            else:
+                nesting.append(((ci, fi), (cj, fj), verdict))
+    return nesting, skipped
 
 
 def reflection_polygon(n: int, angle: float) -> tuple[GroupData, np.ndarray]:

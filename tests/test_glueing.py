@@ -321,6 +321,14 @@ class TestGraphValidation:
             with pytest.raises(ValueError, match="^root out of range$"):
                 assemble_batch(5, edges, root, labels_of(5))
 
+    @pytest.mark.parametrize("pair", [(3, 12), (3, 5), (3, 7), (4, 3), (2, 2), (-1, 3)])
+    def test_rejects_edge_ends_that_name_no_vertex(self, pair):
+        # (3, 12) used to raise a bare IndexError and (3, 7) to build an open row
+        edges = stack_edges(5, enumerate_base_graphs(5)).copy()
+        edges[0, 9] = pair
+        with pytest.raises(ValueError, match="^edges must be sorted pairs of distinct vertices$"):
+            assemble_batch(5, edges, 0, labels_of(5))
+
     def test_rejects_a_label_count_other_than_2m(self):
         edges = stack_edges(5, enumerate_base_graphs(5))
         for labels in (labels_of(5)[:3], labels_of(5)[:9], labels_of(5) + ("a+",)):

@@ -24,6 +24,7 @@ from hyperglue.hyperboloid import (
     basepoint,
     bilinear,
     boundary_sphere,
+    close_to,
     distance,
     exact_identity,
     exact_mat_mul,
@@ -337,6 +338,48 @@ class TestMixedFields:
     def test_reflection_in_rational_vector_on_sqrt2_form(self):
         with pytest.raises(ValueError, match="mixed fields"):
             reflection(counting_base_form(3, QS2), exact_vec(0, 0, 1))
+
+
+class TestCloseTo:
+    """`close_to` against `np.isclose(...).all()`, whose rule it is for finite input."""
+
+    def test_agrees_with_isclose_on_both_sides_of_the_bound(self):
+        rng = np.random.default_rng(5)
+        seen = set()
+        for _ in range(3000):
+            n = int(rng.integers(1, 5))
+            b = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+            atol = 10.0 ** int(rng.integers(-9, -4))
+            bound = atol + 1e-5 * np.abs(b)
+            # each entry of a lands well inside, just inside, just outside or well outside its bound
+            a = b + rng.choice([-1.0, 1.0], n) * bound * rng.choice([0.0, 0.5, 0.999, 1.001, 2.0], n)
+            for x, y in ((a, b), (b, a)):
+                want = bool(np.isclose(x, y, atol=atol).all())
+                assert close_to(x, y, atol) == want
+                seen.add(want)
+            assert close_to(a[None, :], np.stack([b, a]), atol).tolist() == [
+                bool(np.isclose(a, b, atol=atol).all()), True
+            ]
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("atol", [0.0, 1e-9, 1e-7])
+    def test_zero_vectors(self, atol):
+        zero = np.zeros(3)
+        assert close_to(zero, zero, atol)
+        near, far = np.full(3, 0.5 * atol), np.full(3, 2.0 * atol + 1e-300)
+        assert close_to(zero, near, atol) and close_to(near, zero, atol)
+        assert not close_to(zero, far, atol) and not close_to(far, zero, atol)
+        assert not close_to(zero, E1, atol) and not close_to(E1, zero, atol)
+
+    def test_not_symmetric_in_its_arguments(self):
+        # |a - b| = 1.00005e-5 lies between 1e-5 |a| and 1e-5 |b|
+        a, b = np.array([1.0]), np.array([1.0 + 1e-5 + 5e-11])
+        assert close_to(a, b, 0.0) and np.isclose(a, b, atol=0.0).all()
+        assert not close_to(b, a, 0.0) and not np.isclose(b, a, atol=0.0).all()
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_entry_never_matches(self, bad):
+        assert not close_to(np.array([bad, 0.0]), np.array([0.5, 0.0]), 1e-6)
 
 
 class TestDistance:

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from hyperglue import voronoi
 from hyperglue.hyperboloid import (
     EPS,
+    HalfSpace,
     Hyperplane,
     NestingVerdict,
     are_nested,
@@ -28,6 +30,7 @@ from hyperglue.numfield import FieldTag
 from hyperglue.qforms import counting_base_form, jn_form
 from hyperglue.voronoi import (
     AdmissibleSet,
+    CellFacet,
     FacetPairing,
     FacetType,
     GroupData,
@@ -1282,6 +1285,69 @@ class TestPoincare:
             assert abs(total - sum(v[3] for v in vertices)) <= 1e-9, report.summary()
             compared += bool(vertices)
         assert compared >= 15 * (1 + len(MOVES))
+
+
+# the five `geom nesting` scenes of the golden command list
+GOLDEN_NESTING = [(90.0, 1.0, 6.0), (60.0, 0.3, 8.0), (37.0, 2.2, 3.1), (0.0, 1.0, 1.0), (90.0, 0.5, 0.5)]
+
+
+class TestNestingTableOracle:
+    """Check (iv)'s tables against `oracles.scalar_nesting`, which decides
+    each facet pair on its own with `math.fsum` and the thresholds that
+    `are_nested` documents."""
+
+    @staticmethod
+    def agreed(cells):
+        report = check_poincare_2d(cells, [])
+        nesting, skipped = oracles.scalar_nesting(cells)
+        assert list(report.nesting) == nesting
+        assert report.skipped_nesting == skipped
+        return report
+
+    @pytest.mark.parametrize("scene", GOLDEN_NESTING, ids=lambda s: "/".join(f"{x:g}" for x in s))
+    def test_golden_scenes(self, scene):
+        verdicts = {v for _, _, v in self.agreed(two_cell_domain(*scene)[0]).nesting}
+        if scene == (0.0, 1.0, 1.0):
+            assert NestingVerdict.EQUAL in verdicts
+        if scene == (90.0, 0.5, 0.5):
+            assert verdicts == {NestingVerdict.CROSSING}
+
+    def test_seeded_two_translation_scenes(self):
+        verdicts = set()
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            cells = two_cell_domain(rng.uniform(0.0, 180.0), *rng.uniform(0.2, 4.0, 2))[0]
+            report = self.agreed(cells)
+            assert report.skipped_nesting == 0
+            verdicts.update(v for _, _, v in report.nesting)
+        assert verdicts == {
+            NestingVerdict.CROSSING, NestingVerdict.NESTED, NestingVerdict.DISJOINT_NOT_NESTED
+        }
+
+    def test_cells_with_different_centres_skip_every_pair(self):
+        t = translation_along(J2, X0, E1, 2.0)
+        cells = []
+        for move in (None, translation_move(1.0, 90.0)):
+            x, gens = moved(move, [t])
+            cells.append(dirichlet_cell(x, build_orbit([x], GroupData(J2, gens), 3)))
+        report = self.agreed(cells)
+        assert report.nesting == ()
+        assert report.skipped_nesting == len(cells[0].facets) * len(cells[1].facets) == 4
+
+    @pytest.mark.parametrize("margin", [0.0, 0.5 * EPS, EPS])
+    def test_a_halfspace_at_most_eps_inside_skips_its_row(self, margin):
+        # a wall through (or EPS-near) the basepoint, parallel to the H cell's own walls
+        cell_h, cell_v = two_cell_domain(60.0, 0.3, 8.0)[0]
+        wall = HalfSpace(Hyperplane(J2, np.array([-margin, 1.0, 0.0])), 1)
+        assert wall.margin(X0) <= EPS
+        cells = [replace(cell_h, facets=cell_h.facets + (CellFacet(wall, (9,)),)), cell_v]
+        report = self.agreed(cells)
+        assert report.skipped_nesting == len(cell_v.facets)
+        assert [(a, b) for a, b, _ in report.nesting] == [
+            ((0, i), (1, j)) for i in range(len(cell_h.facets)) for j in range(len(cell_v.facets))
+        ]
+        with pytest.raises(ValueError, match="^basepoint must be interior to both halfspaces$"):
+            are_nested(J2, wall, cell_v.facets[0].halfspace, X0)
 
 
 class TestIsometryInvariance:
