@@ -861,8 +861,8 @@ def _facet_ends(cell: VoronoiCell, inward: np.ndarray):
         raise ValueError("facet line misses the Klein disk")
     half = np.sqrt(half_sq)
     # wall j meets the line of facet i at t = offset[i, j] / coeff[i, j]
-    coeff = (direction[:, None, :] * a[None, :, :]).sum(-1)
-    offset = rhs[None, :] - (base[:, None, :] * a[None, :, :]).sum(-1)
+    coeff = direction @ a.T
+    offset = rhs[None, :] - base @ a.T
     bounds, cuts = [], []
     for i, (coeff_i, offset_i) in enumerate(zip(coeff.tolist(), offset.tolist())):
         t_lo, t_hi, j_lo, j_hi = -half[i], half[i], None, None
@@ -880,7 +880,8 @@ def _facet_ends(cell: VoronoiCell, inward: np.ndarray):
         bounds.append((t_lo, t_hi))
         cuts.append((j_lo, j_hi))
     k = base[:, None, :] + np.array(bounds)[:, :, None] * direction[:, None, :]
-    inner = (np.linalg.norm(k, axis=2) < 1.0 - 1e-7).tolist()
+    # np.linalg.norm of each end, from the same dot products
+    inner = (np.sqrt(np.vecdot(k, k)) < 1.0 - 1e-7).tolist()
     return [
         tuple((k_e, j if in_e else None) for k_e, j, in_e in zip(k_i, cut, in_i))
         for k_i, cut, in_i in zip(k, cuts, inner)
