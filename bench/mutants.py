@@ -205,12 +205,21 @@ MUTANTS = [
             f"{T_GLUEING}::TestAssembly::test_k5_shape",
         ),
     ),
-    # the input checks of a batch: a root that names no vertex, flags other
-    # than +-1, and copies whose arrays can be written under their cached checks
+    # the input checks of a batch: a root or an edge end that names no vertex,
+    # flags other than +-1, and copies whose arrays can be written under their
+    # cached checks
     Mutant(
         "assembly-accepts-any-root", GLUEING,
         "    if not 0 <= root < m:\n", "    if False:\n",
         (f"{T_GLUEING}::TestGraphValidation::test_rejects_bad_root",),
+    ),
+    Mutant(
+        "assembly-accepts-any-edge-end", GLUEING,
+        "    _sorted_pairs(m, edges)\n", "",
+        tuple(
+            f"{T_GLUEING}::TestGraphValidation::test_rejects_edge_ends_that_name_no_vertex[{pair}]"
+            for pair in ("3,12", "3,5", "3,7", "4,3", "2,2", "-1,3")
+        ),
     ),
     Mutant(
         "batch-accepts-other-flags", GLUEING,

@@ -321,7 +321,9 @@ class TestGraphValidation:
             with pytest.raises(ValueError, match="^root out of range$"):
                 assemble_batch(5, edges, root, labels_of(5))
 
-    @pytest.mark.parametrize("pair", [(3, 12), (3, 5), (3, 7), (4, 3), (2, 2), (-1, 3)])
+    @pytest.mark.parametrize(
+        "pair", [(3, 12), (3, 5), (3, 7), (4, 3), (2, 2), (-1, 3)], ids=lambda p: f"{p[0]},{p[1]}"
+    )
     def test_rejects_edge_ends_that_name_no_vertex(self, pair):
         # (3, 12) used to raise a bare IndexError and (3, 7) to build an open row
         edges = stack_edges(5, enumerate_base_graphs(5)).copy()
