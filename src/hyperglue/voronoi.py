@@ -853,11 +853,11 @@ def _facet_ends(cell: VoronoiCell, inward: np.ndarray):
     a, rhs = _klein_rows(cell._chart[0], inward)
     norm = np.linalg.norm(a, axis=1)
     base = a * rhs[:, None] / (norm * norm)[:, None]
-    direction = np.stack([-a[:, 1], a[:, 0]], axis=1) / norm[:, None]
+    direction = a[:, ::-1] * [-1.0, 1.0] / norm[:, None]
     # base is the foot of the perpendicular from the origin, so the line
     # leaves the disk at t = -+ half
     half_sq = 1.0 - np.einsum("ij,ij->i", base, base)
-    if np.any(half_sq <= 0):
+    if (half_sq <= 0).any():
         raise ValueError("facet line misses the Klein disk")
     half = np.sqrt(half_sq)
     # wall j meets the line of facet i at t = offset[i, j] / coeff[i, j]
