@@ -128,8 +128,7 @@ MUTANTS = [
     # the Poincare check: a wall cut less than 1e-7 inside the unit circle ends ideally
     Mutant(
         "poincare-no-ideal-end-rule", VORONOI,
-        "inner = (np.sqrt(np.vecdot(k, k)) < 1.0 - 1e-7).tolist()",
-        "inner = np.ones(k.shape[:2], dtype=bool).tolist()",
+        "j if np.linalg.norm(k_e) < 1.0 - 1e-7 else None", "j",
         WALLS_AT_THE_CIRCLE,
     ),
     Mutant(

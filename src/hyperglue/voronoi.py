@@ -880,11 +880,9 @@ def _facet_ends(cell: VoronoiCell, inward: np.ndarray):
         bounds.append((t_lo, t_hi))
         cuts.append((j_lo, j_hi))
     k = base[:, None, :] + np.array(bounds)[:, :, None] * direction[:, None, :]
-    # np.linalg.norm of each end, from the same dot products
-    inner = (np.sqrt(np.vecdot(k, k)) < 1.0 - 1e-7).tolist()
     return [
-        tuple((k_e, j if in_e else None) for k_e, j, in_e in zip(k_i, cut, in_i))
-        for k_i, cut, in_i in zip(k, cuts, inner)
+        tuple((k_e, j if np.linalg.norm(k_e) < 1.0 - 1e-7 else None) for k_e, j in zip(k_i, cut))
+        for k_i, cut in zip(k, cuts)
     ]
 
 
