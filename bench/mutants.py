@@ -184,11 +184,12 @@ MUTANTS = [
             for x in ("light-like", "nan-f")
         ),
     ),
-    # the graph search: a pair bound one too tight cuts branches that hold graphs
-    # (it still finds K5, and none of the 15 and 465 graphs on 6 and 7 vertices)
+    # the graph enumeration: a pair bound one too tight drops partial graphs that
+    # grow into graphs (it still finds K5, and none of the 15 and 465 graphs on
+    # 6 and 7 vertices)
     Mutant(
         "enumeration-bound-for-j-too-tight", GLUEING,
-        "residual[j] <= m - i - 2", "residual[j] <= m - i - 3",
+        "residual[:, j] <= m - i - 2", "residual[:, j] <= m - i - 3",
         tuple(
             f"{T_GLUEING}::TestEnumeration::test_counts_match_oracle[{m}-{n}]"
             for m, n in ((6, 15), (7, 465))
@@ -214,7 +215,7 @@ MUTANTS = [
     ),
     Mutant(
         "assembly-accepts-any-edge-end", GLUEING,
-        "    _sorted_pairs(m, edges)\n", "",
+        "    if not ((0 <= i) & (i < j) & (j < m)).all():\n", "    if False:\n",
         tuple(
             f"{T_GLUEING}::TestGraphValidation::test_rejects_edge_ends_that_name_no_vertex[{pair}]"
             for pair in ("3,12", "3,5", "3,7", "4,3", "2,2", "-1,3")
@@ -324,10 +325,10 @@ MUTANTS = [
     # known survivors
     Mutant(
         "enumeration-bound-for-j-too-loose", GLUEING,
-        "residual[j] <= m - i - 2", "residual[j] <= m - i - 1",
+        "residual[:, j] <= m - i - 2", "residual[:, j] <= m - i - 1",
         (T_GLUEING,),
-        survives="a looser bound only prunes less: every leaf is still checked for 4-regularity, "
-        "so the search yields the same 1, 15 and 465 graphs in the same order",
+        survives="a looser bound only prunes less: the final filter still drops every row with a "
+        "residual degree, so the enumeration gives the same 1, 15 and 465 graphs in the same order",
     ),
 ]
 

@@ -77,9 +77,10 @@ MAX_EXTENSION_SAMPLES = (
     "each sample writes up to two CSV rows and two SVG dots, about 330 bytes, "
     "so the cap keeps the output near 3.3 MB",
 )
-# --check-assemblies enumerates every base graph up to this m (481 graphs)
-# and checks them in batches of at most 64 graphs of one m: the arrays of a
-# batch and of its covers peak near 0.6 MB, where one batch of the 465
+# --check-assemblies enumerates every base graph up to this m (481 graphs),
+# one (G, 2m, 2) edge array per m (0.1 MB for the 465 graphs of m = 7, 0.26
+# MB at its peak), and checks slices of at most 64 of its rows: the arrays
+# of a batch and of its covers peak near 0.6 MB, where one batch of the 465
 # graphs for m = 7 peaked near 4 MB
 MAX_ASSEMBLY_CHECK_M = 7
 ASSEMBLY_BATCH = 64
@@ -436,8 +437,8 @@ def cmd_count(args) -> int:
             # a 4-regular graph on m vertices has 2m edges
             labels = tuple(glueing.EDGE_LABELS[k % 4] for k in range(2 * m))
             graphs = glueing.enumerate_base_graphs(m)
-            while batch := list(itertools.islice(graphs, ASSEMBLY_BATCH)):
-                edges = glueing.stack_edges(m, batch)
+            for start in range(0, len(graphs), ASSEMBLY_BATCH):
+                edges = graphs[start:start + ASSEMBLY_BATCH]
                 checked += len(edges)
                 base = glueing.assemble_batch(m, edges, 0, labels)
                 cover = base.cover

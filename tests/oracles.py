@@ -644,6 +644,11 @@ def bitmask_oracle(m: int, degree: int = 4) -> list[tuple[tuple[int, int], ...]]
     return out
 
 
+def base_graphs(m: int) -> list[tuple[tuple[int, int], ...]]:
+    """The rows of `enumerate_base_graphs(m)`, in its order, as tuples of (i, j) pairs."""
+    return [tuple(map(tuple, edges)) for edges in enumerate_base_graphs(m).tolist()]
+
+
 def enumerated_counts(m_max: int, mode: str = "free") -> list[CountRow]:
     """The rows of `count_graphs`, found by enumerating every base graph.
 
@@ -654,7 +659,7 @@ def enumerated_counts(m_max: int, mode: str = "free") -> list[CountRow]:
     for m in range(5, m_max + 1):
         base = 0
         total = 0
-        for edges in enumerate_base_graphs(m):
+        for edges in base_graphs(m):
             base += 1
             if mode == "free":
                 total += m * 4 ** len(edges)
@@ -684,7 +689,7 @@ def enumerate_graphs(m: int, mode: str = "free") -> Iterator[DecoratedGraph]:
         raise ValueError("mode must be 'free' or 'proper'")
     if m < 5:
         warnings.warn("no simple 4-regular graph exists below 5 vertices")
-    for edges in enumerate_base_graphs(m):
+    for edges in base_graphs(m):
         if mode == "free":
             labelings: Iterator = itertools.product(EDGE_LABELS, repeat=len(edges))
         else:

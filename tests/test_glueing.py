@@ -23,13 +23,13 @@ from hyperglue.glueing import (
     count_graphs,
     enumerate_base_graphs,
     growth_fit,
-    stack_edges,
     volume,
 )
 from oracles import (
     DecoratedGraph,
     Pairing,
     RefComplex,
+    base_graphs,
     bitmask_oracle,
     brute_force_orientable,
     closed_by_scan,
@@ -45,7 +45,7 @@ from oracles import (
 class TestEnumeration:
     @pytest.mark.parametrize("m,expected", [(5, 1), (6, 15), (7, 465)])
     def test_counts_match_oracle(self, m, expected):
-        ours = list(enumerate_base_graphs(m))
+        ours = base_graphs(m)
         oracle = bitmask_oracle(m)
         assert len(ours) == expected
         assert sorted(ours) == sorted(oracle)
@@ -59,7 +59,7 @@ class TestEnumeration:
             chosen = set(edges)
             return tuple(p in chosen for p in pairs)
 
-        ours = list(enumerate_base_graphs(m))
+        ours = base_graphs(m)
         if m <= 7:
             assert ours == sorted(bitmask_oracle(m), key=bits)
         else:
@@ -70,15 +70,17 @@ class TestEnumeration:
             assert len(ours) == count_graphs(8)[-1].base_count
 
     def test_duplicate_free(self):
-        graphs = list(enumerate_base_graphs(7))
+        graphs = base_graphs(7)
         assert len(set(graphs)) == len(graphs)
 
     def test_below_five_empty(self):
+        # an empty edge array of the shape and kind that `assemble_batch` takes
         for m in (1, 2, 3, 4):
-            assert list(enumerate_base_graphs(m)) == []
+            graphs = enumerate_base_graphs(m)
+            assert graphs.shape == (0, 2 * m, 2) and graphs.dtype.kind == "i"
 
     def test_k5_is_the_unique_graph(self):
-        (edges,) = enumerate_base_graphs(5)
+        (edges,) = base_graphs(5)
         assert edges == tuple((i, j) for i in range(5) for j in range(i + 1, 5))
 
     def test_m6_complements_of_perfect_matchings(self):
@@ -87,7 +89,7 @@ class TestEnumeration:
             all_pairs = {(i, j) for i in range(6) for j in range(i + 1, 6)}
             return all_pairs - set(edges)
 
-        for edges in enumerate_base_graphs(6):
+        for edges in base_graphs(6):
             comp = complement(edges)
             assert len(comp) == 3
             used = set()
@@ -103,7 +105,7 @@ class TestEnumeration:
 
         cycle7 = 0
         split34 = 0
-        for edges in enumerate_base_graphs(7):
+        for edges in base_graphs(7):
             comp = complement(edges)
             adj = {v: [] for v in range(7)}
             for i, j in comp:
@@ -135,7 +137,7 @@ class TestEnumeration:
         # most significant bit, and the degrees come from the edge lists
         pairs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
         weight = {pair: 1 << (len(pairs) - 1 - k) for k, pair in enumerate(pairs)}
-        graphs = list(enumerate_base_graphs(8))
+        graphs = base_graphs(8)
         assert len(graphs) == 19355
         masks = [sum(weight[e] for e in edges) for edges in graphs]
         assert all(x < y for x, y in zip(masks, masks[1:]))
@@ -162,7 +164,7 @@ class TestEnumeration:
         assert count_graphs(7, "proper")[-1].rooted_labelled == 0
 
     def test_proper_labelings_are_proper(self):
-        edges = next(enumerate_base_graphs(6))
+        edges = base_graphs(6)[0]
         for labels in itertools.islice(proper_labelings(edges, 6), 10):
             for v in range(6):
                 at_v = [lab for edge, lab in zip(edges, labels) if v in edge]
@@ -283,8 +285,8 @@ def labels_of(m: int) -> tuple[str, ...]:
 
 
 def assembled(m: int, graphs, root: int = 0) -> AssemblyBatch:
-    """The complexes of the edge lists `graphs` on m vertices, stacked, checked and assembled as the CLI does."""
-    return assemble_batch(m, stack_edges(m, graphs), root, labels_of(m))
+    """The complexes of the edge lists `graphs` on m vertices, one row each, assembled as the CLI does."""
+    return assemble_batch(m, np.asarray(graphs), root, labels_of(m))
 
 
 def k5_assembly(root=0) -> AssemblyBatch:
@@ -310,13 +312,9 @@ def stacked(batches) -> AssemblyBatch:
 
 
 class TestGraphValidation:
-    def test_rejects_wrong_degree(self):
-        with pytest.raises(ValueError, match="4-regular"):
-            stack_edges(5, [((0, 1), (2, 3))])
-
     def test_rejects_bad_root(self):
         # a root outside the vertices would leave the complex with no root block v
-        edges = stack_edges(5, enumerate_base_graphs(5))
+        edges = enumerate_base_graphs(5)
         for root in (9, 5, -1):
             with pytest.raises(ValueError, match="^root out of range$"):
                 assemble_batch(5, edges, root, labels_of(5))
@@ -326,19 +324,19 @@ class TestGraphValidation:
     )
     def test_rejects_edge_ends_that_name_no_vertex(self, pair):
         # (3, 12) used to raise a bare IndexError and (3, 7) to build an open row
-        edges = stack_edges(5, enumerate_base_graphs(5)).copy()
+        edges = enumerate_base_graphs(5)
         edges[0, 9] = pair
         with pytest.raises(ValueError, match="^edges must be sorted pairs of distinct vertices$"):
             assemble_batch(5, edges, 0, labels_of(5))
 
     def test_rejects_a_label_count_other_than_2m(self):
-        edges = stack_edges(5, enumerate_base_graphs(5))
+        edges = enumerate_base_graphs(5)
         for labels in (labels_of(5)[:3], labels_of(5)[:9], labels_of(5) + ("a+",)):
             with pytest.raises(ValueError, match="^one label per edge required$"):
                 assemble_batch(5, edges, 0, labels)
 
     def test_rejects_an_unknown_label(self):
-        edges = stack_edges(5, enumerate_base_graphs(5))
+        edges = enumerate_base_graphs(5)
         labels = labels_of(5)[:4] + ("c+",) + labels_of(5)[5:]
         with pytest.raises(ValueError, match=r"^unknown edge label 'c\+'$"):
             assemble_batch(5, edges, 0, labels)
@@ -423,9 +421,9 @@ class TestAssembly:
                 }
             return sorted(colors.values())
 
-        edges = next(enumerate_base_graphs(6))
+        edges = base_graphs(6)[0]
         labels = labels_of(6)
-        g1 = assemble_batch(6, stack_edges(6, [edges]), 0, labels)
+        g1 = assemble_batch(6, enumerate_base_graphs(6)[:1], 0, labels)
 
         perm = [2, 0, 1, 4, 5, 3]
         perm_edges = []
@@ -436,7 +434,7 @@ class TestAssembly:
             perm_labels[e] = lab
         perm_edges.sort()
         g2 = assemble_batch(
-            6, stack_edges(6, [perm_edges]), perm[0], tuple(perm_labels[e] for e in perm_edges)
+            6, np.array([perm_edges]), perm[0], tuple(perm_labels[e] for e in perm_edges)
         )
         assert invariant(row_refs(g1, 0)) == invariant(row_refs(g2, 0))
 
@@ -448,16 +446,16 @@ class TestAssembly:
 
     def test_volume_bounded_by_three_m(self):
         for m in (5, 6):
-            assert volume(assembled(m, itertools.islice(enumerate_base_graphs(m), 5))) <= 3.0 * m
+            assert volume(assembled(m, enumerate_base_graphs(m)[:5])) <= 3.0 * m
 
     @pytest.mark.parametrize("dropped,doubled", [((1, 2), (0, 3)), ((0, 1), (2, 4))],
                              ids=["inner-block", "last-block"])
     def test_overfilled_block_is_open(self, dropped, doubled):
-        # a graph that `stack_edges` would refuse: one edge of K5 moved onto
-        # another, so two vertex blocks get five edges and two get three; the
-        # fifth edge of a block takes the next block's first slot, which for
-        # the last vertex block is the first edge block's
-        (edges,) = enumerate_base_graphs(5)
+        # a multigraph: one edge of K5 moved onto another, so two vertex
+        # blocks get five edges and two get three; the fifth edge of a block
+        # takes the next block's first slot, which for the last vertex block
+        # is the first edge block's
+        (edges,) = base_graphs(5)
         edges = sorted([e for e in edges if e != dropped] + [doubled])
         assert list(assemble_batch(5, np.array([edges]), 0, labels_of(5)).closed()) == [False]
 
@@ -487,7 +485,7 @@ class TestSharedPieces:
     def test_equal_an_unshared_build(self):
         checked = 0
         for m in (5, 6, 7):
-            graphs = list(enumerate_base_graphs(m))
+            graphs = base_graphs(m)
             for root in (0, m - 1):
                 unshared = [
                     assembled_piece_by_piece(DecoratedGraph(m, edges, labels_of(m), root), TEMPLATES)
@@ -730,7 +728,7 @@ class TestOrientability:
 
     def test_flag_subsets_against_brute_force(self):
         # K5 with a u block at the root, so that every block is orientable
-        (edges,) = enumerate_base_graphs(5)
+        (edges,) = base_graphs(5)
         graph = DecoratedGraph(5, edges, labels_of(5), root=0)
         base = row_refs(assembled_piece_by_piece(graph, {**TEMPLATES, "v": TEMPLATES["u"]}), 0)
         assert len(base.pieces) == 15 and len(base.pairings) == 20
@@ -873,7 +871,7 @@ class TestBatchAgainstOracles:
         for m in (5, 6, 7):
             rng = np.random.default_rng(m)
             labels = labels_of(m)
-            graphs = [DecoratedGraph(m, edges, labels, 0) for edges in enumerate_base_graphs(m)]
+            graphs = [DecoratedGraph(m, edges, labels, 0) for edges in base_graphs(m)]
             batch = assembled(m, [graph.edges for graph in graphs])
             assert same(batch, stacked([assembled_piece_by_piece(graph, TEMPLATES) for graph in graphs]))
             # every glueing reverses with probability one half
