@@ -78,10 +78,10 @@ MAX_EXTENSION_SAMPLES = (
     "so the cap keeps the output near 3.3 MB",
 )
 # --check-assemblies enumerates every base graph up to this m (481 graphs),
-# one (G, 2m, 2) edge array per m (0.1 MB for the 465 graphs of m = 7, 0.26
-# MB at its peak), and checks slices of at most 64 of its rows: the arrays
-# of a batch and of its covers peak near 0.6 MB, where one batch of the 465
-# graphs for m = 7 peaked near 4 MB
+# one (G, 2m, 2) edge array per m (0.1 MB for the 465 graphs of m = 7, and
+# 0.26 MB while it is built), and checks slices of at most 64 of its rows:
+# the arrays of a batch and of its covers peak near 0.6 MB, where one batch
+# of the 465 graphs for m = 7 peaked near 4 MB
 MAX_ASSEMBLY_CHECK_M = 7
 ASSEMBLY_BATCH = 64
 
