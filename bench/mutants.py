@@ -86,7 +86,8 @@ MUTANTS = [
             for n in ("-3", "-1", "10001")
         ),
     ),
-    # exact elements: a same-field product left unreduced, and a writable field
+    # exact elements: a same-field product left unreduced, a part printed
+    # unreduced, and a writable field
     Mutant(
         "mul-fast-path-skips-the-gcd", NUMFIELD,
         "    def __mul__(self, other):\n"
@@ -97,6 +98,14 @@ MUTANTS = [
         "            sp, sq, p, q, d = self._p, self._q, other._p, other._q, other._d\n"
         "            return _make(sp * p + 2 * sq * q, sp * q + sq * p, self._d * d, self._field)\n",
         ("tests/test_numfield.py::TestFractionPairOracle::test_ring_operations",),
+    ),
+    Mutant(
+        "format-element-skips-the-gcd", NUMFIELD,
+        "    g = math.gcd(n, d)\n", "    g = 1\n",
+        tuple(
+            f"tests/test_numfield.py::TestSerialization::test_matches_fraction_formatting[{field}]"
+            for field in ("Q", "Q_SQRT2")
+        ),
     ),
     Mutant(
         "field-property-with-a-setter", NUMFIELD,
@@ -295,15 +304,34 @@ MUTANTS = [
         "        while not np.array_equal(label, previous):\n", "        for _ in range(1):\n",
         (f"{T_GLUEING}::TestBatchAgainstOracles::test_ring_of_twelve_blocks",),
     ),
+    # orientability: the double-graph rule, which only rows with a -1 flag
+    # reach (so the CLI never does), a root block v that no longer decides,
+    # and the all-+1 witness taken for every row
     Mutant(
         "orientability-count-skipped", GLUEING,
-        "return self.cover.components == 2 * self.components",
+        "return witnessed | (self.cover.components == 2 * self.components)",
         "return np.ones(len(self.partner), dtype=bool)",
         (
-            GOLDEN,
             f"{T_GLUEING}::TestOrientability::test_single_reversing_flag_on_cycle",
             f"{T_GLUEING}::TestOrientability::test_flag_subsets_against_brute_force",
+        ),
+    ),
+    Mutant(
+        "orientable-ignores-non-orientable-blocks", GLUEING,
+        "        if self.layout.non_orientable:\n            return np.zeros(len(self.partner), dtype=bool)\n",
+        "",
+        (GOLDEN, f"{T_GLUEING}::TestOrientability::test_root_block_forces_non_orientable"),
+    ),
+    Mutant(
+        "signing-witness-ignores-flags", GLUEING,
+        "witnessed = (self.flag == 1).all(1)", "witnessed = np.ones(len(self.partner), dtype=bool)",
+        (
+            f"{T_GLUEING}::TestOrientability::test_single_reversing_flag_on_cycle",
+            f"{T_GLUEING}::TestOrientability::test_flag_subsets_against_brute_force",
+            f"{T_GLUEING}::TestOrientability::test_witness_agrees_with_the_double_graph",
             f"{T_GLUEING}::TestDoubleCover::test_reversing_flags_lift_to_preserving",
+            f"{T_GLUEING}::TestBatchAgainstOracles::test_every_assembly_flipped_corrupted_and_covered",
+            f"{T_GLUEING}::TestBatchAgainstOracles::test_ring_of_twelve_blocks",
         ),
     ),
     Mutant(

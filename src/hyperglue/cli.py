@@ -80,8 +80,8 @@ MAX_EXTENSION_SAMPLES = (
 # --check-assemblies enumerates every base graph up to this m (481 graphs),
 # one (G, 2m, 2) edge array per m (0.1 MB for the 465 graphs of m = 7, and
 # 0.26 MB while it is built), and checks slices of at most 64 of its rows:
-# the arrays of a batch and of its covers peak near 0.6 MB, where one batch
-# of the 465 graphs for m = 7 peaked near 4 MB
+# the arrays of a batch and of its one cover peak near 0.41 MB (tracemalloc),
+# where one batch of the 465 graphs for m = 7 peaks near 2.8 MB
 MAX_ASSEMBLY_CHECK_M = 7
 ASSEMBLY_BATCH = 64
 

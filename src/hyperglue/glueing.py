@@ -342,9 +342,20 @@ class AssemblyBatch:
     def orientable(self) -> np.ndarray:
         """Whether no block is non-orientable and a +-1 signing of the
         pieces makes each glueing's flag, and +1 on each internal join, the
-        product of its ends' signs: iff the cover's piece graph, the signed
-        double graph on (piece, sign) nodes, has twice the components."""
-        return self.cover.components == 2 * self.components
+        product of its ends' signs.
+
+        A layout with a non-orientable block gives False for every row.  A
+        row whose flags are all +1 is oriented by the all-+1 signing.  Only
+        when some row has a -1 flag are the cover and the components
+        computed, and such a row is orientable iff the cover's piece graph,
+        the signed double graph on (piece, sign) nodes, has twice the
+        components."""
+        if self.layout.non_orientable:
+            return np.zeros(len(self.partner), dtype=bool)
+        witnessed = (self.flag == 1).all(1)
+        if witnessed.all():
+            return witnessed
+        return witnessed | (self.cover.components == 2 * self.components)
 
     def deck_free(self) -> np.ndarray:
         """Whether the deck involution is a fixed-point-free involution of

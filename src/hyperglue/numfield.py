@@ -389,12 +389,19 @@ _ELEMENT_RE = re.compile(
 _PURE_SQRT_RE = re.compile(rf"^\s*(?P<b>{_RATIONAL})\s*\*\s*r2\s*$")
 
 
+def _format_ratio(n: int, d: int) -> str:
+    """n/d in lowest terms as `str(Fraction(n, d))` writes it, for d > 0."""
+    g = math.gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
+
+
 def format_element(x: QuadFieldElement) -> str:
-    if x.field is FieldTag.Q:
-        return str(x.a)
-    if x.b >= 0:
-        return f"{x.a} + {x.b}*r2"
-    return f"{x.a} - {-x.b}*r2"
+    p, q, d = x._p, x._q, x._d
+    if x._field is FieldTag.Q:
+        return _format_ratio(p, d)
+    if q >= 0:
+        return f"{_format_ratio(p, d)} + {_format_ratio(q, d)}*r2"
+    return f"{_format_ratio(p, d)} - {_format_ratio(-q, d)}*r2"
 
 
 def _fraction(part: str, text: str) -> Fraction:

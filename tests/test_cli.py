@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import functools
 import json
 import shlex
 import sys
@@ -254,6 +255,25 @@ class TestCount:
         assert "assembly checks: all passed (481 graphs, m = 5..7; m = 8..9 not checked)" in text
         rows = read_csv(out / "counts.csv")
         assert [r[1] for r in rows[1:]] == ["1", "15", "465", "19355", "1024380"]
+
+    def test_checks_build_one_cover_per_batch(self, tmp_path, capsys, monkeypatch):
+        # the root block v decides the base and all-+1 flags orient the
+        # cover, so no check builds the cover of a cover
+        cover_of = glueing.AssemblyBatch.cover.func
+        built = []
+
+        def counted(batch):
+            built.append(batch.layout)
+            return cover_of(batch)
+
+        counting = functools.cached_property(counted)
+        counting.__set_name__(glueing.AssemblyBatch, "cover")
+        monkeypatch.setattr(glueing.AssemblyBatch, "cover", counting)
+        assert run_cli("count", "--m-max", "7", "--check-assemblies", "--out", str(tmp_path / "c")) == 0
+        assert "assembly checks: all passed (481 graphs, m = 5..7)" in capsys.readouterr().out
+        # one batch of m = 5 and of m = 6, and ceil(465 / 64) = 8 of m = 7
+        assert len(built) == 10
+        assert not any(piece.provenance[0] == "cover" for layout in built for piece in layout.pieces)
 
     def test_failed_assembly_check_is_reported(self, tmp_path, capsys, monkeypatch):
         # the complex itself is no orientable cover of it, has no deck

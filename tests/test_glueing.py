@@ -751,6 +751,48 @@ class TestOrientability:
             verdicts[verdict] += 1
         assert verdicts[True] and verdicts[False]
 
+    def test_witness_agrees_with_the_double_graph(self):
+        # every graph of m = 5..7 with the root block v, and with a u block
+        # at the root where row g keeps every flag +1 (g = 0 mod 3),
+        # reverses the glueings across a seeded cut of the pieces (1 mod 3)
+        # or reverses seeded glueings (2 mod 3): one call takes both the
+        # witness and the double-graph rule
+        undecided = Counter()
+        for m in (5, 6, 7):
+            rooted = assembled(m, enumerate_base_graphs(m))
+            partner, piece_of = rooted.partner, np.array(rooted.layout.piece_of)
+            rng = np.random.default_rng(m)
+            side = rng.integers(2, size=(len(partner), len(rooted.layout.pieces)))
+            across = np.take_along_axis(side, piece_of[partner], 1) != side[:, piece_of]
+            seeded = rng.random(partner.shape) < 0.2
+            seeded |= np.take_along_axis(seeded, partner, 1)
+            kind = np.arange(len(partner))[:, None] % 3
+            reverse = np.where(kind == 1, across, (kind == 2) & seeded)
+            pieces = tuple(p._replace(template=TEMPLATES["u"]) for p in rooted.layout.pieces[:m])
+            mixed = dataclasses.replace(
+                rooted, layout=SlotLayout(pieces + rooted.layout.pieces[m:]), flag=np.where(reverse, -1, 1)
+            )
+            assert all(mixed.closed()) and np.array_equal(mixed.flag, np.take_along_axis(mixed.flag, partner, 1))
+            for batch in (rooted, rooted.cover, mixed, mixed.cover):
+                orientable = batch.orientable()
+                assert np.array_equal(orientable, batch.cover.components == 2 * batch.components)
+            assert not rooted.orientable().any() and rooted.cover.orientable().all()
+            assert mixed.orientable()[kind[:, 0] < 2].all() and mixed.cover.orientable().all()
+            undecided.update(mixed.orientable()[kind[:, 0] == 2].tolist())
+            # every signing of at most 18 pieces (m <= 6)
+            for batch, rows in ((rooted, [0] if m < 7 else []), (mixed, [0, 1, 2] if m == 6 else [])):
+                for g in rows:
+                    assert batch.orientable()[g] == brute_force_orientable(row_refs(batch, g)), (m, g)
+        assert undecided[False] and undecided[True] + undecided[False] == 5 + 155
+
+    def test_witness_rows_build_no_cover(self):
+        # a root block decides every row, and all-+1 flags orient every row,
+        # before any cover or component count
+        base = assembled(6, enumerate_base_graphs(6))
+        cover = base.cover
+        assert not base.orientable().any() and cover.orientable().all()
+        assert "components" not in vars(base) and not {"cover", "components"} & set(vars(cover))
+
 
 class TestDoubleCover:
     def test_cover_of_non_orientable_is_connected_orientable(self):

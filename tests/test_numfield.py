@@ -4,6 +4,7 @@ import copy
 import math
 import operator
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -161,6 +162,20 @@ class TestSerialization:
         x = qs2(3, 0)
         y = parse_element(format_element(x))
         assert y.field is FieldTag.Q_SQRT2
+
+    @pytest.mark.parametrize("field", list(FieldTag), ids=lambda field: field.name)
+    def test_matches_fraction_formatting(self, field):
+        # (p, q, d) with zero, negative p and q, and d > 1 sharing a factor
+        # with p or q alone, then seeded ones; over Q the sqrt-2 part drops
+        rng = random.Random(field.value)
+        triples = [(0, 0, 1), (0, 0, 7), (-3, -5, 1), (-4, 3, 6), (9, -10, 6), (5, 0, 15), (0, -14, 21)]
+        triples += [
+            (rng.randint(-(10**6), 10**6), rng.randint(-(10**6), 10**6), rng.randint(1, 10**4))
+            for _ in range(500)
+        ]
+        for p, q, d in triples:
+            x, ref = _both(Fraction(p, d), Fraction(q, d), field)
+            assert format_element(x) == str(ref), (p, q, d)
 
     def test_parse_forms(self):
         assert parse_element("1/2 - 3*r2") == qs2(Fraction(1, 2), -3)
