@@ -99,13 +99,11 @@ MUTANTS = [
         "            return _make(sp * p + 2 * sq * q, sp * q + sq * p, self._d * d, self._field)\n",
         ("tests/test_numfield.py::TestFractionPairOracle::test_ring_operations",),
     ),
+    # (over Q, gcd(p, d) is already 1, so only Q(sqrt2) parts can print unreduced)
     Mutant(
         "format-element-skips-the-gcd", NUMFIELD,
         "    g = math.gcd(n, d)\n", "    g = 1\n",
-        tuple(
-            f"tests/test_numfield.py::TestSerialization::test_matches_fraction_formatting[{field}]"
-            for field in ("Q", "Q_SQRT2")
-        ),
+        ("tests/test_numfield.py::TestSerialization::test_matches_fraction_formatting[Q_SQRT2]",),
     ),
     Mutant(
         "field-property-with-a-setter", NUMFIELD,
@@ -314,6 +312,8 @@ MUTANTS = [
         (
             f"{T_GLUEING}::TestOrientability::test_single_reversing_flag_on_cycle",
             f"{T_GLUEING}::TestOrientability::test_flag_subsets_against_brute_force",
+            f"{T_GLUEING}::TestOrientability::test_witness_agrees_with_the_double_graph",
+            f"{T_GLUEING}::TestDoubleCover::test_reversing_flags_lift_to_preserving",
         ),
     ),
     Mutant(
