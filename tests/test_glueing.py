@@ -757,7 +757,7 @@ class TestOrientability:
         # reverses the glueings across a seeded cut of the pieces (1 mod 3)
         # or reverses seeded glueings (2 mod 3): one call takes both the
         # witness and the double-graph rule
-        undecided = Counter()
+        seeded_verdicts = Counter()
         for m in (5, 6, 7):
             rooted = assembled(m, enumerate_base_graphs(m))
             partner, piece_of = rooted.partner, np.array(rooted.layout.piece_of)
@@ -776,14 +776,15 @@ class TestOrientability:
             for batch in (rooted, rooted.cover, mixed, mixed.cover):
                 orientable = batch.orientable()
                 assert np.array_equal(orientable, batch.cover.components == 2 * batch.components)
+            verdicts = mixed.orientable()
             assert not rooted.orientable().any() and rooted.cover.orientable().all()
-            assert mixed.orientable()[kind[:, 0] < 2].all() and mixed.cover.orientable().all()
-            undecided.update(mixed.orientable()[kind[:, 0] == 2].tolist())
+            assert verdicts[kind[:, 0] < 2].all() and mixed.cover.orientable().all()
+            seeded_verdicts.update(verdicts[kind[:, 0] == 2].tolist())
             # every signing of at most 18 pieces (m <= 6)
             for batch, rows in ((rooted, [0] if m < 7 else []), (mixed, [0, 1, 2] if m == 6 else [])):
                 for g in rows:
                     assert batch.orientable()[g] == brute_force_orientable(row_refs(batch, g)), (m, g)
-        assert undecided[False] and undecided[True] + undecided[False] == 5 + 155
+        assert seeded_verdicts[False] and seeded_verdicts.total() == 5 + 155
 
     def test_witness_rows_build_no_cover(self):
         # a root block decides every row, and all-+1 flags orient every row,
