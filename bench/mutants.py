@@ -65,6 +65,12 @@ MOVED_DOMAINS = tuple(
     f"tests/test_voronoi.py::TestIsometryInvariance::test_moved_domain_keeps_its_report[{move}]"
     for move in (f"{length}-{angle}" for length in (0.1, 1.0, 2.0) for angle in (0.0, 17.0, 90.0))
 )
+# the Q forms of the hyperboloid tests' ORACLE_FORMS, and the tests that run every kernel on each
+Q_FORMS = ("<-1, 1, 1> over Q", "<-2, 1, 1, 1> over Q", "<-1/2, 3, 5/4> over Q")
+RATIONAL_KERNEL_TESTS = (
+    "TestExactKernelsAgainstFractionPairs::test_reflection_product_and_isometry",
+    "TestRationalBranchAgainstSqrt2Path::test_reflection_product_and_isometry",
+)
 
 MUTANTS = [
     # the CLI byte contract: a rounding change and state carried between calls
@@ -113,6 +119,33 @@ MUTANTS = [
         tuple(
             f"tests/test_numfield.py::TestImmutability::test_assignment_and_deletion_refused[{x}-field]"
             for x in ("qs2", "q")
+        ),
+    ),
+    # the exact kernels' rational branches: a mirror without its factor 2, a
+    # product of rows with rows (a b^t), and an isometry check of the diagonal alone
+    Mutant(
+        "rational-reflection-without-its-factor-2", HYPERBOLOID,
+        "            t = [2 * x for x in w]\n", "            t = w\n",
+        (
+            "tests/test_hyperboloid.py::TestReflection::test_coordinate_mirror",
+            "tests/test_hyperboloid.py::TestReflection::test_negates_mirror_vector",
+            *(f"tests/test_hyperboloid.py::{test}[{form}]" for test in RATIONAL_KERNEL_TESTS for form in Q_FORMS),
+        ),
+    ),
+    Mutant(
+        "rational-product-of-rows-with-rows", HYPERBOLOID,
+        "        cols = list(zip(*bp))\n", "        cols = bp\n",
+        (
+            "tests/test_hyperboloid.py::TestReflection::test_involution_and_isometry_exact",
+            *(f"tests/test_hyperboloid.py::{test}[{form}]" for test in RATIONAL_KERNEL_TESTS for form in Q_FORMS),
+        ),
+    ),
+    Mutant(
+        "rational-isometry-check-reads-the-diagonal", HYPERBOLOID,
+        "                for j in range(i, n)\n            )", "                for j in (i,)\n            )",
+        (
+            "tests/test_hyperboloid.py::TestRationalBranchAgainstSqrt2Path::"
+            "test_wrong_off_diagonal_with_the_right_diagonal",
         ),
     ),
     # the cell chart moves the centre away from the origin, not onto it

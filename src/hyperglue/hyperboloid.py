@@ -9,6 +9,8 @@ Two scalar regimes, matching how the objects are used:
   denominator (`numfield.int_matrix`): one gcd per result entry, and none
   in `is_isometry`, which cross-multiplies instead.  Both read the form's
   integer coefficients, built once per form (`DiagonalForm.int_coefficients`).
+  Over Q each kernel reads P alone: one integer product per entry, where
+  Q(sqrt2) needs two on rows twice as long.
 * floating: numpy binary64 with tolerance EPS = 1e-9 for the metric side
   (distances, bisectors, ball-model output, nesting of halfspaces).
 
@@ -25,7 +27,7 @@ from operator import mul
 
 import numpy as np
 
-from .numfield import Embedding, QuadFieldElement, canonical, int_matrix
+from .numfield import Embedding, FieldTag, QuadFieldElement, canonical, int_matrix
 from .qforms import DiagonalForm
 
 EPS = 1e-9
@@ -105,12 +107,18 @@ def _times_columns(yp, yq) -> tuple[list[int], list[int]]:
 
 
 def exact_mat_mul(a, b):
-    """The exact product a @ b: one integer product, one gcd per entry."""
-    if any(len(row) != len(b) for row in a) or any(len(row) != len(b[0]) for row in b):
+    """The exact product a @ b: one integer product, one gcd per entry.
+
+    Over Q an entry is the dot product of a row of P_a with a column of P_b.
+    """
+    if not a or not b or any(len(row) != len(b) for row in a) or any(len(row) != len(b[0]) for row in b):
         raise ValueError("matrix shapes do not match")
     ap, aq, ad, field = int_matrix(a)
     bp, bq, bd, _ = int_matrix(b, field)
     d = ad * bd
+    if field is FieldTag.Q:
+        cols = list(zip(*bp))
+        return [[canonical(sum(map(mul, x, y)), 0, d, field) for y in cols] for x in ap]
     cols = [_times_columns(yp, yq) for yp, yq in zip(zip(*bp), zip(*bq))]
     return [
         [canonical(sum(map(mul, x, tp)), sum(map(mul, x, tq)), d, field) for tp, tq in cols]
@@ -125,7 +133,9 @@ def reflection(form: DiagonalForm, v):
     exact matrix does not change when v is scaled, so with u = d*v and
     C = fd*c integral (d and fd the common denominators), entry (i, j) is
     delta_ij - 2 u_i C_j u_j conj(N)/nn for N = sum_k C_k u_k^2 and the
-    integer nn = N conj(N).
+    integer nn = N conj(N).  Over Q, N is an integer with the sign of f(v),
+    and entry (i, j) is (N delta_ij - 2 u_i C_j u_j)/N: the denominator is N,
+    not N conj(N) = N^2.
     """
     if _is_exact_vector(v):
         n = form.dimension
@@ -133,6 +143,16 @@ def reflection(form: DiagonalForm, v):
             raise ValueError("vector dimension does not match form")
         (up,), (uq,), _, field = int_matrix([v], form.field)
         cp, cq = form.int_coefficients
+        if field is FieldTag.Q:
+            w = list(map(mul, cp, up))
+            nn = sum(map(mul, w, up))
+            if nn <= 0:
+                raise ValueError("reflection mirror must be space-like")
+            t = [2 * x for x in w]
+            return [
+                [canonical((nn if i == j else 0) - x * t[j], 0, nn, field) for j in range(n)]
+                for i, x in enumerate(up)
+            ]
         wp, wq = _entrywise(cp, cq, up, uq)
         np_ = sum(map(mul, wp, up)) + 2 * sum(map(mul, wq, uq))
         nq = sum(map(mul, wp, uq)) + sum(map(mul, wq, up))
@@ -166,17 +186,25 @@ def reflection(form: DiagonalForm, v):
 
 def is_isometry(form: DiagonalForm, mat, tol: float = EPS) -> bool:
     """Check A^t F A = F; exact equality for exact matrices, sup-norm <= tol otherwise."""
-    if isinstance(mat, (list, tuple)) and _is_exact_vector(mat[0]):
+    if isinstance(mat, (list, tuple)) and (not mat or _is_exact_vector(mat[0])):
         # with A = (P + Q sqrt2)/D and c = C/fd: sum_k A_ki C_k A_kj == C_i delta_ij D^2,
         # for j >= i only since A^t F A is symmetric
         n = form.dimension
         if len(mat) != n or any(len(row) != n for row in mat):
             raise ValueError("matrix dimension does not match form")
-        ap, aq, d, _ = int_matrix(mat, form.field)
+        ap, aq, d, field = int_matrix(mat, form.field)
         cp, cq = form.int_coefficients
+        dd = d * d
+        if field is FieldTag.Q:
+            cols = list(zip(*ap))
+            fcols = [list(map(mul, cp, y)) for y in cols]
+            return all(
+                sum(map(mul, x, fcols[j])) == (cp[i] * dd if i == j else 0)
+                for i, x in enumerate(cols)
+                for j in range(i, n)
+            )
         cols = list(zip(zip(*ap), zip(*aq)))
         fcols = [_times_columns(*_entrywise(cp, cq, xp, xq)) for xp, xq in cols]
-        dd = d * d
         for i, (xp, xq) in enumerate(cols):
             x = xp + xq
             for j in range(i, n):
@@ -189,6 +217,8 @@ def is_isometry(form: DiagonalForm, mat, tol: float = EPS) -> bool:
                     return False
         return True
     a = np.asarray(mat, dtype=float)
+    if a.shape != (form.dimension, form.dimension):
+        raise ValueError("matrix dimension does not match form")
     f = np.diag(float_coefficients(form))
     scale = max(1.0, float(np.max(np.abs(a))) ** 2)
     return bool(np.max(np.abs(a.T @ f @ a - f)) <= tol * scale)

@@ -14,8 +14,9 @@ new attribute raises AttributeError.  Exact matrices take the same
 layout: integer matrices (P, Q) over one common denominator D
 (`int_matrix`), on which `hyperboloid` computes reflections and products
 with one gcd per result entry (`canonical`) and checks isometries with
-none.  No floating point enters this module except through the explicit
-`embed()` accessor.
+none.  Over Q, Q is all zeros and those kernels read P alone.  No
+floating point enters this module except through the explicit `embed()`
+accessor.
 """
 
 from __future__ import annotations
@@ -358,8 +359,12 @@ def int_matrix(rows, field: FieldTag | None = None):
 
     D > 0 is the lcm of the entries' denominators.  All entries must lie in
     one field, `field` when given; otherwise ValueError("mixed fields ...").
+    Without `field`, a matrix with no entry raises ValueError.  Over Q, Q is
+    all zeros and is not computed from the entries.
     """
     if field is None:
+        if not rows or not rows[0]:
+            raise ValueError("matrix has no entry to take its field from")
         field = rows[0][0]._field
     dens = set()
     for row in rows:
@@ -369,6 +374,8 @@ def int_matrix(rows, field: FieldTag | None = None):
             dens.add(x._d)
     d = math.lcm(*dens)
     p = [[x._p * (d // x._d) for x in row] for row in rows]
+    if field is FieldTag.Q:
+        return p, [[0] * len(row) for row in rows], d, field
     q = [[x._q * (d // x._d) for x in row] for row in rows]
     return p, q, d, field
 
@@ -412,13 +419,18 @@ def _fraction(part: str, text: str) -> Fraction:
 
 
 def parse_element(text: str, field: FieldTag | None = None) -> QuadFieldElement:
-    """Parse "a/b + c/d*r2" (or a bare rational); exact round-trip with format_element."""
+    """Parse "a/b + c/d*r2" (or a bare rational); exact round-trip with format_element.
+
+    With `field` the element lies in that field, so over Q a zero sqrt-2 part
+    is dropped and any other is refused.  Without it, text with an r2 term
+    gives an element of Q(sqrt2), whatever its value.
+    """
     m = _PURE_SQRT_RE.match(text)
     if m:
         b = _fraction(m.group("b"), text)
-        if field is FieldTag.Q:
+        if field is FieldTag.Q and b != 0:
             raise ValueError(f"{text!r} does not lie in Q")
-        return QuadFieldElement(0, b, FieldTag.Q_SQRT2)
+        return QuadFieldElement(0, b, field or FieldTag.Q_SQRT2)
     m = _ELEMENT_RE.match(text)
     if not m:
         raise ValueError(f"cannot parse field element {text!r}")
@@ -431,4 +443,4 @@ def parse_element(text: str, field: FieldTag | None = None) -> QuadFieldElement:
         b = -b
     if field is FieldTag.Q and b != 0:
         raise ValueError(f"{text!r} does not lie in Q")
-    return QuadFieldElement(a, b, FieldTag.Q_SQRT2)
+    return QuadFieldElement(a, b, field or FieldTag.Q_SQRT2)

@@ -59,6 +59,12 @@ class TestForms:
         assert run_cli("forms", "check", "--coeffs", "-1,1,1", "--field", "Q") == 0
         assert "admissible=true" in capsys.readouterr().out
 
+    def test_check_rational_field_takes_a_zero_sqrt2_part(self, capsys):
+        assert run_cli("forms", "check", "--coeffs", "3 + 0*r2,-1,1", "--field", "Q") == 0
+        out = capsys.readouterr().out
+        assert "form: <3, -1, 1> over Q" in out
+        assert "admissible=true" in out
+
     def test_check_non_admissible(self, capsys):
         assert run_cli("forms", "check", "--coeffs", "1,1,1", "--field", "Q") == 0
         assert "admissible=false" in capsys.readouterr().out

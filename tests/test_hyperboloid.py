@@ -1,5 +1,6 @@
 """Geometry: bilinear form, reflections, distances, ball model, nesting."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hyperglue.numfield import Embedding, FieldTag, QuadFieldElement, sqrt2
+from hyperglue.numfield import Embedding, FieldTag, QuadFieldElement, int_matrix, sqrt2
 from hyperglue.qforms import (
     DiagonalForm,
     counting_base_form,
@@ -306,6 +307,77 @@ class TestExactKernelsAgainstFractionPairs:
             assert is_isometry(form, mat)
 
 
+Q_ORACLE_FORMS = [form for form in ORACLE_FORMS if form.field is FieldTag.Q]
+
+
+def lifted(form):
+    """The form with the same coefficients over Q(sqrt2), each with a zero sqrt-2 part."""
+    return DiagonalForm(tuple(QuadFieldElement(c.a, 0, QS2) for c in form.coefficients), QS2)
+
+
+def lift(mat):
+    return [[QuadFieldElement(x.a, 0, QS2) for x in row] for row in mat]
+
+
+def values(mat):
+    return [[(x.a, x.b) for x in row] for row in mat]
+
+
+class TestRationalBranchAgainstSqrt2Path:
+    """Over Q the kernels read P alone; the Q(sqrt2) path on the same values must agree."""
+
+    @pytest.mark.parametrize("form", Q_ORACLE_FORMS, ids=str)
+    def test_reflection_product_and_isometry(self, form):
+        rng = random.Random(str(form))
+        form2 = lifted(form)
+        vectors = []
+        while len(vectors) < 8:
+            v = random_vector(rng, form)
+            if pair_quadratic(form, v).sign_at(Embedding.IDENTITY) > 0:
+                vectors.append(v)
+        assert any(x.a.denominator > 1 for v in vectors for x in v)
+        mirrors = [reflection(form, v) for v in vectors]
+        for v, mat in zip(vectors, mirrors):
+            assert all(x.field is FieldTag.Q for row in mat for x in row)
+            assert values(mat) == values(reflection(form2, lift([v])[0]))
+        for r, w in zip(mirrors, mirrors[1:] + mirrors[:1]):
+            product = exact_mat_mul(r, w)
+            assert values(product) == values(exact_mat_mul(lift(r), lift(w)))
+            assert is_isometry(form, product) is is_isometry(form2, lift(product)) is True
+            bent = [row[:] for row in product]
+            i, j = rng.randrange(form.dimension), rng.randrange(form.dimension)
+            bent[i][j] = bent[i][j] + random_vector(rng, form)[0]
+            verdict = pair_is_isometry(form, pairs(bent))
+            assert is_isometry(form, bent) is is_isometry(form2, lift(bent)) is verdict
+
+    @pytest.mark.parametrize("form", Q_ORACLE_FORMS, ids=str)
+    def test_time_like_and_isotropic_mirrors_refused_alike(self, form):
+        # the basis vector of the negative coefficient, the zero vector and,
+        # where the form has one, a nonzero isotropic vector with entries 0..2
+        time_like = tuple(QuadFieldElement(int(c.sign_at(Embedding.IDENTITY) < 0)) for c in form.coefficients)
+        entries = itertools.product(range(3), repeat=form.dimension)
+        isotropic = [v for v in (exact_vec(*e) for e in entries) if not quadratic(form, v)]
+        for v in [time_like, *isotropic[:2]]:
+            assert pair_quadratic(form, v).sign_at(Embedding.IDENTITY) <= 0
+            messages = []
+            for f, u in ((form, v), (lifted(form), lift([v])[0])):
+                with pytest.raises(ValueError) as info:
+                    reflection(f, u)
+                messages.append(str(info.value))
+            assert messages == ["reflection mirror must be space-like"] * 2
+
+    def test_wrong_off_diagonal_with_the_right_diagonal(self):
+        # columns (1, 0, 0), (1, 1, 1) and (0, 0, 1) have f = -1, 1, 1, as the
+        # diagonal of F asks, but the first two columns have b = -1, not 0
+        mat = [[QuadFieldElement(x) for x in row] for row in ([1, 1, 0], [0, 1, 0], [0, 1, 1])]
+        columns = list(zip(*mat))
+        assert [quadratic(J2, col) for col in columns] == list(J2.coefficients)
+        assert bilinear(J2, columns[0], columns[1]) == -1
+        assert pair_is_isometry(J2, pairs(mat)) is False
+        assert is_isometry(J2, mat) is False
+        assert is_isometry(lifted(J2), lift(mat)) is False
+
+
 class TestExactShapes:
     def test_product_of_unmatched_shapes(self):
         a = exact_identity(J2)
@@ -320,6 +392,18 @@ class TestExactShapes:
         # the upper-left 2 x 2 block of the identity satisfies A^t F A = F on its own block
         with pytest.raises(ValueError, match="matrix dimension does not match form"):
             is_isometry(J2, [row[:2] for row in exact_identity(J2)[:2]])
+
+    def test_empty_matrices_refused(self):
+        identity = exact_identity(J2)
+        for a, b in (([], identity), (identity, []), ([], []), ([[]], [])):
+            with pytest.raises(ValueError, match="matrix shapes do not match"):
+                exact_mat_mul(a, b)
+        for mat in ([], [[]], (), np.zeros((0, 0))):
+            with pytest.raises(ValueError, match="matrix dimension does not match form"):
+                is_isometry(J2, mat)
+        for rows in ([[]], []):
+            with pytest.raises(ValueError, match="matrix has no entry"):
+                int_matrix(rows)
 
 
 class TestMixedFields:

@@ -188,6 +188,19 @@ class TestSerialization:
             with pytest.raises(ValueError, match="zero denominator"):
                 parse_element(text)
 
+    @pytest.mark.parametrize("text", ["3 + 0*r2", "-1/2 - 0*r2", "0*r2"])
+    def test_zero_sqrt2_part_lies_in_q(self, text):
+        x = parse_element(text, FieldTag.Q)
+        assert x.field is FieldTag.Q
+        assert (x.a, x.b) == (parse_element(text).a, 0)
+        # without a field the r2 term keeps the element in Q(sqrt2)
+        assert parse_element(text).field is FieldTag.Q_SQRT2
+
+    @pytest.mark.parametrize("text", ["1 + 1*r2", "-2*r2", "0 - 1/3*r2"])
+    def test_nonzero_sqrt2_part_refused_in_q(self, text):
+        with pytest.raises(ValueError, match="does not lie in Q"):
+            parse_element(text, FieldTag.Q)
+
 
 # operands with numerators and denominators far above 2**64 besides small ones
 big_fractions_st = st.builds(
