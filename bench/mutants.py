@@ -65,6 +65,11 @@ MOVED_DOMAINS = tuple(
     f"tests/test_voronoi.py::TestIsometryInvariance::test_moved_domain_keeps_its_report[{move}]"
     for move in (f"{length}-{angle}" for length in (0.1, 1.0, 2.0) for angle in (0.0, 17.0, 90.0))
 )
+ORBIT_ORACLE = tuple(
+    f"tests/test_voronoi.py::test_orbit_matches_scalar_oracle_bit_for_bit[{n_gens}-{form}]"
+    for n_gens in (1, 2, 3)
+    for form in ("J2", "J3", "sqrt2")
+)
 # the Q forms of the hyperboloid tests' ORACLE_FORMS, and the tests that run every kernel on each
 Q_FORMS = ("<-1, 1, 1> over Q", "<-2, 1, 1, 1> over Q", "<-1/2, 3, 5/4> over Q")
 RATIONAL_KERNEL_TESTS = (
@@ -153,6 +158,20 @@ MUTANTS = [
         "cell-chart-without-its-inverse", VORONOI,
         "return (j[:, None] * boost * j[None, :]) @ t, tinv @ boost", "return boost @ t, tinv @ boost",
         CHART + MOVED_DOMAINS,
+    ),
+    # orbit shells: a whole-shell gemm in place of one gemv per image, and
+    # words that may end in the inverse of their last letter
+    Mutant(
+        "orbit-shell-as-one-gemm", VORONOI,
+        "[g @ column for g in gens]", "[(front @ g.T)[:, :, None] for g in gens]",
+        ORBIT_ORACLE,
+    ),
+    # (with one J2 translation the unreduced images still round onto their grandparents' keys)
+    Mutant(
+        "orbit-keeps-the-inverse-letter", VORONOI,
+        "candidates = images[(letters != np.array(inverses)[:, None]).ravel()]",
+        "candidates, inverses = images, [n_gens] * len(front)",
+        tuple(t for t in ORBIT_ORACLE if not t.endswith("[1-J2]")),
     ),
     # the Poincare check: a self-pairing counted twice, or by a map that is no involution
     Mutant(

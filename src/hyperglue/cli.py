@@ -356,7 +356,8 @@ def cmd_geom_extension(args) -> int:
     # sample the two ideal caps over the base strip and project them back
     rng = np.random.default_rng(args.seed)
     samples = []
-    half = math.tanh(length / 4.0)  # klein half-width of the strip
+    # the strip's half-width in the Poincare disk; in the Klein model it is tanh(L/2)
+    half = math.tanh(length / 4.0)
     for _ in range(args.samples):
         k1 = (2.0 * float(rng.random()) - 1.0) * half
         k2 = (2.0 * float(rng.random()) - 1.0) * 0.9

@@ -567,17 +567,3 @@ def nesting_table(form: DiagonalForm, first, second, x) -> list[list[NestingVerd
         ]
         for row in zip(inside.tolist(), equal.tolist(), crossing.tolist(), s.tolist())
     ]
-
-
-def are_nested(form: DiagonalForm, hs1: HalfSpace, hs2: HalfSpace, x) -> NestingVerdict:
-    """Classify two halfspaces that both contain the basepoint x.
-
-    This is the 1 x 1 case of `nesting_table`, which holds the thresholds;
-    a basepoint not interior to both halfspaces is refused.
-    """
-    ((verdict,),) = nesting_table(
-        form, stack_halfspaces(form, [hs1]), stack_halfspaces(form, [hs2]), x
-    )
-    if verdict is None:
-        raise ValueError("basepoint must be interior to both halfspaces")
-    return verdict

@@ -148,8 +148,9 @@ class GroupData:
             if not is_isometry(self.form, g, tol=1e-7):
                 raise ValueError("generator fails the isometry identity")
 
-    @property
+    @functools.cached_property
     def gens_with_inverses(self) -> list[np.ndarray]:
+        """Each generator followed by its inverse, built on the first read."""
         out = []
         for g in self.generators:
             out.append(g)
@@ -166,21 +167,34 @@ class OrbitPoint(NamedTuple):
     tag: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrbitSet:
+    """A truncated orbit: one read-only (N, d) coordinate array in orbit
+    order, with the provenance word and the seed's tag of each row.
+
+    `points` pairs them up as `OrbitPoint`s on its first read, for callers
+    that walk the orbit point by point; the cell code reads the arrays.
+    """
+
     form: DiagonalForm
-    points: tuple[OrbitPoint, ...]
+    _coordinates: np.ndarray
+    words: tuple[tuple[int, ...], ...]
+    tags: tuple[int | None, ...]
     certification_radius: float
-    _coordinates: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        coords = np.array([op.point for op in self.points]).reshape(-1, self.form.dimension)
+        coords = np.asarray(self._coordinates, dtype=float).reshape(-1, self.form.dimension)
         coords.flags.writeable = False
         object.__setattr__(self, "_coordinates", coords)
 
     def coordinates(self) -> np.ndarray:
-        """The (N, d) array of the points, in orbit order; built once, read-only."""
+        """The (N, d) array of the points, in orbit order; read-only."""
         return self._coordinates
+
+    @functools.cached_property
+    def points(self) -> tuple[OrbitPoint, ...]:
+        """Each row with its word and tag as an `OrbitPoint`, built on the first read."""
+        return tuple(map(OrbitPoint, self._coordinates, self.words, self.tags))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -203,12 +217,14 @@ def build_orbit(
     generator so large that its image of a seed leaves the upper sheet in
     binary64 raises UndecidableError.
 
-    Each word shell is rounded, keyed and checked for overflow as one
-    array, but every image is still one product `g @ x` of a generator and
-    a point.  A product over the whole shell (a matrix product or `einsum`)
-    changes the last bits of far points: the inverse generators are
-    F-ordered, so BLAS sums them in another order than the point-wise
-    product does.  Those bits decide the sign of a cancelled f(x - y) in
+    Each word shell is one array program: one stacked product
+    `g @ front[:, :, None]` per generator and inverse, then one index step
+    that keeps the reduced words in parent-major order.  numpy runs a
+    stacked product as one gemv per point in g's own C or F layout, the
+    same kernel as the point-wise `g @ x`, so every image keeps its bits.
+    A product of the whole shell with one matrix (`front @ g.T` or
+    `einsum`) sums in another order and changes the last bits of far
+    points; those bits decide the sign of a cancelled f(x - y) in
     `dirichlet_cell`, and with it whether a long translation is refused.
     """
     if word_cutoff < 1:
@@ -220,47 +236,61 @@ def build_orbit(
     if group.generators and not seeds:
         raise ValueError("an orbit under generators needs at least one seed point")
     gens = group.gens_with_inverses
+    n_gens, dim = len(gens), form.dimension
 
-    frontier = [
-        OrbitPoint(s, (), tags[i] if tags is not None else None)
-        for i, s in enumerate(seeds)
-    ]
-    points = list(frontier)
+    front = np.array(seeds).reshape(-1, dim)
+    shells = [front]
+    words = [()] * len(seeds)
+    point_tags = list(tags) if tags is not None else [None] * len(seeds)
     # rounded coordinates as tuples of floats, hashing like tuples of np.float64
-    seen = set(map(tuple, np.round(seeds, 7).tolist()))
+    seen = set(map(tuple, front.round(7).tolist()))
+    # per frontier point, the inverse of its word's last letter (none for a seed)
+    inverses = [n_gens] * len(seeds)
+    letters = np.arange(n_gens)
+    start = 0  # index of the frontier's first point in `words`
 
     for length in range(1, word_cutoff + 1):
-        parents = [
-            (op, gi)
-            for op in frontier
-            for gi in range(len(gens))
-            if not op.word or (op.word[-1] ^ 1) != gi  # reduced words only
-        ]
-        images = np.array([gens[gi] @ op.point for op, gi in parents])
+        if not (gens and len(front)):
+            break
+        column = front[:, :, None]
+        images = np.concatenate([g @ column for g in gens], axis=1).reshape(-1, dim)
+        if length == 1:
+            first_images = candidates = images
+        else:
+            # the reduced words: each parent drops the letter that would undo its last
+            candidates = images[(letters != np.array(inverses)[:, None]).ravel()]
+        width = len(candidates) // len(front)  # letters each parent keeps
         fresh = []
-        for c, key in enumerate(map(tuple, np.round(images, 7).tolist())):
+        for c, key in enumerate(map(tuple, candidates.round(7).tolist())):
             if key not in seen:
                 seen.add(key)
                 fresh.append(c)
-        shell = images[fresh]
-        if not np.isfinite(shell).all():
+        front = candidates if len(fresh) == len(candidates) else candidates[fresh]
+        if not np.isfinite(front).all():
             raise ValueError(
                 f"orbit points of word length {length} overflow binary64; "
                 "shorten the translations or lower the word cutoff"
             )
-        frontier = []
-        for y, c in zip(shell, fresh):
-            op, gi = parents[c]
-            frontier.append(OrbitPoint(y, op.word + (gi,), op.tag))
-        points += frontier
+        parent_inverses, inverses = inverses, []
+        for c in fresh:
+            p, gi = divmod(c, width)
+            if gi >= parent_inverses[p]:
+                gi += 1  # past the dropped letter
+            words.append(words[start + p] + (gi,))
+            point_tags.append(point_tags[start + p])
+            inverses.append(gi ^ 1)
+        start = len(words) - len(fresh)
+        shells.append(front)
 
     if not group.generators:
         radius = math.inf
     else:
+        # shell 1 holds each seed's images in letter order: generator k is letter 2k
         delta_min = math.inf
         for gi, g in enumerate(group.generators):
+            moved = first_images[2 * gi :: n_gens]
             try:
-                delta_min = min(delta_min, *(distance(form, s, g @ s) for s in seeds))
+                delta_min = min(delta_min, *(distance(form, s, y) for s, y in zip(seeds, moved)))
             except ValueError:
                 raise UndecidableError(
                     f"generator {gi} moves a seed off the upper sheet in binary64, so its "
@@ -271,7 +301,7 @@ def build_orbit(
         for a, b in itertools.combinations(seeds, 2):
             diameter = max(diameter, distance(form, a, b))
         radius = max(0.0, (delta_min * word_cutoff - diameter) / 2.0)
-    return OrbitSet(form, tuple(points), radius)
+    return OrbitSet(form, np.concatenate(shells), tuple(words), tuple(point_tags), radius)
 
 
 # -- cells -----------------------------------------------------------------------
@@ -372,8 +402,8 @@ def dirichlet_cell(
             "increase the orbit cutoff"
         )
 
-    others = orbit.points[:idx] + orbit.points[idx + 1 :]
-    if not others:
+    other_words = orbit.words[:idx] + orbit.words[idx + 1 :]
+    if not other_words:
         return VoronoiCell(form, center, (), orbit.certification_radius)
 
     # the bisector normal x - y, scaled to f = 1, points toward the center x
@@ -388,7 +418,7 @@ def dirichlet_cell(
     if lost.any():
         k = int(np.argmax(lost))
         raise UndecidableError(
-            f"the bisector toward orbit word {others[k].word} has f(x - y) = "
+            f"the bisector toward orbit word {other_words[k]} has f(x - y) = "
             f"{f_norm[k]:.6g}, not finite and positive: coordinates of size "
             f"{np.abs(points[k]).max():.6g} exceed binary64 precision; "
             "shorten the translations or lower the orbit cutoff"
@@ -401,7 +431,7 @@ def dirichlet_cell(
     box_polar = np.vstack([np.eye(dim), -np.eye(dim)]) / box
 
     hull = ConvexHull(np.vstack([polar, box_polar]))
-    vertices = hull.vertices[hull.vertices < len(others)]
+    vertices = hull.vertices[hull.vertices < len(other_words)]
     dups = close_to(inward[None, :, :], inward[vertices][:, None, :], 1e-7)
     classes: dict[int, int] = {}  # earliest orbit index -> row of `dups`
     for row, first in enumerate(np.argmax(dups, axis=1)):
@@ -419,7 +449,7 @@ def dirichlet_cell(
     w = around[vertices[rows]]
     relaxed = a_all[firsts] / (rhs_all[firsts] - _FEAS_EPS)[:, None]
     reach = hull.points @ w.T
-    reach[: len(others)][dups[rows].T] = -np.inf
+    reach[: len(other_words)][dups[rows].T] = -np.inf
     gap = np.einsum("ij,ij->i", relaxed, w) - reach.max(axis=0)
     clear = gap > 1e-9 * np.linalg.norm(w, axis=1) * max(1.0, np.abs(hull.points).max())
 
@@ -432,11 +462,11 @@ def dirichlet_cell(
         # b_f(center, diff) = cosh d - 1 > 0, so the inward side is where diff points
         h = Hyperplane(form, diff[first])
         hs = HalfSpace(h, 1 if np.dot(h.normal, diff[first]) > 0 else -1)
-        kept.append(CellFacet(hs, others[first].word))
+        kept.append(CellFacet(hs, other_words[first]))
     if not kept:
         raise UndecidableError(
             f"pruning radius rho = {rho:.6g} keeps no facet of the "
-            f"{len(others)} bisectors, so the cell would be everything; "
+            f"{len(other_words)} bisectors, so the cell would be everything; "
             "increase the orbit cutoff or the radius"
         )
     return VoronoiCell(form, center, tuple(kept), orbit.certification_radius)
@@ -633,7 +663,7 @@ def check_admissible(
 
     orbit = build_orbit(seeds, group, orbit_cutoff, tags=tags)
     coords = orbit.coordinates()
-    orbit_tags = np.array([op.tag for op in orbit.points])
+    orbit_tags = np.array(orbit.tags)
 
     spacing = 0.0
     if len({s.surface_id for s in surfaces}) > 1:

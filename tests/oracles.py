@@ -28,11 +28,13 @@ from hyperglue.hyperboloid import (
     distance,
     float_coefficients,
     is_point,
+    nesting_table,
     normalize_point,
     normalize_points,
     quadratic,
     reflection,
     rotation_in_plane,
+    stack_halfspaces,
     translation_along,
 )
 from hyperglue.numfield import Embedding, FieldTag
@@ -165,7 +167,13 @@ def scalar_orbit(
         for a, b in itertools.combinations(seeds, 2):
             diameter = max(diameter, distance(form, a, b))
         radius = max(0.0, (delta_min * word_cutoff - diameter) / 2.0)
-    return OrbitSet(form, tuple(points), radius)
+    return OrbitSet(
+        form,
+        np.array([op.point for op in points]),
+        tuple(op.word for op in points),
+        tuple(op.tag for op in points),
+        radius,
+    )
 
 
 def sample_in_cert_ball(cell: VoronoiCell, n: int, rng) -> np.ndarray:
@@ -401,6 +409,20 @@ def _scalar_close(a, b, atol: float) -> bool:
     return all(abs(float(x) - float(y)) <= atol + 1e-5 * abs(float(y)) for x, y in zip(a, b))
 
 
+def are_nested(form: DiagonalForm, hs1: HalfSpace, hs2: HalfSpace, x) -> NestingVerdict:
+    """Classify two halfspaces that both contain the basepoint x.
+
+    This is the 1 x 1 case of `nesting_table`, which holds the thresholds;
+    a basepoint not interior to both halfspaces is refused.
+    """
+    ((verdict,),) = nesting_table(
+        form, stack_halfspaces(form, [hs1]), stack_halfspaces(form, [hs2]), x
+    )
+    if verdict is None:
+        raise ValueError("basepoint must be interior to both halfspaces")
+    return verdict
+
+
 def scalar_nesting_verdict(form: DiagonalForm, hs1: HalfSpace, hs2: HalfSpace, x) -> NestingVerdict | None:
     """The nesting verdict of two halfspaces about x, one pair at a time with `math.fsum`.
 
@@ -408,7 +430,7 @@ def scalar_nesting_verdict(form: DiagonalForm, hs1: HalfSpace, hs2: HalfSpace, x
     hyperplane normals agree entry by entry within 1e-7 + 1e-5 |n2|; then,
     for the inward normals' product s, CROSSING when |s| < 1 - EPS, NESTED
     when s > 0 and DISJOINT_NOT_NESTED otherwise: the thresholds that
-    `are_nested` documents.
+    `nesting_table` documents.
     """
     u1, u2 = hs1.inward_normal(), hs2.inward_normal()
     if _fsum_bilinear(form, x, u1) <= EPS or _fsum_bilinear(form, x, u2) <= EPS:

@@ -27,7 +27,6 @@ from hyperglue.qforms import (
 )
 from hyperglue.hyperboloid import (
     NestingVerdict,
-    are_nested,
     basepoint,
     exact_identity,
     exact_mat_mul,
@@ -52,7 +51,7 @@ from hyperglue import glueing
 from hyperglue.cli import main as cli_main
 
 import oracles
-from oracles import J2, E1, bitmask_oracle, nearest_center_agreement, plane_config
+from oracles import J2, E1, are_nested, bitmask_oracle, nearest_center_agreement, plane_config
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -20,7 +20,6 @@ from hyperglue.hyperboloid import (
     HalfSpace,
     Hyperplane,
     NestingVerdict,
-    are_nested,
     ball_coordinates,
     basepoint,
     bilinear,
@@ -42,7 +41,7 @@ from hyperglue.hyperboloid import (
     unit_tangent,
 )
 
-from oracles import FractionPair, are_orthogonal, bisector, exact_mat_vec, translation_length
+from oracles import FractionPair, are_nested, are_orthogonal, bisector, exact_mat_vec, translation_length
 
 J2 = jn_form(2)
 J3 = jn_form(3)

@@ -15,7 +15,6 @@ from hyperglue.hyperboloid import (
     HalfSpace,
     Hyperplane,
     NestingVerdict,
-    are_nested,
     basepoint,
     translation_along,
 )
@@ -30,7 +29,7 @@ from hyperglue.voronoi import (
     orthogonal_extension,
 )
 
-from oracles import are_orthogonal, bisector
+from oracles import are_nested, are_orthogonal, bisector
 
 J2 = jn_form(2)
 J3 = jn_form(3)

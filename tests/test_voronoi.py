@@ -14,7 +14,6 @@ from hyperglue.hyperboloid import (
     HalfSpace,
     Hyperplane,
     NestingVerdict,
-    are_nested,
     basepoint,
     bilinear,
     boundary_sphere,
@@ -48,7 +47,7 @@ from hyperglue.voronoi import (
 )
 
 import oracles
-from oracles import J2, E1, E2, nearest_center_agreement, plane_config
+from oracles import J2, E1, E2, are_nested, nearest_center_agreement, plane_config
 
 X0 = basepoint(J2)
 
@@ -157,6 +156,55 @@ class TestOrbit:
         with pytest.raises(ValueError, match="center must be one of the orbit points"):
             dirichlet_cell(X0, empty)
 
+    def test_points_view_is_built_once_from_the_arrays(self):
+        t1 = translation_along(J2, X0, E1, 2.0)
+        t2 = translation_along(J2, X0, E2, 2.0)
+        y = translation_along(J2, X0, E2, 0.4) @ X0
+        orbit = build_orbit([X0, y], GroupData(J2, [t1, t2]), 2, tags=[7, 8])
+        points = orbit.points
+        assert orbit.points is points
+        coords = orbit.coordinates()
+        assert [op.point.tobytes() for op in points] == [row.tobytes() for row in coords]
+        assert [op.word for op in points] == list(orbit.words)
+        assert [op.tag for op in points] == list(orbit.tags)
+        assert set(orbit.tags) == {7, 8} and orbit.words[:2] == ((), ())
+        for row in (coords[0], points[-1].point):
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 1.0
+
+
+def test_cells_and_admissibility_never_read_the_points_view(monkeypatch):
+    def fail(orbit):
+        raise AssertionError("the cell code must read the orbit's arrays")
+
+    monkeypatch.setattr(voronoi.OrbitSet, "points", property(fail))
+    t1 = translation_along(J2, X0, E1, 2.0)
+    t2 = translation_along(J2, X0, E2, 2.0)
+    orbit = build_orbit([X0], GroupData(J2, [t1, t2]), 2)
+    assert len(dirichlet_cell(X0, orbit).facets) == 4
+    group, s1, s2 = two_geodesic_setup()
+    assert check_admissible(build_admissible_set([s1, s2], group), group, orbit_cutoff=1).admissible
+    with pytest.raises(AssertionError, match="arrays"):
+        orbit.points
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_stacked_product_keeps_the_bits_of_the_pointwise_product(n):
+    # `build_orbit` images a shell X as g @ X[:, :, None]: one gemv per point
+    # in g's own layout, as g @ x runs; the whole-shell gemm X @ g.T sums in
+    # another order, and some of its entries differ
+    rng = np.random.default_rng(n)
+    gemm_differs = False
+    for order in ("C", "F"):
+        for _ in range(40):
+            g = np.asarray(rng.standard_normal((n, n)) * np.exp(rng.uniform(0.0, 14.0, (n, n))), order=order)
+            xs = rng.standard_normal((8, n)) * np.exp(rng.uniform(0.0, 14.0, (8, n)))
+            assert g.flags[f"{order}_CONTIGUOUS"]
+            want = np.array([g @ x for x in xs]).tobytes()
+            assert (g @ xs[:, :, None]).tobytes() == want
+            gemm_differs |= (xs @ g.T).tobytes() != want
+    assert gemm_differs
+
 
 ORACLE_FORMS = pytest.mark.parametrize(
     "form",
@@ -178,10 +226,15 @@ def test_orbit_matches_scalar_oracle_bit_for_bit(form, n_gens):
     x0 = basepoint(form)
     group = GroupData(form, [_random_translation(form, rng, L) for L in rng.uniform(1.0, 3.5, n_gens)])
     near = _random_translation(form, rng, 0.7) @ x0
-    # the third seed repeats the first; the fourth lies on the first seed's orbit
-    seeds = [x0, near, x0.copy()] + [g @ x0 for g in group.generators[:1]]
-    tags = list(range(5, 5 + len(seeds)))
-    for cutoff in (1, 2, 3, 4):
+    # translations up to 9 long reach coordinates near e^27 at cutoff 3, where
+    # a whole-shell gemm moves last bits and an unreduced word's image of
+    # its grandparent no longer rounds to the same key
+    far = GroupData(form, [_random_translation(form, rng, L) for L in rng.uniform(3.5, 9.0, n_gens)])
+    runs = [(group, cutoff) for cutoff in (1, 2, 3, 4)] + [(far, 3)]
+    for group, cutoff in runs:
+        # the third seed repeats the first; the fourth lies on the first seed's orbit
+        seeds = [x0, near, x0.copy()] + [g @ x0 for g in group.generators[:1]]
+        tags = list(range(5, 5 + len(seeds)))
         got = build_orbit(seeds, group, cutoff, tags=tags)
         want = oracles.scalar_orbit(seeds, group, cutoff, tags=tags)
         # one tag per seed, so the tags also say which seed each point came from
@@ -1294,7 +1347,7 @@ GOLDEN_NESTING = [(90.0, 1.0, 6.0), (60.0, 0.3, 8.0), (37.0, 2.2, 3.1), (0.0, 1.
 class TestNestingTableOracle:
     """Check (iv)'s tables against `oracles.scalar_nesting`, which decides
     each facet pair on its own with `math.fsum` and the thresholds that
-    `are_nested` documents."""
+    `nesting_table` documents."""
 
     @staticmethod
     def agreed(cells):
