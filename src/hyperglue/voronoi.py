@@ -167,7 +167,7 @@ class OrbitPoint(NamedTuple):
     tag: int | None = None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class OrbitSet:
     """A truncated orbit: one read-only (N, d) coordinate array in orbit
     order, with the provenance word and the seed's tag of each row.
