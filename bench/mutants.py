@@ -173,6 +173,13 @@ MUTANTS = [
         "candidates, inverses = images, [n_gens] * len(front)",
         tuple(t for t in ORBIT_ORACLE if not t.endswith("[1-J2]")),
     ),
+    # the orbit radius: each seed's displacements as one (1, d) @ (d, k) product, not one row product per image
+    Mutant(
+        "displacement-as-one-gemm", VORONOI,
+        "cosh_moved = (-(fs @ moved[..., None])).ravel().tolist()",
+        "cosh_moved = (-(fs[:, 0] @ moved.transpose(0, 2, 1))).ravel().tolist()",
+        tuple(t for t in ORBIT_ORACLE if t.endswith(("[2-J3]", "[2-sqrt2]"))),
+    ),
     # the Poincare check: a self-pairing counted twice, or by a map that is no involution
     Mutant(
         "poincare-self-pairing-counted-twice", VORONOI,
@@ -231,9 +238,20 @@ MUTANTS = [
             "tests/test_voronoi.py::TestFacetTypes::test_tangent_along_the_point_refused",
         ),
     ),
+    # the sheet rule: f(x) summed by .sum in place of np.dot's order, which moves verdicts at the 1e-7 boundary
+    Mutant(
+        "sheet-rule-sums-by-sum", HYPERBOLOID,
+        "        values = ((rows * c) @ cols).ravel().tolist()\n",
+        "        values = ((rows * c) * rows).sum(axis=-1).ravel().tolist()\n",
+        (
+            "tests/test_hyperboloid.py::TestOneSheetRule::test_witness",
+            "tests/test_hyperboloid.py::TestOneSheetRule::test_bisection_to_the_boundary[J2]",
+            "tests/test_hyperboloid.py::TestOneSheetRule::test_bisection_to_the_boundary[sqrt2]",
+        ),
+    ),
     Mutant(
         "normalize-point-no-finiteness-test", HYPERBOLOID,
-        "    if not math.isfinite(scale):\n        raise", "    if False:\n        raise",
+        "        if not math.isfinite(scale):\n            raise", "        if False:\n            raise",
         tuple(
             f"tests/test_hyperboloid.py::TestNonFiniteRefused::test_sheet_point[{x}]"
             for x in ("nan", "inf", "-inf")

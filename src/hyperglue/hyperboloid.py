@@ -15,7 +15,10 @@ Two scalar regimes, matching how the objects are used:
   (distances, bisectors, ball-model output, nesting of halfspaces).
 
 A point of H^n satisfies f(x) = -1 on the upper sheet; a space-like
-vector satisfies f(v) > 0 and cuts out the hyperplane H_v = v-perp.
+vector satisfies f(v) > 0 and cuts out the hyperplane H_v = v-perp.  One
+row rule (`_sheet_rows`) is the only sheet test: `is_point`, `distance`,
+`normalize_point` (its one-row call) and `normalize_points` read it, and it
+sums f(x) in `np.dot`'s order, so they agree at the 1e-7 boundary.
 """
 
 from __future__ import annotations
@@ -238,73 +241,70 @@ def jn_chart(form: DiagonalForm) -> tuple[np.ndarray, np.ndarray]:
     return form.jn_chart
 
 
-def time_coordinate(form: DiagonalForm, x) -> float:
-    """The J-chart 0-th coordinate; positive on the upper sheet."""
-    return float(jn_chart(form)[0][0] @ as_float_vector(form, x))
+def _float_rows(form: DiagonalForm, xs) -> np.ndarray:
+    """The (N, d) float array of the vectors xs, each of the form's dimension."""
+    rows = [as_float_vector(form, x) for x in xs]
+    if any(x.shape != (form.dimension,) for x in rows):
+        raise ValueError("vector dimension does not match form")
+    return np.array(rows).reshape(-1, form.dimension)
 
 
-def _quad_scale(form: DiagonalForm, xf: np.ndarray) -> float:
-    """Magnitude of the quadratic evaluation, for relative tolerances.
+def _sheet_rows(form: DiagonalForm, xf: np.ndarray) -> list[tuple[float, float, bool, bool]]:
+    """The sheet test of each row x of the (N, d) array xf: (f(x), scale, near, upper).
 
-    Far sheet points have coordinates ~cosh(d), so f(x) = -1 is computed
-    with absolute cancellation error ~ eps * cosh(d)^2; membership tests
-    must scale their tolerance accordingly.  The scale is NaN or inf for a
-    vector whose terms overflow or are not finite, and a finite scale
-    bounds |f(x)|.
+    scale = max(1, sum |c_i| x_i^2) sizes the test: far sheet points have
+    coordinates ~cosh(d), so f(x) = -1 is computed with absolute
+    cancellation error ~ eps * cosh(d)^2.  It is NaN or inf for a row whose
+    terms overflow or are not finite, and a finite scale bounds |f(x)|.
+    near says that the scale is finite and |f(x) + 1| <= 1e-7 * scale, upper
+    that the J-chart time coordinate is positive; x lies on the upper sheet
+    iff both hold.  Each sum is a stacked product `u[:, None, :] @ w[:, :, None]`,
+    one `np.dot` per row, so a row's values have the same bits whatever N is.
     """
-    c = np.abs(float_coefficients(form))
+    c = float_coefficients(form)
+    rows, cols = xf[:, None, :], xf[:, :, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.maximum(1.0, np.dot(c * xf, xf)))
+        values = ((rows * c) @ cols).ravel().tolist()
+        terms = ((rows * np.abs(c)) @ cols).ravel().tolist()
+        times = (xf @ jn_chart(form)[0][0]).tolist()
+    return [
+        (q, scale, math.isfinite(scale) and abs(q + 1.0) <= 1e-7 * scale, time > 0)
+        for q, scale, time in zip(values, [1.0 if t < 1.0 else t for t in terms], times)  # NaN stays NaN
+    ]
 
 
 def is_point(form: DiagonalForm, x) -> bool:
     """Upper-sheet membership, f(x) = -1 within 1e-7 relative to the coordinates' size."""
-    xf = as_float_vector(form, x)
-    scale = _quad_scale(form, xf)
-    return (
-        math.isfinite(scale)
-        and abs(quadratic(form, xf) + 1.0) <= 1e-7 * scale
-        and time_coordinate(form, xf) > 0
-    )
+    ((_, _, near, upper),) = _sheet_rows(form, _float_rows(form, [x]))
+    return near and upper
 
 
 def normalize_point(form: DiagonalForm, x) -> np.ndarray:
-    """Scale a time-like upper vector onto the sheet f = -1.
-
-    Vectors already on the sheet up to relative roundoff are returned
-    unchanged: rescaling a far point by its noisy quadratic value would
-    amplify the cancellation error.
-    """
-    xf = as_float_vector(form, x)
-    q = quadratic(form, xf)
-    scale = _quad_scale(form, xf)
-    if not math.isfinite(scale):
-        raise ValueError(f"vector is not finite: f(x) = {q:g} from terms of size {scale:g}")
-    if abs(q + 1.0) > 1e-7 * scale:
-        if q >= -EPS * scale:
-            raise ValueError("vector is not time-like")
-        xf = xf / math.sqrt(-q)
-    if time_coordinate(form, xf) <= 0:
-        raise ValueError("vector lies on the lower sheet")
-    return xf
+    """Scale a time-like upper vector onto the sheet f = -1; `normalize_points` of one vector."""
+    return normalize_points(form, [x])[0]
 
 
 def normalize_points(form: DiagonalForm, xs) -> list[np.ndarray]:
-    """`normalize_point` of each vector, with one array test for the common case.
+    """Scale each time-like upper vector onto the sheet f = -1.
 
-    Vectors already on the upper sheet up to relative roundoff come back
-    unchanged, as from `normalize_point`; only the others are passed to it.
+    Vectors already on the upper sheet up to relative roundoff are returned
+    unchanged: rescaling a far point by its noisy quadratic value would
+    amplify the cancellation error.  The first vector that is not finite,
+    not time-like or on the lower sheet is refused, in that order.
     """
-    rows = [as_float_vector(form, x) for x in xs]
-    if not rows or any(x.shape != (form.dimension,) for x in rows):
-        return [normalize_point(form, x) for x in rows]
-    xf = np.array(rows)
-    c = float_coefficients(form)
-    q = (xf * xf * c).sum(axis=1)
-    scale = np.maximum(1.0, (xf * xf * np.abs(c)).sum(axis=1))
-    upper = xf @ jn_chart(form)[0][0] > 0
-    on_sheet = np.isfinite(scale) & (np.abs(q + 1.0) <= 1e-7 * scale) & upper
-    return [x if ok else normalize_point(form, x) for x, ok in zip(xf, on_sheet)]
+    xf = _float_rows(form, xs)
+    out = []
+    for x, (q, scale, near, upper) in zip(xf, _sheet_rows(form, xf)):
+        if not math.isfinite(scale):
+            raise ValueError(f"vector is not finite: f(x) = {q:g} from terms of size {scale:g}")
+        if not near:
+            if q >= -EPS * scale:
+                raise ValueError("vector is not time-like")
+            x = x / math.sqrt(-q)  # keeps the sign of the time coordinate
+        if not upper:
+            raise ValueError("vector lies on the lower sheet")
+        out.append(x)
+    return out
 
 
 def basepoint(form: DiagonalForm) -> np.ndarray:
@@ -317,12 +317,10 @@ def basepoint(form: DiagonalForm) -> np.ndarray:
 
 def distance(form: DiagonalForm, x, y) -> float:
     """Hyperbolic distance via cosh d = -b_f(x, y) for sheet points."""
-    xf = as_float_vector(form, x)
-    yf = as_float_vector(form, y)
-    for p in (xf, yf):
-        if not is_point(form, p):
-            raise ValueError("distance requires points on the upper sheet")
-    return math.acosh(max(1.0, -bilinear(form, xf, yf)))
+    xy = _float_rows(form, [x, y])
+    if not all(near and upper for _, _, near, upper in _sheet_rows(form, xy)):
+        raise ValueError("distance requires points on the upper sheet")
+    return math.acosh(max(1.0, -float(np.dot(xy[0] * float_coefficients(form), xy[1]))))
 
 
 # -- hyperplanes and halfspaces -------------------------------------------------
@@ -333,14 +331,12 @@ class Hyperplane:
 
     Floating normals are canonicalized to f(v) = 1 with the first
     coordinate of absolute value > EPS made positive, so structurally
-    equal hyperplanes compare equal under `same_as`.  The exact normal is
-    kept alongside when the input was exact.
+    equal hyperplanes compare equal under `same_as`.
     """
 
-    __slots__ = ("form", "normal", "exact_normal")
+    __slots__ = ("form", "normal")
 
     def __init__(self, form: DiagonalForm, normal):
-        exact_normal = tuple(normal) if _is_exact_vector(normal) else None
         vf = as_float_vector(form, normal)
         q = float(np.dot(vf * float_coefficients(form), vf))
         if not EPS < q < math.inf:
@@ -349,11 +345,8 @@ class Hyperplane:
         lead = next(i for i, x in enumerate(vf) if abs(x) > EPS)
         if vf[lead] < 0:
             vf = -vf
-            if exact_normal is not None:
-                exact_normal = tuple(-x for x in exact_normal)
         self.form = form
         self.normal = vf
-        self.exact_normal = exact_normal
 
     def same_as(self, other: "Hyperplane", tol: float = 1e-7) -> bool:
         return bool(close_to(self.normal, other.normal, tol))
@@ -375,13 +368,6 @@ class HalfSpace:
     def __post_init__(self):
         if self.side not in (-1, 1):
             raise ValueError("side must be +1 or -1")
-
-    @classmethod
-    def containing(cls, hyperplane: Hyperplane, x) -> "HalfSpace":
-        value = bilinear(hyperplane.form, x, hyperplane.normal)
-        if abs(value) <= EPS:
-            raise ValueError("point lies on the boundary hyperplane")
-        return cls(hyperplane, 1 if value > 0 else -1)
 
     def margin(self, x) -> float:
         """Signed membership margin; >= 0 inside."""

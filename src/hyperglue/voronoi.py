@@ -45,7 +45,6 @@ from .hyperboloid import (
     bilinear,
     boundary_sphere,
     close_to,
-    distance,
     float_coefficients,
     is_isometry,
     isometry_inverse,
@@ -57,6 +56,7 @@ from .hyperboloid import (
     stack_halfspaces,
     translation_along,
     unit_tangent,
+    _sheet_rows,
 )
 
 _FEAS_EPS = 1e-7
@@ -211,11 +211,15 @@ def build_orbit(
     (delta_min * cutoff - D) / 2 where delta_min is the least generator
     displacement over the seeds and D the seed-set diameter: any omitted
     orbit point provably lies at distance > 2 rho from every seed for
-    groups whose displacement grows linearly in word length.  Images too
-    large for binary64 raise ValueError, and so does an empty seed list
-    under generators, which has no displacement to certify with.  A
-    generator so large that its image of a seed leaves the upper sheet in
-    binary64 raises UndecidableError.
+    groups whose displacement grows linearly in word length.  Both are read
+    off rows the orbit already holds, the normalized seeds and the
+    generators' images of them in shell 1: one sheet test over those images,
+    then cosh d = -b(x, y) as one row product per pair, in `distance`'s
+    operand order.  Images too large for binary64 raise ValueError, and so
+    does an empty seed list under generators, which has no displacement to
+    certify with.  A generator so large that its image of a seed leaves the
+    upper sheet in binary64 raises UndecidableError, naming the first such
+    generator.
 
     Each word shell is one array program: one stacked product
     `g @ front[:, :, None]` per generator and inverse, then one index step
@@ -230,15 +234,14 @@ def build_orbit(
     if word_cutoff < 1:
         raise ValueError("word cutoff must be at least 1")
     form = group.form
-    seeds = normalize_points(form, seeds)
-    if tags is not None and len(tags) != len(seeds):
-        raise ValueError("one tag per seed required")
-    if group.generators and not seeds:
-        raise ValueError("an orbit under generators needs at least one seed point")
     gens = group.gens_with_inverses
     n_gens, dim = len(gens), form.dimension
+    seeds = front = np.array(normalize_points(form, seeds)).reshape(-1, dim)
+    if tags is not None and len(tags) != len(seeds):
+        raise ValueError("one tag per seed required")
+    if group.generators and not len(seeds):
+        raise ValueError("an orbit under generators needs at least one seed point")
 
-    front = np.array(seeds).reshape(-1, dim)
     shells = [front]
     words = [()] * len(seeds)
     point_tags = list(tags) if tags is not None else [None] * len(seeds)
@@ -286,20 +289,24 @@ def build_orbit(
         radius = math.inf
     else:
         # shell 1 holds each seed's images in letter order: generator k is letter 2k
-        delta_min = math.inf
-        for gi, g in enumerate(group.generators):
-            moved = first_images[2 * gi :: n_gens]
-            try:
-                delta_min = min(delta_min, *(distance(form, s, y) for s, y in zip(seeds, moved)))
-            except ValueError:
+        moved = first_images.reshape(len(seeds), n_gens, dim)[:, ::2]
+        on_sheet = [near and upper for _, _, near, upper in _sheet_rows(form, moved.reshape(-1, dim))]
+        for k, g in enumerate(group.generators):
+            if not all(on_sheet[k :: len(group.generators)]):
                 raise UndecidableError(
-                    f"generator {gi} moves a seed off the upper sheet in binary64, so its "
+                    f"generator {k} moves a seed off the upper sheet in binary64, so its "
                     f"displacement certifies no radius; it has entries up to "
                     f"{np.abs(g).max():.6g}; move the group nearer the basepoint"
-                ) from None
-        diameter = 0.0
-        for a, b in itertools.combinations(seeds, 2):
-            diameter = max(diameter, distance(form, a, b))
+                )
+        # cosh d(x, y) = -b(x, y) with one row product per pair, in `distance`'s
+        # order: each seed against its generators' images, then against every seed
+        fs = (seeds * float_coefficients(form))[:, None, None, :]
+        cosh_moved = (-(fs @ moved[..., None])).ravel().tolist()
+        cosh_seeds = (-(fs @ seeds[None, :, :, None])).reshape(len(seeds), -1).tolist()
+        delta_min = min(math.acosh(max(1.0, b)) for b in cosh_moved)
+        diameter = max(
+            (math.acosh(max(1.0, b)) for i, row in enumerate(cosh_seeds) for b in row[i + 1 :]), default=0.0
+        )
         radius = max(0.0, (delta_min * word_cutoff - diameter) / 2.0)
     return OrbitSet(form, np.concatenate(shells), tuple(words), tuple(point_tags), radius)
 

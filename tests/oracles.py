@@ -37,7 +37,7 @@ from hyperglue.hyperboloid import (
     stack_halfspaces,
     translation_along,
 )
-from hyperglue.numfield import Embedding, FieldTag
+from hyperglue.numfield import Embedding, FieldTag, QuadFieldElement
 from hyperglue.qforms import DiagonalForm, jn_form
 from hyperglue.voronoi import (
     _BOX_CAP,
@@ -230,6 +230,16 @@ def nearest_center_agreement(
     return int(np.sum(usable)), mismatches
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def is_point_by_dot(form: DiagonalForm, x) -> bool:
+    """The upper-sheet test of one vector, each sum an `np.dot`: |f(x) + 1| <= 1e-7 * scale
+    for scale = max(1, sum |c_i| x_i^2), and a positive coordinate at the negative coefficient."""
+    c = float_coefficients(form)
+    q = float(np.dot(x * c, x))
+    scale = max(1.0, float(np.dot(x * np.abs(c), x)))
+    return math.isfinite(scale) and abs(q + 1.0) <= 1e-7 * scale and x[np.argmin(c)] > 0
+
+
 def bisector(form: DiagonalForm, x, y) -> Hyperplane:
     """Hyperplane of points equidistant from sheet points x and y (normal x - y)."""
     xf = as_float_vector(form, x)
@@ -259,7 +269,7 @@ def lp_pruned_cell(center, orbit: OrbitSet, prune_radius: float | None = None) -
     for i, op in enumerate(orbit.points):
         if i == idx:
             continue
-        hs = HalfSpace.containing(bisector(form, center, op.point), center)
+        hs = halfspace_containing(bisector(form, center, op.point), center)
         if any(
             hs.side == prev.halfspace.side
             and hs.hyperplane.same_as(prev.halfspace.hyperplane)
@@ -485,25 +495,31 @@ def translation_length(mat: np.ndarray) -> float:
     return float(max(0.0, math.log(float(np.max(np.abs(eigs))))))
 
 
-def are_orthogonal(form: DiagonalForm, h1: Hyperplane, h2: Hyperplane) -> bool:
-    """True iff b_f(u, v) = 0 and the hyperplanes meet in H^n.
+def are_orthogonal(form: DiagonalForm, u, v) -> bool:
+    """True iff the hyperplanes with space-like normals u and v are orthogonal:
+    b_f(u, v) = 0 and they meet in H^n; exact when both normals are exact.
 
     The span form Gram([u,v]) must be positive definite for the
     hyperplanes to intersect; with b = 0 that reduces to both normals
     being space-like, which they are by construction.
     """
-    if h1.exact_normal is not None and h2.exact_normal is not None:
-        b = bilinear(form, h1.exact_normal, h2.exact_normal)
-        if b:
+    if all(isinstance(w[0], QuadFieldElement) for w in (u, v)):
+        if bilinear(form, u, v):
             return False
-        fu = quadratic(form, h1.exact_normal)
-        fv = quadratic(form, h2.exact_normal)
-        return (fu * fv).sign_at(Embedding.IDENTITY) > 0
-    b = bilinear(form, h1.normal, h2.normal)
+        return (quadratic(form, u) * quadratic(form, v)).sign_at(Embedding.IDENTITY) > 0
+    b = bilinear(form, Hyperplane(form, u).normal, Hyperplane(form, v).normal)
     if abs(b) > EPS:
         return False
     det = 1.0 - b * b  # normals are scaled to f = 1
     return det > EPS
+
+
+def halfspace_containing(hyperplane: Hyperplane, x) -> HalfSpace:
+    """The side of `hyperplane` that holds x strictly, beyond EPS."""
+    value = bilinear(hyperplane.form, x, hyperplane.normal)
+    if abs(value) <= EPS:
+        raise ValueError("point lies on the boundary hyperplane")
+    return HalfSpace(hyperplane, 1 if value > 0 else -1)
 
 
 def exact_mat_vec(a, v):

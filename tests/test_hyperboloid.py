@@ -36,12 +36,20 @@ from hyperglue.hyperboloid import (
     quadratic,
     reflection,
     rotation_in_plane,
-    time_coordinate,
     translation_along,
     unit_tangent,
 )
 
-from oracles import FractionPair, are_nested, are_orthogonal, bisector, exact_mat_vec, translation_length
+from oracles import (
+    FractionPair,
+    are_nested,
+    are_orthogonal,
+    bisector,
+    exact_mat_vec,
+    halfspace_containing,
+    is_point_by_dot,
+    translation_length,
+)
 
 J2 = jn_form(2)
 J3 = jn_form(3)
@@ -513,6 +521,60 @@ class TestNormalizePoints:
         assert normalize_points(J2, []) == []
 
 
+class TestOneSheetRule:
+    """`normalize_points`, `normalize_point` and `is_point` read one row rule, so
+    they agree bit for bit where f(x) = -1 meets its 1e-7 tolerance."""
+
+    # f(x) = -1.0000002612431291 in np.dot's order, just past 1e-7 * scale
+    # (summed with .sum(axis=1) it read -1.000000261243129, just inside)
+    WITNESS = np.array([1.3439552727769555, 0.6190212336654549, -0.6504062009645588])
+
+    @staticmethod
+    def assert_agree(form, xs):
+        batch = normalize_points(form, xs)
+        assert len(batch) == len(xs)
+        for x, y in zip(xs, batch):
+            one = normalize_point(form, x)
+            assert y.tobytes() == one.tobytes()
+            # a point on the sheet comes back as it is, and only such a point
+            assert is_point(form, x) == (one.tobytes() == np.asarray(x).tobytes())
+            # and f(x) is summed in np.dot's order
+            assert is_point(form, x) == is_point_by_dot(form, x)
+
+    def test_witness(self):
+        assert not is_point(J2, self.WITNESS)
+        assert normalize_point(J2, self.WITNESS).tobytes() != self.WITNESS.tobytes()
+        self.assert_agree(J2, [self.WITNESS])
+
+    @pytest.mark.parametrize("form", [J2, counting_base_form(4, FieldTag.Q_SQRT2)], ids=["J2", "sqrt2"])
+    def test_bisection_to_the_boundary(self, form):
+        # each sheet point p is scaled by t > 1 until is_point flips, and the
+        # last scales on either side of the flip are kept
+        rng = np.random.default_rng(35)
+        xs = []
+        for _ in range(300):
+            p = random_sheet_point(rng, form, spread=4.0)
+            lo, hi = 1.0, 1.0 + 1e-9
+            while is_point(form, hi * p):
+                lo, hi = hi, 1.0 + 2.0 * (hi - 1.0)
+            while lo < (mid := (lo + hi) / 2.0) < hi:
+                lo, hi = (mid, hi) if is_point(form, mid * p) else (lo, mid)
+            xs += [lo * p, hi * p]
+        self.assert_agree(form, xs)
+
+    def test_wrong_dimension_refused_with_the_module_message(self):
+        x = np.array([1.0, 0.0, 0.0, 0.0])
+        for call in (
+            lambda: is_point(J2, x),
+            lambda: distance(J2, basepoint(J2), x),
+            lambda: distance(J2, x, basepoint(J2)),
+            lambda: normalize_point(J2, x),
+            lambda: normalize_points(J2, [basepoint(J2), x]),
+        ):
+            with pytest.raises(ValueError, match="vector dimension does not match form"):
+                call()
+
+
 class TestBisector:
     def test_symmetric_pair(self):
         x = np.array([math.cosh(1.0), math.sinh(1.0), 0.0])
@@ -565,34 +627,32 @@ class TestBisector:
 
 class TestOrthogonality:
     def test_coordinate_hyperplanes(self):
-        assert are_orthogonal(J2, Hyperplane(J2, E1), Hyperplane(J2, E2))
+        assert are_orthogonal(J2, E1, E2)
 
     def test_exact_normals_decide_exactly(self):
         # b_f = 1e-12 is within the float tolerance but not zero
         zero, one = QuadFieldElement(0), QuadFieldElement(1)
         u = (zero, one, zero)
         v = (zero, QuadFieldElement(Fraction(1, 10**12)), one)
-        assert not are_orthogonal(J2, Hyperplane(J2, u), Hyperplane(J2, v))
-        assert are_orthogonal(J2, Hyperplane(J2, u), Hyperplane(J2, (zero, zero, one)))
+        assert not are_orthogonal(J2, u, v)
+        assert are_orthogonal(J2, u, (zero, zero, one))
         u_float = np.array([0.0, 1.0, 0.0])
         v_float = np.array([0.0, 1e-12, 1.0])
-        assert are_orthogonal(J2, Hyperplane(J2, u_float), Hyperplane(J2, v_float))
+        assert are_orthogonal(J2, u_float, v_float)
 
     def test_same_hyperplane_not_orthogonal(self):
-        h = Hyperplane(J2, E1)
-        assert not are_orthogonal(J2, h, h)
+        assert not are_orthogonal(J2, E1, E1)
 
     def test_horizontal_vs_vertical_in_extended_form(self):
         # horizontal normal (0,...,0,1) in f + <q> meets every lifted normal (v, 0)
         base = form_from_rationals([-1, 1, 1])
         ext = direct_sum(base, Fraction(5, 3))
-        horizontal = Hyperplane(ext, np.array([0.0, 0.0, 0.0, 1.0]))
+        horizontal = np.array([0.0, 0.0, 0.0, 1.0])
         rng = random.Random(3)
         for _ in range(20):
             v = random_exact_vector(rng, base)
             lifted = tuple(list(v) + [QuadFieldElement(0)])
-            vertical = Hyperplane(ext, lifted)
-            assert are_orthogonal(ext, horizontal, vertical)
+            assert are_orthogonal(ext, horizontal, lifted)
 
 
 class TestBallModel:
@@ -714,9 +774,9 @@ class TestUnitTangent:
             unit_tangent(J2, basepoint(J2), tangent)
 
 
-def test_time_coordinate_needs_hyperbolic_signature():
+def test_sheet_test_needs_hyperbolic_signature():
     with pytest.raises(ValueError, match="hyperbolic signature"):
-        time_coordinate(form_from_rationals([1, 1, 1]), np.array([1.0, 0.0, 0.0]))
+        is_point(form_from_rationals([1, 1, 1]), np.array([1.0, 0.0, 0.0]))
 
 
 NON_FINITE = pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -776,7 +836,7 @@ def wall_halfspaces(angle_deg, len_h, len_v):
         tinv = isometry_inverse(J2, t)
         for mat in (t, tinv):
             h = bisector(J2, x0, mat @ x0)
-            walls.append(HalfSpace.containing(h, x0))
+            walls.append(halfspace_containing(h, x0))
     return x0, walls[:2], walls[2:]
 
 
@@ -842,13 +902,13 @@ class TestNesting:
     def test_equal_halfspaces(self):
         x0 = basepoint(J2)
         h = Hyperplane(J2, np.array([math.sinh(0.5), math.cosh(0.5), 0.0]))
-        hs = HalfSpace.containing(h, x0)
+        hs = halfspace_containing(h, x0)
         assert are_nested(J2, hs, hs, x0) is NestingVerdict.EQUAL
 
     def test_crossing(self):
         x = np.array([math.sqrt(1.08), 0.2, 0.2])
-        hs1 = HalfSpace.containing(Hyperplane(J2, E1), x)
-        hs2 = HalfSpace.containing(Hyperplane(J2, E2), x)
+        hs1 = halfspace_containing(Hyperplane(J2, E1), x)
+        hs2 = halfspace_containing(Hyperplane(J2, E2), x)
         assert are_nested(J2, hs1, hs2, x) is NestingVerdict.CROSSING
 
     def test_basepoint_must_be_interior(self):
@@ -871,6 +931,6 @@ class TestNesting:
                 moved_v = HalfSpace(vw.hyperplane.apply(g), vw.side)
                 # sides may flip under canonicalization; re-derive from the moved basepoint
                 gx = g @ x0
-                moved_h = HalfSpace.containing(moved_h.hyperplane, gx)
-                moved_v = HalfSpace.containing(moved_v.hyperplane, gx)
+                moved_h = halfspace_containing(moved_h.hyperplane, gx)
+                moved_v = halfspace_containing(moved_v.hyperplane, gx)
                 assert are_nested(J2, moved_h, moved_v, gx) is v1

@@ -13,7 +13,6 @@ import numpy as np
 
 from hyperglue.hyperboloid import (
     HalfSpace,
-    Hyperplane,
     NestingVerdict,
     basepoint,
     translation_along,
@@ -72,9 +71,7 @@ def vertical_cell(r_length: float, tilt: float = 0.0):
 
 
 def test_horizontal_and_vertical_planes_are_orthogonal():
-    horizontal = Hyperplane(J3, E3_3)
-    vertical = Hyperplane(J3, np.array([0.0, 0.0, 1.0, 0.0]))
-    assert are_orthogonal(J3, horizontal, vertical)
+    assert are_orthogonal(J3, E3_3, np.array([0.0, 0.0, 1.0, 0.0]))
 
 
 def test_first_type_walls_coincide_across_decompositions():

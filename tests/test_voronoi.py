@@ -231,18 +231,21 @@ def test_orbit_matches_scalar_oracle_bit_for_bit(form, n_gens):
     # its grandparent no longer rounds to the same key
     far = GroupData(form, [_random_translation(form, rng, L) for L in rng.uniform(3.5, 9.0, n_gens)])
     runs = [(group, cutoff) for cutoff in (1, 2, 3, 4)] + [(far, 3)]
+    # 2-6 more seeds, drawn after the data above: x0 off the sheet as 2.5 x0,
+    # and points up to 10 out, with coordinates near e^9
+    spread = [2.5 * x0] + [_random_translation(form, rng, L) @ x0 for L in rng.uniform(0.5, 10.0, rng.integers(1, 6))]
     for group, cutoff in runs:
         # the third seed repeats the first; the fourth lies on the first seed's orbit
-        seeds = [x0, near, x0.copy()] + [g @ x0 for g in group.generators[:1]]
-        tags = list(range(5, 5 + len(seeds)))
-        got = build_orbit(seeds, group, cutoff, tags=tags)
-        want = oracles.scalar_orbit(seeds, group, cutoff, tags=tags)
-        # one tag per seed, so the tags also say which seed each point came from
-        assert [(op.word, op.tag) for op in got.points] == [(op.word, op.tag) for op in want.points]
-        assert [op.point.tobytes() for op in got.points] == [
-            op.point.tobytes() for op in want.points
-        ]
-        assert got.certification_radius == want.certification_radius
+        for seeds in ([x0, near, x0.copy()] + [g @ x0 for g in group.generators[:1]], spread):
+            tags = list(range(5, 5 + len(seeds)))
+            got = build_orbit(seeds, group, cutoff, tags=tags)
+            want = oracles.scalar_orbit(seeds, group, cutoff, tags=tags)
+            # one tag per seed, so the tags also say which seed each point came from
+            assert [(op.word, op.tag) for op in got.points] == [(op.word, op.tag) for op in want.points]
+            assert [op.point.tobytes() for op in got.points] == [
+                op.point.tobytes() for op in want.points
+            ]
+            assert got.certification_radius == want.certification_radius
 
 
 @ORACLE_FORMS
@@ -1438,6 +1441,18 @@ class TestIsometryInvariance:
             two_cell_domain(90.0, 1.0, 6.0, move)
         message = str(exc.value)
         assert message.startswith("generator 0 ")
+        assert f"entries up to {np.abs(t_h).max():.6g};" in message
+
+    def test_only_the_second_generator_lost_to_rounding(self):
+        # the first generator, a short translation at the basepoint, keeps the
+        # far seed on the sheet; the second takes it off, and it alone is named
+        move = translation_move(13.0, 17.0)
+        seed, (t_h,) = moved(move, [translation_along(J2, X0, E1, 1.0)])
+        group = GroupData(J2, [translation_along(J2, X0, E2, 1.0), t_h])
+        with pytest.raises(UndecidableError) as exc:
+            build_orbit([seed], group, 2)
+        message = str(exc.value)
+        assert message.startswith("generator 1 ")
         assert f"entries up to {np.abs(t_h).max():.6g};" in message
 
 
