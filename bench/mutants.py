@@ -241,8 +241,8 @@ MUTANTS = [
     # the sheet rule: f(x) summed by .sum in place of np.dot's order, which moves verdicts at the 1e-7 boundary
     Mutant(
         "sheet-rule-sums-by-sum", HYPERBOLOID,
-        "        values = ((rows * c) @ cols).ravel().tolist()\n",
-        "        values = ((rows * c) * rows).sum(axis=-1).ravel().tolist()\n",
+        "        sums = ((xf[:, None, None, :] * weights) @ xf[:, None, :, None]).reshape(-1, 2).tolist()\n",
+        "        sums = (xf[:, None, None, :] * weights * xf[:, None, None, :]).sum(axis=-1).reshape(-1, 2).tolist()\n",
         (
             "tests/test_hyperboloid.py::TestOneSheetRule::test_witness",
             "tests/test_hyperboloid.py::TestOneSheetRule::test_bisection_to_the_boundary[J2]",

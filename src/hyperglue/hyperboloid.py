@@ -258,18 +258,20 @@ def _sheet_rows(form: DiagonalForm, xf: np.ndarray) -> list[tuple[float, float, 
     terms overflow or are not finite, and a finite scale bounds |f(x)|.
     near says that the scale is finite and |f(x) + 1| <= 1e-7 * scale, upper
     that the J-chart time coordinate is positive; x lies on the upper sheet
-    iff both hold.  Each sum is a stacked product `u[:, None, :] @ w[:, :, None]`,
-    one `np.dot` per row, so a row's values have the same bits whatever N is.
+    iff both hold.  f(x) and the scale come from one stacked product of
+    (1, d) rows c * x and |c| * x with the (d, 1) column x, which numpy runs
+    as one `np.dot` per row and sum, so a row's values have the same bits
+    whatever N is.
     """
     c = float_coefficients(form)
-    rows, cols = xf[:, None, :], xf[:, :, None]
+    weights = np.array((c, np.abs(c)))[:, None, :]
     with np.errstate(over="ignore", invalid="ignore"):
-        values = ((rows * c) @ cols).ravel().tolist()
-        terms = ((rows * np.abs(c)) @ cols).ravel().tolist()
+        sums = ((xf[:, None, None, :] * weights) @ xf[:, None, :, None]).reshape(-1, 2).tolist()
         times = (xf @ jn_chart(form)[0][0]).tolist()
     return [
         (q, scale, math.isfinite(scale) and abs(q + 1.0) <= 1e-7 * scale, time > 0)
-        for q, scale, time in zip(values, [1.0 if t < 1.0 else t for t in terms], times)  # NaN stays NaN
+        for (q, t), time in zip(sums, times)
+        for scale in (1.0 if t < 1.0 else t,)  # max(1, t), with a NaN kept
     ]
 
 
