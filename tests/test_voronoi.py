@@ -233,7 +233,8 @@ def test_orbit_matches_scalar_oracle_bit_for_bit(form, n_gens):
     runs = [(group, cutoff) for cutoff in (1, 2, 3, 4)] + [(far, 3)]
     # 2-6 more seeds, drawn after the data above: x0 off the sheet as 2.5 x0,
     # and points up to 10 out, with coordinates near e^9
-    spread = [2.5 * x0] + [_random_translation(form, rng, L) @ x0 for L in rng.uniform(0.5, 10.0, rng.integers(1, 6))]
+    lengths = rng.uniform(0.5, 10.0, rng.integers(1, 6))
+    spread = [2.5 * x0] + [_random_translation(form, rng, L) @ x0 for L in lengths]
     for group, cutoff in runs:
         # the third seed repeats the first; the fourth lies on the first seed's orbit
         for seeds in ([x0, near, x0.copy()] + [g @ x0 for g in group.generators[:1]], spread):
