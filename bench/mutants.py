@@ -40,6 +40,7 @@ HYPERBOLOID = "src/hyperglue/hyperboloid.py"
 NUMFIELD = "src/hyperglue/numfield.py"
 VORONOI = "src/hyperglue/voronoi.py"
 T_GLUEING = "tests/test_glueing.py"
+T_VORONOI = "tests/test_voronoi.py"
 GOLDEN = "tests/test_cli.py::TestGolden::test_every_command_matches_the_golden_twice"
 WALLS_AT_THE_CIRCLE = tuple(
     f"tests/test_voronoi.py::TestPoincare::test_walls_meeting_at_the_circle_make_no_vertex[{d}]"
@@ -69,6 +70,9 @@ ORBIT_ORACLE = tuple(
     f"tests/test_voronoi.py::test_orbit_matches_scalar_oracle_bit_for_bit[{n_gens}-{form}]"
     for n_gens in (1, 2, 3)
     for form in ("J2", "J3", "sqrt2")
+)
+NEAR_MISSES = tuple(
+    f"tests/test_voronoi.py::TestAdmissibility::test_near_misses_are_violations[{seed}]" for seed in range(0, 200, 40)
 )
 # the Q forms of the hyperboloid tests' ORACLE_FORMS, and the tests that run every kernel on each
 Q_FORMS = ("<-1, 1, 1> over Q", "<-2, 1, 1, 1> over Q", "<-1/2, 3, 5/4> over Q")
@@ -179,6 +183,42 @@ MUTANTS = [
         "cosh_moved = (-(fs @ moved[..., None])).ravel().tolist()",
         "cosh_moved = (-(fs[:, 0] @ moved.transpose(0, 2, 1))).ravel().tolist()",
         tuple(t for t in ORBIT_ORACLE if t.endswith(("[2-J3]", "[2-sqrt2]"))),
+    ),
+    # admissibility on the whole segment: another surface's interval read on
+    # [-tanh L, tanh L], lines kept by the own lines' least minimum (too few),
+    # the nearest-seed distance read at the segment ends alone, and the
+    # witness always taken at its interval's midpoint
+    Mutant(
+        "admissible-interval-before-the-segment-start", VORONOI,
+        "b[theirs, None], 0.0, top)", "b[theirs, None], -top, top)",
+        (
+            f"{T_VORONOI}::TestAdmissibility::test_verdicts_and_refusals_match_brute_force",
+            f"{T_VORONOI}::TestAdmissibility::test_surface_without_own_points_is_a_violation",
+        ),
+    ),
+    Mutant(
+        "admissible-prefilter-by-the-least-own-minimum", VORONOI,
+        "np.maximum(a, a + b * top)[own].min(initial=np.inf)", "np.minimum(a, a + b * top)[own].min(initial=np.inf)",
+        NEAR_MISSES,
+    ),
+    Mutant(
+        "admissible-radius-at-the-segment-ends", VORONOI,
+        "peaks = np.concatenate([lo, hi])[np.tile(lo <= hi, 2)]", "peaks = np.array([0.0, top])",
+        (f"{T_VORONOI}::TestAdmissibility::test_verdicts_and_refusals_match_brute_force",),
+    ),
+    Mutant(
+        "admissible-witness-at-the-midpoint", VORONOI,
+        "3 * np.arange(len(gap)) + gap.argmax(axis=1)", "3 * np.arange(len(gap)) + 1",
+        (GOLDEN, f"{T_VORONOI}::TestAdmissibility::test_surface_without_own_points_is_a_violation"),
+    ),
+    # the shared interval rule without its rows parallel to the line, which facet types need
+    Mutant(
+        "interval-ignores-parallel-rows", VORONOI,
+        "return np.where(((slope == 0) & (base < 0)).any(axis=-1), np.inf, lo), hi", "return lo, hi",
+        (
+            f"{T_VORONOI}::TestFacetTypes::test_disjoint_marked_lift_second",
+            f"{T_VORONOI}::TestFacetTypeLPReference::test_plane[1-0.0-1.0-None]",
+        ),
     ),
     # the Poincare check: a self-pairing counted twice, or by a map that is no involution
     Mutant(

@@ -278,30 +278,6 @@ class AssemblyBatch:
         # a copy is built anew, so its arrays are read-only and its checks uncached
         return type(self), (self.layout, self.partner, self.flag, self.internal_joins, self.deck_involution)
 
-    @classmethod
-    def glued(cls, pieces, pairings, internal_joins=(), deck_involution=None) -> AssemblyBatch:
-        """One complex, whose pairings (a, b, flag) glue slot ref a to slot
-        ref b, a ref being (piece index, slot index within the piece).
-        Refuses a flag other than +1 or -1, a ref to no slot of the pieces
-        and a slot named twice; a slot that no pairing names stays open."""
-        layout = SlotLayout(tuple(pieces))
-        slots = layout.slots
-        partner, flag = list(range(len(layout.piece_of))), [1] * len(layout.piece_of)
-        for a, b, f in pairings:
-            if f not in (-1, 1):
-                raise ValueError("flag must be +1 or -1")
-            for piece, index in (a, b):
-                if not (0 <= piece < len(slots) and 0 <= index < len(slots[piece])):
-                    raise ValueError(f"slot ref {(piece, index)} names no slot of the pieces")
-            s, t = slots[a[0]][a[1]], slots[b[0]][b[1]]
-            if s == t or partner[s] != s or partner[t] != t:
-                raise ValueError(f"slot ref {a if partner[s] != s else b} is glued twice")
-            partner[s], partner[t] = t, s
-            flag[s] = flag[t] = 1 if f > 0 else -1
-        deck = None if deck_involution is None else tuple(deck_involution)
-        rows = (np.array([x], dtype=np.intp) for x in (partner, flag))
-        return cls(layout, *rows, tuple(internal_joins), deck)
-
     def closed(self) -> np.ndarray:
         """Whether `partner` is a fixed-point-free involution."""
         rows, slots = np.arange(len(self.partner))[:, None], np.arange(self.partner.shape[1])

@@ -9,10 +9,11 @@ chart's e_0 to the cell's center, in closed form: pruning, facet types
 and the Poincare check all read their rows in it, so up to rounding no
 decision depends on where the cell sits in H^n.  Redundant bisectors are
 pruned with one convex hull of their polar points a / rhs.  Facet types
-are decided in closed form along the Klein line of each marked geodesic:
-a facet is first type iff the root of its own row lies in the interval
-where all rows and the box faces hold, both relaxed by the feasibility
-tolerance.
+and admissibility share one closed-form interval rule along each marked
+geodesic.  A facet is first type iff the root of its row lies where all
+rows and box faces hold, relaxed by the feasibility tolerance; a segment
+is admissible iff no other surface's point is nearer than every own
+point on an interval of tanh t.
 Everything is deterministic: orbit points are ordered breadth-first by
 provenance word, and facets keep that order.
 
@@ -479,6 +480,17 @@ def dirichlet_cell(
     return VoronoiCell(form, center, tuple(kept), orbit.certification_radius)
 
 
+@np.errstate(divide="ignore", invalid="ignore")
+def _interval(base, slope, lo, hi):
+    """The s in [lo, hi] where base + slope * s >= 0 on every entry of the
+    last axis, as its ends over the leading axes: lo > hi when it is empty,
+    as it is wherever an entry of slope 0 has base < 0."""
+    bound = -base / slope
+    lo = np.maximum(lo, np.where(slope > 0, bound, -np.inf).max(axis=-1, initial=-np.inf))
+    hi = np.minimum(hi, np.where(slope < 0, bound, np.inf).min(axis=-1, initial=np.inf))
+    return np.where(((slope == 0) & (base < 0)).any(axis=-1), np.inf, lo), hi
+
+
 def classify_facets(
     cell: VoronoiCell, marked: Sequence, box_radius: float | None = None
 ) -> VoronoiCell:
@@ -513,11 +525,8 @@ def classify_facets(
         d = (u_sp * p_0 - p_sp * u_0) / (p_0 * p_0)
         base = rows @ (p_sp / p_0) - rhs
         slope = rows @ d
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bound = (-_FEAS_EPS - base) / slope
-        lo = bound[slope > 0].max(initial=-np.inf)
-        hi = bound[slope < 0].min(initial=np.inf)
-        if lo > hi or np.any(base[slope == 0] < -_FEAS_EPS):
+        lo, hi = _interval(base + _FEAS_EPS, slope, -np.inf, np.inf)
+        if lo > hi:
             continue
         parallel = np.abs(slope[:n]) <= 1e-12 * facet_norms * np.linalg.norm(d)
         root = -base[:n] / np.where(parallel, 1.0, slope[:n])
@@ -638,22 +647,24 @@ def check_admissible(
     group: GroupData,
     orbit_cutoff: int = 2,
 ) -> AdmissibilityVerdict:
-    """Decide the covering property by dense sampling of the marked lifts.
+    """Decide the covering property on each whole fundamental segment, in closed form.
 
-    Each surface is sampled along its fundamental segment at spacing
-    min(delta)/10, lifts taken through words of length <= `orbit_cutoff`,
-    or at the least fundamental length / 20 when there is one surface id
-    or min(delta) is not finite and positive.  The nearest truncated-orbit
-    point must carry the same surface tag (ties within 1e-12 pass).
-    Samples outside the orbit's certification radius raise UndecidableError;
-    a surface without a positive fundamental length raises ValueError.
+    Along s(t) = cosh t p + sinh t v, cosh d(s(t), x) = cosh t (a_x + b_x tanh t)
+    with a_x = -b(p, x) and b_x = -b(v, x), so the nearest point of the orbit
+    (words of length <= `orbit_cutoff`) is decided by lines in tanh t.  The
+    first interval, in surface and then orbit order, where a point of another
+    surface is nearer than every own point, by more than 1e-12 at one of its
+    ends or midpoint, is a violation; of those three the witness has the
+    largest d_own - d_other.  Each distance is convex in t, so the nearest-seed
+    distance peaks at a segment end or where the nearest seed changes; a peak
+    beyond the certification radius raises UndecidableError.  A surface
+    without a positive fundamental length raises ValueError.
     """
     surfaces = group.marked
     if not surfaces:
         raise ValueError("group data carries no marked geodesics to check")
     if any(not s.fundamental_length > 0 for s in surfaces):
         raise ValueError("surfaces need a positive fundamental segment")
-    form = group.form
     seeds, tags = x_set.seeds_and_tags()
     normals: dict[int, np.ndarray] = {}  # surface id -> normals of its hyperplanes
     for t in tags:
@@ -662,52 +673,51 @@ def check_admissible(
             if geo is None:
                 raise ValueError(f"point tagged with unknown surface {t}")
             normals[t] = np.array([h.normal for h in geo.hyperplanes])
-    c = float_coefficients(form)
+    c = float_coefficients(group.form)
     for t, n in normals.items():
-        on = np.array([as_float_vector(form, p) for p, tag in x_set.points if tag == t])
+        on = np.array([as_float_vector(group.form, p) for p, tag in x_set.points if tag == t])
         if np.any(np.abs((on * c) @ n.T) > 1e-6):
             raise ValueError("admissible-set point does not lie on its surface lift")
 
     orbit = build_orbit(seeds, group, orbit_cutoff, tags=tags)
-    coords = orbit.coordinates()
-    orbit_tags = np.array(orbit.tags)
-
-    spacing = 0.0
-    if len({s.surface_id for s in surfaces}) > 1:
-        spacing = min(surface_separations(group, surfaces, orbit_cutoff).values()) / 10.0
-    if not 0.0 < spacing < math.inf:
-        spacing = min(s.fundamental_length for s in surfaces) / 20.0
+    coords, rho, n = orbit.coordinates(), orbit.certification_radius, len(seeds)
 
     for s in surfaces:
-        length = s.fundamental_length
-        count = max(2, math.ceil(length / spacing) + 1)
-        ts = np.linspace(0.0, length, count)
-        samples = (
-            np.cosh(ts)[:, None] * s.point[None, :]
-            + np.sinh(ts)[:, None] * s.tangent[None, :]
-        )
-        cosh_orbit = -(samples * c[None, :]) @ coords.T
-        dists = np.arccosh(np.maximum(1.0, cosh_orbit))
-        nearest_seed = dists[:, : len(seeds)].min(axis=1)  # the orbit lists the seeds first
-        if np.any(nearest_seed > orbit.certification_radius + EPS):
+        length, top = s.fundamental_length, math.tanh(s.fundamental_length)
+        a, b = -(np.array([s.point, s.tangent]) * c) @ coords.T
+        # where the nearest-seed distance can peak: the ends of where each seed (listed first) is nearest
+        peaks = np.empty(0)
+        if rho < math.inf:
+            lo, hi = _interval(a[:n] - a[:n, None], b[:n] - b[:n, None], 0.0, top)
+            peaks = np.concatenate([lo, hi])[np.tile(lo <= hi, 2)]
+        # where another surface's point is nearer than every own point, from the lines that can be
+        # least on [0, top]: those whose least there is at most the smallest own line's largest
+        own = np.array(orbit.tags) == s.surface_id
+        keep = np.minimum(a, a + b * top) <= np.maximum(a, a + b * top)[own].min(initial=np.inf)
+        mine, theirs = own & keep, ~own & keep
+        lo, hi = _interval(a[mine] - a[theirs, None], b[mine] - b[theirs, None], 0.0, top)
+        near = np.stack([lo, (lo + hi) / 2.0, hi], axis=1)[lo <= hi]
+        ts = np.minimum(np.arctanh(np.concatenate([peaks, near.ravel()])), length)
+        points = np.cosh(ts)[:, None] * s.point[None, :] + np.sinh(ts)[:, None] * s.tangent[None, :]
+        dists = np.arccosh(np.maximum(1.0, -(points * c[None, :]) @ coords.T))
+        reach = dists[: len(peaks), :n].min(axis=1, initial=np.inf)
+        if np.any(reach > rho + EPS):
+            k = int(np.argmax(reach))
             raise UndecidableError(
-                "sample beyond the certification radius; increase the orbit cutoff"
+                f"surface {s.surface_id} at t = {ts[k]:.6g} is {reach[k]:.6g} from its nearest seed, "
+                f"beyond the certification radius rho = {rho:.6g} of orbit cutoff {orbit_cutoff}; "
+                "increase the orbit cutoff"
             )
-        own = np.where(orbit_tags == s.surface_id, dists, np.inf).min(axis=1)
-        other = np.where(orbit_tags != s.surface_id, dists, np.inf).min(axis=1)
-        bad = other < own - 1e-12
-        if np.any(bad):
-            k = int(np.argmax(bad))
-            return AdmissibilityVerdict(
-                False,
-                witness=samples[k],
-                witness_surface=s.surface_id,
-                message=(
-                    f"point of surface {s.surface_id} is covered by a cell "
-                    f"centred on another surface (d_own={own[k]:.6f}, "
-                    f"d_other={other[k]:.6f})"
-                ),
-            )
+        d_own, d_other = np.where(own, dists, np.inf).min(axis=1), np.where(own, np.inf, dists).min(axis=1)
+        gap = (d_own - d_other)[len(peaks) :].reshape(-1, 3)
+        best = len(peaks) + 3 * np.arange(len(gap)) + gap.argmax(axis=1)
+        hits = best[d_other[best] < d_own[best] - 1e-12]
+        if len(hits):
+            k = hits[0]
+            return AdmissibilityVerdict(False, points[k], s.surface_id, (
+                f"point of surface {s.surface_id} is covered by a cell centred on another surface "
+                f"(d_own={d_own[k]:.6f}, d_other={d_other[k]:.6f})"
+            ))
     return AdmissibilityVerdict(True, message="all surfaces covered by their own cells")
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 import hyperglue
-from hyperglue.glueing import EDGE_LABELS, AssemblyBatch, CountRow, PieceInstance, enumerate_base_graphs
+from hyperglue.glueing import EDGE_LABELS, AssemblyBatch, CountRow, PieceInstance, SlotLayout, enumerate_base_graphs
 from hyperglue.hyperboloid import (
     EPS,
     HalfSpace,
@@ -370,6 +370,54 @@ def word_separations(group: GroupData, surfaces, cutoff: int) -> dict[int, float
         others = [v for j, vs in lifts.items() if j != i for v in vs]
         pairings = [abs(float(np.dot(c * a, b))) for a in own for b in others]
         out[i] = math.acosh(max(1.0, min(pairings))) if pairings else math.inf
+    return out
+
+
+class SegmentSamples(NamedTuple):
+    """What the samples of one marked segment show."""
+
+    surface_id: int
+    reach: float  # the largest distance from a sample to its nearest seed
+    violation: bool  # some sample is nearer another surface's point, by more than 1e-12
+
+
+def brute_force_admissible(x_set, group: GroupData, orbit_cutoff: int, step: float = 1e-5) -> list[SegmentSamples]:
+    """Reference admissibility, from samples of each fundamental segment, in surface order.
+
+    Along s(t) = cosh t p + sinh t v two orbit points x and y are equally
+    far where (a_x - a_y) cosh t + (b_x - b_y) sinh t = 0, with a = -b(p, .)
+    and b = -b(v, .), which happens at most once.  Each segment is sampled
+    at its ends, at every such crossing in (0, L) of an own point with
+    another surface's point and of two seeds, one step of `step` to each
+    side of each crossing, and midway between any two consecutive samples.
+    The order of the distances does not change between two consecutive
+    crossings, so a midway sample sees every stretch where another
+    surface's point is nearer, however short.
+    """
+    seeds, tags = x_set.seeds_and_tags()
+    orbit = build_orbit(seeds, group, orbit_cutoff, tags=tags)
+    coords, n = orbit.coordinates(), len(seeds)
+    orbit_tags = np.array(orbit.tags)
+    c = float_coefficients(group.form)
+    out = []
+    for s in group.marked:
+        length = s.fundamental_length
+        a, b = -(s.point * c) @ coords.T, -(s.tangent * c) @ coords.T
+        own = orbit_tags == s.surface_id
+        i, j = np.triu_indices(n, 1)
+        pairs = np.concatenate([np.argwhere(own[:, None] & ~own[None, :]), np.column_stack([i, j])])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = (a[pairs[:, 1]] - a[pairs[:, 0]]) / (b[pairs[:, 0]] - b[pairs[:, 1]])
+        t = np.arctanh(r[np.abs(r) < 1.0])
+        t = t[(0.0 < t) & (t < length)]
+        ts = np.unique(np.append((t[:, None] + step * np.arange(-1, 2)).ravel(), [0.0, length]).clip(0.0, length))
+        ts = np.concatenate([ts, (ts[1:] + ts[:-1]) / 2.0])
+        points = np.cosh(ts)[:, None] * s.point + np.sinh(ts)[:, None] * s.tangent
+        d = np.arccosh(np.maximum(1.0, -(points * c) @ coords.T))
+        d_own = np.where(own, d, np.inf).min(axis=1)
+        d_other = np.where(own, np.inf, d).min(axis=1)
+        reach = float(d[:, :n].min(axis=1).max()) if n else 0.0
+        out.append(SegmentSamples(s.surface_id, reach, bool((d_other < d_own - 1e-12).any())))
     return out
 
 
@@ -755,6 +803,30 @@ class RefComplex(NamedTuple):
     pairings: Sequence[Pairing]
     internal_joins: tuple[tuple[int, int], ...] = ()
     deck_involution: tuple[int, ...] | None = None
+
+
+def glued(pieces, pairings, internal_joins=(), deck_involution=None) -> AssemblyBatch:
+    """One complex, a batch of one row, whose pairings (a, b, flag) glue
+    slot ref a to slot ref b.  Refuses a flag other than +1 or -1, a ref to
+    no slot of the pieces and a slot named twice; a slot that no pairing
+    names stays open."""
+    layout = SlotLayout(tuple(pieces))
+    slots = layout.slots
+    partner, flag = list(range(len(layout.piece_of))), [1] * len(layout.piece_of)
+    for a, b, f in pairings:
+        if f not in (-1, 1):
+            raise ValueError("flag must be +1 or -1")
+        for piece, index in (a, b):
+            if not (0 <= piece < len(slots) and 0 <= index < len(slots[piece])):
+                raise ValueError(f"slot ref {(piece, index)} names no slot of the pieces")
+        s, t = slots[a[0]][a[1]], slots[b[0]][b[1]]
+        if s == t or partner[s] != s or partner[t] != t:
+            raise ValueError(f"slot ref {a if partner[s] != s else b} is glued twice")
+        partner[s], partner[t] = t, s
+        flag[s] = flag[t] = 1 if f > 0 else -1
+    deck = None if deck_involution is None else tuple(deck_involution)
+    rows = (np.array([x], dtype=np.intp) for x in (partner, flag))
+    return AssemblyBatch(layout, *rows, tuple(internal_joins), deck)
 
 
 def row_refs(batch: AssemblyBatch, g: int) -> RefComplex:

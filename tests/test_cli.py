@@ -15,7 +15,7 @@ from hyperglue import cli, glueing
 from hyperglue.cli import main
 from hyperglue.hyperboloid import basepoint
 from hyperglue.voronoi import MarkedGeodesic, classify_facets
-from oracles import E1, J2, Pairing, plane_config, row_refs, run_python
+from oracles import E1, J2, Pairing, glued, plane_config, row_refs, run_python
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -320,7 +320,7 @@ class TestCount:
             moved = {((0, 0), (5, 0)), ((2, 0), (6, 1))}
             pairings = [p for p in k5.pairings if (p.a, p.b) not in moved]
             pairings += [Pairing((0, 0), (2, 0)), Pairing((5, 0), (6, 1))]
-            complex_ = glueing.AssemblyBatch.glued(k5.pieces, pairings)
+            complex_ = glued(k5.pieces, pairings)
             assert complex_.closed()[0] and complex_.components[0] == 1
             assert not complex_.orientable()[0]
             return complex_

@@ -37,6 +37,7 @@ from oracles import (
     deck_commutes_by_refs,
     enumerate_graphs,
     enumerated_counts,
+    glued,
     proper_labelings,
     row_refs,
 )
@@ -476,7 +477,7 @@ def assembled_piece_by_piece(graph: DecoratedGraph, templates) -> AssemblyBatch:
     m = graph.vertex_count
     pieces = [PieceInstance(templates["v" if v == graph.root else "u"], ("vertex", v)) for v in range(m)]
     pieces += [PieceInstance(templates[lab], ("edge", k)) for k, lab in enumerate(graph.labels)]
-    return AssemblyBatch.glued(pieces, pairings_of(graph))
+    return glued(pieces, pairings_of(graph))
 
 
 class TestSharedPieces:
@@ -497,12 +498,12 @@ class TestSharedPieces:
 
     def test_cover_equals_one_built_piece_by_piece(self):
         u = PieceTemplate("u", 2, True)
-        reversing = AssemblyBatch.glued(
+        reversing = glued(
             (PieceInstance(u, ("a",)), PieceInstance(u, ("b",))),
             (Pairing((0, 0), (1, 0), 1), Pairing((0, 1), (1, 1), -1)),
         )
         sheets = tuple(PieceInstance(u, ("cover", name, sheet)) for sheet in (0, 1) for name in "ab")
-        want = AssemblyBatch.glued(
+        want = glued(
             sheets,
             (
                 Pairing((0, 0), (1, 0)),
@@ -517,10 +518,10 @@ class TestSharedPieces:
         assert same(reversing.cover, want)
         assert reversing.cover.closed()[0] and want.closed()[0]
         # a complex with the same pieces shares them, but lifts its own pairings
-        plain = AssemblyBatch.glued(
+        plain = glued(
             reversing.layout.pieces, (Pairing((0, 0), (1, 0)), Pairing((0, 1), (1, 1)))
         )
-        assert same(plain.cover, AssemblyBatch.glued(
+        assert same(plain.cover, glued(
             sheets,
             (
                 Pairing((0, 0), (1, 0)),
@@ -547,10 +548,10 @@ class TestSharedPieces:
 def two_piece_complex(*pairings) -> AssemblyBatch:
     u = PieceTemplate("u", 2, True)
     pieces = (PieceInstance(u, ("a",)), PieceInstance(u, ("b",)))
-    return AssemblyBatch.glued(pieces, (Pairing(a, b) for a, b in pairings))
+    return glued(pieces, (Pairing(a, b) for a, b in pairings))
 
 
-# the corruptions that `AssemblyBatch.glued` refuses: refs to no slot, and a slot named twice
+# the corruptions that `glued` refuses: refs to no slot, and a slot named twice
 REFUSED = {"slot-at-boundary-count", "negative-piece", "piece-past-the-end", "duplicated-ref"}
 
 
@@ -585,7 +586,7 @@ def corrupted(manifold: RefComplex, rng):
 def glued_or_refused(manifold: RefComplex, pairings):
     """`manifold` glued by `pairings` instead, or None when `glued` refuses them."""
     try:
-        return AssemblyBatch.glued(
+        return glued(
             manifold.pieces, pairings, manifold.internal_joins, manifold.deck_involution
         )
     except ValueError:
@@ -664,9 +665,9 @@ class TestClosedness:
     def test_pairing_refuses_other_flags(self):
         pieces = two_piece_complex().layout.pieces
         with pytest.raises(ValueError, match="flag"):
-            AssemblyBatch.glued(pieces, [Pairing((0, 0), (1, 0), flag=0)])
+            glued(pieces, [Pairing((0, 0), (1, 0), flag=0)])
         with pytest.raises(ValueError, match="flag"):
-            AssemblyBatch.glued(pieces, [Pairing((0, 0), (1, 0))._replace(flag=2)])
+            glued(pieces, [Pairing((0, 0), (1, 0))._replace(flag=2)])
 
     def test_records_are_immutable(self):
         assembled = k5_assembly()
@@ -715,7 +716,7 @@ class TestOrientability:
             Pairing((0, 0), (1, 0), 1),
             Pairing((0, 1), (1, 1), 1),
         )
-        assert AssemblyBatch.glued(pieces, pairings).orientable()[0]
+        assert glued(pieces, pairings).orientable()[0]
 
     def test_single_reversing_flag_on_cycle(self):
         u = PieceTemplate("u", 2, True)
@@ -724,7 +725,7 @@ class TestOrientability:
             Pairing((0, 0), (1, 0), 1),
             Pairing((0, 1), (1, 1), -1),
         )
-        assert not AssemblyBatch.glued(pieces, pairings).orientable()[0]
+        assert not glued(pieces, pairings).orientable()[0]
 
     def test_flag_subsets_against_brute_force(self):
         # K5 with a u block at the root, so that every block is orientable
@@ -746,7 +747,7 @@ class TestOrientability:
             pairings = tuple(
                 p._replace(flag=-1) if t in flip else p for t, p in enumerate(base.pairings)
             )
-            verdict = bool(AssemblyBatch.glued(base.pieces, pairings).orientable()[0])
+            verdict = bool(glued(base.pieces, pairings).orientable()[0])
             assert verdict == brute_force_orientable(base._replace(pairings=pairings)), seed
             verdicts[verdict] += 1
         assert verdicts[True] and verdicts[False]
@@ -808,7 +809,7 @@ class TestDoubleCover:
         u = PieceTemplate("u", 2, True)
         pieces = (PieceInstance(u, ("a",)), PieceInstance(u, ("b",)))
         pairings = (Pairing((0, 0), (1, 0), 1), Pairing((0, 1), (1, 1), 1))
-        cover = AssemblyBatch.glued(pieces, pairings).cover
+        cover = glued(pieces, pairings).cover
         assert cover.orientable()[0]
         assert cover.components[0] == 2
 
@@ -847,7 +848,7 @@ class TestDoubleCover:
                 p._replace(flag=-1) if (p.b[0] - 6) % 3 == 1 and p.b[1] == 0 else p
                 for p in refs.pairings
             )
-            base = AssemblyBatch.glued(refs.pieces, pairings)
+            base = glued(refs.pieces, pairings)
             assert sum(p.flag < 0 for p in row_refs(base, 0).pairings) == 4
             assert not base.orientable()[0]
             cover = base.cover
@@ -873,7 +874,7 @@ class TestDoubleCover:
         u = PieceTemplate("u", 2, True)
         pieces = (PieceInstance(u, ("a",)), PieceInstance(u, ("b",)))
         pairings = (Pairing((0, 0), (1, 0), 1), Pairing((0, 1), (1, 1), -1))
-        assembled = AssemblyBatch.glued(pieces, pairings)
+        assembled = glued(pieces, pairings)
         assert not assembled.orientable()[0]
         cover = assembled.cover
         assert cover.orientable()[0]
@@ -881,8 +882,8 @@ class TestDoubleCover:
 
 
 def batch_of(pieces, rows) -> AssemblyBatch:
-    """One row per list of pairings in `rows`, each glued on its own by `AssemblyBatch.glued`."""
-    return stacked([AssemblyBatch.glued(pieces, pairings) for pairings in rows])
+    """One row per list of pairings in `rows`, each glued on its own by `glued`."""
+    return stacked([glued(pieces, pairings) for pairings in rows])
 
 
 def verdicts_agree(batch: AssemblyBatch, rows) -> Counter:
@@ -979,7 +980,7 @@ class TestBatchAgainstOracles:
 
     def test_no_pieces(self):
         # nothing to glue: closed, with no component, orientable, and a free deck on its cover
-        empty = AssemblyBatch.glued((), ())
+        empty = glued((), ())
         assert empty.closed()[0] and empty.components[0] == 0 and empty.orientable()[0]
         assert empty.cover.deck_free()[0]
 

@@ -660,6 +660,49 @@ def two_geodesic_setup(delta=0.8, window=4.0):
     return group, s1, s2
 
 
+def near_miss_set(seed):
+    """A set on the `geom admissible` scene of `seed` with a violation only
+    near s1(t*): s1's points leave a gap of half-width D + eps around t*,
+    where D is the distance from s1(t*) to its nearest point q of s2, which
+    is in the set; eps runs log-uniformly from 1e-6 to 1e-2."""
+    rng = np.random.default_rng(seed)
+    delta, window = 0.4 + 0.8 * rng.random(), 3.0 + 2.0 * rng.random()
+    u, v = rng.random(2)
+    t_star, eps = 0.2 + 0.6 * u, 10.0 ** (-6.0 + 4.0 * v)
+    group, s1, s2 = two_geodesic_setup(delta, window)
+    x = s1.point_at(t_star)
+    # -b(x, s2(t)) = A cosh t + B sinh t is least where tanh t = -B / A
+    q = s2.point_at(math.atanh(bilinear(J2, x, s2.tangent) / -bilinear(J2, x, s2.point)))
+    h = distance(J2, x, q) + eps
+    ts = np.linspace(0.0, window, 60)
+    ts = np.append(ts[np.abs(ts - t_star) >= h], [t_star - h, t_star + h])
+    points = [(s1.point_at(t), 1) for t in ts] + [(q, 2)]
+    points += [(s2.point_at(t), 2) for t in np.linspace(0.0, window, 60)]
+    return group, AdmissibleSet(tuple(points))
+
+
+def translated_pair_set(seed):
+    """Two surfaces at distance delta under one translation of length 1-4
+    along any axis through the basepoint, with cutoff 1 or 2, and their
+    covering set (30 % of it, the first point kept, for odd seeds); None
+    when the covering construction refuses the pair."""
+    rng = np.random.default_rng(seed)
+    delta, window = 0.4 + 0.8 * rng.random(), 1.0 + 2.0 * rng.random()
+    length, angle, cutoff = 1.0 + 3.0 * rng.random(), 360.0 * rng.random(), int(rng.integers(1, 3))
+    _, s1, s2 = two_geodesic_setup(delta, window)
+    axis = rotation_in_plane(J2, 1, 2, math.radians(angle)) @ E1
+    group = GroupData(J2, [translation_along(J2, X0, axis, length)], marked=[s1, s2])
+    try:
+        points = build_admissible_set([s1, s2], group).points
+    except ValueError:
+        return None
+    if seed % 2:
+        keep = rng.random(len(points)) >= 0.7
+        keep[0] = True
+        points = tuple(p for p, k in zip(points, keep) if k)
+    return group, AdmissibleSet(points), cutoff
+
+
 class TestAdmissibility:
     def test_sparse_pair_fails_with_witness(self):
         group, s1, s2 = two_geodesic_setup()
@@ -739,8 +782,83 @@ class TestAdmissibility:
         t = translation_along(J2, X0, E1, 2.0)
         group = GroupData(J2, [t], marked=[s1])
         x = AdmissibleSet(((s1.point_at(0.0), 1),))
-        with pytest.raises(UndecidableError):
+        # the nearest seed is farthest at the segment's end: 14 away, past rho = (2 - 0) / 2
+        want = r"surface 1 at t = 14 is 14 from its nearest seed, beyond the certification radius rho = 1 of orbit cutoff 1"
+        with pytest.raises(UndecidableError, match=want):
             check_admissible(x, group, orbit_cutoff=1)
+
+    @pytest.mark.parametrize("seed", range(0, 200, 40))
+    def test_near_misses_are_violations(self, seed):
+        # 40 near-miss sets per case, 200 in all; a grid at spacing delta / 10 steps over most of them
+        for k in range(seed, seed + 40):
+            group, x_set = near_miss_set(k)
+            verdict = check_admissible(x_set, group, orbit_cutoff=1)
+            assert not verdict.admissible, k
+            # the witness is nearer another surface's point than its own, and the
+            # oracle finds its surface the first one with such a point
+            seeds, tags = x_set.seeds_and_tags()
+            d = {t: min(distance(J2, verdict.witness, p) for p, u in zip(seeds, tags) if u == t) for t in (1, 2)}
+            own = d[verdict.witness_surface]
+            assert min(v for t, v in d.items() if t != verdict.witness_surface) < own - 1e-12, k
+            if k % 10 == 0:
+                first = next(w for w in oracles.brute_force_admissible(x_set, group, 1) if w.violation)
+                assert first.surface_id == verdict.witness_surface, k
+
+    def test_verdicts_and_refusals_match_brute_force(self):
+        # two surfaces under one translation; UndecidableError exactly where the
+        # nearest seed is farther than rho somewhere on a segment
+        outcomes = {"refused": 0, "skipped": 0, "admissible": 0, "undecidable": 0, "violation": 0}
+        for seed in range(300):
+            drawn = translated_pair_set(seed)
+            if drawn is None:
+                outcomes["refused"] += 1
+                continue
+            group, x_set, cutoff = drawn
+            bound = build_orbit(x_set.seeds_and_tags()[0], group, cutoff).certification_radius + EPS
+            samples = oracles.brute_force_admissible(x_set, group, cutoff)
+            if any(abs(w.reach - bound) <= 1e-9 for w in samples):
+                outcomes["skipped"] += 1
+                continue
+            # surface by surface, as the check reads them: first the radius, then the cover
+            want = next(("undecidable" if w.reach > bound else "violation" for w in samples
+                         if w.reach > bound or w.violation), "admissible")
+            try:
+                got = "admissible" if check_admissible(x_set, group, cutoff) else "violation"
+            except UndecidableError:
+                got = "undecidable"
+            assert got == want, seed
+            outcomes[got] += 1
+        assert outcomes == {"refused": 132, "skipped": 0, "admissible": 87, "undecidable": 68, "violation": 13}
+
+    @pytest.mark.parametrize("start", [-3.0, 1.0])
+    def test_violation_beyond_the_segment_reads_admissible(self, start):
+        # surface 1's segment is [start, start + 2] of a geodesic 0.8 from
+        # surface 2's [-1, 1] at 0: its geodesic is nearer surface 2's points
+        # between them, after its end or before its start, and only there
+        group, g1, g2 = two_geodesic_setup(delta=0.8)
+
+        def segment(g, a, length, surface_id):
+            tangent = math.sinh(a) * g.point + math.cosh(a) * g.tangent
+            return MarkedGeodesic(J2, g.point_at(a), tangent, surface_id=surface_id, fundamental_length=length)
+
+        s1, s2 = segment(g1, start, 2.0, 1), segment(g2, -1.0, 2.0, 2)
+        points = [(s1.point_at(t), 1) for t in np.linspace(0.0, 2.0, 9)]
+        points += [(s2.point_at(t), 2) for t in np.linspace(0.0, 2.0, 9)]
+        x_set = AdmissibleSet(tuple(points))
+        assert check_admissible(x_set, GroupData(J2, [], marked=[s1, s2]), orbit_cutoff=1).admissible
+        group = GroupData(J2, [], marked=[s1, s2])
+        assert [w.violation for w in oracles.brute_force_admissible(x_set, group, 1)] == [False, False]
+        wider = GroupData(J2, [], marked=[segment(g1, -3.0, 6.0, 1), s2])
+        verdict = check_admissible(x_set, wider, orbit_cutoff=1)
+        assert not verdict.admissible and verdict.witness_surface == 1
+
+    def test_surface_without_own_points_is_a_violation(self):
+        group, s1, s2 = two_geodesic_setup()
+        x_set = AdmissibleSet(((s2.point_at(1.0), 2), (s2.point_at(3.0), 2)))
+        verdict = check_admissible(x_set, group, orbit_cutoff=1)
+        assert not verdict.admissible
+        assert verdict.witness_surface == 1 and np.array_equal(verdict.witness, s1.point)
+        assert "d_own=inf" in verdict.message
 
     def test_randomized_covering_properties(self):
         rng = np.random.default_rng(1234)
