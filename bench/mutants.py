@@ -72,7 +72,8 @@ ORBIT_ORACLE = tuple(
     for form in ("J2", "J3", "sqrt2")
 )
 NEAR_MISSES = tuple(
-    f"tests/test_voronoi.py::TestAdmissibility::test_near_misses_are_violations[{seed}]" for seed in range(0, 200, 40)
+    f"tests/test_voronoi.py::TestAdmissibility::test_near_misses_are_violations[{seed}]"
+    for seed in range(0, 200, 40)
 )
 # the Q forms of the hyperboloid tests' ORACLE_FORMS, and the tests that run every kernel on each
 Q_FORMS = ("<-1, 1, 1> over Q", "<-2, 1, 1, 1> over Q", "<-1/2, 3, 5/4> over Q")
@@ -198,7 +199,8 @@ MUTANTS = [
     ),
     Mutant(
         "admissible-prefilter-by-the-least-own-minimum", VORONOI,
-        "np.maximum(a, a + b * top)[own].min(initial=np.inf)", "np.minimum(a, a + b * top)[own].min(initial=np.inf)",
+        "np.maximum(a, a + b * top)[own].min(initial=np.inf)",
+        "np.minimum(a, a + b * top)[own].min(initial=np.inf)",
         NEAR_MISSES,
     ),
     Mutant(

@@ -16,7 +16,14 @@ import numpy as np
 from scipy.optimize import linprog
 
 import hyperglue
-from hyperglue.glueing import EDGE_LABELS, AssemblyBatch, CountRow, PieceInstance, SlotLayout, enumerate_base_graphs
+from hyperglue.glueing import (
+    EDGE_LABELS,
+    AssemblyBatch,
+    CountRow,
+    PieceInstance,
+    SlotLayout,
+    enumerate_base_graphs,
+)
 from hyperglue.hyperboloid import (
     EPS,
     HalfSpace,
@@ -381,7 +388,9 @@ class SegmentSamples(NamedTuple):
     violation: bool  # some sample is nearer another surface's point, by more than 1e-12
 
 
-def brute_force_admissible(x_set, group: GroupData, orbit_cutoff: int, step: float = 1e-5) -> list[SegmentSamples]:
+def brute_force_admissible(
+    x_set, group: GroupData, orbit_cutoff: int, step: float = 1e-5
+) -> list[SegmentSamples]:
     """Reference admissibility, from samples of each fundamental segment, in surface order.
 
     Along s(t) = cosh t p + sinh t v two orbit points x and y are equally
@@ -410,7 +419,8 @@ def brute_force_admissible(x_set, group: GroupData, orbit_cutoff: int, step: flo
             r = (a[pairs[:, 1]] - a[pairs[:, 0]]) / (b[pairs[:, 0]] - b[pairs[:, 1]])
         t = np.arctanh(r[np.abs(r) < 1.0])
         t = t[(0.0 < t) & (t < length)]
-        ts = np.unique(np.append((t[:, None] + step * np.arange(-1, 2)).ravel(), [0.0, length]).clip(0.0, length))
+        ladder = (t[:, None] + step * np.arange(-1, 2)).ravel()
+        ts = np.unique(np.append(ladder, [0.0, length]).clip(0.0, length))
         ts = np.concatenate([ts, (ts[1:] + ts[:-1]) / 2.0])
         points = np.cosh(ts)[:, None] * s.point + np.sinh(ts)[:, None] * s.tangent
         d = np.arccosh(np.maximum(1.0, -(points * c) @ coords.T))

@@ -783,7 +783,10 @@ class TestAdmissibility:
         group = GroupData(J2, [t], marked=[s1])
         x = AdmissibleSet(((s1.point_at(0.0), 1),))
         # the nearest seed is farthest at the segment's end: 14 away, past rho = (2 - 0) / 2
-        want = r"surface 1 at t = 14 is 14 from its nearest seed, beyond the certification radius rho = 1 of orbit cutoff 1"
+        want = (
+            "surface 1 at t = 14 is 14 from its nearest seed, "
+            "beyond the certification radius rho = 1 of orbit cutoff 1"
+        )
         with pytest.raises(UndecidableError, match=want):
             check_admissible(x, group, orbit_cutoff=1)
 
@@ -795,9 +798,9 @@ class TestAdmissibility:
             verdict = check_admissible(x_set, group, orbit_cutoff=1)
             assert not verdict.admissible, k
             # the witness is nearer another surface's point than its own, and the
-            # oracle finds its surface the first one with such a point
+            # oracle (about 30 ms a set) finds its surface the first one with such a point
             seeds, tags = x_set.seeds_and_tags()
-            d = {t: min(distance(J2, verdict.witness, p) for p, u in zip(seeds, tags) if u == t) for t in (1, 2)}
+            d = {i: min(distance(J2, verdict.witness, p) for p, t in zip(seeds, tags) if t == i) for i in (1, 2)}
             own = d[verdict.witness_surface]
             assert min(v for t, v in d.items() if t != verdict.witness_surface) < own - 1e-12, k
             if k % 10 == 0:
@@ -828,7 +831,9 @@ class TestAdmissibility:
                 got = "undecidable"
             assert got == want, seed
             outcomes[got] += 1
-        assert outcomes == {"refused": 132, "skipped": 0, "admissible": 87, "undecidable": 68, "violation": 13}
+        assert outcomes == {
+            "refused": 132, "skipped": 0, "admissible": 87, "undecidable": 68, "violation": 13
+        }
 
     @pytest.mark.parametrize("start", [-3.0, 1.0])
     def test_violation_beyond_the_segment_reads_admissible(self, start):
@@ -839,7 +844,7 @@ class TestAdmissibility:
 
         def segment(g, a, length, surface_id):
             tangent = math.sinh(a) * g.point + math.cosh(a) * g.tangent
-            return MarkedGeodesic(J2, g.point_at(a), tangent, surface_id=surface_id, fundamental_length=length)
+            return MarkedGeodesic(J2, g.point_at(a), tangent, surface_id, fundamental_length=length)
 
         s1, s2 = segment(g1, start, 2.0, 1), segment(g2, -1.0, 2.0, 2)
         points = [(s1.point_at(t), 1) for t in np.linspace(0.0, 2.0, 9)]
