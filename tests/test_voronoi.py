@@ -840,7 +840,7 @@ class TestAdmissibility:
         # surface 1's segment is [start, start + 2] of a geodesic 0.8 from
         # surface 2's [-1, 1] at 0: its geodesic is nearer surface 2's points
         # between them, after its end or before its start, and only there
-        group, g1, g2 = two_geodesic_setup(delta=0.8)
+        _, g1, g2 = two_geodesic_setup(delta=0.8)
 
         def segment(g, a, length, surface_id):
             tangent = math.sinh(a) * g.point + math.cosh(a) * g.tangent
@@ -850,8 +850,8 @@ class TestAdmissibility:
         points = [(s1.point_at(t), 1) for t in np.linspace(0.0, 2.0, 9)]
         points += [(s2.point_at(t), 2) for t in np.linspace(0.0, 2.0, 9)]
         x_set = AdmissibleSet(tuple(points))
-        assert check_admissible(x_set, GroupData(J2, [], marked=[s1, s2]), orbit_cutoff=1).admissible
         group = GroupData(J2, [], marked=[s1, s2])
+        assert check_admissible(x_set, group, orbit_cutoff=1).admissible
         assert [w.violation for w in oracles.brute_force_admissible(x_set, group, 1)] == [False, False]
         wider = GroupData(J2, [], marked=[segment(g1, -3.0, 6.0, 1), s2])
         verdict = check_admissible(x_set, wider, orbit_cutoff=1)
