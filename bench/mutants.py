@@ -42,6 +42,10 @@ VORONOI = "src/hyperglue/voronoi.py"
 T_GLUEING = "tests/test_glueing.py"
 T_VORONOI = "tests/test_voronoi.py"
 GOLDEN = "tests/test_cli.py::TestGolden::test_every_command_matches_the_golden_twice"
+EXTENSION_CAP = tuple(
+    f"tests/test_cli.py::TestGeomCommands::test_extension_samples_outside_the_cap_refused[{n}]"
+    for n in ("-3", "-1", "10001")
+)
 WALLS_AT_THE_CIRCLE = tuple(
     f"tests/test_voronoi.py::TestPoincare::test_walls_meeting_at_the_circle_make_no_vertex[{d}]"
     for d in ("1e-07", "1e-09", "1e-11")
@@ -83,24 +87,33 @@ RATIONAL_KERNEL_TESTS = (
 )
 
 MUTANTS = [
-    # the CLI byte contract: a rounding change and state carried between calls
+    # the CLI byte contract: a rounding change, state carried between calls,
+    # a manifest that leaves out a file written, and a directory made before a refusal
     Mutant(
         "cli-f-11-digits", "src/hyperglue/cli.py",
         'return f"{float(x):.12g}"', 'return f"{float(x):.11g}"', (GOLDEN,),
     ),
     Mutant(
         "cli-writes-into-the-previous-out", "src/hyperglue/cli.py",
-        "    out = Path(args.out)\n",
-        '    out, _ensure_out.last = Path(getattr(_ensure_out, "last", args.out)), args.out\n',
+        "        self.path = Path(args.out)\n",
+        '        self.path, _OutDir.last = Path(getattr(_OutDir, "last", args.out)), args.out\n',
         (GOLDEN,),
     ),
     Mutant(
+        "manifest-omits-the-svg", "src/hyperglue/cli.py",
+        "        self.written.append(name)\n",
+        '        if not name.endswith(".svg"):\n            self.written.append(name)\n',
+        (GOLDEN,),
+    ),
+    Mutant(
+        "extension-writer-before-the-cap", "src/hyperglue/cli.py",
+        "    cap, why = MAX_EXTENSION_SAMPLES\n",
+        "    out = _OutDir(args)\n    cap, why = MAX_EXTENSION_SAMPLES\n",
+        EXTENSION_CAP,
+    ),
+    Mutant(
         "extension-samples-uncapped", "src/hyperglue/cli.py",
-        "    if not 0 <= args.samples <= cap:\n", "    if False:\n",
-        tuple(
-            f"tests/test_cli.py::TestGeomCommands::test_extension_samples_outside_the_cap_refused[{n}]"
-            for n in ("-3", "-1", "10001")
-        ),
+        "    if not 0 <= args.samples <= cap:\n", "    if False:\n", EXTENSION_CAP,
     ),
     # exact elements: a same-field product left unreduced, a part printed
     # unreduced, and a writable field

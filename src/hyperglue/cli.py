@@ -1,8 +1,9 @@
 """Batch experiment driver: forms, plane-geometry demos and counting runs.
 
 Every run is deterministic given (flags, seed): outputs are CSV/SVG
-pairs plus a manifest listing the exact parameters.  Exit codes: 0
-success, 1 verification failure, 2 usage error.
+pairs plus a manifest listing the exact parameters and exactly the files
+written, all UTF-8 with "\n" line ends.  Exit codes: 0 success, 1
+verification failure or refused input, 2 usage error.
 
 The outputs are the library's own results, never recomputed here: the
 certificates the counting family holds, the nesting verdicts of the
@@ -10,8 +11,9 @@ Poincare report, and the walls drawn from the spheres of the cells built.
 
 `main` can be called repeatedly in one process, and each call gives the
 same exit code, output and files as a fresh process would.  The argument
-parser is built once, on the first call, and reused; the command handler
-is looked up by name on every call.
+parser is built once, on the first call, and reused; the handler is
+looked up on every call by the parsed command's name (`geom nesting` runs
+`cmd_geom_nesting`).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import itertools
 import json
 import math
@@ -90,18 +93,37 @@ def _f(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+def _command(args) -> list[str]:
+    """The words of the parsed command: ["count"], ["geom", "nesting"], ..."""
+    return [args.command] + ([args.subcommand] if "subcommand" in args else [])
+
+
+class _OutDir:
+    """A command's --out directory, made on construction, and the names written into it."""
+
+    def __init__(self, args):
+        self.path = Path(args.out)
+        self.path.mkdir(parents=True, exist_ok=True)
+        self.command = " ".join(_command(args))
+        self.written: list[str] = []
+
+    def write(self, name: str, text: str):
+        # UTF-8 with the text's own "\n" line ends, on every platform
+        with open(self.path / name, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        self.written.append(name)
+
+    def csv(self, name: str, header, rows):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+        self.write(name, buf.getvalue())
 
-
-def _write_manifest(out: Path, command: str, params: dict, outputs: list[str]):
-    payload = {"command": command, "params": params, "outputs": sorted(outputs)}
-    with open(out / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    def manifest(self, params: dict):
+        """Write manifest.json: the command, its parameters and every name written before it."""
+        payload = {"command": self.command, "params": params, "outputs": sorted(self.written)}
+        self.write("manifest.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _cell_facet_rows(cell) -> list[list[str]]:
@@ -119,19 +141,13 @@ def _cell_facet_rows(cell) -> list[list[str]]:
     return rows
 
 
-def _ensure_out(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 # -- forms ---------------------------------------------------------------------
 
 
 def cmd_forms_family(args) -> int:
     field = FieldTag.parse(args.field)
     family = build_counting_family(args.n, field)
-    out = _ensure_out(args)
+    out = _OutDir(args)
     admissible = {label: is_admissible(form) for label, form in family.forms.items()}
     rows = []
     for label in qforms.LABELS:
@@ -143,20 +159,15 @@ def cmd_forms_family(args) -> int:
                 str(admissible[label]).lower(),
             ]
         )
-    _write_csv(out / "family.csv", ["label", "prime", "coefficients", "admissible"], rows)
+    out.csv("family.csv", ["label", "prime", "coefficients", "admissible"], rows)
     cert_rows = []
     for la, lb in itertools.combinations(qforms.LABELS, 2):
         cert = family.certificates[(la, lb)]
         cert_rows.append(
             [la, lb, "non-equivalent" if cert.non_equivalent else "unknown", cert.reason or ""]
         )
-    _write_csv(out / "certificates.csv", ["label_a", "label_b", "verdict", "reason"], cert_rows)
-    _write_manifest(
-        out,
-        "forms family",
-        {"n": args.n, "field": field.value},
-        ["family.csv", "certificates.csv"],
-    )
+    out.csv("certificates.csv", ["label_a", "label_b", "verdict", "reason"], cert_rows)
+    out.manifest({"n": args.n, "field": field.value})
     print(f"base form: {family.base}")
     for label in qforms.LABELS:
         print(f"  {label}: prime {format_element(family.primes[label])} -> {family.forms[label]}")
@@ -201,7 +212,7 @@ def cmd_geom_admissible(args) -> int:
     dense = build_admissible_set([s1, s2], group)
     dense_verdict = check_admissible(dense, group, orbit_cutoff=1)
 
-    out = _ensure_out(args)
+    out = _OutDir(args)
     rows = [
         ["delta", _f(delta)],
         ["window", _f(window)],
@@ -214,7 +225,7 @@ def cmd_geom_admissible(args) -> int:
         w = ball_coordinates(form, sparse_verdict.witness)
         rows.append(["witness_ball_x", _f(w[0])])
         rows.append(["witness_ball_y", _f(w[1])])
-    _write_csv(out / "admissible.csv", ["key", "value"], rows)
+    out.csv("admissible.csv", ["key", "value"], rows)
 
     canvas = BallCanvas()
     for geo in (s1, s2):
@@ -227,13 +238,8 @@ def cmd_geom_admissible(args) -> int:
         canvas.dot(
             ball_coordinates(form, sparse_verdict.witness), radius=0.02, fill="#d62728"
         )
-    canvas.save(out / "admissible.svg")
-    _write_manifest(
-        out,
-        "geom admissible",
-        {"seed": args.seed, "delta": _f(delta), "window": _f(window), "offset": _f(offset)},
-        ["admissible.csv", "admissible.svg"],
-    )
+    out.write("admissible.svg", canvas.render())
+    out.manifest({"seed": args.seed, "delta": _f(delta), "window": _f(window), "offset": _f(offset)})
     print(
         f"sparse two-point set: {'admissible' if sparse_verdict else 'violation found'}"
     )
@@ -268,15 +274,15 @@ def cmd_geom_nesting(args) -> int:
     # both cells are centred on x0, so check (iv) decides every H/V wall pair
     report = check_poincare_2d([cell_h, cell_v], pairings)
 
-    out = _ensure_out(args)
+    out = _OutDir(args)
     rows = [[f"H{i}", f"V{j}", v.value] for (_, i), (_, j), v in report.nesting]
     rows.append(["poincare", "", "pass" if report.passed else "fail"])
-    _write_csv(out / "nesting.csv", ["wall_a", "wall_b", "verdict"], rows)
+    out.csv("nesting.csv", ["wall_a", "wall_b", "verdict"], rows)
     cell_rows = []
     for name, cell in (("H", cell_h), ("V", cell_v)):
         for row in _cell_facet_rows(cell):
             cell_rows.append([name] + row)
-    _write_csv(out / "cells.csv", ["cell", "item", "data", "word", "type"], cell_rows)
+    out.csv("cells.csv", ["cell", "item", "data", "word", "type"], cell_rows)
 
     canvas = BallCanvas()
     for f in cell_h.facets:
@@ -284,13 +290,8 @@ def cmd_geom_nesting(args) -> int:
     for f in cell_v.facets:
         canvas.geodesic(boundary_sphere(form, f.halfspace.hyperplane), stroke="#2ca02c")
     canvas.dot(ball_coordinates(form, x0), radius=0.015)
-    canvas.save(out / "nesting.svg")
-    _write_manifest(
-        out,
-        "geom nesting",
-        {"angle": args.angle, "lenH": args.lenH, "lenV": args.lenV},
-        ["nesting.csv", "cells.csv", "nesting.svg"],
-    )
+    out.write("nesting.svg", canvas.render())
+    out.manifest({"angle": args.angle, "lenH": args.lenH, "lenV": args.lenV})
 
     if report.nested_pairs:
         print("nested pair found")
@@ -303,18 +304,14 @@ def cmd_geom_nesting(args) -> int:
 def cmd_geom_shrink(args) -> int:
     r_list = [float(x) for x in args.R.split(",") if x.strip()]
     report = sphere_shrink_report(r_list, spacing=args.spacing)
-    out = _ensure_out(args)
+    out = _OutDir(args)
     rows = []
     for idx, row in enumerate(report.rows):
         rows.append(
             [_f(row.r), _f(row.first_radius), _f(row.second_radius),
              _f(report.shrink_factors[idx - 1]) if idx else ""]
         )
-    _write_csv(
-        out / "shrink.csv",
-        ["R", "first_type_radius", "second_type_radius", "shrink_factor"],
-        rows,
-    )
+    out.csv("shrink.csv", ["R", "first_type_radius", "second_type_radius", "shrink_factor"], rows)
 
     canvas = BallCanvas()
     # each wall is drawn from the sphere its cell computed, in the vertical
@@ -325,13 +322,8 @@ def cmd_geom_shrink(args) -> int:
             if kind is FacetType.SECOND or idx == 0:
                 stroke = "#2ca02c" if kind is FacetType.SECOND else "#d62728"
                 canvas.circle(sphere.center[[0, 2]], sphere.radius, stroke=stroke)
-    canvas.save(out / "shrink.svg")
-    _write_manifest(
-        out,
-        "geom shrink",
-        {"R": r_list, "spacing": args.spacing},
-        ["shrink.csv", "shrink.svg"],
-    )
+    out.write("shrink.svg", canvas.render())
+    out.manifest({"R": r_list, "spacing": args.spacing})
     print(f"second-type radii: {[_f(r.second_radius) for r in report.rows]}")
     print(f"strictly decreasing: {report.second_strictly_decreasing}; "
           f"first-type constant: {report.first_constant}")
@@ -383,8 +375,8 @@ def cmd_geom_extension(args) -> int:
                 f"cap{'+' if sign > 0 else '-'} base {_f(base_proj[0])} {_f(base_proj[1])}",
             ]
         )
-    out = _ensure_out(args)
-    _write_csv(out / "extension.csv", ["kind", "data", "note"], rows)
+    out = _OutDir(args)
+    out.csv("extension.csv", ["kind", "data", "note"], rows)
 
     canvas = BallCanvas()
     canvas.line((-1.0, 0.0), (1.0, 0.0), stroke="#1f77b4")  # the base hyperplane, side view
@@ -394,13 +386,8 @@ def cmd_geom_extension(args) -> int:
     for ideal, base_proj, sign in samples:
         # side view: (x1, x3) coordinates of the ideal point
         canvas.dot((ideal[1], ideal[3]), radius=0.008, fill="#2ca02c")
-    canvas.save(out / "extension.svg")
-    _write_manifest(
-        out,
-        "geom extension",
-        {"length": length, "q": args.q, "seed": args.seed, "samples": args.samples},
-        ["extension.csv", "extension.svg"],
-    )
+    out.write("extension.svg", canvas.render())
+    out.manifest({"length": length, "q": args.q, "seed": args.seed, "samples": args.samples})
     types = [f.facet_type for f in ext.facets]
     print(f"extended cell: {len(ext.facets)} walls, inherited types "
           f"{[t.value if t else '?' for t in types]}")
@@ -421,11 +408,10 @@ def cmd_count(args) -> int:
     if args.m_max > cap:
         print(f"error: --m-max is capped at {cap}: {why}", file=sys.stderr)
         return 2
-    out = _ensure_out(args)
+    out = _OutDir(args)
     rows = glueing.count_graphs(args.m_max, args.mode)
     csv_rows = [[r.m, r.base_count, r.rooted_labelled] for r in rows]
-    _write_csv(out / "counts.csv", ["m", "base_count", "rooted_labelled"], csv_rows)
-    outputs = ["counts.csv"]
+    out.csv("counts.csv", ["m", "base_count", "rooted_labelled"], csv_rows)
 
     if args.m_max < 5:
         print("warning: no simple 4-regular graph exists below 5 vertices; table is empty")
@@ -482,11 +468,8 @@ def cmd_count(args) -> int:
         if fit.degenerate:
             fit_note += " (degenerate: counts do not grow)"
         print(fit_note)
-    _write_manifest(
-        out,
-        "count",
-        {"m_max": args.m_max, "mode": args.mode, "check_assemblies": bool(args.check_assemblies)},
-        outputs,
+    out.manifest(
+        {"m_max": args.m_max, "mode": args.mode, "check_assemblies": bool(args.check_assemblies)}
     )
     for r in rows:
         print(f"m={r.m}: base={r.base_count} rooted+labelled={r.rooted_labelled}")
@@ -513,11 +496,9 @@ def build_parser() -> argparse.ArgumentParser:
     fam.add_argument("--n", type=int, required=True, help="dimension of the extended forms")
     fam.add_argument("--field", default="Q", help="Q or Q(sqrt2)")
     fam.add_argument("--out", default="out", help="output directory")
-    fam.set_defaults(handler="cmd_forms_family")
     chk = forms_sub.add_parser("check", help="check admissibility of a diagonal form")
     chk.add_argument("--coeffs", required=True, help="comma-separated coefficients")
     chk.add_argument("--field", default="Q")
-    chk.set_defaults(handler="cmd_forms_check")
 
     geom = sub.add_parser("geom", help="plane geometry demos")
     geom_sub = geom.add_subparsers(dest="subcommand", required=True)
@@ -525,20 +506,17 @@ def build_parser() -> argparse.ArgumentParser:
     adm = geom_sub.add_parser("admissible", help="admissible vs sparse point sets")
     adm.add_argument("--seed", type=int, default=0)
     adm.add_argument("--out", default="out")
-    adm.set_defaults(handler="cmd_geom_admissible")
 
     nst = geom_sub.add_parser("nesting", help="nested vs crossing bounding walls")
     nst.add_argument("--angle", type=float, required=True, help="angle between axes, degrees")
     nst.add_argument("--lenH", type=float, required=True)
     nst.add_argument("--lenV", type=float, required=True)
     nst.add_argument("--out", default="out")
-    nst.set_defaults(handler="cmd_geom_nesting")
 
     shr = geom_sub.add_parser("shrink", help="boundary spheres as R grows")
     shr.add_argument("--R", required=True, help="comma-separated increasing R values")
     shr.add_argument("--spacing", type=float, default=2.0)
     shr.add_argument("--out", default="out")
-    shr.set_defaults(handler="cmd_geom_shrink")
 
     ext = geom_sub.add_parser("extension", help="orthogonal extension of a strip")
     ext.add_argument("--length", type=float, default=2.0)
@@ -546,14 +524,12 @@ def build_parser() -> argparse.ArgumentParser:
     ext.add_argument("--seed", type=int, default=0)
     ext.add_argument("--samples", type=int, default=40)
     ext.add_argument("--out", default="out")
-    ext.set_defaults(handler="cmd_geom_extension")
 
     cnt = sub.add_parser("count", help="graph counting and assembly checks")
     cnt.add_argument("--m-max", type=int, required=True, dest="m_max")
     cnt.add_argument("--mode", choices=["free", "proper"], default="free")
     cnt.add_argument("--check-assemblies", action="store_true")
     cnt.add_argument("--out", default="out")
-    cnt.set_defaults(handler="cmd_count")
 
     return parser
 
@@ -586,7 +562,7 @@ def main(argv=None) -> int:
     args = _shared_parser().parse_args(_preprocess(argv))
     # look the handler up now, not when the parser was built, so that a
     # rebound `cmd_*` (a test's monkeypatch, a tracer) is the one that runs
-    handler = globals()[args.handler]
+    handler = globals()["cmd_" + "_".join(_command(args))]
     try:
         return handler(args)
     except (ValueError, OSError, voronoi.UndecidableError) as exc:

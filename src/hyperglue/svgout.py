@@ -95,7 +95,3 @@ class BallCanvas:
             '<rect x="-1.1" y="-1.1" width="2.2" height="2.2" fill="#ffffff"/>\n'
         )
         return head + "\n".join(self.elements) + "\n</svg>\n"
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.render())

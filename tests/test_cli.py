@@ -350,7 +350,9 @@ class TestCount:
 class TestGolden:
     """The byte contract: every command of the golden's list, run twice in
     one interpreter, gives the exit code, stdout, stderr and files that
-    each gave in a fresh interpreter when the golden was written."""
+    each gave in a fresh interpreter when the golden was written.  Each
+    manifest lists exactly the other files of its directory, and a command
+    that exits non-zero leaves no directory at its --out path."""
 
     def test_every_command_matches_the_golden_twice(self, tmp_path, monkeypatch, capsys):
         commands = read_commands(ROOT)
@@ -361,11 +363,19 @@ class TestGolden:
                 run_dir = tmp_path / run / f"{k:02d}"
                 run_dir.mkdir(parents=True)
                 monkeypatch.chdir(run_dir)
+                argv = shlex.split(line)[1:]
                 try:
-                    code = main(shlex.split(line)[1:])
+                    code = main(argv)
                 except SystemExit as exc:
                     code = exc.code
                 save_result(run_dir, code, *capsys.readouterr())
+                if code != 0 and "--out" in argv:
+                    out = run_dir / argv[argv.index("--out") + 1]
+                    assert not out.exists(), f"{k:02d} ({line}) exited {code} and left {out}"
+            for manifest in sorted((tmp_path / run).glob("*/**/manifest.json")):
+                others = sorted(p.name for p in manifest.parent.iterdir() if p != manifest)
+                listed = json.loads(manifest.read_text(encoding="utf-8"))["outputs"]
+                assert listed == others, f"{manifest.relative_to(tmp_path)} lists {listed}, beside {others}"
             lines = differences(golden, snapshot(tmp_path / run), commands, ("golden", f"the {run} run"))
             assert not lines, "\n".join(
                 [f"{run} run of {GOLDEN}/commands.txt in one interpreter:", *lines,
