@@ -328,27 +328,46 @@ def distance(form: DiagonalForm, x, y) -> float:
 # -- hyperplanes and halfspaces -------------------------------------------------
 
 
+def _canonical_normals(form: DiagonalForm, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the (k, d) float array `vs` as canonical hyperplane normals, and the sign each took.
+
+    Each row v becomes s v / sqrt(f(v)), with s = +-1 making its first
+    entry of absolute value > EPS positive.  f(v) is summed as `np.dot`
+    sums it: the stacked (k, 1, d) @ (k, d, 1) product runs one dot per
+    row, so a row's normal does not depend on the rows stacked with it.
+    A row that is not space-like is refused.
+    """
+    q = ((vs * float_coefficients(form))[:, None, :] @ vs[:, :, None])[:, 0]
+    for x in q.ravel().tolist():
+        if not EPS < x < math.inf:
+            raise ValueError(f"hyperplane normal must be space-like, got f(v) = {x:g}")
+    unit = vs / np.sqrt(q)
+    lead = unit[np.arange(len(unit)), (np.abs(unit) > EPS).argmax(axis=1)]
+    signs = np.copysign(1.0, lead)
+    return unit * signs[:, None], signs
+
+
 class Hyperplane:
     """H_v = v-perp intersected with the sheet, for a space-like normal v.
 
     Floating normals are canonicalized to f(v) = 1 with the first
-    coordinate of absolute value > EPS made positive, so structurally
-    equal hyperplanes compare equal under `same_as`.
+    coordinate of absolute value > EPS made positive (`_canonical_normals`),
+    so structurally equal hyperplanes compare equal under `same_as`.
     """
 
     __slots__ = ("form", "normal")
 
     def __init__(self, form: DiagonalForm, normal):
-        vf = as_float_vector(form, normal)
-        q = float(np.dot(vf * float_coefficients(form), vf))
-        if not EPS < q < math.inf:
-            raise ValueError(f"hyperplane normal must be space-like, got f(v) = {q:g}")
-        vf = vf / math.sqrt(q)
-        lead = next(i for i, x in enumerate(vf) if abs(x) > EPS)
-        if vf[lead] < 0:
-            vf = -vf
         self.form = form
-        self.normal = vf
+        self.normal = _canonical_normals(form, as_float_vector(form, normal)[None])[0][0]
+
+    @classmethod
+    def _canonical(cls, form: DiagonalForm, normal: np.ndarray) -> "Hyperplane":
+        """The hyperplane of a normal that `_canonical_normals` already made canonical."""
+        h = object.__new__(cls)
+        h.form = form
+        h.normal = normal
+        return h
 
     def same_as(self, other: "Hyperplane", tol: float = 1e-7) -> bool:
         return bool(close_to(self.normal, other.normal, tol))

@@ -57,6 +57,7 @@ from .hyperboloid import (
     stack_halfspaces,
     translation_along,
     unit_tangent,
+    _canonical_normals,
     _sheet_rows,
 )
 
@@ -389,10 +390,14 @@ def dirichlet_cell(
     +-e_j / tanh(rho).  A vertex is kept iff a / (rhs - 1e-7), relaxed by the
     feasibility tolerance, lies outside the hull of the polar points other
     than its duplicates (inward normals equal within 1e-7, as in
-    `Hyperplane.same_as`).  That hull is built only for a vertex that the
-    summed normals of its hull facets do not clearly separate from the other
-    points.  Each facet comes from the earliest orbit point of its duplicate
-    class, in orbit order.
+    `Hyperplane.same_as`).  Duplicates are found by screening every
+    (vertex, bisector) pair on the first coordinate by that same rule; only
+    the survivors are compared in full.  The hull of the other polar points
+    is built only for a vertex that the summed normals of its hull facets do
+    not clearly separate from them.  Each facet comes from the earliest
+    orbit point of its duplicate class, in orbit order.  The kept facets'
+    canonical normals and sides come from one batch, row for row the
+    normals `Hyperplane` would build.
     """
     from scipy.spatial import ConvexHull
 
@@ -415,7 +420,7 @@ def dirichlet_cell(
         return VoronoiCell(form, center, (), orbit.certification_radius)
 
     # the bisector normal x - y, scaled to f = 1, points toward the center x
-    points = np.delete(coords, idx, axis=0)
+    points = np.concatenate((coords[:idx], coords[idx + 1 :]))
     diff = center[None, :] - points
     if close_to(center, points, EPS).any():
         raise ValueError("bisector requires two distinct points")
@@ -434,16 +439,15 @@ def dirichlet_cell(
     inward = diff / np.sqrt(f_norm)[:, None]
     a_all, rhs_all = _klein_rows(_cell_chart(form, center)[0], inward)
     polar = a_all / rhs_all[:, None]
-    dim = form.dimension - 1
-    box = math.tanh(min(rho, _BOX_CAP))
-    box_polar = np.vstack([np.eye(dim), -np.eye(dim)]) / box
+    box_polar = np.eye(form.dimension - 1) / math.tanh(min(rho, _BOX_CAP))
+    box_polar = np.concatenate((box_polar, -box_polar))
 
-    hull = ConvexHull(np.vstack([polar, box_polar]))
+    hull = ConvexHull(np.concatenate((polar, box_polar)))
     vertices = hull.vertices[hull.vertices < len(other_words)]
-    dups = close_to(inward[None, :, :], inward[vertices][:, None, :], 1e-7)
+    dups = _duplicates(inward, vertices)
     classes: dict[int, int] = {}  # earliest orbit index -> row of `dups`
-    for row, first in enumerate(np.argmax(dups, axis=1)):
-        classes.setdefault(int(first), row)
+    for row, first in enumerate(np.argmax(dups, axis=1).tolist()):
+        classes.setdefault(first, row)
     firsts = sorted(classes)
     rows = [classes[f] for f in firsts]
 
@@ -459,25 +463,39 @@ def dirichlet_cell(
     reach = hull.points @ w.T
     reach[: len(other_words)][dups[rows].T] = -np.inf
     gap = np.einsum("ij,ij->i", relaxed, w) - reach.max(axis=0)
-    clear = gap > 1e-9 * np.linalg.norm(w, axis=1) * max(1.0, np.abs(hull.points).max())
-
-    kept: list[CellFacet] = []
-    for first, row, r, sure in zip(firsts, rows, relaxed, clear):
-        if not sure:
-            eq = ConvexHull(np.vstack([polar[~dups[row]], box_polar])).equations
-            if not np.max(eq[:, :-1] @ r + eq[:, -1]) > 0:
-                continue
-        # b_f(center, diff) = cosh d - 1 > 0, so the inward side is where diff points
-        h = Hyperplane(form, diff[first])
-        hs = HalfSpace(h, 1 if np.dot(h.normal, diff[first]) > 0 else -1)
-        kept.append(CellFacet(hs, other_words[first]))
-    if not kept:
+    keep = gap > 1e-9 * np.sqrt((w * w).sum(axis=1)) * max(1.0, np.abs(hull.points).max())
+    for i in np.flatnonzero(~keep):
+        eq = ConvexHull(np.concatenate((polar[~dups[rows[i]]], box_polar))).equations
+        keep[i] = np.max(eq[:, :-1] @ relaxed[i] + eq[:, -1]) > 0
+    kept = np.asarray(firsts)[keep]
+    if not len(kept):
         raise UndecidableError(
             f"pruning radius rho = {rho:.6g} keeps no facet of the "
             f"{len(other_words)} bisectors, so the cell would be everything; "
             "increase the orbit cutoff or the radius"
         )
-    return VoronoiCell(form, center, tuple(kept), orbit.certification_radius)
+    # b_f(center, diff) = cosh d - 1 > 0, so the inward side is where diff
+    # points: the side is the sign that made diff's normal canonical
+    normals, sides = _canonical_normals(form, diff[kept])
+    facets = tuple(
+        CellFacet(HalfSpace(Hyperplane._canonical(form, n), side), other_words[first])
+        for first, n, side in zip(kept.tolist(), normals, sides.astype(int).tolist())
+    )
+    return VoronoiCell(form, center, facets, orbit.certification_radius)
+
+
+def _duplicates(inward: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The table close_to(inward[None], inward[rows][:, None], 1e-7): entry (i, j)
+    says that row j of `inward` matches row rows[i].
+
+    Pairs are screened on the first coordinate by close_to's own rule, and
+    only the survivors are compared in full, so the table is the same.
+    """
+    lead = inward[rows, :1]
+    pairs = np.nonzero(np.abs(inward[:, 0] - lead) <= 1e-7 + 1e-5 * np.abs(lead))
+    table = np.zeros((len(rows), len(inward)), dtype=bool)
+    table[pairs] = close_to(inward[pairs[1]], inward[rows[pairs[0]]], 1e-7)
+    return table
 
 
 @np.errstate(divide="ignore", invalid="ignore")

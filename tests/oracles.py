@@ -247,6 +247,18 @@ def is_point_by_dot(form: DiagonalForm, x) -> bool:
     return math.isfinite(scale) and abs(q + 1.0) <= 1e-7 * scale and x[np.argmin(c)] > 0
 
 
+def scalar_canonical_normal(form: DiagonalForm, v: np.ndarray) -> np.ndarray:
+    """One float vector's canonical hyperplane normal, a scalar at a time: f(v)
+    as one `np.dot`, v / sqrt(f(v)) by `math.sqrt`, and the first entry of
+    absolute value > EPS, found by a scan, made positive."""
+    q = float(np.dot(v * float_coefficients(form), v))
+    if not EPS < q < math.inf:
+        raise ValueError(f"hyperplane normal must be space-like, got f(v) = {q:g}")
+    u = v / math.sqrt(q)
+    lead = next(x for x in u if abs(x) > EPS)
+    return -u if lead < 0 else u
+
+
 def bisector(form: DiagonalForm, x, y) -> Hyperplane:
     """Hyperplane of points equidistant from sheet points x and y (normal x - y)."""
     xf = as_float_vector(form, x)

@@ -17,9 +17,11 @@ from hyperglue.qforms import (
     jn_form,
 )
 from hyperglue.hyperboloid import (
+    EPS,
     HalfSpace,
     Hyperplane,
     NestingVerdict,
+    _canonical_normals,
     ball_coordinates,
     basepoint,
     bilinear,
@@ -28,6 +30,7 @@ from hyperglue.hyperboloid import (
     distance,
     exact_identity,
     exact_mat_mul,
+    float_coefficients,
     is_isometry,
     is_point,
     isometry_inverse,
@@ -48,6 +51,7 @@ from oracles import (
     exact_mat_vec,
     halfspace_containing,
     is_point_by_dot,
+    scalar_canonical_normal,
     translation_length,
 )
 
@@ -623,6 +627,62 @@ class TestBisector:
         x = basepoint(J2)
         with pytest.raises(ValueError):
             bisector(J2, x, x)
+
+
+class TestCanonicalNormals:
+    """The batch rule behind `Hyperplane` keeps the bits of one row at a time."""
+
+    FORMS = pytest.mark.parametrize(
+        "form", [J2, J3, counting_base_form(4, QS2)], ids=["J2", "J3", "sqrt2"]
+    )
+
+    @staticmethod
+    def space_like_rows(form, rng, n=300):
+        """Seeded rows with entries up to about e^14; in a third of them the
+        first entry lies within EPS of 0 (exactly +-0 in some), and in some
+        of those the second entry too, so the lead entry moves right."""
+        d = form.dimension
+        rows = rng.standard_normal((n, d)) * np.exp(rng.uniform(0.0, 14.0, (n, d)))
+        near = rng.choice([-1.0, 1.0], (n, 2)) * rng.uniform(0.0, EPS, (n, 2))
+        near[::7] *= 0.0
+        rows[: n // 3, 0] = near[: n // 3, 0]
+        rows[: n // 9, 1] = near[: n // 9, 1]
+        c = float_coefficients(form)
+        q = (rows * rows * c).sum(axis=1)
+        return rows[q > 1e-6 * (rows * rows * np.abs(c)).sum(axis=1)]
+
+    @FORMS
+    def test_batch_equals_each_hyperplane_bit_for_bit(self, form):
+        rows = self.space_like_rows(form, np.random.default_rng(form.dimension))
+        assert len(rows) > 100
+        normals, signs = _canonical_normals(form, rows)
+        flips = 0
+        for row, normal, sign in zip(rows, normals, signs):
+            want = Hyperplane(form, row).normal
+            assert normal.tobytes() == want.tobytes()
+            assert want.tobytes() == scalar_canonical_normal(form, row).tobytes()
+            # the sign is the one the row took: the side `dirichlet_cell` reads off it
+            assert sign == (1.0 if np.dot(normal, row) > 0 else -1.0)
+            flips += sign < 0 and row[0] > 0
+        # some rows lead with a positive entry 0 within EPS of 0 and are still flipped
+        assert flips > 0
+
+    @FORMS
+    def test_a_row_that_is_not_space_like_is_refused(self, form):
+        spatial = np.eye(form.dimension)[1]
+        # time-like, zero, and space-like with f(v) = 1e-10 <= EPS
+        for bad in (basepoint(form), 0.0 * spatial, 1e-5 * spatial):
+            with pytest.raises(ValueError) as want:
+                scalar_canonical_normal(form, bad)
+            assert "hyperplane normal must be space-like, got f(v) = " in str(want.value)
+            # the batch names its first refused row
+            for call in (
+                lambda: _canonical_normals(form, np.stack([spatial, bad, basepoint(form)])),
+                lambda: Hyperplane(form, bad),
+            ):
+                with pytest.raises(ValueError) as got:
+                    call()
+                assert str(got.value) == str(want.value)
 
 
 class TestOrthogonality:

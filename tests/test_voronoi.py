@@ -17,6 +17,7 @@ from hyperglue.hyperboloid import (
     basepoint,
     bilinear,
     boundary_sphere,
+    close_to,
     distance,
     float_coefficients,
     hyperplane_distance,
@@ -591,6 +592,83 @@ class TestLPReference:
         hull = dirichlet_cell(x0, orbit)
         assert hull.facets
         assert _facet_signature(hull) == _facet_signature(oracles.lp_pruned_cell(x0, orbit))
+
+
+@pytest.mark.usefixtures("forbid_lp")
+class TestDuplicateClasses:
+    """A bisector duplicated within `Hyperplane.same_as`'s tolerance gives one facet."""
+
+    @pytest.mark.parametrize("place", ["after", "before"])
+    @pytest.mark.parametrize("form", [J2, jn_form(3)], ids=["plane", "H3"])
+    def test_near_copy_of_a_shell_1_image(self, form, place):
+        if form.dimension == 3:
+            orbit = _reference_plane_orbit(2, 75.0, 1.5, 2.0)
+        else:
+            orbit = _reference_h3_orbit(form, 2)
+        x0 = basepoint(form)
+        coords = orbit.coordinates()
+        k = orbit.words.index((0,))
+        # the image moved 1e-9 along the sheet: its coordinates move by about 1e-9 relative
+        copy = translation_along(form, coords[k], np.eye(form.dimension)[1], 1e-9) @ coords[k]
+        assert 0.0 < np.abs(copy - coords[k]).max() <= 1e-8 * np.abs(coords[k]).max()
+        at = k if place == "before" else len(coords)
+        spliced = voronoi.OrbitSet(
+            form,
+            np.insert(coords, at, copy, axis=0),
+            orbit.words[:at] + ((9,),) + orbit.words[at:],
+            orbit.tags[:at] + (orbit.tags[k],) + orbit.tags[at:],
+            orbit.certification_radius,
+        )
+        cell = dirichlet_cell(x0, spliced)
+        words = [f.source_word for f in cell.facets]
+        earlier, later = ((9,), (0,)) if place == "before" else ((0,), (9,))
+        assert earlier in words and later not in words
+        assert _facet_signature(cell) == _facet_signature(oracles.lp_pruned_cell(x0, spliced))
+        if place == "after":
+            assert _facet_signature(cell) == _facet_signature(dirichlet_cell(x0, orbit))
+
+
+def _at_the_bound(b, direction, beyond):
+    """The float a farthest from b toward `direction` with |a - b| <= 1e-7 + 1e-5 |b|
+    as numpy rounds it, or the first float beyond it."""
+    bound = 1e-7 + 1e-5 * np.abs(b)
+    away = direction * np.inf
+    a = b + direction * bound
+    while np.abs(a - b) > bound:
+        a = np.nextafter(a, -away)
+    while np.abs(np.nextafter(a, away) - b) <= bound:
+        a = np.nextafter(a, away)
+    return np.nextafter(a, away) if beyond else a
+
+
+def test_duplicate_screen_keeps_the_full_table():
+    # near copies of earlier rows: each entry kept, at the bound, one float beyond it,
+    # or a zero of the other sign, on seeded stacks of sizes like a cell's inward normals;
+    # from +-0 and tiny powers of two, the entry at the bound lies exactly on it
+    rng = np.random.default_rng(38)
+    by_rtol = on_the_bound = 0
+    for _ in range(60):
+        n, d = int(rng.integers(2, 40)), int(rng.integers(3, 6))
+        inward = rng.standard_normal((n, d)) * np.exp(rng.uniform(-3.0, 8.0, (n, 1)))
+        special = rng.random((n, d)) < 0.15
+        inward[special] = rng.choice([0.0, -0.0, 2.0**-40, -(2.0**-33)], special.sum())
+        for j in rng.choice(np.arange(1, n), size=n // 2, replace=False):
+            i = int(rng.integers(0, j))
+            row = inward[i].copy()
+            for m, how in enumerate(rng.choice(["same", "in", "in", "out", "zero"], d)):
+                if how == "zero":
+                    inward[i, m], row[m] = (0.0, -0.0) if rng.random() < 0.5 else (-0.0, 0.0)
+                elif how != "same":
+                    row[m] = _at_the_bound(row[m], rng.choice([-1.0, 1.0]), how == "out")
+            inward[j] = row
+        rows = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)).astype(np.int32)
+        want = close_to(inward[None, :, :], inward[rows][:, None, :], 1e-7)
+        assert voronoi._duplicates(inward, rows).tolist() == want.tolist()
+        gap = np.abs(inward[None, :, 0] - inward[rows][:, None, 0])
+        on_the_bound += int((gap == 1e-7 + 1e-5 * np.abs(inward[rows][:, None, 0])).sum())
+        # pairs that match only through the 1e-5 |b| term on the screened coordinate
+        by_rtol += int((want & (gap > 1e-7)).sum())
+    assert by_rtol > 20 and on_the_bound > 20
 
 
 @pytest.mark.usefixtures("forbid_lp")
