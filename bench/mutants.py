@@ -235,19 +235,23 @@ MUTANTS = [
             f"{T_VORONOI}::TestFacetTypeLPReference::test_plane[1-0.0-1.0-None]",
         ),
     ),
-    # the Dirichlet cell's duplicate table: a first-coordinate screen without
-    # close_to's 1e-5 |b| term drops pairs that match only through it
+    # the screened close_to table behind a Dirichlet cell's duplicate classes: a first-coordinate
+    # screen without close_to's 1e-5 |b| term drops pairs that match only through it
     Mutant(
-        "duplicate-screen-drops-rtol", VORONOI,
-        "<= 1e-7 + 1e-5 * np.abs(lead))", "<= 1e-7)",
-        (f"{T_VORONOI}::test_duplicate_screen_keeps_the_full_table",),
+        "duplicate-screen-drops-rtol", HYPERBOLOID,
+        "table = np.abs(a[:, 0] - lead) <= atol + 1e-5 * np.abs(lead)",
+        "table = np.abs(a[:, 0] - lead) <= atol",
+        ("tests/test_hyperboloid.py::TestCloseTo::test_screened_table_equals_the_full_table",),
     ),
-    # canonical normals signed by entry 0, which may lie within EPS of 0, not by the first entry beyond EPS
+    # canonical normals signed by entry 0, which may lie within EPS of 0, not by the first
+    # entry beyond EPS
     Mutant(
         "batched-normal-lead-sign-from-entry-0", HYPERBOLOID,
-        "lead = unit[np.arange(len(unit)), (np.abs(unit) > EPS).argmax(axis=1)]", "lead = unit[:, 0]",
+        "lead = unit[np.arange(len(unit)), (np.abs(unit) > EPS).argmax(axis=1)]",
+        "lead = unit[:, 0]",
         tuple(
-            f"tests/test_hyperboloid.py::TestCanonicalNormals::test_batch_equals_each_hyperplane_bit_for_bit[{form}]"
+            "tests/test_hyperboloid.py::TestCanonicalNormals::"
+            f"test_batch_equals_each_hyperplane_bit_for_bit[{form}]"
             for form in ("J2", "J3", "sqrt2")
         ),
     ),

@@ -83,6 +83,20 @@ def close_to(a: np.ndarray, b: np.ndarray, atol: float) -> np.ndarray:
     return (np.abs(a - b) <= atol + 1e-5 * np.abs(b)).all(axis=-1)
 
 
+def _close_table(a: np.ndarray, b: np.ndarray, atol: float) -> np.ndarray:
+    """The table close_to(a[None], b[:, None], atol) of two (n, d) stacks: entry
+    (i, j) says that a[j] is close to b[i].
+
+    Every pair is screened by the same rule on the first coordinate alone,
+    and only the survivors are compared in full, so the table is the same.
+    """
+    lead = b[:, :1]
+    table = np.abs(a[:, 0] - lead) <= atol + 1e-5 * np.abs(lead)
+    i, j = np.nonzero(table)
+    table[i, j] = close_to(a[j], b[i], atol)
+    return table
+
+
 # -- exact matrices ------------------------------------------------------------
 
 
@@ -329,7 +343,8 @@ def distance(form: DiagonalForm, x, y) -> float:
 
 
 def _canonical_normals(form: DiagonalForm, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of the (k, d) float array `vs` as canonical hyperplane normals, and the sign each took.
+    """The rows of the (k, d) float array `vs` as canonical hyperplane normals,
+    and the sign each took.
 
     Each row v becomes s v / sqrt(f(v)), with s = +-1 making its first
     entry of absolute value > EPS positive.  f(v) is summed as `np.dot`

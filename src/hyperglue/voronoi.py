@@ -58,6 +58,7 @@ from .hyperboloid import (
     translation_along,
     unit_tangent,
     _canonical_normals,
+    _close_table,
     _sheet_rows,
 )
 
@@ -444,7 +445,7 @@ def dirichlet_cell(
 
     hull = ConvexHull(np.concatenate((polar, box_polar)))
     vertices = hull.vertices[hull.vertices < len(other_words)]
-    dups = _duplicates(inward, vertices)
+    dups = _close_table(inward, inward[vertices], 1e-7)
     classes: dict[int, int] = {}  # earliest orbit index -> row of `dups`
     for row, first in enumerate(np.argmax(dups, axis=1).tolist()):
         classes.setdefault(first, row)
@@ -482,20 +483,6 @@ def dirichlet_cell(
         for first, n, side in zip(kept.tolist(), normals, sides.astype(int).tolist())
     )
     return VoronoiCell(form, center, facets, orbit.certification_radius)
-
-
-def _duplicates(inward: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The table close_to(inward[None], inward[rows][:, None], 1e-7): entry (i, j)
-    says that row j of `inward` matches row rows[i].
-
-    Pairs are screened on the first coordinate by close_to's own rule, and
-    only the survivors are compared in full, so the table is the same.
-    """
-    lead = inward[rows, :1]
-    pairs = np.nonzero(np.abs(inward[:, 0] - lead) <= 1e-7 + 1e-5 * np.abs(lead))
-    table = np.zeros((len(rows), len(inward)), dtype=bool)
-    table[pairs] = close_to(inward[pairs[1]], inward[rows[pairs[0]]], 1e-7)
-    return table
 
 
 @np.errstate(divide="ignore", invalid="ignore")

@@ -22,6 +22,7 @@ from hyperglue.hyperboloid import (
     Hyperplane,
     NestingVerdict,
     _canonical_normals,
+    _close_table,
     ball_coordinates,
     basepoint,
     bilinear,
@@ -435,6 +436,19 @@ class TestMixedFields:
             reflection(counting_base_form(3, QS2), exact_vec(0, 0, 1))
 
 
+def at_the_bound(b, direction, beyond, atol=1e-7):
+    """The float a farthest from b toward `direction` with |a - b| <= atol + 1e-5 |b|
+    as numpy rounds it, or the first float beyond it."""
+    bound = atol + 1e-5 * np.abs(b)
+    away = direction * np.inf
+    a = b + direction * bound
+    while np.abs(a - b) > bound:
+        a = np.nextafter(a, -away)
+    while np.abs(np.nextafter(a, away) - b) <= bound:
+        a = np.nextafter(a, away)
+    return np.nextafter(a, away) if beyond else a
+
+
 class TestCloseTo:
     """`close_to` against `np.isclose(...).all()`, whose rule it is for finite input."""
 
@@ -475,6 +489,38 @@ class TestCloseTo:
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_a_non_finite_entry_never_matches(self, bad):
         assert not close_to(np.array([bad, 0.0]), np.array([0.5, 0.0]), 1e-6)
+
+    def test_screened_table_equals_the_full_table(self):
+        # seeded stacks sized like a Dirichlet cell's inward normals, with near copies
+        # of earlier rows: each entry kept, at the bound, one float beyond it, or a zero
+        # of the other sign; from +-0 and tiny powers of two, the entry at the bound
+        # lies exactly on it
+        rng = np.random.default_rng(38)
+        by_rtol = on_the_bound = 0
+        for _ in range(60):
+            n, d = int(rng.integers(2, 40)), int(rng.integers(3, 6))
+            vs = rng.standard_normal((n, d)) * np.exp(rng.uniform(-3.0, 8.0, (n, 1)))
+            special = rng.random((n, d)) < 0.15
+            vs[special] = rng.choice([0.0, -0.0, 2.0**-40, -(2.0**-33)], special.sum())
+            for j in rng.choice(np.arange(1, n), size=n // 2, replace=False):
+                i = int(rng.integers(0, j))
+                row = vs[i].copy()
+                for m, how in enumerate(rng.choice(["same", "in", "in", "out", "zero"], d)):
+                    if how == "zero":
+                        vs[i, m], row[m] = (0.0, -0.0) if rng.random() < 0.5 else (-0.0, 0.0)
+                    elif how != "same":
+                        row[m] = at_the_bound(row[m], rng.choice([-1.0, 1.0]), how == "out")
+                vs[j] = row
+            # rows picked as a hull's vertex indices come: int32, in order
+            rows = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+            rows = rows.astype(np.int32)
+            want = close_to(vs[None, :, :], vs[rows][:, None, :], 1e-7)
+            assert _close_table(vs, vs[rows], 1e-7).tolist() == want.tolist()
+            gap = np.abs(vs[None, :, 0] - vs[rows][:, None, 0])
+            on_the_bound += int((gap == 1e-7 + 1e-5 * np.abs(vs[rows][:, None, 0])).sum())
+            # pairs that match only through the 1e-5 |b| term on the screened coordinate
+            by_rtol += int((want & (gap > 1e-7)).sum())
+        assert by_rtol > 20 and on_the_bound > 20
 
 
 class TestDistance:

@@ -17,7 +17,6 @@ from hyperglue.hyperboloid import (
     basepoint,
     bilinear,
     boundary_sphere,
-    close_to,
     distance,
     float_coefficients,
     hyperplane_distance,
@@ -626,49 +625,6 @@ class TestDuplicateClasses:
         assert _facet_signature(cell) == _facet_signature(oracles.lp_pruned_cell(x0, spliced))
         if place == "after":
             assert _facet_signature(cell) == _facet_signature(dirichlet_cell(x0, orbit))
-
-
-def _at_the_bound(b, direction, beyond):
-    """The float a farthest from b toward `direction` with |a - b| <= 1e-7 + 1e-5 |b|
-    as numpy rounds it, or the first float beyond it."""
-    bound = 1e-7 + 1e-5 * np.abs(b)
-    away = direction * np.inf
-    a = b + direction * bound
-    while np.abs(a - b) > bound:
-        a = np.nextafter(a, -away)
-    while np.abs(np.nextafter(a, away) - b) <= bound:
-        a = np.nextafter(a, away)
-    return np.nextafter(a, away) if beyond else a
-
-
-def test_duplicate_screen_keeps_the_full_table():
-    # near copies of earlier rows: each entry kept, at the bound, one float beyond it,
-    # or a zero of the other sign, on seeded stacks of sizes like a cell's inward normals;
-    # from +-0 and tiny powers of two, the entry at the bound lies exactly on it
-    rng = np.random.default_rng(38)
-    by_rtol = on_the_bound = 0
-    for _ in range(60):
-        n, d = int(rng.integers(2, 40)), int(rng.integers(3, 6))
-        inward = rng.standard_normal((n, d)) * np.exp(rng.uniform(-3.0, 8.0, (n, 1)))
-        special = rng.random((n, d)) < 0.15
-        inward[special] = rng.choice([0.0, -0.0, 2.0**-40, -(2.0**-33)], special.sum())
-        for j in rng.choice(np.arange(1, n), size=n // 2, replace=False):
-            i = int(rng.integers(0, j))
-            row = inward[i].copy()
-            for m, how in enumerate(rng.choice(["same", "in", "in", "out", "zero"], d)):
-                if how == "zero":
-                    inward[i, m], row[m] = (0.0, -0.0) if rng.random() < 0.5 else (-0.0, 0.0)
-                elif how != "same":
-                    row[m] = _at_the_bound(row[m], rng.choice([-1.0, 1.0]), how == "out")
-            inward[j] = row
-        rows = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)).astype(np.int32)
-        want = close_to(inward[None, :, :], inward[rows][:, None, :], 1e-7)
-        assert voronoi._duplicates(inward, rows).tolist() == want.tolist()
-        gap = np.abs(inward[None, :, 0] - inward[rows][:, None, 0])
-        on_the_bound += int((gap == 1e-7 + 1e-5 * np.abs(inward[rows][:, None, 0])).sum())
-        # pairs that match only through the 1e-5 |b| term on the screened coordinate
-        by_rtol += int((want & (gap > 1e-7)).sum())
-    assert by_rtol > 20 and on_the_bound > 20
 
 
 @pytest.mark.usefixtures("forbid_lp")
